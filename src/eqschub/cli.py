@@ -236,7 +236,8 @@ def _table_for_pair(handle: RootSystemHandle, total_length: int, max_length: int
     if max_length is not None:
         bound = max_length
     elif rs.kind == FINITE:
-        bound = len(rs.positive_roots)
+        # The solver reads no fixed point longer than length(u)+length(v).
+        bound = min(total_length, len(rs.positive_roots))
     else:
         bound = total_length
     return restriction_table(rs, bound)

@@ -1,13 +1,23 @@
 """Fixed-point restrictions of Schubert classes as exact polynomials.
 
-The restriction of the class indexed by w at the fixed point v is computed
-by the subword formula: fix a reduced word (i1, .., iN) for v and let
-beta(j) = s_{i1} .. s_{i_{j-1}} (alpha_{i_j}).  Then
+The table is built by the one-letter (nil-Hecke) recursion of
+Kostant-Kumar.  Let v have canonical word ending in the letter i and put
+v' = v s_i, whose canonical word is v's without its last letter.  Then
+
+    value(w, v) = value(w, v') + [w s_i < w] * v'(alpha_i) * value(w s_i, v')
+
+with value(w, e) = [w = e], so each column costs one multiplication by a
+linear form per nonzero entry of its parent column.
+
+Unrolling the recursion along a reduced word (i1, .., iN) of v gives the
+subword formula: with beta(j) = s_{i1} .. s_{i_{j-1}} (alpha_{i_j}),
 
     value(w, v) = sum over position subsets J such that the subword at J
                   is a reduced word for w, of prod_{j in J} beta(j).
 
-Every term is a product of positive roots, so the result is manifestly a
+``billey_restrict`` evaluates that formula for a single pair; it serves
+the ``restrict`` command and is the test suite's independent check of the
+table.  Every term is a product of positive roots, so each value is a
 nonnegative integer combination of monomials in the simple roots.  The
 stored table uses the KK index convention; the Arabia and Billey
 conventions are pure reindexings by (w, v) -> (w^{-1}, v^{-1}).
@@ -32,15 +42,6 @@ from .weyl import (
 CONVENTIONS = ("KK", "Arabia", "Billey")
 
 
-def _betas(rs: RootSystem, word: tuple[int, ...]) -> list[RootPolynomial]:
-    out = []
-    cur = _identity_matrix(rs.rank)
-    for i in word:
-        out.append(RootPolynomial.from_linear(rs.rank, _column(cur, i - 1)))
-        cur = _mat_mul(cur, rs.reflections[i - 1])
-    return out
-
-
 def billey_restrict(
     rs: RootSystem,
     w: WeylElement,
@@ -61,7 +62,7 @@ def billey_restrict(
         cand = element_from_word(rs, word)
         if cand != v or len(word) != v.length:
             raise ValueError("supplied word is not a reduced word for v")
-    betas = _betas(rs, word)
+    betas = [RootPolynomial.from_linear(rs.rank, c) for c in inversion_coords(rs, word)]
     n = len(word)
     target = w.matrix
     lw = w.length
@@ -86,31 +87,6 @@ def billey_restrict(
         return acc
 
     return walk(0, ident, 0, one)
-
-
-def _restrictions_at(rs: RootSystem, v: WeylElement, by_matrix: dict) -> dict:
-    """All nonzero restriction values at the fixed point v, in one pass.
-
-    Walks the tree of reduced subwords of v's canonical word and buckets
-    the accumulated root products by the subword's group element.
-    """
-    word = v.word
-    betas = _betas(rs, word)
-    n = len(word)
-    zero = RootPolynomial.zero(rs.rank)
-    buckets: dict = {}
-
-    def walk(pos: int, partial, prod: RootPolynomial):
-        if pos == n:
-            buckets[partial] = buckets.get(partial, zero) + prod
-            return
-        walk(pos + 1, partial, prod)
-        i = word[pos] - 1
-        if _column_is_positive(partial, i):
-            walk(pos + 1, _mat_mul(partial, rs.reflections[i]), prod * betas[pos])
-
-    walk(0, _identity_matrix(rs.rank), RootPolynomial.one(rs.rank))
-    return {by_matrix[m]: p for m, p in buckets.items() if not p.is_zero()}
 
 
 class RestrictionTable:
@@ -147,18 +123,34 @@ class RestrictionTable:
 def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -> RestrictionTable:
     """Restriction values for every pair in the length-<=-k range.
 
-    The four table invariants (Bruhat support, homogeneity, diagonal =
-    product of inversion roots, nonnegative coefficients) are verified
-    during construction; a violation raises InternalInconsistency.
+    Columns are built by the one-letter recursion, each from the column of
+    v with its last letter removed.  The four table invariants (support
+    exactly the Bruhat interval, homogeneity, diagonal = product of
+    inversion roots, nonnegative coefficients) are verified during
+    construction; a violation raises InternalInconsistency.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
-    zero = RootPolynomial.zero(rs.rank)
-    values: dict = {}
+    rmul = rng.right_mul
+    columns: dict = {}
     for v in rng.elements:
-        column = _restrictions_at(rs, v, rng.by_matrix)
-        for w in rng.elements:
-            values[(w, v)] = column.get(w, zero)
+        if not v.word:
+            columns[v] = {v: RootPolynomial.one(rs.rank)}
+            continue
+        i = v.word[-1] - 1
+        parent = rmul[v][i]
+        beta = RootPolynomial.from_linear(rs.rank, _column(parent.matrix, i))
+        column = dict(columns[parent])
+        for u, poly in columns[parent].items():
+            w = rmul[u][i]
+            if w.length > u.length:
+                term = beta * poly
+                column[w] = column[w] + term if w in column else term
+        columns[v] = column
+    zero = RootPolynomial.zero(rs.rank)
+    values = {
+        (w, v): columns[v].get(w, zero) for v in rng.elements for w in rng.elements
+    }
     table = RestrictionTable(rs, rng, values, "KK")
     _verify_table(table)
     return table
@@ -166,8 +158,15 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
 
 def _verify_table(table: RestrictionTable):
     rng = table.range
+    leq = rng.leq
     for (w, v), poly in table.values.items():
-        if not poly.is_zero() and not rng.leq[(w, v)]:
+        if poly.is_zero():
+            if leq[(w, v)]:
+                raise InternalInconsistency(
+                    f"support violation: value({w}, {v}) zero but w <= v"
+                )
+            continue
+        if not leq[(w, v)]:
             raise InternalInconsistency(
                 f"support violation: value({w}, {v}) nonzero but w !<= v"
             )
@@ -180,7 +179,7 @@ def _verify_table(table: RestrictionTable):
     one = RootPolynomial.one(table.rs.rank)
     for w in rng.elements:
         diag = one
-        for coords in inversion_coords(w):
+        for coords in inversion_coords(table.rs, w.word):
             diag = diag * RootPolynomial.from_linear(table.rs.rank, coords)
         if table.values[(w, w)] != diag:
             raise InternalInconsistency(

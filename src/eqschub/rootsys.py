@@ -478,7 +478,7 @@ class RootPolynomial:
 
     def evaluate(self, values) -> Fraction:
         """Exact evaluation at a_i = values[i-1] (rationals)."""
-        vals = [Fraction(v) for v in values]
+        vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
         if len(vals) != self.rank:
             raise RankMismatch("evaluation point has wrong rank")
         if not self.terms:

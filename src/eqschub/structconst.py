@@ -106,7 +106,7 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
         if leq[(u, w)] and leq[(v, w)]:
             quotient = numerator
             try:
-                for coords in inversion_coords(w):
+                for coords in inversion_coords(table.rs, w.word):
                     quotient = quotient.exact_divide_linear(
                         RootPolynomial.from_linear(table.rs.rank, coords)
                     )

@@ -182,20 +182,23 @@ def apply(w: WeylElement, v: RootVector) -> RootVector:
 def inversions(w: WeylElement) -> tuple[RootVector, ...]:
     """Positive roots sent negative by w^{-1}, in canonical-word order.
 
-    beta_j = s_{i1} .. s_{i_{j-1}} (alpha_{i_j}); there are length(w) of
-    them, all distinct, and their product is the diagonal restriction.
+    There are length(w) of them, all distinct, and their product is the
+    diagonal restriction.
     """
-    return tuple(
-        RootVector.from_ints(c) for c in inversion_coords(w)
-    )
+    return tuple(RootVector.from_ints(c) for c in inversion_coords(w.rs, w.word))
 
 
-def inversion_coords(w: WeylElement) -> list[tuple[int, ...]]:
+def inversion_coords(rs: RootSystem, word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """beta_j = s_{i1} .. s_{i_{j-1}} (alpha_{i_j}) for each letter of a word.
+
+    For a reduced word of w these are the inversion roots of w^{-1}; the
+    subword formula weights the letters of the word by them.
+    """
     out = []
-    cur = _identity_matrix(w.rs.rank)
-    for i in w.word:
+    cur = _identity_matrix(rs.rank)
+    for i in word:
         out.append(_column(cur, i - 1))
-        cur = _mat_mul(cur, w.rs.reflections[i - 1])
+        cur = _mat_mul(cur, rs.reflections[i - 1])
     return out
 
 
@@ -204,7 +207,10 @@ def right_descents(w: WeylElement) -> list[int]:
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order test by right-to-left greedy matching on w's word."""
+    """Bruhat order test by right-to-left greedy matching on w's word.
+
+    Independent of ``WeylRange.leq``, which the test suite checks against it.
+    """
     _check_same_system(u, w)
     if u.length > w.length:
         return False
@@ -242,15 +248,32 @@ class WeylRange:
         return iter(self.elements)
 
     @cached_property
-    def by_matrix(self) -> dict:
-        return {w.matrix: w for w in self.elements}
+    def right_mul(self) -> dict:
+        """w -> (w s_1, .., w s_rank), with None where w s_i leaves the range."""
+        by_matrix = {w.matrix: w for w in self.elements}
+        return {
+            w: tuple(by_matrix.get(_mat_mul(w.matrix, s)) for s in self.rs.reflections)
+            for w in self.elements
+        }
 
     @cached_property
     def leq(self) -> dict:
-        """Bruhat comparison table over all stored pairs."""
-        return {
-            (u, w): bruhat_leq(u, w) for u in self.elements for w in self.elements
-        }
+        """Bruhat comparison table over all stored pairs.
+
+        Built along canonical words by the lifting property (Bjorner-Brenti,
+        GTM 231, 2.2): with i the last letter of v and v' = v s_i, the
+        elements below v are those below v' and their products with s_i.
+        """
+        rmul = self.right_mul
+        below: dict = {}
+        for v in self.elements:
+            if not v.word:
+                below[v] = {v}
+                continue
+            i = v.word[-1] - 1
+            parent = below[rmul[v][i]]
+            below[v] = parent | {rmul[u][i] for u in parent}
+        return {(u, w): u in below[w] for u in self.elements for w in self.elements}
 
     @cached_property
     def inverses(self) -> dict:

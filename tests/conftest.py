@@ -40,6 +40,15 @@ def brute_subword_leq(u, w):
     return False
 
 
+def affine_a_cartan(n):
+    """Cartan matrix of the affine type A_n^(1), n >= 2: a cycle of n + 1 nodes."""
+    m = n + 1
+    return tuple(
+        tuple(2 if i == j else -1 if (i - j) % m in (1, m - 1) else 0 for j in range(m))
+        for i in range(m)
+    )
+
+
 def random_polynomial(rng, rank, max_terms=5, max_exp=3, max_coeff=9):
     """Small random integer polynomial for algebra property tests."""
     from eqschub import RootPolynomial

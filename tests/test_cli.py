@@ -180,6 +180,29 @@ def test_mult_explicit_max_length_too_small_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "rs_type,u,v,nu",
+    [
+        ("A3", "1", "2", "1,2,3"),
+        ("A3", "1,2", "2,3", "2,1,1"),
+        ("A3", "2,1,3,2", "1,2,3", "1,1,2"),
+        ("B2", "1", "2,1", "3,1"),
+        ("B2", "1,2,1", "2,1,2", "1,2"),
+    ],
+)
+def test_mult_default_bound_matches_whole_group_table(rs_type, u, v, nu):
+    """Without --max-length a finite-type table stops at length(u)+length(v)."""
+    whole = {"A3": "6", "B2": "4"}[rs_type]
+    for fmt in ("text", "json", "csv"):
+        for basis in ("x", "y"):
+            for extra in ([], ["--eval", nu]):
+                args = ["mult", "--type", rs_type, "--u", u, "--v", v,
+                        "--format", fmt, "--basis", basis] + extra
+                expected = run(args + ["--max-length", whole])
+                assert expected[0] == 0
+                assert run(args) == expected, args
+
+
 def test_internal_solver_failure_exits_4(monkeypatch):
     import eqschub.cli as cli
     from eqschub import NotDivisible

@@ -3,8 +3,11 @@
 import pytest
 
 from eqschub import (
+    CartanMatrix,
+    InternalInconsistency,
     RootPolynomial,
     billey_restrict,
+    build_root_system,
     builtin_root_system,
     convert_convention,
     element_from_word,
@@ -16,13 +19,18 @@ from eqschub import (
     restriction_table,
 )
 
-from conftest import all_reduced_words
+from eqschub.localize import _verify_table
+from eqschub.rootsys import GENERAL
+
+from conftest import affine_a_cartan, all_reduced_words
 
 A1 = builtin_root_system("A1")
 A2 = builtin_root_system("A2")
+A3 = builtin_root_system("A3")
 B2 = builtin_root_system("B2")
 G2 = builtin_root_system("G2")
 AFF = builtin_root_system("AffineA1")
+AFF_A2 = build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL)
 
 SYSTEMS = [(A2, 5), (B2, 5), (G2, 5), (AFF, 5)]
 
@@ -94,10 +102,25 @@ def test_g2_full_diagonal_is_product_of_all_positive_roots():
 
 
 def test_batched_table_matches_single_restrictions():
-    for rs, k in [(A2, 3), (B2, 3), (AFF, 4)]:
+    for rs, k in [(A2, 3), (B2, 3), (AFF, 4), (A3, 6), (AFF_A2, 5)]:
         table = restriction_table(rs, k)
         for (w, v), poly in table.values.items():
             assert poly == billey_restrict(rs, w, v)
+
+
+@pytest.mark.parametrize(
+    "rs,k,w,v",
+    [(A2, 3, (1,), (1, 2)), (AFF_A2, 4, (2,), (3, 1, 2))],
+    ids=["A2", "AffineA2"],
+)
+def test_verify_table_rejects_zero_inside_bruhat_interval(rs, k, w, v):
+    table = restriction_table(rs, k)
+    w = element_from_word(rs, w)
+    v = element_from_word(rs, v)
+    assert table.range.leq[(w, v)] and not table.values[(w, v)].is_zero()
+    table.values[(w, v)] = RootPolynomial.zero(rs.rank)
+    with pytest.raises(InternalInconsistency, match="zero but w <= v"):
+        _verify_table(table)
 
 
 @pytest.mark.parametrize("rs,k", SYSTEMS)

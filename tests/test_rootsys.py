@@ -224,6 +224,15 @@ def test_evaluate_matches_term_sum_randomized():
         assert p.evaluate(point) == direct
 
 
+def test_evaluate_accepts_ints_strings_and_fractions_alike():
+    a1, a2 = var(2, 1), var(2, 2)
+    p = a1 * a2.scale(4) + a2 * a2
+    expected = Fraction(4 * 3, 2) + 9
+    assert p.evaluate((Fraction(1, 2), Fraction(3))) == expected
+    assert p.evaluate(("1/2", 3)) == expected
+    assert p.evaluate((0.5, "3")) == expected
+
+
 def test_apply_linear_negation_matrix():
     p = random_polynomial(random.Random(19), 2)
     neg = ((-1, 0), (0, -1))

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from eqschub import (
+    CartanMatrix,
     NotFiniteType,
     NotGroupElement,
     RankMismatch,
     ResourceCap,
     apply,
     bruhat_leq,
+    build_root_system,
     builtin_root_system,
     canonicalize,
     element_from_word,
@@ -23,13 +25,17 @@ from eqschub import (
     simple_reflection,
 )
 
-from conftest import all_reduced_words, brute_subword_leq
+from eqschub.rootsys import GENERAL
+
+from conftest import affine_a_cartan, all_reduced_words, brute_subword_leq
 
 A1 = builtin_root_system("A1")
 A2 = builtin_root_system("A2")
+A3 = builtin_root_system("A3")
 B2 = builtin_root_system("B2")
 G2 = builtin_root_system("G2")
 AFF = builtin_root_system("AffineA1")
+AFF_A2 = build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL)
 
 
 def coords(*vals):
@@ -151,6 +157,30 @@ def test_bruhat_is_partial_order(rs, k):
             for w in els:
                 if bruhat_leq(v, w):
                     assert bruhat_leq(u, w)
+
+
+@pytest.mark.parametrize(
+    "rs,k", [(A3, 6), (G2, 6), (AFF, 8), (AFF_A2, 5)], ids=["A3", "G2", "AffineA1", "AffineA2"]
+)
+def test_range_leq_matches_bruhat_leq(rs, k):
+    rng = enumerate_upto(rs, k)
+    assert rng.complete == (rs.kind != GENERAL)
+    assert len(rng.leq) == len(rng) ** 2
+    for u in rng:
+        for w in rng:
+            assert rng.leq[(u, w)] == bruhat_leq(u, w), (u, w)
+
+
+@pytest.mark.parametrize("rs,k", [(A3, 6), (AFF_A2, 4)], ids=["A3", "AffineA2"])
+def test_right_mul_matches_multiply(rs, k):
+    rng = enumerate_upto(rs, k)
+    for w in rng:
+        for i, product in enumerate(rng.right_mul[w], start=1):
+            expected = multiply(w, simple_reflection(rs, i))
+            if expected.length > k:
+                assert product is None
+            else:
+                assert product == expected and product.word == expected.word
 
 
 # ---------------------------------------------------------------------------
