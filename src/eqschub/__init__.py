@@ -2,7 +2,7 @@
 
 Builds root systems from (generalized) Cartan matrices, enumerates Weyl
 group elements as integer matrices, computes fixed-point restriction
-polynomials by the subword formula, solves for structure constants by
+polynomials by the one-letter nil-Hecke recursion, solves for structure constants by
 Bruhat-triangular elimination, and certifies the sign properties of the
 results with exact integer arithmetic throughout.
 """
@@ -36,13 +36,8 @@ from .rootsys import (
     RootPolynomial,
     RootSystem,
     RootVector,
-    alpha_sign,
     build_root_system,
     builtin_root_system,
-    poly_add,
-    poly_exact_divide_linear,
-    poly_mul,
-    poly_negate_variables,
 )
 from .structconst import (
     IdentityCheck,
@@ -97,7 +92,6 @@ __all__ = [
     "StructureTable",
     "WeylElement",
     "WeylRange",
-    "alpha_sign",
     "apply",
     "billey_evaluate",
     "billey_restrict",
@@ -114,10 +108,6 @@ __all__ = [
     "longest_element",
     "multiply",
     "opposite_constants",
-    "poly_add",
-    "poly_exact_divide_linear",
-    "poly_mul",
-    "poly_negate_variables",
     "positivity_certificate",
     "restriction_table",
     "simple_reflection",

@@ -40,6 +40,7 @@ from .rootsys import (
     CartanMatrix,
     FINITE,
     GENERAL,
+    RootSystem,
     build_root_system,
     builtin_root_system,
     monomial_text,
@@ -71,7 +72,7 @@ class CliError(Exception):
 # Input parsing
 
 
-def load_root_system(args) -> "RootSystemHandle":
+def load_root_system(args) -> RootSystem:
     if args.type and args.cartan:
         raise CliError("use either --type or --cartan, not both")
     if args.type:
@@ -79,9 +80,7 @@ def load_root_system(args) -> "RootSystemHandle":
             raise CliError(
                 f"unknown type {args.type!r}; choose from {', '.join(BUILTIN_TYPES)}"
             )
-        rs = builtin_root_system(args.type)
-        entries, kind = BUILTIN_TYPES[args.type]
-        return RootSystemHandle(rs, entries, kind)
+        return builtin_root_system(args.type)
     if args.cartan:
         try:
             with open(args.cartan, "r", encoding="utf-8") as fh:
@@ -101,16 +100,8 @@ def load_root_system(args) -> "RootSystemHandle":
         kind = data.get("kind", FINITE)
         if kind not in (FINITE, GENERAL):
             raise CliError(f'kind must be "{FINITE}" or "{GENERAL}"')
-        rs = build_root_system(cartan, kind)
-        return RootSystemHandle(rs, cartan.entries, kind)
+        return build_root_system(cartan, kind)
     raise CliError("one of --type or --cartan is required")
-
-
-@dataclass
-class RootSystemHandle:
-    rs: object
-    entries: tuple
-    kind: str
 
 
 def parse_word(text: str, rank: int, flag: str) -> tuple[int, ...]:
@@ -162,8 +153,7 @@ def vector_text(coords) -> str:
 
 
 def cmd_rootsys(args, out) -> int:
-    handle = load_root_system(args)
-    rs = handle.rs
+    rs = load_root_system(args)
     if args.format == "json":
         payload = {
             "type": rs.descriptor,
@@ -202,8 +192,7 @@ def cmd_rootsys(args, out) -> int:
 
 
 def cmd_restrict(args, out) -> int:
-    handle = load_root_system(args)
-    rs = handle.rs
+    rs = load_root_system(args)
     w_word = parse_word(args.w, rs.rank, "--w")
     v_word = parse_word(args.v, rs.rank, "--v")
     w = element_from_word(rs, w_word)
@@ -231,8 +220,7 @@ def cmd_restrict(args, out) -> int:
 # mult
 
 
-def _table_for_pair(handle: RootSystemHandle, total_length: int, max_length: int | None):
-    rs = handle.rs
+def _table_for_pair(rs: RootSystem, total_length: int, max_length: int | None):
     if max_length is not None:
         bound = max_length
     elif rs.kind == FINITE:
@@ -244,15 +232,14 @@ def _table_for_pair(handle: RootSystemHandle, total_length: int, max_length: int
 
 
 def cmd_mult(args, out) -> int:
-    handle = load_root_system(args)
-    rs = handle.rs
+    rs = load_root_system(args)
     u_word = parse_word(args.u, rs.rank, "--u")
     v_word = parse_word(args.v, rs.rank, "--v")
     u = element_from_word(rs, u_word)
     v = element_from_word(rs, v_word)
     if args.basis == "y" and rs.kind != FINITE:
         raise CliError("--basis y requires a finite-type root system")
-    table = _table_for_pair(handle, u.length + v.length, args.max_length)
+    table = _table_for_pair(rs, u.length + v.length, args.max_length)
     try:
         s = structure_constants(table, u, v)
     except InsufficientBound as exc:
@@ -269,7 +256,7 @@ def cmd_mult(args, out) -> int:
             raise CliError(str(exc))
 
     if args.format == "json":
-        payload = s.to_json_dict()
+        payload = s.to_json_dict(cert)
         if evaluation is not None:
             payload["eval"] = {
                 "nu": [str(x) for x in point],
@@ -321,7 +308,12 @@ def _sweep_init(entries, kind, bound, basis):
     _WORKER["state"] = _sweep_setup(entries, kind, bound, basis)
 
 
-def _sweep_pair_line(state, u_word, v_word) -> tuple[str, bool]:
+def _sweep_pair_lines(state, u_word, v_word) -> tuple[str, str, bool]:
+    """Cache lines of the pairs (u, v) and (v, u) from one solve, and the verdict.
+
+    The constants are symmetric in u and v, so the (v, u) record is the
+    (u, v) record with its "u" and "v" values swapped.
+    """
     rs = state["rs"]
     table = state["table"]
     u = element_from_word(rs, u_word)
@@ -330,11 +322,16 @@ def _sweep_pair_line(state, u_word, v_word) -> tuple[str, bool]:
     if state["basis"] == "y":
         s = opposite_constants(s, state["w0"])
     cert = positivity_certificate(s)
-    return json.dumps(s.to_json_dict()), bool(cert)
+    payload = s.to_json_dict(cert)
+    line = json.dumps(payload)
+    if u_word == v_word:
+        return line, line, bool(cert)
+    swapped = dict(payload, u=payload["v"], v=payload["u"])
+    return line, json.dumps(swapped), bool(cert)
 
 
 def _sweep_task(pair):
-    return _sweep_pair_line(_WORKER["state"], pair[0], pair[1])
+    return _sweep_pair_lines(_WORKER["state"], pair[0], pair[1])
 
 
 @dataclass
@@ -374,7 +371,13 @@ def run_sweep(
     jobs: int = 1,
     cache_path: str | None = None,
 ) -> SweepReport:
-    """Certify every pair in range; cache lines are appended under their key."""
+    """Certify every ordered pair in range; cache lines are appended under their key.
+
+    Each unordered pair {u, v} is solved once, since c_uv = c_vu; the
+    report and the cache still hold one entry per ordered pair, in
+    row-major order over the swept elements.  Every pair is solved again
+    even when the cache already holds it: only the append is skipped.
+    """
     start = time.perf_counter()
     cartan = CartanMatrix(entries)
     rs = build_root_system(cartan, kind)
@@ -386,7 +389,9 @@ def run_sweep(
     else:
         half = bound // 2
         swept = [w for w in rng.elements if w.length <= half]
-    pairs = [(u.word, v.word) for u in swept for v in swept]
+    words = [w.word for w in swept]
+    pairs = [(uw, vw) for uw in words for vw in words]
+    unordered = [(uw, vw) for a, uw in enumerate(words) for vw in words[a:]]
 
     if jobs > 1:
         with ProcessPoolExecutor(
@@ -394,10 +399,16 @@ def run_sweep(
             initializer=_sweep_init,
             initargs=(cartan.entries, kind, bound, basis),
         ) as pool:
-            results = list(pool.map(_sweep_task, pairs, chunksize=16))
+            solved = list(pool.map(_sweep_task, unordered, chunksize=16))
     else:
         state = _sweep_setup(cartan.entries, kind, bound, basis)
-        results = [_sweep_pair_line(state, uw, vw) for uw, vw in pairs]
+        solved = [_sweep_pair_lines(state, uw, vw) for uw, vw in unordered]
+
+    by_pair = {}
+    for (uw, vw), (line, swapped, ok) in zip(unordered, solved):
+        by_pair[(uw, vw)] = (line, ok)
+        by_pair[(vw, uw)] = (swapped, ok)
+    results = [by_pair[pair] for pair in pairs]
 
     fails = [pair for pair, (_, ok) in zip(pairs, results) if not ok]
     if cache_path:
@@ -448,7 +459,7 @@ def _append_cache(path, descriptor, basis, bound, pairs, results):
 
 
 def cmd_sweep(args, out) -> int:
-    handle = load_root_system(args)
+    rs = load_root_system(args)
     if args.max_length is None:
         raise CliError("sweep requires --max-length")
     if args.max_length < 0:
@@ -458,8 +469,8 @@ def cmd_sweep(args, out) -> int:
     cache_path = args.cache or os.environ.get(CACHE_ENV) or None
     try:
         report = run_sweep(
-            handle.entries,
-            handle.kind,
+            rs.cartan.entries,
+            rs.kind,
             args.max_length,
             args.basis,
             jobs=args.jobs,

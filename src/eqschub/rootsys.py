@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     ClosureOverflow,
@@ -383,7 +384,7 @@ class RootPolynomial:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 s = out.get(exp, 0) + c1 * c2
                 if s:
                     out[exp] = s
@@ -504,40 +505,44 @@ class RootPolynomial:
     def exact_divide_linear(self, lin: "RootPolynomial") -> "RootPolynomial":
         """Exact quotient by a nonzero homogeneous linear form.
 
-        Multivariate division with a single divisor under descending
-        graded-lex order; any leftover term means no exact quotient
-        exists and NotDivisible is raised.
+        One pass of synthetic division in the divisor's leading variable
+        x (its lowest-index one): with the divisor c*x + L and the terms
+        of the dividend bucketed by their degree in x, bucket k, cleared
+        from the top down, fixes the quotient terms of x-degree k - 1 and
+        pushes their products with L into bucket k - 1.  A quotient
+        coefficient that is not an integer, or anything left in bucket 0,
+        means no exact quotient exists and NotDivisible is raised.
         """
         self._check_rank(lin)
         if lin.is_zero() or not lin.is_homogeneous_of(1):
             raise ValueError("divisor must be homogeneous of degree 1 and nonzero")
-        # Leading variable of the divisor under the monomial order.
-        pivot_exp, pivot_coeff = max(
-            lin.terms.items(), key=lambda kv: _grlex_key(kv[0])
-        )
+        pivot_exp = max(lin.terms, key=_grlex_key)
+        pivot_coeff = lin.terms[pivot_exp]
         pivot = pivot_exp.index(1)
         rest = [(e, c) for e, c in lin.terms.items() if e != pivot_exp]
-        remainder = dict(self.terms)
+        top = max((e[pivot] for e in self.terms), default=0)
+        buckets: list[dict] = [{} for _ in range(top + 1)]
+        for exp, coeff in self.terms.items():
+            buckets[exp[pivot]][exp] = coeff
         quotient: dict = {}
-        while remainder:
-            exp = max(remainder, key=_grlex_key)
-            coeff = remainder[exp]
-            if exp[pivot] == 0 or coeff % pivot_coeff != 0:
-                raise NotDivisible(
-                    f"{self.to_text()} is not divisible by {lin.to_text()}"
-                )
-            q = coeff // pivot_coeff
-            qexp = tuple(e - 1 if i == pivot else e for i, e in enumerate(exp))
-            quotient[qexp] = quotient.get(qexp, 0) + q
-            del remainder[exp]
-            for rexp, rcoeff in rest:
-                texp = tuple(a + b for a, b in zip(qexp, rexp))
-                s = remainder.get(texp, 0) - q * rcoeff
-                if s:
-                    remainder[texp] = s
-                elif texp in remainder:
-                    del remainder[texp]
-        return RootPolynomial(self.rank, {e: c for e, c in quotient.items() if c}, _clean=True)
+        for k in range(top, 0, -1):
+            below = buckets[k - 1]
+            for exp, coeff in buckets[k].items():
+                if not coeff:
+                    continue
+                q, r = divmod(coeff, pivot_coeff)
+                if r:
+                    raise NotDivisible(
+                        f"{self.to_text()} is not divisible by {lin.to_text()}"
+                    )
+                qexp = exp[:pivot] + (k - 1,) + exp[pivot + 1:]
+                quotient[qexp] = q
+                for rexp, rcoeff in rest:
+                    texp = tuple(map(add, qexp, rexp))
+                    below[texp] = below.get(texp, 0) - q * rcoeff
+        if any(buckets[0].values()):
+            raise NotDivisible(f"{self.to_text()} is not divisible by {lin.to_text()}")
+        return RootPolynomial(self.rank, quotient, _clean=True)
 
     # -- rendering -------------------------------------------------------
 
@@ -588,27 +593,3 @@ def monomial_text(exp: tuple[int, ...]) -> str:
         elif e > 1:
             factors.append(f"a{i + 1}^{e}")
     return "*".join(factors) if factors else "1"
-
-
-# ---------------------------------------------------------------------------
-# Operation-shaped wrappers
-
-
-def poly_add(p: RootPolynomial, q: RootPolynomial) -> RootPolynomial:
-    return p + q
-
-
-def poly_mul(p: RootPolynomial, q: RootPolynomial) -> RootPolynomial:
-    return p * q
-
-
-def poly_exact_divide_linear(p: RootPolynomial, lin: RootPolynomial) -> RootPolynomial:
-    return p.exact_divide_linear(lin)
-
-
-def poly_negate_variables(p: RootPolynomial) -> RootPolynomial:
-    return p.negate_variables()
-
-
-def alpha_sign(p: RootPolynomial) -> str:
-    return p.sign_pattern()

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .localize import RestrictionTable
 from .rootsys import FINITE, RootPolynomial
-from .weyl import WeylElement, inverse, inversion_coords
+from .weyl import WeylElement, inverse
 
 
 class StructureTable:
@@ -56,7 +56,10 @@ class StructureTable:
     def nonzero_items(self) -> list[tuple[WeylElement, RootPolynomial]]:
         return [(w, self.values[w]) for w in self.order if not self.values[w].is_zero()]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, certificate: PositivityCertificate | None = None) -> dict:
+        """Cache record of the pair; builds the certificate unless one is given."""
+        if certificate is None:
+            certificate = positivity_certificate(self)
         return {
             "type": self.rs.descriptor,
             "basis": self.basis,
@@ -66,7 +69,7 @@ class StructureTable:
                 {"w": list(w.word), "poly": self.values[w].to_json_dict()}
                 for w in self.order
             ],
-            "certificate": positivity_certificate(self).to_json_dict(),
+            "certificate": certificate.to_json_dict(),
         }
 
 
@@ -92,6 +95,7 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
             f"table bound {rng.bound} < length(u)+length(v) = {total}"
         )
     leq = rng.leq
+    forms = rng.inversion_forms
     zero = RootPolynomial.zero(table.rs.rank)
     values: dict = {}
     solved: list[tuple[WeylElement, RootPolynomial]] = []
@@ -106,10 +110,8 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
         if leq[(u, w)] and leq[(v, w)]:
             quotient = numerator
             try:
-                for coords in inversion_coords(table.rs, w.word):
-                    quotient = quotient.exact_divide_linear(
-                        RootPolynomial.from_linear(table.rs.rank, coords)
-                    )
+                for lin in forms[w]:
+                    quotient = quotient.exact_divide_linear(lin)
             except NotDivisible as exc:
                 raise InternalInconsistency(
                     f"inexact diagonal division at (u={u.word_text()}, "

@@ -18,7 +18,7 @@ from .errors import (
     RankMismatch,
     ResourceCap,
 )
-from .rootsys import FINITE, RootSystem, RootVector
+from .rootsys import FINITE, RootPolynomial, RootSystem, RootVector
 
 DEFAULT_WORD_CAP = 10_000
 DEFAULT_ENUM_CAP = 100_000
@@ -274,6 +274,28 @@ class WeylRange:
             parent = below[rmul[v][i]]
             below[v] = parent | {rmul[u][i] for u in parent}
         return {(u, w): u in below[w] for u in self.elements for w in self.elements}
+
+    @cached_property
+    def inversion_forms(self) -> dict:
+        """w -> the inversion roots of ``inversion_coords(rs, w.word)`` as
+        linear polynomials; their product is the diagonal restriction at w.
+
+        Built along canonical words: with i the last letter of v and
+        v' = v s_i, the forms of v are those of v' followed by v'(alpha_i).
+        """
+        rmul = self.right_mul
+        rank = self.rs.rank
+        forms: dict = {}
+        for v in self.elements:
+            if not v.word:
+                forms[v] = ()
+                continue
+            i = v.word[-1] - 1
+            parent = rmul[v][i]
+            forms[v] = forms[parent] + (
+                RootPolynomial.from_linear(rank, _column(parent.matrix, i)),
+            )
+        return forms
 
     @cached_property
     def inverses(self) -> dict:

@@ -6,7 +6,19 @@ import os
 
 import pytest
 
-from eqschub.cli import main
+from eqschub import (
+    CartanMatrix,
+    build_root_system,
+    builtin_root_system,
+    longest_element,
+    opposite_constants,
+    restriction_table,
+    structure_constants,
+)
+from eqschub.cli import main, run_sweep
+from eqschub.rootsys import GENERAL
+
+from conftest import affine_a_cartan
 
 
 def run(argv):
@@ -285,6 +297,45 @@ def test_sweep_jobs_equivalence():
     _, serial = run(base + ["--jobs", "1"])
     _, parallel = run(base + ["--jobs", "2"])
     assert serial == parallel
+
+
+SWEEP_CASES = {
+    "A3-y": (builtin_root_system("A3"), 6, "y"),
+    "AffineA2-x": (build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL), 4, "x"),
+}
+
+
+def sweep_cache(tmp_path, name, case, jobs):
+    rs, bound, basis = SWEEP_CASES[case]
+    cache = tmp_path / name
+    report = run_sweep(rs.cartan.entries, rs.kind, bound, basis, jobs=jobs, cache_path=str(cache))
+    assert report.verdict == "pass"
+    return cache.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_cache_identical_across_jobs(tmp_path, case):
+    serial = sweep_cache(tmp_path, "serial.jsonl", case, 1)
+    parallel = sweep_cache(tmp_path, "parallel.jsonl", case, 2)
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_cache_lines_match_independent_solves(tmp_path, case):
+    """Every cache line, the (v, u) ones made from the (u, v) solve included,
+    equals the record of its own pair solved on its own, in row-major order."""
+    rs, bound, basis = SWEEP_CASES[case]
+    lines = sweep_cache(tmp_path, "cache.jsonl", case, 1).decode().splitlines()[1:]
+    table = restriction_table(rs, bound)
+    swept = [w for w in table.range if table.range.complete or 2 * w.length <= bound]
+    keys = [(u, v) for u in swept for v in swept]
+    assert len(lines) == len(keys)
+    w0 = longest_element(rs) if basis == "y" else None
+    for (u, v), line in zip(keys, lines):
+        s = structure_constants(table, u, v)
+        if w0 is not None:
+            s = opposite_constants(s, w0)
+        assert line == json.dumps(s.to_json_dict()), (u, v)
 
 
 def test_sweep_cache_written_and_resumed(tmp_path):

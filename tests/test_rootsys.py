@@ -13,13 +13,8 @@ from eqschub import (
     RankMismatch,
     RootPolynomial,
     RootVector,
-    alpha_sign,
     build_root_system,
     builtin_root_system,
-    poly_add,
-    poly_exact_divide_linear,
-    poly_mul,
-    poly_negate_variables,
 )
 from eqschub.rootsys import GENERAL
 
@@ -112,22 +107,22 @@ def test_invalid_cartan_rejected():
 
 def test_add_cancels_to_zero():
     a1 = var(2, 1)
-    assert poly_add(a1, -a1).is_zero()
+    assert (a1 + -a1).is_zero()
 
 
 def test_add_merges_like_terms():
     sq = var(1, 1) * var(1, 1)
-    assert poly_add(sq, sq.scale(2)) == sq.scale(3)
+    assert sq + sq.scale(2) == sq.scale(3)
 
 
 def test_mul_distributes():
     a1, a2 = var(2, 1), var(2, 2)
-    assert poly_mul(a1, a1 + a2) == a1 * a1 + a1 * a2
+    assert a1 * (a1 + a2) == a1 * a1 + a1 * a2
 
 
 def test_mul_identity():
     p = RootPolynomial(2, {(2, 1): 3, (0, 1): -4})
-    assert poly_mul(p, RootPolynomial.one(2)) == p
+    assert p * RootPolynomial.one(2) == p
 
 
 def test_difference_of_squares():
@@ -137,40 +132,40 @@ def test_difference_of_squares():
 
 def test_rank_mismatch_raises():
     with pytest.raises(RankMismatch):
-        poly_add(var(1, 1), var(2, 1))
+        var(1, 1) + var(2, 1)
     with pytest.raises(RankMismatch):
-        poly_mul(var(1, 1), var(2, 1))
+        var(1, 1) * var(2, 1)
 
 
 def test_divide_examples():
     a1, a2 = var(2, 1), var(2, 2)
-    assert poly_exact_divide_linear(a1 * a1 + a1 * a2, a1) == a1 + a2
-    assert poly_exact_divide_linear(RootPolynomial.zero(2), a1).is_zero()
+    assert (a1 * a1 + a1 * a2).exact_divide_linear(a1) == a1 + a2
+    assert RootPolynomial.zero(2).exact_divide_linear(a1).is_zero()
     with pytest.raises(NotDivisible):
-        poly_exact_divide_linear(a1 + a2, a1)
+        (a1 + a2).exact_divide_linear(a1)
 
 
 def test_divide_rejects_bad_divisor():
     a1 = var(2, 1)
     with pytest.raises(ValueError):
-        poly_exact_divide_linear(a1, RootPolynomial.zero(2))
+        a1.exact_divide_linear(RootPolynomial.zero(2))
     with pytest.raises(ValueError):
-        poly_exact_divide_linear(a1, a1 * a1)
+        a1.exact_divide_linear(a1 * a1)
 
 
 def test_negate_variables_examples():
     a1, a2 = var(2, 1), var(2, 2)
-    assert poly_negate_variables(a1) == -a1
-    assert poly_negate_variables(a1 * a1 - a2) == a1 * a1 + a2
-    assert poly_negate_variables(RootPolynomial.zero(2)).is_zero()
+    assert a1.negate_variables() == -a1
+    assert (a1 * a1 - a2).negate_variables() == a1 * a1 + a2
+    assert RootPolynomial.zero(2).negate_variables().is_zero()
 
 
 def test_alpha_sign_classification():
     a1, a2 = var(2, 1), var(2, 2)
-    assert alpha_sign(a1 + (a1 * a2).scale(2)) == "nonneg"
-    assert alpha_sign(-a1) == "nonpos"
-    assert alpha_sign(a1 - a2) == "mixed"
-    assert alpha_sign(RootPolynomial.zero(2)) == "zero"
+    assert (a1 + (a1 * a2).scale(2)).sign_pattern() == "nonneg"
+    assert (-a1).sign_pattern() == "nonpos"
+    assert (a1 - a2).sign_pattern() == "mixed"
+    assert RootPolynomial.zero(2).sign_pattern() == "zero"
 
 
 def test_mul_commutative_associative_randomized():
@@ -191,14 +186,50 @@ def test_divide_inverts_multiply_randomized():
         if not any(coords):
             coords[rng.randrange(3)] = 1
         lin = RootPolynomial.from_linear(3, coords)
-        assert poly_exact_divide_linear(p * lin, lin) == p
+        assert (p * lin).exact_divide_linear(lin) == p
+
+
+def test_divide_rejects_product_plus_pivot_free_monomial_randomized():
+    """p * lin + m has no exact quotient when the monomial m is free of the
+    divisor's leading (lowest-index) variable."""
+    rng = random.Random(17)
+    for _ in range(60):
+        p = random_polynomial(rng, 3)
+        coords = [rng.randint(-3, 3) for _ in range(3)]
+        if not any(coords):
+            coords[rng.randrange(3)] = 1
+        lin = RootPolynomial.from_linear(3, coords)
+        pivot = next(i for i, c in enumerate(coords) if c)
+        exp = [rng.randint(0, 3) for _ in range(3)]
+        exp[pivot] = 0
+        m = RootPolynomial(3, {tuple(exp): rng.choice([-5, -2, -1, 1, 3, 7])})
+        with pytest.raises(NotDivisible):
+            (p * lin + m).exact_divide_linear(lin)
+
+
+def test_divide_rejects_non_integral_quotient():
+    a1, a2 = var(2, 1), var(2, 2)
+    with pytest.raises(NotDivisible):
+        (a1 + a2).exact_divide_linear((a1 + a2).scale(2))
+    # Nothing is left over here, so only the integrality test can refuse it.
+    with pytest.raises(NotDivisible):
+        (a1 * a2).scale(3).exact_divide_linear(a1.scale(2))
+    assert ((a1 + a2).scale(2) * a2).exact_divide_linear((a1 + a2).scale(2)) == a2
+
+
+def test_divide_non_homogeneous_dividends():
+    a1, a2, a3 = var(3, 1), var(3, 2), var(3, 3)
+    one = RootPolynomial.one(3)
+    for lin in (a1, a2 - a3.scale(2), a1.scale(3) + a2 - a3, a3):
+        for q in (one, a2 + one.scale(5), a1 * a1 * a3 - a2 + one, a1 * a2 * a3 + a3.scale(4)):
+            assert (q * lin).exact_divide_linear(lin) == q
 
 
 def test_negate_variables_is_involution():
     rng = random.Random(13)
     for _ in range(40):
         p = random_polynomial(rng, 2)
-        assert poly_negate_variables(poly_negate_variables(p)) == p
+        assert p.negate_variables().negate_variables() == p
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from eqschub import (
+    CartanMatrix,
     DomainViolation,
     InsufficientBound,
     RootPolynomial,
     StructureTable,
     billey_evaluate,
+    build_root_system,
     builtin_root_system,
     element_from_word,
     enumerate_upto,
@@ -26,11 +28,16 @@ from eqschub import (
     verify_product_identity,
 )
 from eqschub.localize import RestrictionTable
+from eqschub.rootsys import GENERAL
+
+from conftest import affine_a_cartan
 
 A1 = builtin_root_system("A1")
 A2 = builtin_root_system("A2")
 B2 = builtin_root_system("B2")
+A3 = builtin_root_system("A3")
 AFF = builtin_root_system("AffineA1")
+AFF_A2 = build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL)
 
 T_A1 = restriction_table(A1, 1)
 T_A2 = restriction_table(A2, 3)
@@ -184,6 +191,21 @@ def test_symmetry_affine_to_length_four():
                 structure_constants(table, u, v).values
                 == structure_constants(table, v, u).values
             )
+
+
+@pytest.mark.parametrize("rs,k", [(A3, 6), (AFF_A2, 4)], ids=["A3", "AffineA2"])
+def test_constants_symmetric_in_u_and_v(rs, k):
+    """The sweep solves each unordered pair once; this is what makes that exact."""
+    table = restriction_table(rs, k)
+    els = table.range.elements
+    for a, u in enumerate(els):
+        for v in els[a + 1:]:
+            if not table.range.complete and u.length + v.length > k:
+                continue
+            assert (
+                structure_constants(table, u, v).values
+                == structure_constants(table, v, u).values
+            ), (u, v)
 
 
 def test_affine_constants_stable_under_bound_increase():

@@ -25,7 +25,8 @@ from eqschub import (
     simple_reflection,
 )
 
-from eqschub.rootsys import GENERAL
+from eqschub.rootsys import GENERAL, RootPolynomial
+from eqschub.weyl import inversion_coords
 
 from conftest import affine_a_cartan, all_reduced_words, brute_subword_leq
 
@@ -181,6 +182,18 @@ def test_right_mul_matches_multiply(rs, k):
                 assert product is None
             else:
                 assert product == expected and product.word == expected.word
+
+
+@pytest.mark.parametrize(
+    "rs,k", [(A3, 6), (G2, 6), (AFF, 8), (AFF_A2, 5)], ids=["A3", "G2", "AffineA1", "AffineA2"]
+)
+def test_inversion_forms_match_inversion_coords(rs, k):
+    rng = enumerate_upto(rs, k)
+    for w in rng:
+        expected = tuple(
+            RootPolynomial.from_linear(rs.rank, c) for c in inversion_coords(rs, w.word)
+        )
+        assert rng.inversion_forms[w] == expected, w
 
 
 # ---------------------------------------------------------------------------
