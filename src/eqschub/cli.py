@@ -22,17 +22,11 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import (
-    ClosureOverflow,
     DomainViolation,
     EqschubError,
     InsufficientBound,
-    InternalInconsistency,
     InvalidCartan,
-    NotDivisible,
     NotFiniteType,
-    RankMismatch,
-    ResourceCap,
-    SingularCartan,
 )
 from .localize import CONVENTIONS, billey_restrict, restriction_table
 from .rootsys import (
@@ -54,18 +48,20 @@ from .structconst import (
 from .weyl import element_from_word, enumerate_upto, inverse, longest_element
 
 CACHE_ENV = "EQSCHUB_CACHE"
+CACHE_HEADER = {"engine": f"eqschub {__version__}", "convention": "KK", "format": 1}
+# Pairs handed to a --jobs worker at a time.
+SWEEP_CHUNK = 16
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
-EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 EXIT_CERT_FAIL = 5
 
 
-class CliError(Exception):
+class CliError(EqschubError):
     def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
         super().__init__(message)
-        self.code = code
+        self.exit_code = code
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +371,14 @@ def run_sweep(
 
     Each unordered pair {u, v} is solved once, since c_uv = c_vu; the
     report and the cache still hold one entry per ordered pair, in
-    row-major order over the swept elements.  Every pair is solved again
+    row-major order over the swept elements.  An existing cache is read
+    and validated before anything is solved.  Every pair is solved again
     even when the cache already holds it: only the append is skipped.
+    With ``jobs`` > 1 the pool has at most one worker per CPU and per
+    chunk of pairs; the output does not depend on its size.
     """
     start = time.perf_counter()
+    cached = _read_cache(cache_path) if cache_path else None
     cartan = CartanMatrix(entries)
     rs = build_root_system(cartan, kind)
     if basis == "y" and rs.kind != FINITE:
@@ -394,12 +394,13 @@ def run_sweep(
     unordered = [(uw, vw) for a, uw in enumerate(words) for vw in words[a:]]
 
     if jobs > 1:
+        chunks = -(-len(unordered) // SWEEP_CHUNK)
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=min(jobs, os.cpu_count() or 1, chunks),
             initializer=_sweep_init,
             initargs=(cartan.entries, kind, bound, basis),
         ) as pool:
-            solved = list(pool.map(_sweep_task, unordered, chunksize=16))
+            solved = list(pool.map(_sweep_task, unordered, chunksize=SWEEP_CHUNK))
     else:
         state = _sweep_setup(cartan.entries, kind, bound, basis)
         solved = [_sweep_pair_lines(state, uw, vw) for uw, vw in unordered]
@@ -412,7 +413,7 @@ def run_sweep(
 
     fails = [pair for pair, (_, ok) in zip(pairs, results) if not ok]
     if cache_path:
-        _append_cache(cache_path, rs.descriptor, basis, bound, pairs, results)
+        _append_cache(cache_path, cached, rs.descriptor, basis, pairs, results)
     wall = time.perf_counter() - start
     return SweepReport(
         rs.descriptor, bound, basis, len(pairs), fails, wall, cache_path
@@ -428,26 +429,48 @@ def _cache_key(record: dict) -> tuple:
     )
 
 
-def _append_cache(path, descriptor, basis, bound, pairs, results):
+def _read_cache(path: str) -> set | None:
+    """Keys of the records in the cache at ``path``; None if it is absent or empty.
+
+    Refuses, with exit 2, a cache whose first line is not this version's
+    header and a later line that is not a JSON record.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return None
     existing: set = set()
-    header = {
-        "engine": f"eqschub {__version__}",
-        "convention": "KK",
-        "format": 1,
-    }
-    lines_out = []
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for idx, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read cache {path}: {exc.strerror}")
+    with fh:
+        for number, line in enumerate(fh, start=1):
+            if number > 1 and not line.strip():
+                continue
+            try:
                 record = json.loads(line)
-                if idx == 0 and "engine" in record:
-                    continue
+            except json.JSONDecodeError as exc:
+                raise CliError(f"cache {path}: line {number} is not valid JSON ({exc.msg})")
+            if number == 1:
+                if not isinstance(record, dict) or any(
+                    record.get(key) != value for key, value in CACHE_HEADER.items()
+                ):
+                    raise CliError(
+                        f"cache {path}: line 1 is not the header {json.dumps(CACHE_HEADER)}"
+                        " of this version; use another cache file"
+                    )
+                continue
+            try:
                 existing.add(_cache_key(record))
-    else:
-        lines_out.append(json.dumps(header))
+            except (KeyError, TypeError):
+                raise CliError(f"cache {path}: line {number} is not a sweep record")
+    return existing
+
+
+def _append_cache(path, cached, descriptor, basis, pairs, results):
+    """Append the lines of pairs not in ``cached`` (see ``_read_cache``),
+    after a header if the cache is new."""
+    existing = cached or set()
+    lines_out = [json.dumps(CACHE_HEADER)] if cached is None else []
     for (u_word, v_word), (line, _) in zip(pairs, results):
         key = (descriptor, basis, tuple(u_word), tuple(v_word))
         if key not in existing:
@@ -552,22 +575,11 @@ def main(argv=None, out=None) -> int:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         return COMMANDS[args.command](args, out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (InvalidCartan, RankMismatch, DomainViolation, NotFiniteType, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ClosureOverflow, ResourceCap) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (NotDivisible, InternalInconsistency) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except SingularCartan as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except EqschubError as exc:
+        prefix = "internal error" if exc.exit_code == EXIT_INTERNAL else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

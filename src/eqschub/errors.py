@@ -2,7 +2,14 @@
 
 
 class EqschubError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the command line's exit status for the error: 2 for
+    bad input, 3 for a resource or closure cap, 4 for an internal
+    inconsistency.
+    """
+
+    exit_code = 2
 
 
 class InvalidCartan(EqschubError):
@@ -16,6 +23,8 @@ class RankMismatch(EqschubError):
 class ClosureOverflow(EqschubError):
     """Reflection closure exceeded its cap: the matrix is not finite type."""
 
+    exit_code = 3
+
 
 class SingularCartan(EqschubError):
     """Finite-type construction requires an invertible Cartan matrix."""
@@ -24,6 +33,8 @@ class SingularCartan(EqschubError):
 class NotDivisible(EqschubError):
     """Exact polynomial division has no quotient."""
 
+    exit_code = 4
+
 
 class NotGroupElement(EqschubError):
     """Matrix does not arise from a Weyl group element."""
@@ -31,6 +42,8 @@ class NotGroupElement(EqschubError):
 
 class ResourceCap(EqschubError):
     """Enumeration exceeded its configured element cap."""
+
+    exit_code = 3
 
 
 class NotFiniteType(EqschubError):
@@ -53,3 +66,5 @@ class InternalInconsistency(EqschubError):
     and by table construction when a verified invariant fails.  Always a
     bug, never a user error.
     """
+
+    exit_code = 4

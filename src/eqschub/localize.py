@@ -18,9 +18,13 @@ subword formula: with beta(j) = s_{i1} .. s_{i_{j-1}} (alpha_{i_j}),
 ``billey_restrict`` evaluates that formula for a single pair; it serves
 the ``restrict`` command and is the test suite's independent check of the
 table.  Every term is a product of positive roots, so each value is a
-nonnegative integer combination of monomials in the simple roots.  The
-stored table uses the KK index convention; the Arabia and Billey
-conventions are pure reindexings by (w, v) -> (w^{-1}, v^{-1}).
+nonnegative integer combination of monomials in the simple roots.
+
+The table stores only its nonzero entries, which are exactly the pairs
+w <= v, so its size and the cost of its invariant check follow the
+Bruhat intervals rather than the square of the range.  It uses the KK
+index convention; the Arabia and Billey conventions are pure reindexings
+by (w, v) -> (w^{-1}, v^{-1}).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .weyl import (
     _column,
     _column_is_positive,
     _identity_matrix,
-    _mat_mul,
+    _reflect_right,
     element_from_word,
     enumerate_upto,
     inversion_coords,
@@ -80,7 +84,7 @@ def billey_restrict(
         if _column_is_positive(partial, i):
             acc = acc + walk(
                 pos + 1,
-                _mat_mul(partial, rs.reflections[i]),
+                _reflect_right(rs, partial, i),
                 chosen + 1,
                 prod * betas[pos],
             )
@@ -90,20 +94,25 @@ def billey_restrict(
 
 
 class RestrictionTable:
-    """Map (w, v) -> restriction polynomial over a length-bounded range."""
+    """Restriction polynomials over a length-bounded range.
+
+    ``values`` maps (w, v) to its polynomial for the nonzero entries only;
+    ``value`` reads any pair, zero where nothing is stored.
+    """
 
     def __init__(self, rs: RootSystem, rng: WeylRange, values: dict, convention: str):
         self.rs = rs
         self.range = rng
         self.values = values
         self.convention = convention
+        self._zero = RootPolynomial.zero(rs.rank)
 
     @property
     def bound(self) -> int:
         return self.range.bound
 
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
-        return self.values[(w, v)]
+        return self.values.get((w, v), self._zero)
 
     def to_json_list(self) -> list[dict]:
         out = []
@@ -113,7 +122,7 @@ class RestrictionTable:
                     {
                         "w": list(w.word),
                         "v": list(v.word),
-                        "value": self.values[(w, v)].to_json_dict(),
+                        "value": self.value(w, v).to_json_dict(),
                         "convention": self.convention,
                     }
                 )
@@ -124,10 +133,11 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
     """Restriction values for every pair in the length-<=-k range.
 
     Columns are built by the one-letter recursion, each from the column of
-    v with its last letter removed.  The four table invariants (support
-    exactly the Bruhat interval, homogeneity, diagonal = product of
-    inversion roots, nonnegative coefficients) are verified during
-    construction; a violation raises InternalInconsistency.
+    v with its last letter removed, and only their nonzero entries are
+    stored.  The four table invariants (support exactly the Bruhat
+    interval, homogeneity, diagonal = product of inversion roots,
+    nonnegative coefficients) are verified during construction; a
+    violation raises InternalInconsistency.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
@@ -147,10 +157,7 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
                 term = beta * poly
                 column[w] = column[w] + term if w in column else term
         columns[v] = column
-    zero = RootPolynomial.zero(rs.rank)
-    values = {
-        (w, v): columns[v].get(w, zero) for v in rng.elements for w in rng.elements
-    }
+    values = {(w, v): poly for v, column in columns.items() for w, poly in column.items()}
     table = RestrictionTable(rs, rng, values, "KK")
     _verify_table(table)
     return table
@@ -159,14 +166,20 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
 def _verify_table(table: RestrictionTable):
     rng = table.range
     leq = rng.leq
-    for (w, v), poly in table.values.items():
-        if poly.is_zero():
-            if leq[(w, v)]:
+    values = table.values
+    for v in rng.elements:
+        for w in leq[v]:
+            poly = values.get((w, v))
+            if poly is None or poly.is_zero():
                 raise InternalInconsistency(
                     f"support violation: value({w}, {v}) zero but w <= v"
                 )
-            continue
-        if not leq[(w, v)]:
+    for (w, v), poly in values.items():
+        if poly.is_zero():
+            raise InternalInconsistency(
+                f"support violation: value({w}, {v}) stored as zero"
+            )
+        if w not in leq[v]:
             raise InternalInconsistency(
                 f"support violation: value({w}, {v}) nonzero but w !<= v"
             )
@@ -181,7 +194,7 @@ def _verify_table(table: RestrictionTable):
         diag = one
         for coords in inversion_coords(table.rs, w.word):
             diag = diag * RootPolynomial.from_linear(table.rs.rank, coords)
-        if table.values[(w, w)] != diag:
+        if table.value(w, w) != diag:
             raise InternalInconsistency(
                 f"diagonal value at {w} differs from its inversion product"
             )
@@ -203,9 +216,5 @@ def convert_convention(table: RestrictionTable, target: str) -> RestrictionTable
             return table
         return RestrictionTable(table.rs, table.range, dict(table.values), target)
     inv = table.range.inverses
-    values = {
-        (w, v): table.values[(inv[w], inv[v])]
-        for w in table.range.elements
-        for v in table.range.elements
-    }
+    values = {(inv[w], inv[v]): poly for (w, v), poly in table.values.items()}
     return RestrictionTable(table.rs, table.range, values, target)

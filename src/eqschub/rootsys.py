@@ -9,13 +9,23 @@ Conventions fixed here and relied on everywhere else:
   arbitrary-precision integers.  There is no floating point in the core.
 * Monomials are ordered graded-lexicographically (total degree first,
   then the exponent tuple), descending, for every serialization.
+* A monomial a1^e1 .. an^en is stored as one packed int (after
+  Monagan-Pearce, "Polynomial division using dynamic arrays, heaps, and
+  packed exponent vectors", CASC 2007): the total degree in the top
+  ``FIELD_BITS``-bit field, then e1, .., en in one field each.  Integer
+  order of packed keys is the graded-lex order above, and the product of
+  two monomials is the sum of their keys.  A degree of ``DEGREE_LIMIT``
+  or more raises ValueError rather than carry into the next field.
+  Exponent tuples appear only at the edges: the constructor, the
+  ``sorted_terms`` listing and the text and JSON forms.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
 
 from .errors import (
     ClosureOverflow,
@@ -281,16 +291,37 @@ def builtin_root_system(name: str, *, root_cap: int = DEFAULT_ROOT_CAP) -> RootS
 # ---------------------------------------------------------------------------
 # Sparse polynomials in the simple roots
 
+#: Bits per field of a packed monomial; the fields are read back as
+#: unsigned 16-bit integers, so this cannot change on its own.
+FIELD_BITS = 16
+#: Packed monomials hold total degrees below this bound.
+DEGREE_LIMIT = 1 << FIELD_BITS
+_FIELD_MASK = DEGREE_LIMIT - 1
 
-def _grlex_key(exp: tuple[int, ...]):
-    return (sum(exp), exp)
+
+def _pack(exp: tuple[int, ...]) -> int:
+    """Packed key of a nonnegative exponent vector; see the module docstring."""
+    key = sum(exp)
+    if key >= DEGREE_LIMIT:
+        raise ValueError(f"degree {key} of {exp} is not below {DEGREE_LIMIT}")
+    for e in exp:
+        key = key << FIELD_BITS | e
+    return key
+
+
+@lru_cache(maxsize=16)
+def _unpacker(rank: int) -> struct.Struct:
+    """Reads the exponent fields of a key's big-endian bytes, skipping its degree."""
+    return struct.Struct(f">2x{rank}H")
 
 
 class RootPolynomial:
     """Sparse polynomial in a1..a_rank with integer coefficients.
 
-    ``terms`` maps exponent tuples to nonzero integers; the zero
-    polynomial is the empty mapping.  Instances are treated as immutable.
+    ``terms`` maps packed monomials (see the module docstring) to nonzero
+    integers; the zero polynomial is the empty mapping.  The constructor
+    takes a mapping keyed by exponent tuples.  Instances are treated as
+    immutable.
     """
 
     __slots__ = ("rank", "terms")
@@ -309,7 +340,7 @@ class RootPolynomial:
                     raise ValueError(f"bad exponent vector {exp}")
                 coeff = int(coeff)
                 if coeff:
-                    cleaned[exp] = coeff
+                    cleaned[_pack(exp)] = coeff
             self.terms = cleaned
 
     # -- constructors -------------------------------------------------
@@ -323,7 +354,7 @@ class RootPolynomial:
         value = int(value)
         if value == 0:
             return cls.zero(rank)
-        return cls(rank, {(0,) * rank: value}, _clean=True)
+        return cls(rank, {0: value}, _clean=True)
 
     @classmethod
     def one(cls, rank: int) -> "RootPolynomial":
@@ -332,16 +363,16 @@ class RootPolynomial:
     @classmethod
     def variable(cls, rank: int, i: int) -> "RootPolynomial":
         """The simple root a_i, 1-based."""
-        exp = tuple(1 if j == i - 1 else 0 for j in range(rank))
-        return cls(rank, {exp: 1}, _clean=True)
+        return cls.from_linear(rank, [1 if j == i - 1 else 0 for j in range(rank)])
 
     @classmethod
     def from_linear(cls, rank: int, coords) -> "RootPolynomial":
+        degree_one = 1 << FIELD_BITS * rank
         terms = {}
         for i, c in enumerate(coords):
             c = int(c)
             if c:
-                terms[tuple(1 if j == i else 0 for j in range(rank))] = c
+                terms[degree_one | 1 << FIELD_BITS * (rank - 1 - i)] = c
         return cls(rank, terms, _clean=True)
 
     # -- ring operations ----------------------------------------------
@@ -381,15 +412,22 @@ class RootPolynomial:
         self._check_rank(other)
         if not self.terms or not other.terms:
             return RootPolynomial.zero(self.rank)
+        shift = FIELD_BITS * self.rank
+        if (max(self.terms) >> shift) + (max(other.terms) >> shift) >= DEGREE_LIMIT:
+            raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                s = out.get(exp, 0) + c1 * c2
-                if s:
-                    out[exp] = s
-                elif exp in out:
-                    del out[exp]
+        get = out.get
+        # Packed monomials multiply by adding their keys; the degree check
+        # above keeps every field of the sum from carrying into the next.
+        for e1, c1 in small.items():
+            for e2, c2 in large.items():
+                exp = e1 + e2
+                out[exp] = get(exp, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
         return RootPolynomial(self.rank, out, _clean=True)
 
     def scale(self, k: int) -> "RootPolynomial":
@@ -421,36 +459,44 @@ class RootPolynomial:
         """Maximum term degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> FIELD_BITS * self.rank
 
     def is_homogeneous_of(self, degree: int) -> bool:
         """Zero counts as homogeneous of every degree."""
-        return all(sum(e) == degree for e in self.terms)
+        if not self.terms:
+            return True
+        shift = FIELD_BITS * self.rank
+        return min(self.terms) >> shift == degree == max(self.terms) >> shift
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.rank, 0)
+        return self.terms.get(0, 0)
 
     def sign_pattern(self) -> str:
         """'nonneg' | 'nonpos' | 'zero' | 'mixed' over the stored coefficients."""
         if not self.terms:
             return "zero"
-        has_pos = any(c > 0 for c in self.terms.values())
-        has_neg = any(c < 0 for c in self.terms.values())
-        if has_pos and has_neg:
+        low, high = min(self.terms.values()), max(self.terms.values())
+        if low < 0 < high:
             return "mixed"
-        return "nonneg" if has_pos else "nonpos"
+        return "nonneg" if low > 0 else "nonpos"
+
+    def _exponent_items(self, items) -> list[tuple[tuple[int, ...], int]]:
+        fields = _unpacker(self.rank)
+        unpack, size = fields.unpack, fields.size
+        return [(unpack(key.to_bytes(size, "big")), coeff) for key, coeff in items]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in descending graded-lex order (canonical)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        """(exponent tuple, coefficient) in descending graded-lex order (canonical)."""
+        return self._exponent_items(sorted(self.terms.items(), reverse=True))
 
     # -- substitutions ---------------------------------------------------
 
     def negate_variables(self) -> "RootPolynomial":
         """Substitute a_i -> -a_i, i.e. flip coefficients of odd-degree terms."""
+        shift = FIELD_BITS * self.rank
         return RootPolynomial(
             self.rank,
-            {e: (-c if sum(e) % 2 else c) for e, c in self.terms.items()},
+            {e: (-c if e >> shift & 1 else c) for e, c in self.terms.items()},
             _clean=True,
         )
 
@@ -467,7 +513,7 @@ class RootPolynomial:
         ]
         powers: list[list[RootPolynomial]] = [[RootPolynomial.one(n)] for _ in range(n)]
         out = RootPolynomial.zero(n)
-        for exp, coeff in self.terms.items():
+        for exp, coeff in self._exponent_items(self.terms.items()):
             term = RootPolynomial.constant(n, coeff)
             for i, e in enumerate(exp):
                 while len(powers[i]) <= e:
@@ -484,8 +530,9 @@ class RootPolynomial:
             raise RankMismatch("evaluation point has wrong rank")
         if not self.terms:
             return Fraction(0)
+        terms = self._exponent_items(self.terms.items())
         max_exp = [0] * self.rank
-        for exp in self.terms:
+        for exp, _ in terms:
             for i, e in enumerate(exp):
                 if e > max_exp[i]:
                     max_exp[i] = e
@@ -495,7 +542,7 @@ class RootPolynomial:
         for i in range(self.rank):
             denom *= den_pow[i][max_exp[i]]
         acc = 0
-        for exp, coeff in self.terms.items():
+        for exp, coeff in terms:
             t = coeff
             for i, e in enumerate(exp):
                 t *= num_pow[i][e] * den_pow[i][max_exp[i] - e]
@@ -516,16 +563,20 @@ class RootPolynomial:
         self._check_rank(lin)
         if lin.is_zero() or not lin.is_homogeneous_of(1):
             raise ValueError("divisor must be homogeneous of degree 1 and nonzero")
-        pivot_exp = max(lin.terms, key=_grlex_key)
-        pivot_coeff = lin.terms[pivot_exp]
-        pivot = pivot_exp.index(1)
-        rest = [(e, c) for e, c in lin.terms.items() if e != pivot_exp]
-        top = max((e[pivot] for e in self.terms), default=0)
-        buckets: list[dict] = [{} for _ in range(top + 1)]
+        if not self.terms:
+            return RootPolynomial.zero(self.rank)
+        shift = FIELD_BITS * self.rank
+        # The largest degree-1 key is that of the lowest-index variable.
+        pivot_key = max(lin.terms)
+        pivot_coeff = lin.terms[pivot_key]
+        pivot_shift = (pivot_key ^ 1 << shift).bit_length() - 1
+        rest = [(e, c) for e, c in lin.terms.items() if e != pivot_key]
+        # No exponent exceeds the total degree, so that many buckets suffice.
+        buckets: list[dict] = [{} for _ in range((max(self.terms) >> shift) + 1)]
         for exp, coeff in self.terms.items():
-            buckets[exp[pivot]][exp] = coeff
+            buckets[exp >> pivot_shift & _FIELD_MASK][exp] = coeff
         quotient: dict = {}
-        for k in range(top, 0, -1):
+        for k in range(len(buckets) - 1, 0, -1):
             below = buckets[k - 1]
             for exp, coeff in buckets[k].items():
                 if not coeff:
@@ -535,10 +586,12 @@ class RootPolynomial:
                     raise NotDivisible(
                         f"{self.to_text()} is not divisible by {lin.to_text()}"
                     )
-                qexp = exp[:pivot] + (k - 1,) + exp[pivot + 1:]
+                # Subtracting the pivot's key lowers both the degree and
+                # the x-exponent by one.
+                qexp = exp - pivot_key
                 quotient[qexp] = q
                 for rexp, rcoeff in rest:
-                    texp = tuple(map(add, qexp, rexp))
+                    texp = qexp + rexp
                     below[texp] = below.get(texp, 0) - q * rcoeff
         if any(buckets[0].values()):
             raise NotDivisible(f"{self.to_text()} is not divisible by {lin.to_text()}")

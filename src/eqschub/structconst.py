@@ -96,18 +96,19 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
         )
     leq = rng.leq
     forms = rng.inversion_forms
+    restriction = table.values.get
     zero = RootPolynomial.zero(table.rs.rank)
     values: dict = {}
     solved: list[tuple[WeylElement, RootPolynomial]] = []
     for w in rng.elements:
         if w.length > total:
             break
-        numerator = table.values[(u, w)] * table.values[(v, w)]
+        numerator = table.value(u, w) * table.value(v, w)
         for wp, poly in solved:
-            xi = table.values[(wp, w)]
-            if not xi.is_zero():
+            xi = restriction((wp, w))
+            if xi is not None:
                 numerator = numerator - poly * xi
-        if leq[(u, w)] and leq[(v, w)]:
+        if u in leq[w] and v in leq[w]:
             quotient = numerator
             try:
                 for lin in forms[w]:
@@ -161,13 +162,13 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
     nonzero = s.nonzero_items()
     zero = RootPolynomial.zero(table.rs.rank)
     for z in table.range.elements:
-        lhs = table.values[(s.u, z)] * table.values[(s.v, z)]
+        lhs = table.value(s.u, z) * table.value(s.v, z)
         if transform is not None:
             lhs = lhs.apply_linear(transform)
         rhs = zero
         for w, poly in nonzero:
-            xi = table.values[(w, z)]
-            if xi.is_zero():
+            xi = table.values.get((w, z))
+            if xi is None:
                 continue
             if transform is not None:
                 xi = xi.apply_linear(transform)

@@ -38,6 +38,17 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def _reflect_right(rs: RootSystem, m: Matrix, i: int) -> Matrix:
+    """m * s_{i+1}: column j becomes column j - a[i][j] * column i.
+
+    A row whose entry in column i is zero is unchanged.
+    """
+    a = rs.cartan.entries[i]
+    return tuple(
+        [tuple([x - c * row[i] for x, c in zip(row, a)]) if row[i] else row for row in m]
+    )
+
+
 def _column(m: Matrix, j: int) -> tuple[int, ...]:
     return tuple(row[j] for row in m)
 
@@ -138,7 +149,7 @@ def canonicalize(rs: RootSystem, matrix, *, cap: int = DEFAULT_WORD_CAP) -> Weyl
         if descent is None:
             raise NotGroupElement("matrix has no descent and is not the identity")
         letters.append(descent + 1)
-        cur = _mat_mul(cur, rs.reflections[descent])
+        cur = _reflect_right(rs, cur, descent)
     return WeylElement(rs, m, tuple(reversed(letters)))
 
 
@@ -148,7 +159,7 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     for i in word:
         if not 1 <= int(i) <= rs.rank:
             raise ValueError(f"letter {i} out of range for rank {rs.rank}")
-        m = _mat_mul(m, rs.reflections[int(i) - 1])
+        m = _reflect_right(rs, m, int(i) - 1)
     return canonicalize(rs, m)
 
 
@@ -165,7 +176,7 @@ def multiply(w1: WeylElement, w2: WeylElement) -> WeylElement:
 def inverse(w: WeylElement) -> WeylElement:
     m = _identity_matrix(w.rs.rank)
     for i in reversed(w.word):
-        m = _mat_mul(m, w.rs.reflections[i - 1])
+        m = _reflect_right(w.rs, m, i - 1)
     return canonicalize(w.rs, m)
 
 
@@ -198,7 +209,7 @@ def inversion_coords(rs: RootSystem, word: tuple[int, ...]) -> list[tuple[int, .
     cur = _identity_matrix(rs.rank)
     for i in word:
         out.append(_column(cur, i - 1))
-        cur = _mat_mul(cur, rs.reflections[i - 1])
+        cur = _reflect_right(rs, cur, i - 1)
     return out
 
 
@@ -220,7 +231,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     remaining = u.length
     for letter in reversed(w.word):
         if _column_is_negative(cur, letter - 1):
-            cur = _mat_mul(cur, u.rs.reflections[letter - 1])
+            cur = _reflect_right(u.rs, cur, letter - 1)
             remaining -= 1
             if remaining == 0:
                 return True
@@ -251,14 +262,15 @@ class WeylRange:
     def right_mul(self) -> dict:
         """w -> (w s_1, .., w s_rank), with None where w s_i leaves the range."""
         by_matrix = {w.matrix: w for w in self.elements}
+        rs = self.rs
         return {
-            w: tuple(by_matrix.get(_mat_mul(w.matrix, s)) for s in self.rs.reflections)
+            w: tuple(by_matrix.get(_reflect_right(rs, w.matrix, i)) for i in range(rs.rank))
             for w in self.elements
         }
 
     @cached_property
     def leq(self) -> dict:
-        """Bruhat comparison table over all stored pairs.
+        """w -> frozenset of the stored elements u with u <= w in Bruhat order.
 
         Built along canonical words by the lifting property (Bjorner-Brenti,
         GTM 231, 2.2): with i the last letter of v and v' = v s_i, the
@@ -268,12 +280,12 @@ class WeylRange:
         below: dict = {}
         for v in self.elements:
             if not v.word:
-                below[v] = {v}
+                below[v] = frozenset((v,))
                 continue
             i = v.word[-1] - 1
             parent = below[rmul[v][i]]
-            below[v] = parent | {rmul[u][i] for u in parent}
-        return {(u, w): u in below[w] for u in self.elements for w in self.elements}
+            below[v] = parent.union([rmul[u][i] for u in parent])
+        return below
 
     @cached_property
     def inversion_forms(self) -> dict:
@@ -317,7 +329,7 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
         for m in level:
             for i in range(rs.rank):
                 if _column_is_positive(m, i):
-                    child = _mat_mul(m, rs.reflections[i])
+                    child = _reflect_right(rs, m, i)
                     if child not in seen:
                         seen.add(child)
                         nxt.append(child)
@@ -347,7 +359,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
         ascent = next((i for i in range(rs.rank) if _column_is_positive(cur, i)), None)
         if ascent is None:
             break
-        cur = _mat_mul(cur, rs.reflections[ascent])
+        cur = _reflect_right(rs, cur, ascent)
     w0 = canonicalize(rs, cur)
     assert w0.length == len(rs.positive_roots)
     return w0

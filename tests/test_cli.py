@@ -384,3 +384,165 @@ def test_sweep_certificate_failure_exits_5(monkeypatch):
     code, out = run(["sweep", "--type", "A1", "--max-length", "1", "--jobs", "1"])
     assert code == 5
     assert "verdict=fail" in out
+
+
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [
+        ("InvalidCartan", 2, "error"),
+        ("RankMismatch", 2, "error"),
+        ("SingularCartan", 2, "error"),
+        ("NotGroupElement", 2, "error"),
+        ("NotFiniteType", 2, "error"),
+        ("InsufficientBound", 2, "error"),
+        ("DomainViolation", 2, "error"),
+        ("EqschubError", 2, "error"),
+        ("ClosureOverflow", 3, "error"),
+        ("ResourceCap", 3, "error"),
+        ("NotDivisible", 4, "internal error"),
+        ("InternalInconsistency", 4, "internal error"),
+    ],
+)
+def test_error_class_sets_exit_code_and_prefix(monkeypatch, capsys, error, code, prefix):
+    import eqschub
+    import eqschub.cli as cli
+
+    def fail(args, out):
+        raise getattr(eqschub, error)("forced")
+
+    monkeypatch.setitem(cli.COMMANDS, "rootsys", fail)
+    assert main(["rootsys", "--type", "A1"]) == code
+    assert capsys.readouterr().err == f"{prefix}: forced\n"
+
+
+def test_value_error_exits_2(monkeypatch, capsys):
+    import eqschub.cli as cli
+
+    def fail(args, out):
+        raise ValueError("forced")
+
+    monkeypatch.setitem(cli.COMMANDS, "rootsys", fail)
+    assert main(["rootsys", "--type", "A1"]) == 2
+    assert capsys.readouterr().err == "error: forced\n"
+
+
+def test_sweep_pool_never_exceeds_cpus_or_chunks(monkeypatch, tmp_path):
+    """A huge --jobs asks the pool for no more workers than CPUs and chunks.
+
+    The pool is replaced by an in-process fake, so no process starts.
+    """
+    import eqschub.cli as cli
+
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_WORKER", {})
+    rs = builtin_root_system("A2")  # 6 elements: 21 unordered pairs, 2 chunks of 16
+    serial = tmp_path / "serial.jsonl"
+    run_sweep(rs.cartan.entries, rs.kind, 3, "x", jobs=1, cache_path=str(serial))
+    assert requested == []
+    for cpus, expected in [(64, 2), (1, 1), (None, 1)]:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        cache = tmp_path / f"pool-{cpus}.jsonl"
+        run_sweep(rs.cartan.entries, rs.kind, 3, "x", jobs=100_000, cache_path=str(cache))
+        assert requested[-1] == expected
+        assert cache.read_bytes() == serial.read_bytes()
+
+
+def _forbid_solving(monkeypatch):
+    import eqschub.cli as cli
+
+    def solve(*args):
+        raise AssertionError("a pair was solved before the cache was validated")
+
+    monkeypatch.setattr(cli, "structure_constants", solve)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        None,
+        {"engine": "eqschub 0.0.9", "convention": "KK", "format": 1},
+        {"engine": "eqschub 0.1.0", "convention": "Billey", "format": 1},
+        {"engine": "eqschub 0.1.0", "convention": "KK", "format": 2},
+        [1, 2],
+    ],
+    ids=["missing", "engine", "convention", "format", "not-an-object"],
+)
+def test_sweep_refuses_cache_with_wrong_header(tmp_path, monkeypatch, capsys, header):
+    cache = tmp_path / "cache.jsonl"
+    record = {"type": "A1", "basis": "x", "u": [], "v": []}
+    lines = [record] if header is None else [header, record]
+    cache.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    before = cache.read_bytes()
+    _forbid_solving(monkeypatch)
+    code, out = run(["sweep", "--type", "A1", "--max-length", "1", "--cache", str(cache)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cache) in err and "line 1" in err
+    assert cache.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "bad", ['{"type": "A1", "basis": "x", "u": [1], "v"', "[1, 2]", '{"type": "A1"}']
+)
+def test_sweep_refuses_cache_with_bad_line(tmp_path, monkeypatch, capsys, bad):
+    cache = str(tmp_path / "cache.jsonl")
+    args = ["sweep", "--type", "A1", "--max-length", "1", "--cache", cache]
+    assert run(args)[0] == 0
+    with open(cache, "a") as fh:
+        fh.write(bad + "\n")
+    capsys.readouterr()
+    _forbid_solving(monkeypatch)
+    code, _ = run(args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cache {cache}: line 6 is not ")
+
+
+def test_sweep_cache_that_cannot_be_read_exits_2(tmp_path, capsys):
+    code, _ = run(["sweep", "--type", "A1", "--max-length", "1", "--cache", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read cache {tmp_path}: ")
+
+
+def test_sweep_extends_cache_of_this_version_byte_identically(tmp_path):
+    short = str(tmp_path / "short.jsonl")
+    full = str(tmp_path / "full.jsonl")
+    base = ["sweep", "--type", "A2", "--format", "json"]
+    assert run(base + ["--max-length", "3", "--cache", full])[0] == 0
+    assert run(base + ["--max-length", "1", "--cache", short])[0] == 0
+    with open(short) as fh:
+        kept = fh.read()
+    assert run(base + ["--max-length", "3", "--cache", short])[0] == 0
+    with open(short) as fh, open(full) as gh:
+        extended, fresh = fh.read(), gh.read()
+    assert extended.startswith(kept)
+    assert sorted(extended.splitlines()) == sorted(fresh.splitlines())
+    again = run(base + ["--max-length", "3", "--cache", full])
+    assert again[0] == 0
+    with open(full) as gh:
+        assert gh.read() == fresh
+
+
+def test_sweep_writes_header_into_empty_cache_file(tmp_path):
+    cache = tmp_path / "empty.jsonl"
+    cache.write_text("")
+    assert run(["sweep", "--type", "A1", "--max-length", "1", "--cache", str(cache)])[0] == 0
+    lines = cache.read_text().splitlines()
+    assert json.loads(lines[0])["engine"].startswith("eqschub ")
+    assert len(lines) == 5

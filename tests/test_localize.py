@@ -85,11 +85,11 @@ def test_a1_table_entries():
     table = restriction_table(A1, 1)
     e = element_from_word(A1, ())
     s = element_from_word(A1, (1,))
-    assert len(table.values) == 4
-    assert table.values[(e, e)] == RootPolynomial.one(1)
-    assert table.values[(e, s)] == RootPolynomial.one(1)
-    assert table.values[(s, e)].is_zero()
-    assert table.values[(s, s)] == RootPolynomial.variable(1, 1)
+    assert len(table.values) == 3
+    assert table.value(e, e) == RootPolynomial.one(1)
+    assert table.value(e, s) == RootPolynomial.one(1)
+    assert table.value(s, e).is_zero()
+    assert table.value(s, s) == RootPolynomial.variable(1, 1)
 
 
 def test_g2_full_diagonal_is_product_of_all_positive_roots():
@@ -104,8 +104,9 @@ def test_g2_full_diagonal_is_product_of_all_positive_roots():
 def test_batched_table_matches_single_restrictions():
     for rs, k in [(A2, 3), (B2, 3), (AFF, 4), (A3, 6), (AFF_A2, 5)]:
         table = restriction_table(rs, k)
-        for (w, v), poly in table.values.items():
-            assert poly == billey_restrict(rs, w, v)
+        for w in table.range:
+            for v in table.range:
+                assert table.value(w, v) == billey_restrict(rs, w, v)
 
 
 @pytest.mark.parametrize(
@@ -117,9 +118,42 @@ def test_verify_table_rejects_zero_inside_bruhat_interval(rs, k, w, v):
     table = restriction_table(rs, k)
     w = element_from_word(rs, w)
     v = element_from_word(rs, v)
-    assert table.range.leq[(w, v)] and not table.values[(w, v)].is_zero()
+    assert w in table.range.leq[v] and not table.value(w, v).is_zero()
+    del table.values[(w, v)]
+    with pytest.raises(InternalInconsistency, match="zero but w <= v"):
+        _verify_table(table)
+
+
+@pytest.mark.parametrize(
+    "rs,k,w,v",
+    [(A2, 3, (1,), (1, 2)), (AFF_A2, 4, (2,), (3, 1, 2))],
+    ids=["A2", "AffineA2"],
+)
+def test_verify_table_rejects_stored_zero_inside_bruhat_interval(rs, k, w, v):
+    table = restriction_table(rs, k)
+    w = element_from_word(rs, w)
+    v = element_from_word(rs, v)
+    assert w in table.range.leq[v]
     table.values[(w, v)] = RootPolynomial.zero(rs.rank)
     with pytest.raises(InternalInconsistency, match="zero but w <= v"):
+        _verify_table(table)
+
+
+@pytest.mark.parametrize(
+    "rs,k,w,v",
+    [(A2, 3, (1, 2), (1,)), (AFF_A2, 4, (3, 1, 2), (2,))],
+    ids=["A2", "AffineA2"],
+)
+def test_verify_table_rejects_entry_outside_bruhat_interval(rs, k, w, v):
+    table = restriction_table(rs, k)
+    w = element_from_word(rs, w)
+    v = element_from_word(rs, v)
+    assert w not in table.range.leq[v]
+    table.values[(w, v)] = billey_restrict(rs, w, w)
+    with pytest.raises(InternalInconsistency, match="nonzero but w !<= v"):
+        _verify_table(table)
+    table.values[(w, v)] = RootPolynomial.zero(rs.rank)
+    with pytest.raises(InternalInconsistency, match="stored as zero"):
         _verify_table(table)
 
 
@@ -127,13 +161,15 @@ def test_verify_table_rejects_zero_inside_bruhat_interval(rs, k, w, v):
 def test_support_homogeneity_diagonal_nonneg(rs, k):
     table = restriction_table(rs, k)
     rng = table.range
-    for (w, v), poly in table.values.items():
-        if not rng.leq[(w, v)]:
-            assert poly.is_zero()
-        assert poly.is_homogeneous_of(w.length)
-        assert poly.sign_pattern() in ("nonneg", "zero")
     for w in rng:
-        assert table.values[(w, w)] == inversion_product(w)
+        for v in rng:
+            poly = table.value(w, v)
+            if w not in rng.leq[v]:
+                assert poly.is_zero()
+            assert poly.is_homogeneous_of(w.length)
+            assert poly.sign_pattern() in ("nonneg", "zero")
+    for w in rng:
+        assert table.value(w, w) == inversion_product(w)
 
 
 @pytest.mark.parametrize("rs,k", SYSTEMS)
@@ -167,10 +203,10 @@ def test_degree_one_closed_form(rs):
 def test_triangular_with_nonzero_diagonal(rs, k):
     table = restriction_table(rs, k)
     for w in table.range:
-        assert not table.values[(w, w)].is_zero()
+        assert not table.value(w, w).is_zero()
         for v in table.range:
-            if table.range.leq[(w, v)]:
-                assert not table.values[(w, v)].is_zero()
+            if w in table.range.leq[v]:
+                assert not table.value(w, v).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +234,17 @@ def test_billey_entry_is_kk_at_inverses():
     billey = convert_convention(table, "Billey")
     for w in table.range:
         for v in table.range:
-            assert billey.values[(w, v)] == table.values[(inverse(w), inverse(v))]
+            assert billey.value(w, v) == table.value(inverse(w), inverse(v))
+
+
+def test_round_trip_restores_affine_table():
+    table = restriction_table(AFF_A2, 5)
+    billey = convert_convention(table, "Billey")
+    assert billey.values != table.values
+    for target in ("Billey", "Arabia"):
+        again = convert_convention(convert_convention(table, target), "KK")
+        assert again.convention == "KK"
+        assert again.values == table.values
 
 
 def test_arabia_equals_billey_as_stored():

@@ -249,7 +249,7 @@ def test_evaluate_matches_term_sum_randomized():
         point = (Fraction(rng.randint(1, 9), rng.randint(1, 5)),
                  Fraction(rng.randint(1, 9), rng.randint(1, 5)))
         direct = sum(
-            (Fraction(c) * point[0] ** e[0] * point[1] ** e[1] for e, c in p.terms.items()),
+            (Fraction(c) * point[0] ** e[0] * point[1] ** e[1] for e, c in p.sorted_terms()),
             Fraction(0),
         )
         assert p.evaluate(point) == direct
@@ -287,6 +287,53 @@ def test_json_round_trip_and_order():
     assert [t["exp"] for t in data["terms"]] == [[2, 1], [0, 3], [1, 0]]
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
     assert RootPolynomial.from_json_dict(2, data) == p
+
+
+def test_json_round_trip_randomized():
+    rng = random.Random(29)
+    for rank in range(1, 5):
+        for _ in range(20):
+            p = random_polynomial(rng, rank)
+            assert RootPolynomial.from_json_dict(rank, p.to_json_dict()) == p
+
+
+def _unpack_fields(key, rank):
+    """Exponents of a packed key, read field by field; checks the degree field."""
+    fields = [key >> 16 * (rank - j) & 0xFFFF for j in range(rank + 1)]
+    assert fields[0] == sum(fields[1:])
+    return tuple(fields[1:])
+
+
+def test_sorted_terms_is_graded_lex_of_unpacked_keys_randomized():
+    rng = random.Random(31)
+    for rank in range(1, 5):
+        for _ in range(25):
+            p = random_polynomial(rng, rank, max_terms=12, max_exp=5)
+            assert all(isinstance(key, int) for key in p.terms)
+            unpacked = [(_unpack_fields(key, rank), c) for key, c in p.terms.items()]
+            expected = sorted(unpacked, key=lambda t: (sum(t[0]), t[0]), reverse=True)
+            assert p.sorted_terms() == expected
+
+
+def test_degree_overflow_raises_instead_of_wrapping():
+    RootPolynomial(1, {(65535,): 1})
+    for terms in ({(65536,): 1}, {(32768, 32768): 1}, {(0, 0, 70000): 2}):
+        with pytest.raises(ValueError):
+            RootPolynomial(len(next(iter(terms))), terms)
+    high = RootPolynomial(2, {(40000, 0): 1})
+    low = RootPolynomial(2, {(0, 25536): 1, (1, 0): 1})
+    with pytest.raises(ValueError):
+        high * low
+    # One degree below the limit still multiplies, with the fields intact.
+    fits = high * RootPolynomial(2, {(0, 25535): 1})
+    assert fits.sorted_terms() == [((40000, 25535), 1)]
+    assert fits.total_degree() == 65535
+
+
+def test_constructor_rejects_bad_exponent_vectors():
+    for rank, exp in [(2, (1,)), (2, (1, 0, 0)), (2, (1, -1)), (1, (-2,))]:
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            RootPolynomial(rank, {exp: 1})
 
 
 def test_root_vector_to_polynomial():

@@ -178,7 +178,7 @@ def test_symmetry_support_degree_finite(table, max_total):
             total = u.length + v.length
             for w, p in s_uv.values.items():
                 if not p.is_zero():
-                    assert rng.leq[(u, w)] and rng.leq[(v, w)]
+                    assert u in rng.leq[w] and v in rng.leq[w]
                     assert p.is_homogeneous_of(total - w.length)
 
 
@@ -296,9 +296,14 @@ def _solve_on_transported_table(table, w0, u, v):
     exercises both the substitution and the solver.
     """
     rank = table.rs.rank
-    sub = {
+    zero = RootPolynomial.zero(rank)
+    stored = {
         key: p.apply_linear(w0.matrix) for key, p in table.values.items()
     }
+
+    def sub(key):
+        return stored.get(key, zero)
+
     rng = table.range
     total = u.length + v.length
     values = {}
@@ -306,10 +311,10 @@ def _solve_on_transported_table(table, w0, u, v):
     for w in rng.elements:
         if w.length > total:
             break
-        num = sub[(u, w)] * sub[(v, w)]
+        num = sub((u, w)) * sub((v, w))
         for wp, a in solved:
-            num = num - a * sub[(wp, w)]
-        if rng.leq[(u, w)] and rng.leq[(v, w)]:
+            num = num - a * sub((wp, w))
+        if u in rng.leq[w] and v in rng.leq[w]:
             q = num
             for beta in inversions(w):
                 q = q.exact_divide_linear(beta.to_polynomial().apply_linear(w0.matrix))
@@ -318,7 +323,7 @@ def _solve_on_transported_table(table, w0, u, v):
                 solved.append((w, q))
         else:
             assert num.is_zero()
-            values[w] = RootPolynomial.zero(rank)
+            values[w] = zero
     return values
 
 
