@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -367,15 +368,23 @@ def run_sweep(
     jobs: int = 1,
     cache_path: str | None = None,
 ) -> SweepReport:
-    """Certify every ordered pair in range; cache lines are appended under their key.
+    """Certify every ordered pair in range, solving only the pairs the cache lacks.
 
-    Each unordered pair {u, v} is solved once, since c_uv = c_vu; the
-    report and the cache still hold one entry per ordered pair, in
+    The report and the cache hold one entry per ordered pair, in
     row-major order over the swept elements.  An existing cache is read
-    and validated before anything is solved.  Every pair is solved again
-    even when the cache already holds it: only the append is skipped.
-    With ``jobs`` > 1 the pool has at most one worker per CPU and per
-    chunk of pairs; the output does not depend on its size.
+    and validated before anything is solved.  A cached pair is not solved
+    again: its verdict is re-certified from the record's stored values
+    (see ``_read_cache``).  A cache key holds no bound because a sweep
+    takes only pairs with length(u)+length(v) <= bound, and the constants
+    of such a pair do not depend on the bound.
+
+    Each unordered pair {u, v} left is solved once, since c_uv = c_vu.
+    The lines of row u are appended, each whole, and flushed as soon as
+    the last pair of row u is solved, so an interrupted sweep keeps every
+    finished row.  The restriction table is built, and the pool started,
+    only if some pair is left.  With ``jobs`` > 1 the pool has at most one
+    worker per CPU and per chunk of pairs; the output does not depend on
+    its size.
     """
     start = time.perf_counter()
     cached = _read_cache(cache_path) if cache_path else None
@@ -390,34 +399,77 @@ def run_sweep(
         half = bound // 2
         swept = [w for w in rng.elements if w.length <= half]
     words = [w.word for w in swept]
-    pairs = [(uw, vw) for uw in words for vw in words]
-    unordered = [(uw, vw) for a, uw in enumerate(words) for vw in words[a:]]
+    verdicts = cached or {}
 
+    def missing(pair) -> bool:
+        return (rs.descriptor, basis, *pair) not in verdicts
+
+    rows = [
+        [vw for vw in words[a:] if missing((uw, vw)) or missing((vw, uw))]
+        for a, uw in enumerate(words)
+    ]
+    todo = [(uw, vw) for uw, row in zip(words, rows) for vw in row]
+
+    fails = []
+    # Lines not yet written, by ordered pair: a (v, u) line waits here
+    # from the solve of {u, v} until row v is written.
+    pending: dict = {}
+    with closing(
+        _solve_pairs(todo, cartan.entries, kind, bound, basis, jobs)
+    ) as solved, _open_cache(cache_path, cached is None or todo) as fh:
+        if fh is not None and cached is None:
+            fh.write(json.dumps(CACHE_HEADER) + "\n")
+        for uw, row in zip(words, rows):
+            for vw in row:
+                line, swapped, ok = next(solved)
+                for pair, text in (((uw, vw), line), ((vw, uw), swapped)):
+                    if missing(pair):
+                        pending[pair] = (text, ok)
+            lines = []
+            for vw in words:
+                if (uw, vw) in pending:
+                    line, ok = pending.pop((uw, vw))
+                    lines.append(line + "\n")
+                else:
+                    ok = verdicts[(rs.descriptor, basis, uw, vw)]
+                if not ok:
+                    fails.append((uw, vw))
+            if fh is not None and lines:
+                fh.write("".join(lines))
+                fh.flush()
+    wall = time.perf_counter() - start
+    return SweepReport(
+        rs.descriptor, bound, basis, len(words) ** 2, fails, wall, cache_path
+    )
+
+
+def _solve_pairs(pairs, entries, kind, bound, basis, jobs):
+    """Yield ``_sweep_pair_lines`` of each pair, in order; set up nothing if there is none."""
+    if not pairs:
+        return
     if jobs > 1:
-        chunks = -(-len(unordered) // SWEEP_CHUNK)
+        chunks = -(-len(pairs) // SWEEP_CHUNK)
         with ProcessPoolExecutor(
             max_workers=min(jobs, os.cpu_count() or 1, chunks),
             initializer=_sweep_init,
-            initargs=(cartan.entries, kind, bound, basis),
+            initargs=(entries, kind, bound, basis),
         ) as pool:
-            solved = list(pool.map(_sweep_task, unordered, chunksize=SWEEP_CHUNK))
+            yield from pool.map(_sweep_task, pairs, chunksize=SWEEP_CHUNK)
     else:
-        state = _sweep_setup(cartan.entries, kind, bound, basis)
-        solved = [_sweep_pair_lines(state, uw, vw) for uw, vw in unordered]
+        state = _sweep_setup(entries, kind, bound, basis)
+        for u_word, v_word in pairs:
+            yield _sweep_pair_lines(state, u_word, v_word)
 
-    by_pair = {}
-    for (uw, vw), (line, swapped, ok) in zip(unordered, solved):
-        by_pair[(uw, vw)] = (line, ok)
-        by_pair[(vw, uw)] = (swapped, ok)
-    results = [by_pair[pair] for pair in pairs]
 
-    fails = [pair for pair, (_, ok) in zip(pairs, results) if not ok]
-    if cache_path:
-        _append_cache(cache_path, cached, rs.descriptor, basis, pairs, results)
-    wall = time.perf_counter() - start
-    return SweepReport(
-        rs.descriptor, bound, basis, len(pairs), fails, wall, cache_path
-    )
+def _open_cache(path: str | None, needed):
+    """The cache opened for appending, or a null context if there is none or
+    nothing to write."""
+    if not (path and needed):
+        return nullcontext()
+    try:
+        return open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write cache {path}: {exc.strerror}")
 
 
 def _cache_key(record: dict) -> tuple:
@@ -429,26 +481,58 @@ def _cache_key(record: dict) -> tuple:
     )
 
 
-def _read_cache(path: str) -> set | None:
-    """Keys of the records in the cache at ``path``; None if it is absent or empty.
+def _stored_values_pass(record: dict) -> bool:
+    """The sign rule of ``structconst.value_sign_ok`` on a record's stored values.
 
+    x basis: every coefficient >= 0.  y basis: every coeff*(-1)^degree >= 0.
+    """
+    alternating = {"x": False, "y": True}[record["basis"]]
+    for value in record["values"]:
+        for term in value["poly"]["terms"]:
+            coeff = int(term["coeff"])
+            if alternating and sum(term["exp"]) % 2:
+                coeff = -coeff
+            if coeff < 0:
+                return False
+    return True
+
+
+def _read_cache(path: str) -> dict | None:
+    """Verdict of each record in the cache at ``path``, by key; None if the
+    cache is absent or empty.
+
+    A verdict is recomputed from the record's stored values; the record's
+    own certificate verdict is not trusted, only compared with it.
     Refuses, with exit 2, a cache whose first line is not this version's
-    header and a later line that is not a JSON record.
+    header, a later line that is not a sweep record, and a record whose
+    stored verdict disagrees with its values.  A last line after the
+    header that has no final newline and does not parse is the torn end
+    of an interrupted append: it is dropped, with a warning on stderr, by
+    truncating the file to the end of the last complete line.  A last
+    line that parses but lacks its newline gets one, so appends start on
+    a line of their own.
     """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return None
-    existing: set = set()
+    verdicts: dict = {}
+    torn = None  # (line number, byte offset) of a torn last line
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise CliError(f"cannot read cache {path}: {exc.strerror}")
     with fh:
+        end = 0  # byte offset just past the lines read so far
         for number, line in enumerate(fh, start=1):
+            offset, end = end, end + len(line)
+            complete = line.endswith(b"\n")
             if number > 1 and not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if number > 1 and not complete:
+                    torn = (number, offset)
+                    break
                 raise CliError(f"cache {path}: line {number} is not valid JSON ({exc.msg})")
             if number == 1:
                 if not isinstance(record, dict) or any(
@@ -460,25 +544,32 @@ def _read_cache(path: str) -> set | None:
                     )
                 continue
             try:
-                existing.add(_cache_key(record))
-            except (KeyError, TypeError):
+                key = _cache_key(record)
+                ok = _stored_values_pass(record)
+                stored = record["certificate"]["verdict"]
+            except (KeyError, TypeError, ValueError):
                 raise CliError(f"cache {path}: line {number} is not a sweep record")
-    return existing
-
-
-def _append_cache(path, cached, descriptor, basis, pairs, results):
-    """Append the lines of pairs not in ``cached`` (see ``_read_cache``),
-    after a header if the cache is new."""
-    existing = cached or set()
-    lines_out = [json.dumps(CACHE_HEADER)] if cached is None else []
-    for (u_word, v_word), (line, _) in zip(pairs, results):
-        key = (descriptor, basis, tuple(u_word), tuple(v_word))
-        if key not in existing:
-            lines_out.append(line)
-    if lines_out:
-        with open(path, "a", encoding="utf-8") as fh:
-            for line in lines_out:
-                fh.write(line + "\n")
+            verdict = "pass" if ok else "fail"
+            if stored != verdict:
+                raise CliError(
+                    f"cache {path}: line {number} has certificate verdict {stored!r},"
+                    f" but its values {verdict} the {record['basis']}-basis sign rule"
+                )
+            verdicts[key] = ok
+    try:
+        if torn is not None:
+            number, offset = torn
+            print(
+                f"warning: cache {path}: line {number} is a torn write; dropping it",
+                file=sys.stderr,
+            )
+            os.truncate(path, offset)
+        elif not complete:
+            with open(path, "a", encoding="utf-8") as out:
+                out.write("\n")
+    except OSError as exc:
+        raise CliError(f"cannot repair cache {path}: {exc.strerror}")
+    return verdicts
 
 
 def cmd_sweep(args, out) -> int:

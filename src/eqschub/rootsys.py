@@ -620,12 +620,7 @@ class RootPolynomial:
         return " ".join(parts)
 
     def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"exp": list(exp), "coeff": str(coeff)}
-                for exp, coeff in self.sorted_terms()
-            ]
-        }
+        return {"terms": terms_json(self.sorted_terms())}
 
     @classmethod
     def from_json_dict(cls, rank: int, data: dict) -> "RootPolynomial":
@@ -636,6 +631,11 @@ class RootPolynomial:
             if coeff:
                 terms[exp] = coeff
         return cls(rank, terms)
+
+
+def terms_json(items) -> list[dict]:
+    """JSON form of (exponent tuple, coefficient) pairs, as ``sorted_terms`` lists them."""
+    return [{"exp": list(exp), "coeff": str(coeff)} for exp, coeff in items]
 
 
 def monomial_text(exp: tuple[int, ...]) -> str:

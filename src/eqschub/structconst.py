@@ -34,7 +34,7 @@ from .errors import (
     RankMismatch,
 )
 from .localize import RestrictionTable
-from .rootsys import FINITE, RootPolynomial
+from .rootsys import FINITE, RootPolynomial, terms_json
 from .weyl import WeylElement, inverse
 
 
@@ -57,17 +57,26 @@ class StructureTable:
         return [(w, self.values[w]) for w in self.order if not self.values[w].is_zero()]
 
     def to_json_dict(self, certificate: PositivityCertificate | None = None) -> dict:
-        """Cache record of the pair; builds the certificate unless one is given."""
+        """Cache record of the pair; builds the certificate unless one is given.
+
+        Each value's terms come from its certificate entry, which holds them
+        sorted already; a certificate without entries has each value sorted.
+        """
         if certificate is None:
             certificate = positivity_certificate(self)
+        entries = getattr(certificate, "entries", None)
+        if entries is None:
+            monomials = [self.values[w].sorted_terms() for w in self.order]
+        else:
+            monomials = [e.monomials for e in entries]
         return {
             "type": self.rs.descriptor,
             "basis": self.basis,
             "u": list(self.u.word),
             "v": list(self.v.word),
             "values": [
-                {"w": list(w.word), "poly": self.values[w].to_json_dict()}
-                for w in self.order
+                {"w": list(w.word), "poly": {"terms": terms_json(terms)}}
+                for w, terms in zip(self.order, monomials)
             ],
             "certificate": certificate.to_json_dict(),
         }
@@ -225,9 +234,7 @@ class PositivityCertificate:
             "monomials": [
                 {
                     "w": list(e.w.word),
-                    "terms": [
-                        {"exp": list(exp), "coeff": str(c)} for exp, c in e.monomials
-                    ],
+                    "terms": terms_json(e.monomials),
                     "verdict": "pass" if e.ok else "fail",
                 }
                 for e in self.entries

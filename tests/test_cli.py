@@ -546,3 +546,217 @@ def test_sweep_writes_header_into_empty_cache_file(tmp_path):
     lines = cache.read_text().splitlines()
     assert json.loads(lines[0])["engine"].startswith("eqschub ")
     assert len(lines) == 5
+
+
+def _forbid_table(monkeypatch):
+    import eqschub.cli as cli
+
+    def build(*args, **kwargs):
+        raise AssertionError("a restriction table was built with nothing left to solve")
+
+    monkeypatch.setattr(cli, "restriction_table", build)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", build)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_full_cache_rerun_solves_nothing(tmp_path, monkeypatch, jobs):
+    cache = tmp_path / "cache.jsonl"
+    args = ["sweep", "--type", "A2", "--max-length", "3", "--cache", str(cache), "--jobs", jobs]
+    first = run(args)
+    before = cache.read_bytes()
+    _forbid_solving(monkeypatch)
+    _forbid_table(monkeypatch)
+    assert run(args) == first == (0, first[1])
+    assert cache.read_bytes() == before
+
+
+RESUME_CASES = {
+    "A3-y": (builtin_root_system("A3"), 4, "y"),
+    "AffineA2-x": (build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL), 4, "x"),
+}
+
+
+class _CountingPool:
+    """A real process pool that counts the pairs handed to its workers."""
+
+    def __init__(self, seen, **kwargs):
+        from concurrent.futures import ProcessPoolExecutor
+
+        self.pool = ProcessPoolExecutor(**kwargs)
+        self.seen = seen
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.pool.shutdown(wait=True)
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.seen.extend(items)
+        return self.pool.map(fn, items, chunksize=chunksize)
+
+
+def _count_solves(monkeypatch, jobs):
+    """List that receives each pair solved: in this process at jobs 1, handed to
+    a worker otherwise."""
+    import eqschub.cli as cli
+
+    seen = []
+    if jobs == 1:
+        solve = cli.structure_constants
+
+        def counted(table, u, v):
+            seen.append((u.word, v.word))
+            return solve(table, u, v)
+
+        monkeypatch.setattr(cli, "structure_constants", counted)
+    else:
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: _CountingPool(seen, **kw))
+    return seen
+
+
+def _keys(lines):
+    keys = []
+    for line in lines:
+        record = json.loads(line)
+        keys.append((tuple(record["u"]), tuple(record["v"])))
+    return keys
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", sorted(RESUME_CASES))
+def test_sweep_resumes_cut_cache_solving_only_missing_pairs(tmp_path, monkeypatch, case, jobs):
+    rs, bound, basis = RESUME_CASES[case]
+    cold = tmp_path / "cold.jsonl"
+    run_sweep(rs.cartan.entries, rs.kind, bound, basis, cache_path=str(cold))
+    lines = cold.read_bytes().splitlines(keepends=True)
+    records = len(lines) - 1
+    all_keys = _keys(lines[1:])
+    seen = _count_solves(monkeypatch, jobs)
+    for k in sorted({0, 1, 5, records // 2 + 3, records - 1}):
+        kept = b"".join(lines[: k + 1])
+        cache = tmp_path / f"cut-{k}.jsonl"
+        cache.write_bytes(kept)
+        seen.clear()
+        report = run_sweep(rs.cartan.entries, rs.kind, bound, basis, jobs=jobs, cache_path=str(cache))
+        assert report.verdict == "pass" and report.pair_count == records
+        resumed = cache.read_bytes()
+        assert resumed.startswith(kept)
+        assert sorted(resumed.splitlines()) == sorted(cold.read_bytes().splitlines())
+        cached = set(all_keys[:k])
+        left = {frozenset(p) for p in all_keys if p not in cached or p[::-1] not in cached}
+        assert len(seen) == len(left), k
+        assert {frozenset(p) for p in seen} == left
+
+
+def _edit_record(cache, edit):
+    """Apply ``edit`` to the first record of the cache with a nonzero value;
+    return that record's line number."""
+    lines = cache.read_text().splitlines()
+    for number, line in enumerate(lines[1:], start=2):
+        record = json.loads(line)
+        if any(value["poly"]["terms"] for value in record["values"]):
+            edit(record)
+            lines[number - 1] = json.dumps(record)
+            cache.write_text("".join(line + "\n" for line in lines))
+            return number, record
+    raise AssertionError("no record with a nonzero value")
+
+
+def _negate_first_coefficient(record):
+    term = next(t for value in record["values"] for t in value["poly"]["terms"])
+    term["coeff"] = str(-int(term["coeff"]))
+
+
+def test_sweep_reports_fail_for_cached_negative_record(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    args = ["sweep", "--type", "A2", "--max-length", "3", "--cache", str(cache), "--format", "json"]
+    assert run(args)[0] == 0
+
+    def edit(record):
+        _negate_first_coefficient(record)
+        record["certificate"]["verdict"] = "fail"
+
+    _, record = _edit_record(cache, edit)
+    _forbid_solving(monkeypatch)
+    code, out = run(args)
+    assert code == 5
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["fails"] == [{"u": record["u"], "v": record["v"]}]
+
+
+@pytest.mark.parametrize("values", ["negative", "nonnegative"])
+def test_sweep_refuses_record_whose_verdict_contradicts_its_values(
+    tmp_path, monkeypatch, capsys, values
+):
+    cache = tmp_path / "cache.jsonl"
+    args = ["sweep", "--type", "B2", "--basis", "y", "--max-length", "4", "--cache", str(cache)]
+    assert run(args)[0] == 0
+
+    def edit(record):
+        if values == "negative":
+            _negate_first_coefficient(record)
+        else:
+            record["certificate"]["verdict"] = "fail"
+
+    number, _ = _edit_record(cache, edit)
+    before = cache.read_bytes()
+    capsys.readouterr()
+    _forbid_solving(monkeypatch)
+    code, out = run(args)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: cache {cache}: line {number} ")
+    assert cache.read_bytes() == before
+
+
+@pytest.mark.parametrize("cut", ["mid-line", "before-newline"])
+def test_sweep_drops_torn_trailing_line(tmp_path, capsys, cut):
+    rs = builtin_root_system("A3")
+    cold = tmp_path / "cold.jsonl"
+    run_sweep(rs.cartan.entries, rs.kind, 4, "x", cache_path=str(cold))
+    full = cold.read_bytes()
+    lines = full.splitlines(keepends=True)
+    kept = b"".join(lines[:8])
+    torn = lines[8][: len(lines[8]) // 2] if cut == "mid-line" else lines[8][:-1]
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(kept + torn)
+    capsys.readouterr()
+    args = ["sweep", "--type", "A3", "--max-length", "4", "--cache", str(cache)]
+    assert run(args)[0] == 0
+    err = capsys.readouterr().err
+    if cut == "mid-line":
+        assert err.startswith(f"warning: cache {cache}: line 9 ")
+    else:
+        assert "warning" not in err
+    assert cache.read_bytes() == full
+
+
+def test_sweep_keeps_finished_rows_when_interrupted(tmp_path, monkeypatch):
+    import eqschub.cli as cli
+    from eqschub import InternalInconsistency
+
+    rs = builtin_root_system("A3")
+    cold = tmp_path / "cold.jsonl"
+    run_sweep(rs.cartan.entries, rs.kind, 4, "x", cache_path=str(cold))
+    full = cold.read_bytes()
+    solve = cli.structure_constants
+    calls = []
+
+    def crash_on_twentieth(table, u, v):
+        calls.append(1)
+        if len(calls) == 20:
+            raise InternalInconsistency("forced")
+        return solve(table, u, v)
+
+    monkeypatch.setattr(cli, "structure_constants", crash_on_twentieth)
+    cache = tmp_path / "cache.jsonl"
+    args = ["sweep", "--type", "A3", "--max-length", "4", "--cache", str(cache)]
+    assert run(args)[0] == 4
+    written = cache.read_bytes()
+    # 9 swept elements; the first two rows hold 9 + 8 unordered pairs.
+    assert written == b"".join(full.splitlines(keepends=True)[: 1 + 2 * 9])
+    monkeypatch.setattr(cli, "structure_constants", solve)
+    assert run(args)[0] == 0
+    assert cache.read_bytes() == full
