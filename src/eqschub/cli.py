@@ -92,7 +92,7 @@ def load_root_system(args) -> RootSystem:
             cartan = CartanMatrix.from_rows(data["entries"])
         except InvalidCartan as exc:
             raise CliError(f"invalid Cartan matrix: {exc}")
-        if "rank" in data and int(data["rank"]) != cartan.rank:
+        if "rank" in data and data["rank"] != cartan.rank:
             raise CliError("rank field does not match entries")
         kind = data.get("kind", FINITE)
         if kind not in (FINITE, GENERAL):
@@ -293,16 +293,8 @@ def cmd_mult(args, out) -> int:
 _WORKER: dict = {}
 
 
-def _sweep_setup(entries, kind, bound, basis):
-    cartan = CartanMatrix(entries)
-    rs = build_root_system(cartan, kind)
-    table = restriction_table(rs, bound)
-    w0 = longest_element(rs) if (basis == "y" and rs.kind == FINITE) else None
-    return {"rs": rs, "table": table, "w0": w0, "basis": basis}
-
-
-def _sweep_init(entries, kind, bound, basis):
-    _WORKER["state"] = _sweep_setup(entries, kind, bound, basis)
+def _sweep_init(state):
+    _WORKER["state"] = state
 
 
 def _sweep_pair_lines(state, u_word, v_word) -> tuple[str, str, bool]:
@@ -311,12 +303,9 @@ def _sweep_pair_lines(state, u_word, v_word) -> tuple[str, str, bool]:
     The constants are symmetric in u and v, so the (v, u) record is the
     (u, v) record with its "u" and "v" values swapped.
     """
-    rs = state["rs"]
-    table = state["table"]
-    u = element_from_word(rs, u_word)
-    v = element_from_word(rs, v_word)
-    s = structure_constants(table, u, v)
-    if state["basis"] == "y":
+    elements = state["elements"]
+    s = structure_constants(state["table"], elements[u_word], elements[v_word])
+    if state["w0"] is not None:
         s = opposite_constants(s, state["w0"])
     cert = positivity_certificate(s)
     payload = s.to_json_dict(cert)
@@ -381,15 +370,15 @@ def run_sweep(
     Each unordered pair {u, v} left is solved once, since c_uv = c_vu.
     The lines of row u are appended, each whole, and flushed as soon as
     the last pair of row u is solved, so an interrupted sweep keeps every
-    finished row.  The restriction table is built, and the pool started,
-    only if some pair is left.  With ``jobs`` > 1 the pool has at most one
-    worker per CPU and per chunk of pairs; the output does not depend on
-    its size.
+    finished row.  The root system and the range are built once, and
+    their one restriction table, only if some pair is left; every solve
+    reads that table, and a ``jobs`` > 1 pool worker is handed it rather
+    than building its own.  The pool has at most one worker per CPU and
+    per chunk of pairs; the output does not depend on its size.
     """
     start = time.perf_counter()
     cached = _read_cache(cache_path) if cache_path else None
-    cartan = CartanMatrix(entries)
-    rs = build_root_system(cartan, kind)
+    rs = build_root_system(CartanMatrix(entries), kind)
     if basis == "y" and rs.kind != FINITE:
         raise NotFiniteType("y-basis sweep requires a finite-type root system")
     rng = enumerate_upto(rs, bound)
@@ -415,7 +404,7 @@ def run_sweep(
     # from the solve of {u, v} until row v is written.
     pending: dict = {}
     with closing(
-        _solve_pairs(todo, cartan.entries, kind, bound, basis, jobs)
+        _solve_pairs(todo, rs, rng, basis, jobs)
     ) as solved, _open_cache(cache_path, cached is None or todo) as fh:
         if fh is not None and cached is None:
             fh.write(json.dumps(CACHE_HEADER) + "\n")
@@ -443,20 +432,28 @@ def run_sweep(
     )
 
 
-def _solve_pairs(pairs, entries, kind, bound, basis, jobs):
-    """Yield ``_sweep_pair_lines`` of each pair, in order; set up nothing if there is none."""
-    if not pairs:
-        return
+def _solve_pairs(pairs, rs, rng, basis, jobs):
+    """Yield ``_sweep_pair_lines`` of each pair, in order.
+
+    Nothing is set up before the first pair is asked for.  The state (the
+    range's table, its elements by canonical word, w0 for the y basis) is
+    used here at ``jobs`` 1 and handed to each pool worker otherwise:
+    inherited under fork, pickled once per worker under spawn.
+    """
+    state = {
+        "table": restriction_table(rs, rng.bound, rng=rng),
+        "elements": {w.word: w for w in rng.elements},
+        "w0": longest_element(rs) if basis == "y" else None,
+    }
     if jobs > 1:
         chunks = -(-len(pairs) // SWEEP_CHUNK)
         with ProcessPoolExecutor(
             max_workers=min(jobs, os.cpu_count() or 1, chunks),
             initializer=_sweep_init,
-            initargs=(entries, kind, bound, basis),
+            initargs=(state,),
         ) as pool:
             yield from pool.map(_sweep_task, pairs, chunksize=SWEEP_CHUNK)
     else:
-        state = _sweep_setup(entries, kind, bound, basis)
         for u_word, v_word in pairs:
             yield _sweep_pair_lines(state, u_word, v_word)
 
@@ -544,9 +541,9 @@ def _read_cache(path: str) -> dict | None:
                     )
                 continue
             try:
-                key = _cache_key(record)
                 ok = _stored_values_pass(record)
                 stored = record["certificate"]["verdict"]
+                verdicts[_cache_key(record)] = ok
             except (KeyError, TypeError, ValueError):
                 raise CliError(f"cache {path}: line {number} is not a sweep record")
             verdict = "pass" if ok else "fail"
@@ -555,7 +552,6 @@ def _read_cache(path: str) -> dict | None:
                     f"cache {path}: line {number} has certificate verdict {stored!r},"
                     f" but its values {verdict} the {record['basis']}-basis sign rule"
                 )
-            verdicts[key] = ok
     try:
         if torn is not None:
             number, offset = torn

@@ -34,7 +34,6 @@ from .rootsys import RootPolynomial, RootSystem
 from .weyl import (
     WeylElement,
     WeylRange,
-    _column,
     _column_is_positive,
     _identity_matrix,
     _reflect_right,
@@ -107,26 +106,8 @@ class RestrictionTable:
         self.convention = convention
         self._zero = RootPolynomial.zero(rs.rank)
 
-    @property
-    def bound(self) -> int:
-        return self.range.bound
-
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
         return self.values.get((w, v), self._zero)
-
-    def to_json_list(self) -> list[dict]:
-        out = []
-        for w in self.range.elements:
-            for v in self.range.elements:
-                out.append(
-                    {
-                        "w": list(w.word),
-                        "v": list(v.word),
-                        "value": self.value(w, v).to_json_dict(),
-                        "convention": self.convention,
-                    }
-                )
-        return out
 
 
 def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -> RestrictionTable:
@@ -142,6 +123,7 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
     if rng is None:
         rng = enumerate_upto(rs, k)
     rmul = rng.right_mul
+    forms = rng.inversion_forms
     columns: dict = {}
     for v in rng.elements:
         if not v.word:
@@ -149,7 +131,7 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
             continue
         i = v.word[-1] - 1
         parent = rmul[v][i]
-        beta = RootPolynomial.from_linear(rs.rank, _column(parent.matrix, i))
+        beta = forms[v][-1]
         column = dict(columns[parent])
         for u, poly in columns[parent].items():
             w = rmul[u][i]

@@ -161,11 +161,6 @@ class RootSystem:
     def rank(self) -> int:
         return self.cartan.rank
 
-    def pairing(self, v: RootVector, i: int) -> Fraction:
-        """<v, alpha_i^vee> for 1-based i, in the fixed convention."""
-        row = self.cartan.entries[i - 1]
-        return sum((a * c for a, c in zip(row, v.coords)), Fraction(0))
-
     def simple_root(self, i: int) -> RootVector:
         coords = [Fraction(0)] * self.rank
         coords[i - 1] = Fraction(1)
@@ -455,21 +450,12 @@ class RootPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Maximum term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self.terms) >> FIELD_BITS * self.rank
-
     def is_homogeneous_of(self, degree: int) -> bool:
         """Zero counts as homogeneous of every degree."""
         if not self.terms:
             return True
         shift = FIELD_BITS * self.rank
         return min(self.terms) >> shift == degree == max(self.terms) >> shift
-
-    def constant_term(self) -> int:
-        return self.terms.get(0, 0)
 
     def sign_pattern(self) -> str:
         """'nonneg' | 'nonpos' | 'zero' | 'mixed' over the stored coefficients."""

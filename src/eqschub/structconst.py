@@ -50,9 +50,6 @@ class StructureTable:
         self.values = values
         self.order = tuple(w for w in table.range.elements if w in values)
 
-    def value(self, w: WeylElement) -> RootPolynomial:
-        return self.values[w]
-
     def nonzero_items(self) -> list[tuple[WeylElement, RootPolynomial]]:
         return [(w, self.values[w]) for w in self.order if not self.values[w].is_zero()]
 
@@ -60,23 +57,18 @@ class StructureTable:
         """Cache record of the pair; builds the certificate unless one is given.
 
         Each value's terms come from its certificate entry, which holds them
-        sorted already; a certificate without entries has each value sorted.
+        sorted already.
         """
         if certificate is None:
             certificate = positivity_certificate(self)
-        entries = getattr(certificate, "entries", None)
-        if entries is None:
-            monomials = [self.values[w].sorted_terms() for w in self.order]
-        else:
-            monomials = [e.monomials for e in entries]
         return {
             "type": self.rs.descriptor,
             "basis": self.basis,
             "u": list(self.u.word),
             "v": list(self.v.word),
             "values": [
-                {"w": list(w.word), "poly": {"terms": terms_json(terms)}}
-                for w, terms in zip(self.order, monomials)
+                {"w": list(e.w.word), "poly": {"terms": terms_json(e.monomials)}}
+                for e in certificate.entries
             ],
             "certificate": certificate.to_json_dict(),
         }

@@ -84,14 +84,13 @@ class WeylElement:
         self.rs = rs
         self.matrix = matrix
         self.word = word
-        self._hash = hash((matrix, rs.cartan.entries, rs.kind))
+        # Tuples of ints hash alike in every process, so a pickled
+        # element-keyed dict is found by elements built after loading it.
+        self._hash = hash((matrix, rs.cartan.entries))
 
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def is_identity(self) -> bool:
-        return not self.word
 
     def __eq__(self, other) -> bool:
         return (
@@ -109,9 +108,6 @@ class WeylElement:
 
     def word_text(self) -> str:
         return ",".join(str(i) for i in self.word) if self.word else "e"
-
-    def to_json_dict(self) -> dict:
-        return {"word": list(self.word)}
 
 
 def identity(rs: RootSystem) -> WeylElement:
@@ -312,9 +308,6 @@ class WeylRange:
     @cached_property
     def inverses(self) -> dict:
         return {w: inverse(w) for w in self.elements}
-
-    def to_json_list(self) -> list[dict]:
-        return [w.to_json_dict() for w in self.elements]
 
 
 def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> WeylRange:

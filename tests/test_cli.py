@@ -55,10 +55,17 @@ def test_rootsys_a1_json():
     assert data["fundamental_weights"] == [["1/2"]]
 
 
-def test_rootsys_bad_cartan_exits_2(tmp_path):
-    path = write_cartan(tmp_path, "bad.json", [[1]])
-    code, _ = run(["rootsys", "--cartan", path])
-    assert code == 2
+def test_rootsys_bad_cartan_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for payload in [
+        {"rank": 1, "entries": [[1]]},
+        {"rank": [1], "entries": [[2]]},
+        {"rank": None, "entries": [[2]]},
+    ]:
+        path.write_text(json.dumps(payload))
+        code, out = run(["rootsys", "--cartan", str(path)])
+        assert (code, out) == (2, ""), payload
+        assert capsys.readouterr().err.startswith("error: "), payload
 
 
 def test_rootsys_affine_as_finite_exits_3(tmp_path):
@@ -313,9 +320,25 @@ def sweep_cache(tmp_path, name, case, jobs):
     return cache.read_bytes()
 
 
-@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_sweep_cache_identical_across_jobs(tmp_path, case):
+@pytest.mark.parametrize(
+    "case,start",
+    [pytest.param(case, "default", id=case) for case in sorted(SWEEP_CASES)]
+    + [pytest.param(case, "spawn", id=f"{case}-spawn") for case in sorted(SWEEP_CASES)],
+)
+def test_sweep_cache_identical_across_jobs(tmp_path, monkeypatch, case, start):
+    """The --jobs pool writes the jobs-1 bytes under the default start method
+    and under spawn, where each worker unpickles the parent's table."""
     serial = sweep_cache(tmp_path, "serial.jsonl", case, 1)
+    if start == "spawn":
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        import eqschub.cli as cli
+
+        context = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            cli, "ProcessPoolExecutor", lambda **kw: ProcessPoolExecutor(mp_context=context, **kw)
+        )
     parallel = sweep_cache(tmp_path, "parallel.jsonl", case, 2)
     assert serial == parallel
 
@@ -369,18 +392,16 @@ def test_sweep_cache_env_default(tmp_path, monkeypatch):
 
 
 def test_sweep_certificate_failure_exits_5(monkeypatch):
+    import dataclasses
+
     import eqschub.cli as cli
 
-    class FailingCert:
-        verdict = "fail"
+    certify = cli.positivity_certificate
 
-        def __bool__(self):
-            return False
+    def failing(s):
+        return dataclasses.replace(certify(s), failures=list(s.order))
 
-        def to_json_dict(self):
-            return {"verdict": "fail"}
-
-    monkeypatch.setattr(cli, "positivity_certificate", lambda s: FailingCert())
+    monkeypatch.setattr(cli, "positivity_certificate", failing)
     code, out = run(["sweep", "--type", "A1", "--max-length", "1", "--jobs", "1"])
     assert code == 5
     assert "verdict=fail" in out
@@ -463,6 +484,35 @@ def test_sweep_pool_never_exceeds_cpus_or_chunks(monkeypatch, tmp_path):
         assert cache.read_bytes() == serial.read_bytes()
 
 
+def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
+    """One root system, one range and one table per sweep; every element a
+    solve reads comes from that range, none is built from a word."""
+    import eqschub.cli as cli
+    import eqschub.localize as localize
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (cli, "build_root_system"),
+        (cli, "enumerate_upto"),
+        (localize, "enumerate_upto"),
+        (cli, "restriction_table"),
+        (cli, "element_from_word"),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rs = builtin_root_system("A3")
+    report = run_sweep(rs.cartan.entries, rs.kind, 4, "y", cache_path=str(tmp_path / "c.jsonl"))
+    assert report.verdict == "pass"
+    assert sorted(calls) == ["build_root_system", "enumerate_upto", "restriction_table"]
+
+
 def _forbid_solving(monkeypatch):
     import eqschub.cli as cli
 
@@ -498,7 +548,16 @@ def test_sweep_refuses_cache_with_wrong_header(tmp_path, monkeypatch, capsys, he
 
 
 @pytest.mark.parametrize(
-    "bad", ['{"type": "A1", "basis": "x", "u": [1], "v"', "[1, 2]", '{"type": "A1"}']
+    "bad",
+    [
+        '{"type": "A1", "basis": "x", "u": [1], "v"',
+        "[1, 2]",
+        '{"type": "A1"}',
+        '{"type": "A1", "basis": "x", "u": [[1]], "v": [], "values": [],'
+        ' "certificate": {"verdict": "pass"}}',
+        '{"type": ["A1"], "basis": "x", "u": [], "v": [], "values": [],'
+        ' "certificate": {"verdict": "pass"}}',
+    ],
 )
 def test_sweep_refuses_cache_with_bad_line(tmp_path, monkeypatch, capsys, bad):
     cache = str(tmp_path / "cache.jsonl")

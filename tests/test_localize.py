@@ -259,13 +259,3 @@ def test_unknown_convention_rejected():
     table = restriction_table(A1, 1)
     with pytest.raises(ValueError):
         convert_convention(table, "Bourbaki")
-
-
-def test_serialization_order_and_shape():
-    table = restriction_table(A1, 1)
-    data = table.to_json_list()
-    assert [(d["w"], d["v"]) for d in data] == [
-        ([], []), ([], [1]), ([1], []), ([1], [1])
-    ]
-    assert all(d["convention"] == "KK" for d in data)
-    assert data[3]["value"] == {"terms": [{"exp": [1], "coeff": "1"}]}

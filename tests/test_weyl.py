@@ -1,9 +1,14 @@
 """Weyl group elements, words, Bruhat order, enumeration."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import eqschub
 from eqschub import (
     CartanMatrix,
     NotFiniteType,
@@ -338,8 +343,24 @@ def test_all_reduced_words_agree_with_element():
         assert len(word) == w0.length
 
 
-def test_element_serialization():
-    w = element_from_word(A2, (1, 2))
-    assert w.to_json_dict() == {"word": [1, 2]}
-    rng = enumerate_upto(A1, 1)
-    assert rng.to_json_list() == [{"word": []}, {"word": [1]}]
+def test_element_hash_is_the_same_in_every_process(tmp_path):
+    """A dict keyed by elements, pickled here and loaded in a process with
+    another string-hash seed, is found there by elements built there."""
+    keyed = {w: w.word for w in enumerate_upto(G2, 4)}
+    path = tmp_path / "keyed.pickle"
+    path.write_bytes(pickle.dumps(keyed))
+    script = (
+        "import pickle, sys\n"
+        "from eqschub import element_from_word\n"
+        "keyed = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "rs = next(iter(keyed)).rs\n"
+        "print(sum(keyed.get(element_from_word(rs, word)) == word for word in keyed.values()))\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = os.path.dirname(os.path.dirname(eqschub.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == f"{len(keyed)}\n"
