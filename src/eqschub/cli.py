@@ -41,7 +41,9 @@ from .rootsys import (
     monomial_text,
 )
 from .structconst import (
+    ChevalleyContext,
     billey_evaluate,
+    column_constants,
     opposite_constants,
     positivity_certificate,
     structure_constants,
@@ -50,8 +52,8 @@ from .weyl import element_from_word, enumerate_upto, inverse, longest_element
 
 CACHE_ENV = "EQSCHUB_CACHE"
 CACHE_HEADER = {"engine": f"eqschub {__version__}", "convention": "KK", "format": 1}
-# Pairs handed to a --jobs worker at a time.
-SWEEP_CHUNK = 16
+# A --jobs pool starts at most one worker per this many pairs left.
+PAIRS_PER_WORKER = 16
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -92,6 +94,8 @@ def load_root_system(args) -> RootSystem:
             cartan = CartanMatrix.from_rows(data["entries"])
         except InvalidCartan as exc:
             raise CliError(f"invalid Cartan matrix: {exc}")
+        if "rank" in data and type(data["rank"]) is not int:
+            raise CliError("rank field must be an integer")
         if "rank" in data and data["rank"] != cartan.rank:
             raise CliError("rank field does not match entries")
         kind = data.get("kind", FINITE)
@@ -297,27 +301,35 @@ def _sweep_init(state):
     _WORKER["state"] = state
 
 
-def _sweep_pair_lines(state, u_word, v_word) -> tuple[str, str, bool]:
-    """Cache lines of the pairs (u, v) and (v, u) from one solve, and the verdict.
+def _sweep_row_lines(state, u_word, v_words) -> list[tuple[str, str, bool]]:
+    """Cache lines of the pairs (u, v) and (v, u), and their verdict, for
+    each v of ``v_words``.
 
-    The constants are symmetric in u and v, so the (v, u) record is the
-    (u, v) record with its "u" and "v" values swapped.
+    The constants are symmetric in u and v, so row u is column u of the
+    recurrence, and the (u, v) record is the (v, u) record with its "u"
+    and "v" values swapped.
     """
     elements = state["elements"]
-    s = structure_constants(state["table"], elements[u_word], elements[v_word])
-    if state["w0"] is not None:
-        s = opposite_constants(s, state["w0"])
-    cert = positivity_certificate(s)
-    payload = s.to_json_dict(cert)
-    line = json.dumps(payload)
-    if u_word == v_word:
-        return line, line, bool(cert)
-    swapped = dict(payload, u=payload["v"], v=payload["u"])
-    return line, json.dumps(swapped), bool(cert)
+    tables = column_constants(
+        state["context"], elements[u_word], [elements[w] for w in v_words]
+    )
+    out = []
+    for s in tables:
+        if state["w0"] is not None:
+            s = opposite_constants(s, state["w0"])
+        cert = positivity_certificate(s)
+        payload = s.to_json_dict(cert)
+        line = json.dumps(payload)
+        if s.u == s.v:
+            out.append((line, line, bool(cert)))
+        else:
+            swapped = dict(payload, u=payload["v"], v=payload["u"])
+            out.append((json.dumps(swapped), line, bool(cert)))
+    return out
 
 
-def _sweep_task(pair):
-    return _sweep_pair_lines(_WORKER["state"], pair[0], pair[1])
+def _sweep_task(row):
+    return _sweep_row_lines(_WORKER["state"], *row)
 
 
 @dataclass
@@ -357,7 +369,7 @@ def run_sweep(
     jobs: int = 1,
     cache_path: str | None = None,
 ) -> SweepReport:
-    """Certify every ordered pair in range, solving only the pairs the cache lacks.
+    """Certify every ordered pair in range, computing only the pairs the cache lacks.
 
     The report and the cache hold one entry per ordered pair, in
     row-major order over the swept elements.  An existing cache is read
@@ -367,14 +379,16 @@ def run_sweep(
     takes only pairs with length(u)+length(v) <= bound, and the constants
     of such a pair do not depend on the bound.
 
-    Each unordered pair {u, v} left is solved once, since c_uv = c_vu.
-    The lines of row u are appended, each whole, and flushed as soon as
-    the last pair of row u is solved, so an interrupted sweep keeps every
-    finished row.  The root system and the range are built once, and
-    their one restriction table, only if some pair is left; every solve
-    reads that table, and a ``jobs`` > 1 pool worker is handed it rather
-    than building its own.  The pool has at most one worker per CPU and
-    per chunk of pairs; the output does not depend on its size.
+    Each unordered pair {u, v} left is computed once, since c_uv = c_vu:
+    row u holds the pairs (u, v) left with v at or after u, and all of
+    them come from one column of the Chevalley recurrence.  The lines of
+    row u are appended, each whole, and flushed as soon as row u is
+    computed, so an interrupted sweep keeps every finished row.  The root
+    system and the range are built once, and their one restriction table
+    and recurrence context only if some pair is left; a ``jobs`` > 1 pool
+    worker is handed both rather than building its own, and computes whole
+    rows.  The pool has at most one worker per CPU, per row and per
+    ``PAIRS_PER_WORKER`` pairs; the output does not depend on its size.
     """
     start = time.perf_counter()
     cached = _read_cache(cache_path) if cache_path else None
@@ -397,20 +411,20 @@ def run_sweep(
         [vw for vw in words[a:] if missing((uw, vw)) or missing((vw, uw))]
         for a, uw in enumerate(words)
     ]
-    todo = [(uw, vw) for uw, row in zip(words, rows) for vw in row]
+    todo = [(uw, row) for uw, row in zip(words, rows) if row]
 
     fails = []
     # Lines not yet written, by ordered pair: a (v, u) line waits here
-    # from the solve of {u, v} until row v is written.
+    # from row u, which computes {u, v}, until row v is written.
     pending: dict = {}
     with closing(
-        _solve_pairs(todo, rs, rng, basis, jobs)
+        _solve_rows(todo, rs, rng, basis, jobs)
     ) as solved, _open_cache(cache_path, cached is None or todo) as fh:
         if fh is not None and cached is None:
             fh.write(json.dumps(CACHE_HEADER) + "\n")
         for uw, row in zip(words, rows):
-            for vw in row:
-                line, swapped, ok = next(solved)
+            # A row with nothing left is not in todo: nothing was computed for it.
+            for vw, (line, swapped, ok) in zip(row, next(solved) if row else []):
                 for pair, text in (((uw, vw), line), ((vw, uw), swapped)):
                     if missing(pair):
                         pending[pair] = (text, ok)
@@ -432,30 +446,33 @@ def run_sweep(
     )
 
 
-def _solve_pairs(pairs, rs, rng, basis, jobs):
-    """Yield ``_sweep_pair_lines`` of each pair, in order.
+def _solve_rows(rows, rs, rng, basis, jobs):
+    """Yield ``_sweep_row_lines`` of each (u word, v words) row, in order.
 
-    Nothing is set up before the first pair is asked for.  The state (the
-    range's table, its elements by canonical word, w0 for the y basis) is
-    used here at ``jobs`` 1 and handed to each pool worker otherwise:
-    inherited under fork, pickled once per worker under spawn.
+    Nothing is set up before the first row is asked for.  The state (the
+    range's table and recurrence context, its elements by canonical word,
+    w0 for the y basis) is used here at ``jobs`` 1 and handed to each pool
+    worker otherwise: inherited under fork, pickled once per worker under
+    spawn.
     """
+    table = restriction_table(rs, rng.bound, rng=rng)
     state = {
-        "table": restriction_table(rs, rng.bound, rng=rng),
+        "context": ChevalleyContext(table),
         "elements": {w.word: w for w in rng.elements},
         "w0": longest_element(rs) if basis == "y" else None,
     }
     if jobs > 1:
-        chunks = -(-len(pairs) // SWEEP_CHUNK)
+        pairs = sum(len(row) for _, row in rows)
+        workers = min(jobs, os.cpu_count() or 1, len(rows), -(-pairs // PAIRS_PER_WORKER))
         with ProcessPoolExecutor(
-            max_workers=min(jobs, os.cpu_count() or 1, chunks),
+            max_workers=workers,
             initializer=_sweep_init,
             initargs=(state,),
         ) as pool:
-            yield from pool.map(_sweep_task, pairs, chunksize=SWEEP_CHUNK)
+            yield from pool.map(_sweep_task, rows)
     else:
-        for u_word, v_word in pairs:
-            yield _sweep_pair_lines(state, u_word, v_word)
+        for u_word, v_words in rows:
+            yield _sweep_row_lines(state, u_word, v_words)
 
 
 def _open_cache(path: str | None, needed):

@@ -545,18 +545,19 @@ class RootPolynomial:
         pushes their products with L into bucket k - 1.  A quotient
         coefficient that is not an integer, or anything left in bucket 0,
         means no exact quotient exists and NotDivisible is raised.
+
+        A divisor used more than once should be a ``LinearForm``, which
+        checks it and finds its leading variable once; any other
+        polynomial is made into one here.
         """
         self._check_rank(lin)
-        if lin.is_zero() or not lin.is_homogeneous_of(1):
-            raise ValueError("divisor must be homogeneous of degree 1 and nonzero")
+        if not isinstance(lin, LinearForm):
+            lin = LinearForm(lin.rank, lin.terms, _clean=True)
         if not self.terms:
             return RootPolynomial.zero(self.rank)
         shift = FIELD_BITS * self.rank
-        # The largest degree-1 key is that of the lowest-index variable.
-        pivot_key = max(lin.terms)
-        pivot_coeff = lin.terms[pivot_key]
-        pivot_shift = (pivot_key ^ 1 << shift).bit_length() - 1
-        rest = [(e, c) for e, c in lin.terms.items() if e != pivot_key]
+        pivot_key, pivot_coeff, pivot_shift = lin.pivot_key, lin.pivot_coeff, lin.pivot_shift
+        rest = lin.rest
         # No exponent exceeds the total degree, so that many buckets suffice.
         buckets: list[dict] = [{} for _ in range((max(self.terms) >> shift) + 1)]
         for exp, coeff in self.terms.items():
@@ -617,6 +618,27 @@ class RootPolynomial:
             if coeff:
                 terms[exp] = coeff
         return cls(rank, terms)
+
+
+class LinearForm(RootPolynomial):
+    """A nonzero homogeneous linear form, checked and prepared once as a divisor.
+
+    It is a polynomial like any other; ``exact_divide_linear`` reads the
+    leading variable found here (the lowest-index one, whose degree-1 key
+    is the largest), its coefficient, the shift of its exponent field and
+    the other terms, instead of finding them on every call.
+    """
+
+    __slots__ = ("pivot_key", "pivot_coeff", "pivot_shift", "rest")
+
+    def __init__(self, rank: int, terms=None, *, _clean: bool = False):
+        super().__init__(rank, terms, _clean=_clean)
+        if not self.terms or not self.is_homogeneous_of(1):
+            raise ValueError("divisor must be homogeneous of degree 1 and nonzero")
+        self.pivot_key = max(self.terms)
+        self.pivot_coeff = self.terms[self.pivot_key]
+        self.pivot_shift = (self.pivot_key ^ 1 << FIELD_BITS * rank).bit_length() - 1
+        self.rest = tuple((e, c) for e, c in self.terms.items() if e != self.pivot_key)
 
 
 def terms_json(items) -> list[dict]:

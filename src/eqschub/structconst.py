@@ -1,7 +1,13 @@
-"""Structure constants by Bruhat-triangular elimination from restrictions.
+"""Structure constants from restrictions, by two routes.
 
-For a pair (u, v) the solver walks the fixed points w in length-then-lex
-order (a linear extension of Bruhat order) and peels off
+The x-basis constants c_uv^w of a pair (u, v) are defined by
+xi^u xi^v = sum_w c_uv^w xi^w, where xi^u(w) is the restriction table's
+value at (u, w).  They vanish unless u <= w and v <= w, are homogeneous of
+degree l(u) + l(v) - l(w), and are symmetric in u and v.
+
+Triangular solve (``structure_constants``, one pair).  The solver walks
+the fixed points w in length-then-lex order (a linear extension of Bruhat
+order) and peels off
 
     value(w) = [ xi_u(w) xi_v(w) - sum_{w' solved} value(w') xi_{w'}(w) ]
                / xi_w(w)
@@ -10,7 +16,43 @@ dividing the diagonal's inversion factors out one linear form at a time.
 Fixed points excluded by the support condition (u <= w and v <= w) are
 skipped with the numerator asserted to vanish; any exactness failure
 aborts the computation, since the triangular system has a unique
-solution.
+solution.  ``mult`` uses it, and the tests use it as the oracle of the
+recurrence.
+
+Chevalley recurrence (``column_constants``, one v and many u).  The
+Chevalley formula (Kostant-Kumar, Adv. Math. 62, 1986) multiplies by a
+degree-one class:
+
+    xi^{s_i} xi^u = xi^{s_i}(u) xi^u + sum_{x covers u} c_{s_i,u}^x xi^x.
+
+Multiplying xi^u xi^v by xi^{s_i} in the two orders and comparing the
+coefficients of xi^w gives (Knutson, arXiv math/0306304)
+
+    (xi^{s_i}(w) - xi^{s_i}(u)) c_uv^w
+        = sum_{x covers u} c_{s_i,u}^x c_xv^w
+          - sum_{w covers y} c_{s_i,y}^w c_uv^y,
+
+with base case c_uv^u = xi^v(u).  So with u taken in decreasing length
+and, for each u, w in increasing length, every entry costs integer
+multiples of entries already known and one division by one linear form.
+The letter i is the smallest with a nonzero left factor; one exists for
+every u < w, since xi^{s_i}(w) = omega_i - w(omega_i) and only the
+identity fixes every fundamental weight.  On a truncated (Kac-Moody)
+range only w with l(w) <= min(l(u) + l(v), bound) are computed: the
+columns of longer u need those entries too.
+
+Everything is read from the restriction table, so no fundamental weight
+is needed.  For y covered by w = y s_beta, the Chevalley integer is
+c_{s_i,y}^w = <omega_i, beta^vee> >= 0, and
+
+    xi^{s_i}(w) - xi^{s_i}(y) = y(omega_i) - y s_beta(omega_i)
+                              = <omega_i, beta^vee> y(beta)
+
+with y(beta) a positive real root.  A real root is the image of a simple
+root under an integer matrix with integer inverse, so its coefficients
+have gcd 1, and the integer is the gcd of the difference's coefficients.
+A negative coefficient there, an inexact division or a value that is not
+homogeneous of the right degree is an InternalInconsistency.
 
 The x-basis values are the constants of the Schubert-class basis dual to
 the cell closures.  The y-basis table for the same index pair is obtained
@@ -22,8 +64,10 @@ which is the sign dichotomy the certificates check.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DomainViolation,
@@ -34,7 +78,7 @@ from .errors import (
     RankMismatch,
 )
 from .localize import RestrictionTable
-from .rootsys import FINITE, RootPolynomial, terms_json
+from .rootsys import FINITE, LinearForm, RootPolynomial, terms_json
 from .weyl import WeylElement, inverse
 
 
@@ -135,6 +179,168 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
                 )
             values[w] = zero
     return StructureTable(table, "x", u, v, values)
+
+
+class ChevalleyContext:
+    """What the Chevalley recurrence reads of one range, built once.
+
+    An element's id is its position in the range, so ids run in length
+    order.  For each id:
+
+    * ``restriction[a]`` maps b to xi^a(b) for the b >= a (the table's
+      nonzero entries);
+    * ``steps[u]`` lists (w, i, divisor) for each w > u in increasing
+      length, with i the recurrence's letter at (u, w) and the divisor
+      xi^{s_i}(w) - xi^{s_i}(u) prepared as a ``LinearForm``;
+    * ``covers_up[u][i]`` lists (x, c_{s_i,u}^x) for the x covering u, and
+      ``covers_down[w][i]`` lists (y, c_{s_i,y}^w) for the y that w covers,
+      each without the zero integers.
+    """
+
+    def __init__(self, table: RestrictionTable):
+        if table.convention != "KK":
+            raise ValueError("recurrence requires a KK-convention table")
+        rng = table.range
+        self.table = table
+        self.elements = rng.elements
+        n = len(self.elements)
+        rank = table.rs.rank
+        self.index = index = {w: k for k, w in enumerate(self.elements)}
+        self.length = length = [w.length for w in self.elements]
+        restriction: list[dict] = [{} for _ in range(n)]
+        for (a, b), poly in table.values.items():
+            restriction[index[a]][index[b]] = poly
+        self.restriction = restriction
+        # xi[i][w] = the coordinates of xi^{s_i}(w); a range without
+        # elements of length 1 needs none.
+        xi = []
+        for s, e in enumerate(self.elements):
+            if e.length == 1:
+                row = [(0,) * rank] * n
+                for w, poly in restriction[s].items():
+                    row[w] = _linear_coords(poly)
+                xi.append(row)
+        self.covers_up = [[[] for _ in xi] for _ in range(n)]
+        self.covers_down = [[[] for _ in xi] for _ in range(n)]
+        self.steps = []
+        forms: dict = {}
+        for u in range(n):
+            steps = []
+            for w in sorted(restriction[u]):
+                if w == u:
+                    continue
+                if length[w] == length[u] + 1:
+                    self._add_cover(xi, u, w)
+                i = next((i for i, row in enumerate(xi) if row[w] != row[u]), None)
+                if i is None:
+                    raise InternalInconsistency(
+                        f"no letter separates {self.elements[u]} < {self.elements[w]}"
+                    )
+                diff = tuple(a - b for a, b in zip(xi[i][w], xi[i][u]))
+                divisor = forms.get(diff)
+                if divisor is None:
+                    divisor = forms[diff] = LinearForm.from_linear(rank, diff)
+                steps.append((w, i, divisor))
+            self.steps.append(steps)
+
+    def _add_cover(self, xi, y: int, w: int):
+        """Record c_{s_i,y}^w for every i, for w covering y."""
+        for i, row in enumerate(xi):
+            coeffs = [a - b for a, b in zip(row[w], row[y])]
+            if any(c < 0 for c in coeffs):
+                raise InternalInconsistency(
+                    f"xi^s{i + 1} at {self.elements[w]} minus at "
+                    f"{self.elements[y]} has a negative coefficient"
+                )
+            k = gcd(*coeffs)
+            if k:
+                self.covers_up[y][i].append((w, k))
+                self.covers_down[w][i].append((y, k))
+
+
+def _linear_coords(poly: RootPolynomial) -> tuple[int, ...]:
+    """Coefficients of a linear form on a1, .., a_rank."""
+    coords = [0] * poly.rank
+    for exp, coeff in poly.sorted_terms():
+        coords[exp.index(1)] = coeff
+    return tuple(coords)
+
+
+def column_constants(
+    context: ChevalleyContext, v: WeylElement, us
+) -> list[StructureTable]:
+    """The x-basis constants of the pairs (u, v), for each u of ``us``, by
+    the Chevalley recurrence (see the module docstring).
+
+    Computes the column of v for every element of the range at least as
+    long as the shortest u, longest first, holding that one column; each
+    table holds the same values ``structure_constants`` gives the pair.
+    """
+    rng = context.table.range
+    index, length, elements = context.index, context.length, context.elements
+    vid = index[v]
+    lv = length[vid]
+    ids = [index[u] for u in us]
+    if not rng.complete and rng.bound < max(length[u] for u in ids) + lv:
+        raise InsufficientBound(
+            f"table bound {rng.bound} < length(u)+length(v) for some u"
+        )
+    rank = context.table.rs.rank
+    xi_v = context.restriction[vid]
+    steps, covers_up, covers_down = context.steps, context.covers_up, context.covers_down
+    column: dict = {}
+    start = bisect_left(length, min(length[u] for u in ids))
+    for u in range(len(elements) - 1, start - 1, -1):
+        top = length[u] + lv
+        values = {}
+        if u in xi_v:
+            values[u] = xi_v[u]
+        for w, i, divisor in steps[u]:
+            if length[w] > top:
+                break
+            if w not in xi_v:
+                continue
+            acc: dict = {}
+            get = acc.get
+            for x, k in covers_up[u][i]:
+                poly = column[x].get(w)
+                if poly is not None:
+                    for e, c in poly.terms.items():
+                        acc[e] = get(e, 0) + k * c
+            for y, k in covers_down[w][i]:
+                poly = values.get(y)
+                if poly is not None:
+                    for e, c in poly.terms.items():
+                        acc[e] = get(e, 0) - k * c
+            if 0 in acc.values():
+                acc = {e: c for e, c in acc.items() if c}
+            if not acc:
+                continue
+            try:
+                value = RootPolynomial(rank, acc, _clean=True).exact_divide_linear(divisor)
+            except NotDivisible as exc:
+                raise InternalInconsistency(
+                    f"inexact recurrence division at (u={elements[u].word_text()}, "
+                    f"v={v.word_text()}, w={elements[w].word_text()})"
+                ) from exc
+            if not value.is_homogeneous_of(top - length[w]):
+                raise InternalInconsistency(
+                    f"value at (u={elements[u].word_text()}, v={v.word_text()}, "
+                    f"w={elements[w].word_text()}) is not homogeneous of degree "
+                    f"{top - length[w]}"
+                )
+            values[w] = value
+        column[u] = values
+    zero = RootPolynomial.zero(rank)
+    out = []
+    for u, uid in zip(us, ids):
+        values = column[uid]
+        end = bisect_right(length, length[uid] + lv)
+        out.append(StructureTable(
+            context.table, "x", u, v,
+            {elements[w]: values.get(w, zero) for w in range(end)},
+        ))
+    return out
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .errors import (
     RankMismatch,
     ResourceCap,
 )
-from .rootsys import FINITE, RootPolynomial, RootSystem, RootVector
+from .rootsys import FINITE, LinearForm, RootSystem, RootVector
 
 DEFAULT_WORD_CAP = 10_000
 DEFAULT_ENUM_CAP = 100_000
@@ -286,7 +286,8 @@ class WeylRange:
     @cached_property
     def inversion_forms(self) -> dict:
         """w -> the inversion roots of ``inversion_coords(rs, w.word)`` as
-        linear polynomials; their product is the diagonal restriction at w.
+        linear forms, prepared as divisors; their product is the diagonal
+        restriction at w.
 
         Built along canonical words: with i the last letter of v and
         v' = v s_i, the forms of v are those of v' followed by v'(alpha_i).
@@ -301,7 +302,7 @@ class WeylRange:
             i = v.word[-1] - 1
             parent = rmul[v][i]
             forms[v] = forms[parent] + (
-                RootPolynomial.from_linear(rank, _column(parent.matrix, i)),
+                LinearForm.from_linear(rank, _column(parent.matrix, i)),
             )
         return forms
 

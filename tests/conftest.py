@@ -5,7 +5,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from eqschub import element_from_word, identity, multiply, simple_reflection  # noqa: E402
+from eqschub import element_from_word, multiply, simple_reflection  # noqa: E402
 from eqschub.weyl import right_descents  # noqa: E402
 
 

@@ -6,7 +6,6 @@ tolerances are the stated wall-clock budgets.
 """
 
 import itertools
-import json
 import random
 import time
 from fractions import Fraction
@@ -21,7 +20,6 @@ from eqschub import (
     builtin_root_system,
     convert_convention,
     element_from_word,
-    enumerate_upto,
     identity,
     inverse,
     inversions,
@@ -30,7 +28,6 @@ from eqschub import (
     positivity_certificate,
     restriction_table,
     structure_constants,
-    value_sign_ok,
     verify_product_identity,
 )
 from eqschub.localize import RestrictionTable

@@ -10,6 +10,7 @@ from eqschub import (
     CartanMatrix,
     build_root_system,
     builtin_root_system,
+    element_from_word,
     longest_element,
     opposite_constants,
     restriction_table,
@@ -61,6 +62,8 @@ def test_rootsys_bad_cartan_exits_2(tmp_path, capsys):
         {"rank": 1, "entries": [[1]]},
         {"rank": [1], "entries": [[2]]},
         {"rank": None, "entries": [[2]]},
+        {"rank": True, "entries": [[2]]},
+        {"rank": 1.0, "entries": [[2]]},
     ]:
         path.write_text(json.dumps(payload))
         code, out = run(["rootsys", "--cartan", str(path)])
@@ -232,6 +235,46 @@ def test_internal_solver_failure_exits_4(monkeypatch):
     monkeypatch.setattr(cli, "structure_constants", boom)
     code, _ = run(["mult", "--type", "A1", "--u", "1", "--v", "1"])
     assert code == 4
+
+
+def _corrupt_divisor(context, u, w):
+    from eqschub.rootsys import LinearForm
+
+    steps = context.steps[u]
+    k, (_, i, divisor) = next((k, step) for k, step in enumerate(steps) if step[0] == w)
+    doubled = divisor.scale(2)
+    steps[k] = (w, i, LinearForm(doubled.rank, doubled.terms, _clean=True))
+
+
+def _corrupt_chevalley_integer(context, u, w):
+    i = next(i for x, i, _ in context.steps[u] if x == w)
+    covers = context.covers_up[u][i]
+    k = next(k for k, (x, _) in enumerate(covers) if x == w)
+    covers[k] = (w, covers[k][1] + 1)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_divisor, _corrupt_chevalley_integer])
+def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt):
+    """In column s1 of A2, the entry at (u, w) = (s1, s2s1) is a2 divided by
+    the divisor a2, and its numerator takes the Chevalley integer of s2s1
+    over s1 once.  Doubling the divisor, or raising that integer from 1 to
+    2, leaves no exact quotient."""
+    import eqschub.cli as cli
+
+    build = cli.ChevalleyContext
+
+    def corrupted(table):
+        context = build(table)
+        rs = table.rs
+        index = context.index
+        u = index[element_from_word(rs, (1,))]
+        w = index[element_from_word(rs, (2, 1))]
+        corrupt(context, u, w)
+        return context
+
+    monkeypatch.setattr(cli, "ChevalleyContext", corrupted)
+    code, out = run(["sweep", "--type", "A2", "--max-length", "3"])
+    assert (code, out) == (4, "")
 
 
 def test_csv_rejected_outside_mult():
@@ -519,7 +562,7 @@ def _forbid_solving(monkeypatch):
     def solve(*args):
         raise AssertionError("a pair was solved before the cache was validated")
 
-    monkeypatch.setattr(cli, "structure_constants", solve)
+    monkeypatch.setattr(cli, "column_constants", solve)
 
 
 @pytest.mark.parametrize(
@@ -651,9 +694,9 @@ class _CountingPool:
         self.pool.shutdown(wait=True)
         return False
 
-    def map(self, fn, items, chunksize=1):
-        self.seen.extend(items)
-        return self.pool.map(fn, items, chunksize=chunksize)
+    def map(self, fn, rows, chunksize=1):
+        self.seen.extend((u, v) for u, row in rows for v in row)
+        return self.pool.map(fn, rows, chunksize=chunksize)
 
 
 def _count_solves(monkeypatch, jobs):
@@ -663,13 +706,13 @@ def _count_solves(monkeypatch, jobs):
 
     seen = []
     if jobs == 1:
-        solve = cli.structure_constants
+        solve = cli.column_constants
 
-        def counted(table, u, v):
-            seen.append((u.word, v.word))
-            return solve(table, u, v)
+        def counted(context, v, us):
+            seen.extend((v.word, u.word) for u in us)
+            return solve(context, v, us)
 
-        monkeypatch.setattr(cli, "structure_constants", counted)
+        monkeypatch.setattr(cli, "column_constants", counted)
     else:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: _CountingPool(seen, **kw))
     return seen
@@ -800,22 +843,23 @@ def test_sweep_keeps_finished_rows_when_interrupted(tmp_path, monkeypatch):
     cold = tmp_path / "cold.jsonl"
     run_sweep(rs.cartan.entries, rs.kind, 4, "x", cache_path=str(cold))
     full = cold.read_bytes()
-    solve = cli.structure_constants
-    calls = []
+    solve = cli.column_constants
+    pairs = []
 
-    def crash_on_twentieth(table, u, v):
-        calls.append(1)
-        if len(calls) == 20:
+    def crash_in_row_of_twentieth_pair(context, v, us):
+        pairs.extend(us)
+        if len(pairs) >= 20:
             raise InternalInconsistency("forced")
-        return solve(table, u, v)
+        return solve(context, v, us)
 
-    monkeypatch.setattr(cli, "structure_constants", crash_on_twentieth)
+    monkeypatch.setattr(cli, "column_constants", crash_in_row_of_twentieth_pair)
     cache = tmp_path / "cache.jsonl"
     args = ["sweep", "--type", "A3", "--max-length", "4", "--cache", str(cache)]
     assert run(args)[0] == 4
     written = cache.read_bytes()
-    # 9 swept elements; the first two rows hold 9 + 8 unordered pairs.
+    # 9 swept elements; the first two rows hold 9 + 8 unordered pairs, so
+    # the 20th pair is in the third row.
     assert written == b"".join(full.splitlines(keepends=True)[: 1 + 2 * 9])
-    monkeypatch.setattr(cli, "structure_constants", solve)
+    monkeypatch.setattr(cli, "column_constants", solve)
     assert run(args)[0] == 0
     assert cache.read_bytes() == full

@@ -1,4 +1,5 @@
-"""Triangular solve, opposite basis, certificates, numeric evaluation."""
+"""Triangular solve, Chevalley recurrence, opposite basis, certificates,
+numeric evaluation."""
 
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from eqschub import (
     build_root_system,
     builtin_root_system,
     element_from_word,
-    enumerate_upto,
     identity,
     inverse,
     inversions,
@@ -29,6 +29,7 @@ from eqschub import (
 )
 from eqschub.localize import RestrictionTable
 from eqschub.rootsys import GENERAL
+from eqschub.structconst import ChevalleyContext, column_constants
 
 from conftest import affine_a_cartan
 
@@ -112,6 +113,8 @@ def test_insufficient_bound_for_truncated_range():
     u = element_from_word(AFF, (1, 2))
     with pytest.raises(InsufficientBound):
         structure_constants(table, u, u)
+    with pytest.raises(InsufficientBound):
+        column_constants(ChevalleyContext(table), u, [u])
 
 
 def test_complete_range_allows_any_pair():
@@ -127,6 +130,8 @@ def test_solver_requires_kk_convention():
     s1 = element_from_word(A2, (1,))
     with pytest.raises(ValueError):
         structure_constants(billey, s1, s1)
+    with pytest.raises(ValueError):
+        ChevalleyContext(billey)
 
 
 def test_solver_rejects_foreign_elements():
@@ -218,6 +223,88 @@ def test_affine_constants_stable_under_bound_increase():
             s6 = structure_constants(t6, u, v)
             for w in s4.order:
                 assert s4.values[w] == s6.values[w]
+
+
+# ---------------------------------------------------------------------------
+# Chevalley recurrence, checked against the triangular solver
+
+
+def _assert_columns_match_solver(table, vs, us_of):
+    """Every column v of ``vs``, at the u of ``us_of(v)``, equals the
+    solver's constants of (u, v), entry by entry."""
+    context = ChevalleyContext(table)
+    for v in vs:
+        us = us_of(v)
+        tables = column_constants(context, v, us)
+        assert [s.u for s in tables] == us
+        for s in tables:
+            expected = structure_constants(table, s.u, v)
+            assert s.v == v and s.order == expected.order, (s.u, v)
+            for w in expected.order:
+                assert s.values[w] == expected.values[w], (s.u, v, w)
+
+
+C3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+
+
+@pytest.mark.parametrize(
+    "rs",
+    [A3, B2, builtin_root_system("G2"), build_root_system(CartanMatrix.from_rows(C3_ROWS))],
+    ids=["A3", "B2", "G2", "C3-cartan"],
+)
+def test_recurrence_matches_solver_on_whole_group(rs):
+    table = restriction_table(rs, len(rs.positive_roots))
+    els = list(table.range.elements)
+    # Columns at and after v in range order: the pairs a sweep computes.
+    _assert_columns_match_solver(table, els, lambda v: els[els.index(v):])
+
+
+@pytest.mark.parametrize("bound", range(7))
+def test_recurrence_matches_solver_on_affine_a2(bound):
+    table = restriction_table(AFF_A2, bound)
+    swept = [w for w in table.range if w.length <= bound // 2]
+    _assert_columns_match_solver(table, swept, lambda v: swept)
+
+
+def test_recurrence_matches_solver_on_seeded_a4_columns():
+    a4 = build_root_system(CartanMatrix(
+        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    ))
+    table = restriction_table(a4, len(a4.positive_roots))
+    els = list(table.range.elements)
+    vs = random.Random(9908172).sample(els, 2)
+    _assert_columns_match_solver(table, vs, lambda v: els)
+
+
+def test_chevalley_integers_match_hand_values():
+    """The gcd integers c_{s_i,u}^x of the context, against the hand values of
+    ``test_degree_one_products_match_chevalley_values`` and against the
+    solver's degree-one products x_{s_i} x_u on every element u."""
+    for name in ("B2", "G2"):
+        system = builtin_root_system(name)
+        t = restriction_table(system, len(system.positive_roots))
+        context = ChevalleyContext(t)
+        els = context.elements
+
+        def integers(u, i):
+            return {els[x].word: k for x, k in context.covers_up[u][i]}
+
+        s2 = context.index[element_from_word(system, (2,))]
+        assert integers(s2, 0) == {(1, 2): 1, (2, 1): 1}
+        assert integers(s2, 1) == {(1, 2): 1}
+        for u in range(len(els)):
+            for i in range(system.rank):
+                s_i = element_from_word(system, (i + 1,))
+                expected = {
+                    w.word: p
+                    for w, p in structure_constants(t, s_i, els[u]).nonzero_items()
+                    if w.length == els[u].length + 1
+                }
+                assert {
+                    word: RootPolynomial.constant(2, k) for word, k in integers(u, i).items()
+                } == expected, (name, els[u], i)
+                for x, k in context.covers_up[u][i]:
+                    assert (u, k) in context.covers_down[x][i]
 
 
 # ---------------------------------------------------------------------------
