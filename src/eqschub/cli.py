@@ -221,17 +221,6 @@ def cmd_restrict(args, out) -> int:
 # mult
 
 
-def _table_for_pair(rs: RootSystem, total_length: int, max_length: int | None):
-    if max_length is not None:
-        bound = max_length
-    elif rs.kind == FINITE:
-        # The solver reads no fixed point longer than length(u)+length(v).
-        bound = min(total_length, len(rs.positive_roots))
-    else:
-        bound = total_length
-    return restriction_table(rs, bound)
-
-
 def cmd_mult(args, out) -> int:
     rs = load_root_system(args)
     u_word = parse_word(args.u, rs.rank, "--u")
@@ -240,7 +229,10 @@ def cmd_mult(args, out) -> int:
     v = element_from_word(rs, v_word)
     if args.basis == "y" and rs.kind != FINITE:
         raise CliError("--basis y requires a finite-type root system")
-    table = _table_for_pair(rs, u.length + v.length, args.max_length)
+    # The solver reads no fixed point longer than length(u)+length(v), and
+    # a finite group's range stops at the longest element.
+    bound = u.length + v.length if args.max_length is None else args.max_length
+    table = restriction_table(rs, bound)
     try:
         s = structure_constants(table, u, v)
     except InsufficientBound as exc:

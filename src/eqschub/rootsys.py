@@ -65,6 +65,9 @@ class CartanMatrix:
         for row in self.entries:
             if len(row) != n:
                 raise InvalidCartan("matrix is not square")
+            # Floats, strings and bools are refused, never converted.
+            if any(type(x) is not int for x in row):
+                raise InvalidCartan(f"non-integer entry in row {list(row)}")
         for i in range(n):
             if self.entries[i][i] != 2:
                 raise InvalidCartan(f"diagonal entry a[{i + 1}][{i + 1}] != 2")
@@ -81,9 +84,9 @@ class CartanMatrix:
     @classmethod
     def from_rows(cls, rows) -> "CartanMatrix":
         try:
-            entries = tuple(tuple(int(x) for x in row) for row in rows)
-        except (TypeError, ValueError) as exc:
-            raise InvalidCartan(f"non-integer entries: {exc}") from exc
+            entries = tuple(tuple(row) for row in rows)
+        except TypeError as exc:
+            raise InvalidCartan(f"entries are not a list of rows: {exc}") from exc
         return cls(entries)
 
     @property

@@ -154,20 +154,7 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
             if xi is not None:
                 numerator = numerator - poly * xi
         if u in leq[w] and v in leq[w]:
-            quotient = numerator
-            try:
-                for lin in forms[w]:
-                    quotient = quotient.exact_divide_linear(lin)
-            except NotDivisible as exc:
-                raise InternalInconsistency(
-                    f"inexact diagonal division at (u={u.word_text()}, "
-                    f"v={v.word_text()}, w={w.word_text()})"
-                ) from exc
-            if not quotient.is_homogeneous_of(total - w.length):
-                raise InternalInconsistency(
-                    f"value at (u={u.word_text()}, v={v.word_text()}, "
-                    f"w={w.word_text()}) is not homogeneous of degree {total - w.length}"
-                )
+            quotient = _checked_quotient(numerator, forms[w], total - w.length, u, v, w)
             values[w] = quotient
             if not quotient.is_zero():
                 solved.append((w, quotient))
@@ -266,6 +253,25 @@ def _linear_coords(poly: RootPolynomial) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def _checked_quotient(dividend: RootPolynomial, divisors, degree: int, u, v, w) -> RootPolynomial:
+    """``dividend`` divided exactly by each linear form of ``divisors``; an
+    inexact division or a quotient not homogeneous of ``degree`` is an
+    InternalInconsistency at (u, v, w)."""
+    try:
+        for lin in divisors:
+            dividend = dividend.exact_divide_linear(lin)
+    except NotDivisible as exc:
+        raise InternalInconsistency(
+            f"inexact division at (u={u.word_text()}, v={v.word_text()}, w={w.word_text()})"
+        ) from exc
+    if not dividend.is_homogeneous_of(degree):
+        raise InternalInconsistency(
+            f"value at (u={u.word_text()}, v={v.word_text()}, w={w.word_text()}) "
+            f"is not homogeneous of degree {degree}"
+        )
+    return dividend
+
+
 def column_constants(
     context: ChevalleyContext, v: WeylElement, us
 ) -> list[StructureTable]:
@@ -316,20 +322,10 @@ def column_constants(
                 acc = {e: c for e, c in acc.items() if c}
             if not acc:
                 continue
-            try:
-                value = RootPolynomial(rank, acc, _clean=True).exact_divide_linear(divisor)
-            except NotDivisible as exc:
-                raise InternalInconsistency(
-                    f"inexact recurrence division at (u={elements[u].word_text()}, "
-                    f"v={v.word_text()}, w={elements[w].word_text()})"
-                ) from exc
-            if not value.is_homogeneous_of(top - length[w]):
-                raise InternalInconsistency(
-                    f"value at (u={elements[u].word_text()}, v={v.word_text()}, "
-                    f"w={elements[w].word_text()}) is not homogeneous of degree "
-                    f"{top - length[w]}"
-                )
-            values[w] = value
+            values[w] = _checked_quotient(
+                RootPolynomial(rank, acc, _clean=True), (divisor,), top - length[w],
+                elements[u], v, elements[w],
+            )
         column[u] = values
     zero = RootPolynomial.zero(rank)
     out = []

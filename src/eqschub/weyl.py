@@ -2,9 +2,11 @@
 
 An element is identified by its action matrix (columns are the images of
 the simple roots); words are non-unique, so the matrix is the identity of
-record.  The canonical reduced word is produced by repeatedly stripping
-the smallest right descent, and words act on the left, applied right to
-left: ``word = (i1, .., ik)`` means ``s_{i1} s_{i2} ... s_{ik}``.
+record.  Words act on the left, applied right to left:
+``word = (i1, .., ik)`` means ``s_{i1} s_{i2} ... s_{ik}``.  The canonical
+reduced word of w is that of its parent w s_d followed by d, the smallest
+right descent of w (Bjorner-Brenti, GTM 231); ``canonicalize`` finds it by
+stripping descents, ``enumerate_upto`` by extending parents.
 """
 
 from __future__ import annotations
@@ -239,30 +241,26 @@ class WeylRange:
 
     ``complete`` is True when the range provably exhausts the whole group
     (no element of maximal stored length has a length-increasing
-    extension).
+    extension).  ``right_mul`` maps w to (w s_1, .., w s_rank), with None
+    where w s_i leaves the range.  ``inversion_forms`` maps w to the roots
+    of ``inversion_coords(rs, w.word)`` as linear forms prepared as
+    divisors; their product is the diagonal restriction at w.
     """
 
-    def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...], complete: bool):
+    def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],
+                 complete: bool, right_mul: dict, inversion_forms: dict):
         self.rs = rs
         self.bound = bound
         self.elements = elements
         self.complete = complete
+        self.right_mul = right_mul
+        self.inversion_forms = inversion_forms
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    @cached_property
-    def right_mul(self) -> dict:
-        """w -> (w s_1, .., w s_rank), with None where w s_i leaves the range."""
-        by_matrix = {w.matrix: w for w in self.elements}
-        rs = self.rs
-        return {
-            w: tuple(by_matrix.get(_reflect_right(rs, w.matrix, i)) for i in range(rs.rank))
-            for w in self.elements
-        }
 
     @cached_property
     def leq(self) -> dict:
@@ -284,64 +282,52 @@ class WeylRange:
         return below
 
     @cached_property
-    def inversion_forms(self) -> dict:
-        """w -> the inversion roots of ``inversion_coords(rs, w.word)`` as
-        linear forms, prepared as divisors; their product is the diagonal
-        restriction at w.
-
-        Built along canonical words: with i the last letter of v and
-        v' = v s_i, the forms of v are those of v' followed by v'(alpha_i).
-        """
-        rmul = self.right_mul
-        rank = self.rs.rank
-        forms: dict = {}
-        for v in self.elements:
-            if not v.word:
-                forms[v] = ()
-                continue
-            i = v.word[-1] - 1
-            parent = rmul[v][i]
-            forms[v] = forms[parent] + (
-                LinearForm.from_linear(rank, _column(parent.matrix, i)),
-            )
-        return forms
-
-    @cached_property
     def inverses(self) -> dict:
         return {w: inverse(w) for w in self.elements}
 
 
 def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> WeylRange:
-    """Breadth-first closure under length-increasing right multiplication."""
+    """Breadth-first closure under length-increasing right multiplication.
+
+    Each product w s_i is computed once, from the side where i is an
+    ascent, and recorded both ways, so the letters recorded for an element
+    of the level being extended are its right descents and the rest its
+    ascents.  Letters are tried in increasing order, so a new element is
+    first reached from its parent w s_d, d its smallest right descent: its
+    canonical word is the parent's followed by d, and its inversion forms
+    are the parent's followed by parent(alpha_d).
+    """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
-    seen = {_identity_matrix(rs.rank)}
-    level = [_identity_matrix(rs.rank)]
-    levels = [level]
+    n = rs.rank
+    e = identity(rs)
+    rmul = {e: [None] * n}
+    forms = {e: ()}
+    elements, level = [e], [e]
     for _ in range(k):
-        nxt = []
-        for m in level:
-            for i in range(rs.rank):
-                if _column_is_positive(m, i):
-                    child = _reflect_right(rs, m, i)
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-                        if len(seen) > cap:
+        found: dict = {}
+        for i in range(n):
+            for w in level:
+                if rmul[w][i] is None:
+                    m = _reflect_right(rs, w.matrix, i)
+                    child = found.get(m)
+                    if child is None:
+                        child = found[m] = WeylElement(rs, m, w.word + (i + 1,))
+                        rmul[child] = [None] * n
+                        beta = LinearForm.from_linear(n, _column(w.matrix, i))
+                        forms[child] = forms[w] + (beta,)
+                        if len(rmul) > cap:
                             raise ResourceCap(
                                 f"enumeration exceeded {cap} elements at length bound {k}"
                             )
-        if not nxt:
+                    rmul[w][i] = child
+                    rmul[child][i] = w
+        if not found:
             break
-        level = nxt
-        levels.append(level)
-    exhausted = len(levels) <= k or not any(
-        _column_is_positive(m, i) for m in levels[-1] for i in range(rs.rank)
-    )
-    elements = sorted(
-        (canonicalize(rs, m) for m in seen), key=lambda w: (w.length, w.word)
-    )
-    return WeylRange(rs, k, tuple(elements), exhausted)
+        level = sorted(found.values(), key=lambda w: w.word)
+        elements.extend(level)
+    complete = all(x is not None for w in level for x in rmul[w])
+    return WeylRange(rs, k, tuple(elements), complete, rmul, forms)
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

@@ -64,6 +64,11 @@ def test_rootsys_bad_cartan_exits_2(tmp_path, capsys):
         {"rank": None, "entries": [[2]]},
         {"rank": True, "entries": [[2]]},
         {"rank": 1.0, "entries": [[2]]},
+        {"entries": [[2.9, -1], [-1, 2]]},
+        {"entries": [[2, -1.5], [-1, 2]]},
+        {"entries": [[2, "-1"], [-1, 2]]},
+        {"entries": [[2.0, -1], [-1, 2]]},
+        {"entries": [[2, False], [False, 2]]},
     ]:
         path.write_text(json.dumps(payload))
         code, out = run(["rootsys", "--cartan", str(path)])

@@ -100,6 +100,9 @@ def test_invalid_cartan_rejected():
         CartanMatrix(((2, 0), (-1, 2)))
     with pytest.raises(InvalidCartan):
         CartanMatrix(((2, -1), (-1,)))
+    for rows in (((2.0, -1), (-1, 2)), ((2, False), (False, 2))):
+        with pytest.raises(InvalidCartan):
+            CartanMatrix(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import eqschub
+from eqschub import weyl
 from eqschub import (
     CartanMatrix,
     NotFiniteType,
@@ -42,6 +43,13 @@ B2 = builtin_root_system("B2")
 G2 = builtin_root_system("G2")
 AFF = builtin_root_system("AffineA1")
 AFF_A2 = build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL)
+A4 = build_root_system(CartanMatrix(
+    ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+))
+
+# Whole finite groups and truncated affine ranges, as (system, bound).
+WHOLE_AND_TRUNCATED = [(A3, 6), (G2, 6), (A4, 10), (AFF, 8), (AFF_A2, 5)]
+RANGE_IDS = ["A3", "G2", "A4", "AffineA1", "AffineA2"]
 
 
 def coords(*vals):
@@ -186,7 +194,7 @@ def test_reflect_right_matches_matrix_product(rs, k):
             assert _reflect_right(rs, w.matrix, i) == _mat_mul(w.matrix, rs.reflections[i])
 
 
-@pytest.mark.parametrize("rs,k", [(A3, 6), (AFF_A2, 4)], ids=["A3", "AffineA2"])
+@pytest.mark.parametrize("rs,k", WHOLE_AND_TRUNCATED, ids=RANGE_IDS)
 def test_right_mul_matches_multiply(rs, k):
     rng = enumerate_upto(rs, k)
     for w in rng:
@@ -198,9 +206,7 @@ def test_right_mul_matches_multiply(rs, k):
                 assert product == expected and product.word == expected.word
 
 
-@pytest.mark.parametrize(
-    "rs,k", [(A3, 6), (G2, 6), (AFF, 8), (AFF_A2, 5)], ids=["A3", "G2", "AffineA1", "AffineA2"]
-)
+@pytest.mark.parametrize("rs,k", WHOLE_AND_TRUNCATED, ids=RANGE_IDS)
 def test_inversion_forms_match_inversion_coords(rs, k):
     rng = enumerate_upto(rs, k)
     for w in rng:
@@ -285,10 +291,34 @@ def test_enumerate_resource_cap():
 
 
 def test_canonicalize_round_trip_over_ranges():
-    for rs, k in [(A2, 3), (B2, 4), (AFF, 5)]:
+    for rs, k in [(A2, 3), (B2, 4), (AFF, 5)] + WHOLE_AND_TRUNCATED:
         for w in enumerate_upto(rs, k):
             again = canonicalize(rs, w.matrix)
-            assert again.word == w.word and again.length == w.length
+            assert again.word == w.word and again.length == w.length, (rs.descriptor, w)
+
+
+@pytest.mark.parametrize("rs,k", WHOLE_AND_TRUNCATED, ids=RANGE_IDS)
+def test_enumerate_makes_no_canonicalize_call(rs, k, monkeypatch):
+    expected = [w.word for w in enumerate_upto(rs, k)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_upto called canonicalize")
+
+    monkeypatch.setattr(weyl, "canonicalize", refuse)
+    rng = enumerate_upto(rs, k)
+    assert [w.word for w in rng] == expected
+    assert len(rng.right_mul) == len(rng.inversion_forms) == len(rng)
+
+
+@pytest.mark.parametrize("rs", [B2, G2, A3], ids=["B2", "G2", "A3"])
+def test_bound_past_positive_roots_gives_the_whole_group(rs):
+    top = len(rs.positive_roots)
+    whole = enumerate_upto(rs, top)
+    assert whole.complete
+    for k in (top + 1, 2 * top + 3):
+        rng = enumerate_upto(rs, k)
+        assert rng.elements == whole.elements and rng.complete
+    assert not enumerate_upto(rs, top - 1).complete
 
 
 def test_descent_rule_length_changes_by_one():
