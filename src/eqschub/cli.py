@@ -46,6 +46,7 @@ from .structconst import (
     column_constants,
     opposite_constants,
     positivity_certificate,
+    record_text,
     structure_constants,
 )
 from .weyl import element_from_word, enumerate_upto, inverse, longest_element
@@ -249,15 +250,15 @@ def cmd_mult(args, out) -> int:
             raise CliError(str(exc))
 
     if args.format == "json":
-        payload = s.to_json_dict(cert)
+        record, _ = record_text(s, cert)
         if evaluation is not None:
-            payload["eval"] = {
+            record = record[:-1] + ", \"eval\": " + json.dumps({
                 "nu": [str(x) for x in point],
                 "values": [
                     {"w": list(w.word), "value": str(evaluation[w])} for w in s.order
                 ],
-            }
-        print(json.dumps(payload), file=out)
+            }) + "}"
+        print(record, file=out)
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["w_word", "degree", "monomial", "coefficient"])
@@ -299,7 +300,7 @@ def _sweep_row_lines(state, u_word, v_words) -> list[tuple[str, str, bool]]:
 
     The constants are symmetric in u and v, so row u is column u of the
     recurrence, and the (u, v) record is the (v, u) record with its "u"
-    and "v" values swapped.
+    and "v" values swapped; ``record_text`` encodes both from one body.
     """
     elements = state["elements"]
     tables = column_constants(
@@ -310,13 +311,8 @@ def _sweep_row_lines(state, u_word, v_words) -> list[tuple[str, str, bool]]:
         if state["w0"] is not None:
             s = opposite_constants(s, state["w0"])
         cert = positivity_certificate(s)
-        payload = s.to_json_dict(cert)
-        line = json.dumps(payload)
-        if s.u == s.v:
-            out.append((line, line, bool(cert)))
-        else:
-            swapped = dict(payload, u=payload["v"], v=payload["u"])
-            out.append((json.dumps(swapped), line, bool(cert)))
+        line, swapped = record_text(s, cert)
+        out.append((swapped, line, bool(cert)))
     return out
 
 
@@ -681,7 +677,15 @@ def main(argv=None, out=None) -> int:
 
 
 def entry_point():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``eqschub ... | head``).  Point stdout at
+        # devnull so the flush at exit cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

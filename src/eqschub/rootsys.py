@@ -26,6 +26,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .errors import (
     ClosureOverflow,
@@ -514,29 +515,7 @@ class RootPolynomial:
 
     def evaluate(self, values) -> Fraction:
         """Exact evaluation at a_i = values[i-1] (rationals)."""
-        vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-        if len(vals) != self.rank:
-            raise RankMismatch("evaluation point has wrong rank")
-        if not self.terms:
-            return Fraction(0)
-        terms = self._exponent_items(self.terms.items())
-        max_exp = [0] * self.rank
-        for exp, _ in terms:
-            for i, e in enumerate(exp):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        num_pow = [[v.numerator**k for k in range(m + 1)] for v, m in zip(vals, max_exp)]
-        den_pow = [[v.denominator**k for k in range(m + 1)] for v, m in zip(vals, max_exp)]
-        denom = 1
-        for i in range(self.rank):
-            denom *= den_pow[i][max_exp[i]]
-        acc = 0
-        for exp, coeff in terms:
-            t = coeff
-            for i, e in enumerate(exp):
-                t *= num_pow[i][e] * den_pow[i][max_exp[i] - e]
-            acc += t
-        return Fraction(acc, denom)
+        return evaluate_many(self.rank, (self,), values)[0]
 
     def exact_divide_linear(self, lin: "RootPolynomial") -> "RootPolynomial":
         """Exact quotient by a nonzero homogeneous linear form.
@@ -610,7 +589,7 @@ class RootPolynomial:
         return " ".join(parts)
 
     def to_json_dict(self) -> dict:
-        return {"terms": terms_json(self.sorted_terms())}
+        return {"terms": [{"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]}
 
     @classmethod
     def from_json_dict(cls, rank: int, data: dict) -> "RootPolynomial":
@@ -644,9 +623,31 @@ class LinearForm(RootPolynomial):
         self.rest = tuple((e, c) for e, c in self.terms.items() if e != self.pivot_key)
 
 
-def terms_json(items) -> list[dict]:
-    """JSON form of (exponent tuple, coefficient) pairs, as ``sorted_terms`` lists them."""
-    return [{"exp": list(exp), "coeff": str(coeff)} for exp, coeff in items]
+def evaluate_many(rank: int, polys, values) -> list[Fraction]:
+    """Exact values of polynomials of one rank at a_i = values[i-1]
+    (rationals), from one table of the point's powers up to their largest
+    degree.  The point is converted only if some polynomial is nonzero."""
+    if len(values) != rank:
+        raise RankMismatch("evaluation point has wrong rank")
+    zero = Fraction(0)
+    top = max((max(p.terms) for p in polys if p.terms), default=-1) >> FIELD_BITS * rank
+    if top < 0:
+        return [zero] * len(polys)
+    vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    # With a_i = n_i / d_i, a term times prod d_i^top is its coefficient
+    # times prod scaled[i][e_i], where scaled[i][e] = n_i^e d_i^(top - e).
+    scaled = [[v.numerator**e * v.denominator**(top - e) for e in range(top + 1)] for v in vals]
+    denom = prod(v.denominator for v in vals) ** top
+    out = []
+    for p in polys:
+        acc = 0
+        if p.terms:
+            for exp, coeff in p._exponent_items(p.terms.items()):
+                for row, e in zip(scaled, exp):
+                    coeff *= row[e]
+                acc += coeff
+        out.append(Fraction(acc, denom) if acc else zero)
+    return out
 
 
 def monomial_text(exp: tuple[int, ...]) -> str:

@@ -67,6 +67,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -78,44 +79,26 @@ from .errors import (
     RankMismatch,
 )
 from .localize import RestrictionTable
-from .rootsys import FINITE, LinearForm, RootPolynomial, terms_json
+from .rootsys import FINITE, LinearForm, RootPolynomial, evaluate_many
 from .weyl import WeylElement, inverse
 
 
 class StructureTable:
     """Constants w -> polynomial for one index pair, with a basis tag."""
 
-    def __init__(self, table: RestrictionTable, basis: str, u: WeylElement, v: WeylElement, values: dict):
+    def __init__(self, table: RestrictionTable, basis: str, u: WeylElement, v: WeylElement,
+                 values: dict, order=None):
         self.source = table
         self.rs = table.rs
         self.basis = basis
         self.u = u
         self.v = v
         self.values = values
-        self.order = tuple(w for w in table.range.elements if w in values)
+        # The keys of ``values`` in range order; a scan finds them unless given.
+        self.order = order or tuple(w for w in table.range.elements if w in values)
 
     def nonzero_items(self) -> list[tuple[WeylElement, RootPolynomial]]:
         return [(w, self.values[w]) for w in self.order if not self.values[w].is_zero()]
-
-    def to_json_dict(self, certificate: PositivityCertificate | None = None) -> dict:
-        """Cache record of the pair; builds the certificate unless one is given.
-
-        Each value's terms come from its certificate entry, which holds them
-        sorted already.
-        """
-        if certificate is None:
-            certificate = positivity_certificate(self)
-        return {
-            "type": self.rs.descriptor,
-            "basis": self.basis,
-            "u": list(self.u.word),
-            "v": list(self.v.word),
-            "values": [
-                {"w": list(e.w.word), "poly": {"terms": terms_json(e.monomials)}}
-                for e in certificate.entries
-            ],
-            "certificate": certificate.to_json_dict(),
-        }
 
 
 def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement) -> StructureTable:
@@ -331,10 +314,10 @@ def column_constants(
     out = []
     for u, uid in zip(us, ids):
         values = column[uid]
-        end = bisect_right(length, length[uid] + lv)
+        order = elements[:bisect_right(length, length[uid] + lv)]
         out.append(StructureTable(
             context.table, "x", u, v,
-            {elements[w]: values.get(w, zero) for w in range(end)},
+            {w: values.get(k, zero) for k, w in enumerate(order)}, order,
         ))
     return out
 
@@ -397,7 +380,7 @@ def opposite_constants(s: StructureTable, w0: WeylElement) -> StructureTable:
         raise ValueError("opposite_constants expects an x-basis table")
     matrix = w0.matrix
     values = {w: poly.apply_linear(matrix) for w, poly in s.values.items()}
-    return StructureTable(s.source, "y", s.u, s.v, values)
+    return StructureTable(s.source, "y", s.u, s.v, values, s.order)
 
 
 @dataclass
@@ -420,21 +403,6 @@ class PositivityCertificate:
     def __bool__(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "basis": self.basis,
-            "sign_rule": "nonneg" if self.basis == "x" else "alternating",
-            "monomials": [
-                {
-                    "w": list(e.w.word),
-                    "terms": terms_json(e.monomials),
-                    "verdict": "pass" if e.ok else "fail",
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def value_sign_ok(poly: RootPolynomial, basis: str) -> bool:
     """Sign test per basis tag.
@@ -450,16 +418,57 @@ def value_sign_ok(poly: RootPolynomial, basis: str) -> bool:
 
 
 def positivity_certificate(s: StructureTable) -> PositivityCertificate:
-    """Full monomial expansion of every value plus a per-value verdict."""
+    """Full monomial expansion of every value plus a per-value verdict; a
+    zero value gets an empty, passing entry."""
     entries = []
     failures = []
     for w in s.order:
         poly = s.values[w]
+        if not poly.terms:
+            entries.append(CertificateEntry(w, [], True))
+            continue
         ok = value_sign_ok(poly, s.basis)
         entries.append(CertificateEntry(w, poly.sorted_terms(), ok))
         if not ok:
             failures.append(w)
     return PositivityCertificate(s.basis, entries, failures)
+
+
+@lru_cache(maxsize=None)
+def _json(value: tuple[int, ...] | str) -> str:
+    """JSON text of a word, an exponent or a descriptor, memoised across records."""
+    import json  # here, so that importing eqschub does not load json
+
+    return json.dumps(list(value) if isinstance(value, tuple) else value)
+
+
+def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, str]:
+    """The cache records of the pairs (u, v) and (v, u), as the text
+    ``json.dumps`` gives their dict form {"type", "basis", "u", "v",
+    "values": [{"w", "poly": {"terms"}}], "certificate": {"verdict",
+    "basis", "sign_rule", "monomials": [{"w", "terms", "verdict"}]}}, one
+    item per certificate entry.  Each value's terms are rendered once for
+    both of its lists, and the two records share all but "u" and "v"."""
+    values = []
+    monomials = []
+    for e in cert.entries:
+        w = _json(e.w.word)
+        terms = "[" + ", ".join([
+            f'{{"exp": {_json(exp)}, "coeff": "{coeff}"}}' for exp, coeff in e.monomials
+        ]) + "]" if e.monomials else "[]"
+        values.append(f'{{"w": {w}, "poly": {{"terms": {terms}}}}}')
+        monomials.append(
+            f'{{"w": {w}, "terms": {terms}, "verdict": "{"pass" if e.ok else "fail"}"}}'
+        )
+    sign_rule = "nonneg" if cert.basis == "x" else "alternating"
+    body = (
+        f'"values": [{", ".join(values)}], "certificate": {{"verdict": "{cert.verdict}", '
+        f'"basis": "{cert.basis}", "sign_rule": "{sign_rule}", '
+        f'"monomials": [{", ".join(monomials)}]}}}}'
+    )
+    head = f'{{"type": {_json(s.rs.descriptor)}, "basis": "{s.basis}", '
+    u, v = _json(s.u.word), _json(s.v.word)
+    return f'{head}"u": {u}, "v": {v}, {body}', f'{head}"u": {v}, "v": {u}, {body}'
 
 
 def billey_evaluate(
@@ -480,8 +489,6 @@ def billey_evaluate(
         raise RankMismatch("evaluation point has wrong rank")
     if any(x <= 0 for x in point):
         raise DomainViolation("every coordinate of nu must be positive")
-    out = {}
-    for w in s.order:
-        key = inverse(w) if p_convention else w
-        out[key] = s.values[w].evaluate(point)
-    return out
+    values = evaluate_many(s.rs.rank, [s.values[w] for w in s.order], point)
+    keys = [inverse(w) for w in s.order] if p_convention else s.order
+    return dict(zip(keys, values))

@@ -49,6 +49,42 @@ def affine_a_cartan(n):
     )
 
 
+def certificate_dict(cert):
+    """Dict form of a positivity certificate, as a cache record holds it."""
+    return {
+        "verdict": cert.verdict,
+        "basis": cert.basis,
+        "sign_rule": "nonneg" if cert.basis == "x" else "alternating",
+        "monomials": [
+            {
+                "w": list(e.w.word),
+                "terms": [{"exp": list(exp), "coeff": str(c)} for exp, c in e.monomials],
+                "verdict": "pass" if e.ok else "fail",
+            }
+            for e in cert.entries
+        ],
+    }
+
+
+def record_dict(s, cert=None):
+    """Dict form of the cache record of a structure table, built the plain
+    way: the oracle of ``structconst.record_text``, which writes it as
+    text.  The values come from the table, the certificate is built
+    unless one is given."""
+    from eqschub import positivity_certificate
+
+    if cert is None:
+        cert = positivity_certificate(s)
+    return {
+        "type": s.rs.descriptor,
+        "basis": s.basis,
+        "u": list(s.u.word),
+        "v": list(s.v.word),
+        "values": [{"w": list(w.word), "poly": s.values[w].to_json_dict()} for w in s.order],
+        "certificate": certificate_dict(cert),
+    }
+
+
 def random_polynomial(rng, rank, max_terms=5, max_exp=3, max_coeff=9):
     """Small random integer polynomial for algebra property tests."""
     from eqschub import RootPolynomial

@@ -3,6 +3,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +22,7 @@ from eqschub import (
 from eqschub.cli import main, run_sweep
 from eqschub.rootsys import GENERAL
 
-from conftest import affine_a_cartan
+from conftest import affine_a_cartan, record_dict
 
 
 def run(argv):
@@ -173,6 +176,42 @@ def test_mult_json_has_certificate():
     assert code == 0
     data = json.loads(out)
     assert data["certificate"]["verdict"] == "pass"
+
+
+def test_mult_json_eval_is_json_dumps_of_the_record_dict():
+    """``mult --format json --eval`` prints, byte for byte, ``json.dumps`` of
+    the record's dict form with "eval" added last."""
+    code, out = run(["mult", "--type", "B2", "--u", "1,2", "--v", "2", "--basis", "y",
+                     "--format", "json", "--eval", "2,5/3"])
+    rs = builtin_root_system("B2")
+    u, v = element_from_word(rs, (1, 2)), element_from_word(rs, (2,))
+    s = opposite_constants(structure_constants(restriction_table(rs, 3), u, v),
+                           longest_element(rs))
+    point = (Fraction(2), Fraction(5, 3))
+    data = dict(record_dict(s), eval={
+        "nu": ["2", "5/3"],
+        "values": [{"w": list(w.word), "value": str(s.values[w].evaluate(point))}
+                   for w in s.order],
+    })
+    assert code == 0
+    assert out == json.dumps(data) + "\n"
+
+
+def test_mult_into_a_closed_pipe_prints_no_traceback():
+    """A reader that leaves early (``eqschub mult ... | head -c 1``) ends the
+    command without a traceback."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eqschub.cli", "mult", "--type", "A3",
+         "--u", "1,2,3", "--v", "3,2,1", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_mult_y_on_general_kind_exits_2():
@@ -406,7 +445,7 @@ def test_sweep_cache_lines_match_independent_solves(tmp_path, case):
         s = structure_constants(table, u, v)
         if w0 is not None:
             s = opposite_constants(s, w0)
-        assert line == json.dumps(s.to_json_dict()), (u, v)
+        assert line == json.dumps(record_dict(s)), (u, v)
 
 
 def test_sweep_cache_written_and_resumed(tmp_path):

@@ -1,6 +1,7 @@
 """Triangular solve, Chevalley recurrence, opposite basis, certificates,
 numeric evaluation."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -29,9 +30,9 @@ from eqschub import (
 )
 from eqschub.localize import RestrictionTable
 from eqschub.rootsys import GENERAL
-from eqschub.structconst import ChevalleyContext, column_constants
+from eqschub.structconst import ChevalleyContext, column_constants, record_text
 
-from conftest import affine_a_cartan
+from conftest import affine_a_cartan, certificate_dict, record_dict
 
 A1 = builtin_root_system("A1")
 A2 = builtin_root_system("A2")
@@ -482,8 +483,10 @@ def test_certificate_detects_sign_violation():
 
 def test_certificate_json_shape():
     s = element_from_word(A1, (1,))
-    cert = positivity_certificate(structure_constants(T_A1, s, s))
-    data = cert.to_json_dict()
+    table = structure_constants(T_A1, s, s)
+    cert = positivity_certificate(table)
+    data = json.loads(record_text(table, cert)[0])["certificate"]
+    assert data == certificate_dict(cert)
     assert data["verdict"] == "pass"
     assert data["sign_rule"] == "nonneg"
     assert {"w": [1], "terms": [{"exp": [1], "coeff": "1"}], "verdict": "pass"} in data[
@@ -551,7 +554,9 @@ def test_evaluate_p_convention_relabels_by_inverse():
 
 def test_structure_table_json():
     s = element_from_word(A1, (1,))
-    data = structure_constants(T_A1, s, s).to_json_dict()
+    table = structure_constants(T_A1, s, s)
+    data = json.loads(record_text(table, positivity_certificate(table))[0])
+    assert data == record_dict(table)
     assert data["type"] == "A1"
     assert data["basis"] == "x"
     assert data["u"] == [1] and data["v"] == [1]
@@ -560,3 +565,36 @@ def test_structure_table_json():
         {"w": [1], "poly": {"terms": [{"exp": [1], "coeff": "1"}]}},
     ]
     assert data["certificate"]["verdict"] == "pass"
+
+
+def _encoder_cases():
+    s = element_from_word(A1, (1,))
+    s1 = element_from_word(A2, (1,))
+    s12 = element_from_word(A2, (1, 2))
+    zero = RootPolynomial.zero(2)
+    return {
+        "failing": StructureTable(T_A1, "x", s, s, {s: poly(1, {(1,): -2})}),
+        "y-negative": opposite_constants(
+            structure_constants(T_A2, s12, s1), longest_element(A2)
+        ),
+        "all-zero": StructureTable(T_A2, "x", s1, s12, {w: zero for w in T_A2.range}),
+    }
+
+
+@pytest.mark.parametrize("case", ["failing", "y-negative", "all-zero"])
+def test_record_text_is_json_dumps_of_the_record_dict(case):
+    """Both lines of ``record_text`` are, byte for byte, ``json.dumps`` of
+    the record's dict form, with "u" and "v" swapped in the second."""
+    table = _encoder_cases()[case]
+    cert = positivity_certificate(table)
+    coeffs = [c for p in table.values.values() for c in p.terms.values()]
+    if case == "failing":
+        assert cert.verdict == "fail"
+    elif case == "y-negative":
+        assert min(coeffs) < 0 and table.u != table.v
+    else:
+        assert not coeffs and len(table.order) == len(T_A2.range)
+    line, swapped = record_text(table, cert)
+    data = record_dict(table, cert)
+    assert line == json.dumps(data)
+    assert swapped == json.dumps(dict(data, u=data["v"], v=data["u"]))
