@@ -3,9 +3,9 @@
 Builds root systems from (generalized) Cartan matrices, enumerates Weyl
 group elements as integer matrices, computes fixed-point restriction
 polynomials by the one-letter nil-Hecke recursion, computes structure constants by
-Bruhat-triangular elimination (one pair) or by the Chevalley recurrence
-(whole columns, for sweeps), and certifies the sign properties of the
-results with exact integer arithmetic throughout.
+the Chevalley recurrence (one pair, or whole columns for sweeps), and
+certifies the sign properties of the results with exact integer
+arithmetic throughout.
 """
 
 __version__ = "0.1.0"

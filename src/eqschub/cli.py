@@ -230,7 +230,7 @@ def cmd_mult(args, out) -> int:
     v = element_from_word(rs, v_word)
     if args.basis == "y" and rs.kind != FINITE:
         raise CliError("--basis y requires a finite-type root system")
-    # The solver reads no fixed point longer than length(u)+length(v), and
+    # The recurrence reads no fixed point longer than length(u)+length(v), and
     # a finite group's range stops at the longest element.
     bound = u.length + v.length if args.max_length is None else args.max_length
     table = restriction_table(rs, bound)

@@ -61,10 +61,10 @@ class DomainViolation(EqschubError):
 class InternalInconsistency(EqschubError):
     """A computed quantity contradicts a structural invariant.
 
-    Raised by the triangular solver (nonzero numerator at an element
-    excluded by the support condition, or an inexact diagonal division)
-    and by table construction when a verified invariant fails.  Always a
-    bug, never a user error.
+    Raised by the Chevalley recurrence (an inexact division, a value of
+    the wrong degree, a negative Chevalley coefficient) and by table
+    construction when a verified invariant fails.  Always a bug, never a
+    user error.
     """
 
     exit_code = 4

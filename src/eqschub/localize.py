@@ -123,7 +123,7 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
     if rng is None:
         rng = enumerate_upto(rs, k)
     rmul = rng.right_mul
-    forms = rng.inversion_forms
+    roots = rng.last_root
     columns: dict = {}
     for v in rng.elements:
         if not v.word:
@@ -131,7 +131,7 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
             continue
         i = v.word[-1] - 1
         parent = rmul[v][i]
-        beta = forms[v][-1]
+        beta = roots[v]
         column = dict(columns[parent])
         for u, poly in columns[parent].items():
             w = rmul[u][i]

@@ -1,26 +1,11 @@
-"""Structure constants from restrictions, by two routes.
+"""Structure constants from restrictions, by the Chevalley recurrence.
 
 The x-basis constants c_uv^w of a pair (u, v) are defined by
 xi^u xi^v = sum_w c_uv^w xi^w, where xi^u(w) is the restriction table's
 value at (u, w).  They vanish unless u <= w and v <= w, are homogeneous of
 degree l(u) + l(v) - l(w), and are symmetric in u and v.
 
-Triangular solve (``structure_constants``, one pair).  The solver walks
-the fixed points w in length-then-lex order (a linear extension of Bruhat
-order) and peels off
-
-    value(w) = [ xi_u(w) xi_v(w) - sum_{w' solved} value(w') xi_{w'}(w) ]
-               / xi_w(w)
-
-dividing the diagonal's inversion factors out one linear form at a time.
-Fixed points excluded by the support condition (u <= w and v <= w) are
-skipped with the numerator asserted to vanish; any exactness failure
-aborts the computation, since the triangular system has a unique
-solution.  ``mult`` uses it, and the tests use it as the oracle of the
-recurrence.
-
-Chevalley recurrence (``column_constants``, one v and many u).  The
-Chevalley formula (Kostant-Kumar, Adv. Math. 62, 1986) multiplies by a
+The Chevalley formula (Kostant-Kumar, Adv. Math. 62, 1986) multiplies by a
 degree-one class:
 
     xi^{s_i} xi^u = xi^{s_i}(u) xi^u + sum_{x covers u} c_{s_i,u}^x xi^x.
@@ -37,9 +22,11 @@ and, for each u, w in increasing length, every entry costs integer
 multiples of entries already known and one division by one linear form.
 The letter i is the smallest with a nonzero left factor; one exists for
 every u < w, since xi^{s_i}(w) = omega_i - w(omega_i) and only the
-identity fixes every fundamental weight.  On a truncated (Kac-Moody)
-range only w with l(w) <= min(l(u) + l(v), bound) are computed: the
-columns of longer u need those entries too.
+identity fixes every fundamental weight.  The entries of u read only
+those of the x covering u at the same w, so the constants of (u, v) need
+only the x >= u and the w with l(w) <= l(u) + l(v), which a truncated
+(Kac-Moody) range must hold: ``structure_constants`` computes one pair
+over that set, ``column_constants`` many u over the union of theirs.
 
 Everything is read from the restriction table, so no fundamental weight
 is needed.  For y covered by w = y s_beta, the Chevalley integer is
@@ -64,11 +51,12 @@ which is the sign dichotomy the certificates check.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import sub
 
 from .errors import (
     DomainViolation,
@@ -84,169 +72,159 @@ from .weyl import WeylElement, inverse
 
 
 class StructureTable:
-    """Constants w -> polynomial for one index pair, with a basis tag."""
+    """Constants w -> polynomial for one index pair, with a basis tag;
+    ``order`` lists the keys of ``values`` in range order."""
 
     def __init__(self, table: RestrictionTable, basis: str, u: WeylElement, v: WeylElement,
-                 values: dict, order=None):
+                 values: dict, order):
         self.source = table
         self.rs = table.rs
         self.basis = basis
         self.u = u
         self.v = v
         self.values = values
-        # The keys of ``values`` in range order; a scan finds them unless given.
-        self.order = order or tuple(w for w in table.range.elements if w in values)
+        self.order = order
 
     def nonzero_items(self) -> list[tuple[WeylElement, RootPolynomial]]:
         return [(w, self.values[w]) for w in self.order if not self.values[w].is_zero()]
 
 
 def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement) -> StructureTable:
-    """Solve for the x-basis constants of the pair (u, v).
+    """The x-basis constants of the pair (u, v), by the recurrence over the
+    x >= u (see the module docstring).
 
     Requires the KK convention and a table bound of at least
     length(u) + length(v), unless the range already exhausts the whole
     group (finite type), in which case any bound works because no fixed
     points beyond the enumerated ones exist.
     """
-    if table.convention != "KK":
-        raise ValueError("solver requires a KK-convention table")
+    context = ChevalleyContext(table)
     if (
         u.rs.cartan.entries != table.rs.cartan.entries
         or v.rs.cartan.entries != table.rs.cartan.entries
     ):
         raise RankMismatch("elements do not belong to the table's root system")
-    rng = table.range
-    total = u.length + v.length
-    if not rng.complete and rng.bound < total:
-        raise InsufficientBound(
-            f"table bound {rng.bound} < length(u)+length(v) = {total}"
-        )
-    leq = rng.leq
-    forms = rng.inversion_forms
-    restriction = table.values.get
-    zero = RootPolynomial.zero(table.rs.rank)
-    values: dict = {}
-    solved: list[tuple[WeylElement, RootPolynomial]] = []
-    for w in rng.elements:
-        if w.length > total:
-            break
-        numerator = table.value(u, w) * table.value(v, w)
-        for wp, poly in solved:
-            xi = restriction((wp, w))
-            if xi is not None:
-                numerator = numerator - poly * xi
-        if u in leq[w] and v in leq[w]:
-            quotient = _checked_quotient(numerator, forms[w], total - w.length, u, v, w)
-            values[w] = quotient
-            if not quotient.is_zero():
-                solved.append((w, quotient))
-        else:
-            if not numerator.is_zero():
-                raise InternalInconsistency(
-                    f"nonzero numerator at skipped fixed point (u={u.word_text()}, "
-                    f"v={v.word_text()}, w={w.word_text()})"
-                )
-            values[w] = zero
-    return StructureTable(table, "x", u, v, values)
+    return column_constants(context, v, [u])[0]
 
 
 class ChevalleyContext:
-    """What the Chevalley recurrence reads of one range, built once.
+    """What the Chevalley recurrence reads of one range.
 
     An element's id is its position in the range, so ids run in length
-    order.  For each id:
+    order.  ``restriction[a]`` maps b to xi^a(b) for the b >= a (the
+    table's nonzero entries), ``below[w]`` lists the y that w covers, and
+    ``xi[w][i]`` holds the coordinates of xi^{s_i}(w).  The first
+    ``read(x)``, when a column first reads x, builds:
 
-    * ``restriction[a]`` maps b to xi^a(b) for the b >= a (the table's
-      nonzero entries);
-    * ``steps[u]`` lists (w, i, divisor) for each w > u in increasing
-      length, with i the recurrence's letter at (u, w) and the divisor
-      xi^{s_i}(w) - xi^{s_i}(u) prepared as a ``LinearForm``;
-    * ``covers_up[u][i]`` lists (x, c_{s_i,u}^x) for the x covering u, and
-      ``covers_down[w][i]`` lists (y, c_{s_i,y}^w) for the y that w covers,
+    * ``steps[x]`` lists (w, i, divisor) for each w > x in increasing
+      length, with i the recurrence's letter at (x, w) and the divisor
+      xi^{s_i}(w) - xi^{s_i}(x) prepared as a ``LinearForm``;
+    * ``covers_up[x][i]`` lists (w, c_{s_i,x}^w) for the w covering x, and
+      ``covers_down[x][i]`` lists (y, c_{s_i,y}^x) for the y that x covers,
       each without the zero integers.
     """
 
     def __init__(self, table: RestrictionTable):
         if table.convention != "KK":
             raise ValueError("recurrence requires a KK-convention table")
-        rng = table.range
         self.table = table
-        self.elements = rng.elements
+        self.elements = table.range.elements
         n = len(self.elements)
-        rank = table.rs.rank
         self.index = index = {w: k for k, w in enumerate(self.elements)}
         self.length = length = [w.length for w in self.elements]
-        restriction: list[dict] = [{} for _ in range(n)]
-        for (a, b), poly in table.values.items():
-            restriction[index[a]][index[b]] = poly
-        self.restriction = restriction
-        # xi[i][w] = the coordinates of xi^{s_i}(w); a range without
-        # elements of length 1 needs none.
-        xi = []
+        self.restriction = restriction = [{} for _ in range(n)]
+        self.below = below = [[] for _ in range(n)]
+        last = b = None
+        for (a, v), poly in table.values.items():
+            if v is not last:
+                last, b = v, index[v]
+            a = index[a]
+            restriction[a][b] = poly
+            if length[a] + 1 == length[b]:
+                below[b].append(a)
+        # xi[w][i] from the rows of the length-1 elements s_i; a range
+        # without them has no letters to read.
+        zero = (0,) * table.rs.rank
+        rows = []
         for s, e in enumerate(self.elements):
             if e.length == 1:
-                row = [(0,) * rank] * n
+                row = [zero] * n
                 for w, poly in restriction[s].items():
-                    row[w] = _linear_coords(poly)
-                xi.append(row)
-        self.covers_up = [[[] for _ in xi] for _ in range(n)]
-        self.covers_down = [[[] for _ in xi] for _ in range(n)]
-        self.steps = []
-        forms: dict = {}
-        for u in range(n):
-            steps = []
-            for w in sorted(restriction[u]):
-                if w == u:
-                    continue
-                if length[w] == length[u] + 1:
-                    self._add_cover(xi, u, w)
-                i = next((i for i, row in enumerate(xi) if row[w] != row[u]), None)
-                if i is None:
-                    raise InternalInconsistency(
-                        f"no letter separates {self.elements[u]} < {self.elements[w]}"
-                    )
-                diff = tuple(a - b for a, b in zip(xi[i][w], xi[i][u]))
-                divisor = forms.get(diff)
-                if divisor is None:
-                    divisor = forms[diff] = LinearForm.from_linear(rank, diff)
-                steps.append((w, i, divisor))
-            self.steps.append(steps)
+                    try:
+                        row[w] = poly.linear_coords()
+                    except ValueError as exc:
+                        raise InternalInconsistency(
+                            f"value({e}, {self.elements[w]}): {exc}"
+                        ) from exc
+                rows.append(row)
+        self.xi = list(zip(*rows)) if rows else [()] * n
+        self.steps = [None] * n
+        self.covers_up = [None] * n
+        self.covers_down = [None] * n
+        self._divisors: dict = {}
 
-    def _add_cover(self, xi, y: int, w: int):
-        """Record c_{s_i,y}^w for every i, for w covering y."""
-        for i, row in enumerate(xi):
-            coeffs = [a - b for a, b in zip(row[w], row[y])]
-            if any(c < 0 for c in coeffs):
+    def read(self, x: int):
+        """``steps[x]`` and ``covers_up[x]``, with ``covers_down[x]``, built
+        on the first call for x."""
+        if self.steps[x] is None:
+            length, xi, divisors = self.length, self.xi, self._divisors
+            at_x = xi[x]
+            steps = []
+            up = [[] for _ in at_x]
+            for w in sorted(self.restriction[x]):
+                if w == x:
+                    continue
+                at_w = xi[w]
+                if length[w] == length[x] + 1:
+                    self._cover(up, w, x, w)
+                i = 0
+                while at_w[i] == at_x[i]:
+                    i += 1
+                    if i == len(at_x):
+                        raise InternalInconsistency(
+                            f"no letter separates {self.elements[x]} < {self.elements[w]}"
+                        )
+                key = (at_w[i], at_x[i])
+                divisor = divisors.get(key)
+                if divisor is None:
+                    diff = tuple(map(sub, *key))
+                    divisor = divisors[key] = LinearForm.from_linear(len(diff), diff)
+                steps.append((w, i, divisor))
+            down = [[] for _ in at_x]
+            for y in sorted(self.below[x]):
+                self._cover(down, y, y, x)
+            self.steps[x], self.covers_up[x], self.covers_down[x] = steps, up, down
+        return self.steps[x], self.covers_up[x]
+
+    def _cover(self, lists, other: int, y: int, w: int):
+        """Append (other, c_{s_i,y}^w) to ``lists[i]`` for each i with a
+        nonzero integer, for w covering y."""
+        for i, (p, q) in enumerate(zip(self.xi[w], self.xi[y])):
+            if p == q:
+                continue
+            coeffs = tuple(map(sub, p, q))
+            if min(coeffs) < 0:
                 raise InternalInconsistency(
                     f"xi^s{i + 1} at {self.elements[w]} minus at "
                     f"{self.elements[y]} has a negative coefficient"
                 )
             k = gcd(*coeffs)
             if k:
-                self.covers_up[y][i].append((w, k))
-                self.covers_down[w][i].append((y, k))
+                lists[i].append((other, k))
 
 
-def _linear_coords(poly: RootPolynomial) -> tuple[int, ...]:
-    """Coefficients of a linear form on a1, .., a_rank."""
-    coords = [0] * poly.rank
-    for exp, coeff in poly.sorted_terms():
-        coords[exp.index(1)] = coeff
-    return tuple(coords)
-
-
-def _checked_quotient(dividend: RootPolynomial, divisors, degree: int, u, v, w) -> RootPolynomial:
-    """``dividend`` divided exactly by each linear form of ``divisors``; an
-    inexact division or a quotient not homogeneous of ``degree`` is an
-    InternalInconsistency at (u, v, w)."""
-    try:
-        for lin in divisors:
-            dividend = dividend.exact_divide_linear(lin)
-    except NotDivisible as exc:
-        raise InternalInconsistency(
-            f"inexact division at (u={u.word_text()}, v={v.word_text()}, w={w.word_text()})"
-        ) from exc
+def _checked_quotient(dividend: RootPolynomial, divisor, degree: int, u, v, w) -> RootPolynomial:
+    """``dividend`` divided exactly by the linear form ``divisor``, or
+    ``dividend`` itself if the divisor is None; an inexact division or a
+    value not homogeneous of ``degree`` is an InternalInconsistency at
+    (u, v, w)."""
+    if divisor is not None:
+        try:
+            dividend = dividend.exact_divide_linear(divisor)
+        except NotDivisible as exc:
+            raise InternalInconsistency(
+                f"inexact division at (u={u.word_text()}, v={v.word_text()}, w={w.word_text()})"
+            ) from exc
     if not dividend.is_homogeneous_of(degree):
         raise InternalInconsistency(
             f"value at (u={u.word_text()}, v={v.word_text()}, w={w.word_text()}) "
@@ -261,38 +239,41 @@ def column_constants(
     """The x-basis constants of the pairs (u, v), for each u of ``us``, by
     the Chevalley recurrence (see the module docstring).
 
-    Computes the column of v for every element of the range at least as
-    long as the shortest u, longest first, holding that one column; each
-    table holds the same values ``structure_constants`` gives the pair.
+    Computes the column of v at every x above some u, longest first, up
+    to length max(l(u)) + l(v); each table holds the constants of one
+    pair at every w up to length l(u) + l(v).
     """
     rng = context.table.range
     index, length, elements = context.index, context.length, context.elements
+    restriction = context.restriction
     vid = index[v]
     lv = length[vid]
     ids = [index[u] for u in us]
-    if not rng.complete and rng.bound < max(length[u] for u in ids) + lv:
-        raise InsufficientBound(
-            f"table bound {rng.bound} < length(u)+length(v) for some u"
-        )
+    top = max(length[u] for u in ids) + lv
+    if not rng.complete and rng.bound < top:
+        raise InsufficientBound(f"table bound {rng.bound} < length(u)+length(v) = {top}")
     rank = context.table.rs.rank
-    xi_v = context.restriction[vid]
-    steps, covers_up, covers_down = context.steps, context.covers_up, context.covers_down
+    xi_v = restriction[vid]
+    covers_down = context.covers_down
     column: dict = {}
-    start = bisect_left(length, min(length[u] for u in ids))
-    for u in range(len(elements) - 1, start - 1, -1):
-        top = length[u] + lv
+    # Every w > x read below is some u's upper element, longer than x, so
+    # its ``read`` ran before x's.
+    for x in sorted({x for u in ids for x in restriction[u] if length[x] <= top}, reverse=True):
+        steps, covers_up = context.read(x)
+        degree = length[x] + lv
+        last = min(degree, top)
         values = {}
-        if u in xi_v:
-            values[u] = xi_v[u]
-        for w, i, divisor in steps[u]:
-            if length[w] > top:
+        if x in xi_v:
+            values[x] = _checked_quotient(xi_v[x], None, lv, elements[x], v, elements[x])
+        for w, i, divisor in steps:
+            if length[w] > last:
                 break
             if w not in xi_v:
                 continue
             acc: dict = {}
             get = acc.get
-            for x, k in covers_up[u][i]:
-                poly = column[x].get(w)
+            for x1, k in covers_up[i]:
+                poly = column[x1].get(w)
                 if poly is not None:
                     for e, c in poly.terms.items():
                         acc[e] = get(e, 0) + k * c
@@ -306,10 +287,10 @@ def column_constants(
             if not acc:
                 continue
             values[w] = _checked_quotient(
-                RootPolynomial(rank, acc, _clean=True), (divisor,), top - length[w],
-                elements[u], v, elements[w],
+                RootPolynomial(rank, acc, _clean=True), divisor, degree - length[w],
+                elements[x], v, elements[w],
             )
-        column[u] = values
+        column[x] = values
     zero = RootPolynomial.zero(rank)
     out = []
     for u, uid in zip(us, ids):
@@ -334,9 +315,9 @@ class IdentityCheck:
 def verify_product_identity(table: RestrictionTable, s: StructureTable) -> IdentityCheck:
     """Re-check the defining evaluation identity at every enumerated fixed point.
 
-    For an x-basis table this is the identity the solver enforced at
-    fixed points up to length(u)+length(v) plus a genuine check beyond
-    them.  A y-basis table satisfies the same identity with every
+    For an x-basis table this is the identity that defines the constants,
+    checked independently of the recurrence that computed them, at fixed
+    points up to length(u)+length(v) and beyond.  A y-basis table satisfies the same identity with every
     restriction transported by the longest element, so the check is run
     against the transported values.
     """

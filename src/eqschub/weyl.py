@@ -242,19 +242,20 @@ class WeylRange:
     ``complete`` is True when the range provably exhausts the whole group
     (no element of maximal stored length has a length-increasing
     extension).  ``right_mul`` maps w to (w s_1, .., w s_rank), with None
-    where w s_i leaves the range.  ``inversion_forms`` maps w to the roots
-    of ``inversion_coords(rs, w.word)`` as linear forms prepared as
-    divisors; their product is the diagonal restriction at w.
+    where w s_i leaves the range.  ``last_root`` maps each w other than the
+    identity to the last root of ``inversion_coords(rs, w.word)``, the
+    root parent(alpha_d) its canonical word's last letter d adds, as a
+    ``LinearForm``.
     """
 
     def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],
-                 complete: bool, right_mul: dict, inversion_forms: dict):
+                 complete: bool, right_mul: dict, last_root: dict):
         self.rs = rs
         self.bound = bound
         self.elements = elements
         self.complete = complete
         self.right_mul = right_mul
-        self.inversion_forms = inversion_forms
+        self.last_root = last_root
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -294,15 +295,15 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
     of the level being extended are its right descents and the rest its
     ascents.  Letters are tried in increasing order, so a new element is
     first reached from its parent w s_d, d its smallest right descent: its
-    canonical word is the parent's followed by d, and its inversion forms
-    are the parent's followed by parent(alpha_d).
+    canonical word is the parent's followed by d, and its last root is
+    parent(alpha_d).
     """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
     n = rs.rank
     e = identity(rs)
     rmul = {e: [None] * n}
-    forms = {e: ()}
+    roots = {}
     elements, level = [e], [e]
     for _ in range(k):
         found: dict = {}
@@ -314,8 +315,7 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
                     if child is None:
                         child = found[m] = WeylElement(rs, m, w.word + (i + 1,))
                         rmul[child] = [None] * n
-                        beta = LinearForm.from_linear(n, _column(w.matrix, i))
-                        forms[child] = forms[w] + (beta,)
+                        roots[child] = LinearForm.from_linear(n, _column(w.matrix, i))
                         if len(rmul) > cap:
                             raise ResourceCap(
                                 f"enumeration exceeded {cap} elements at length bound {k}"
@@ -327,7 +327,7 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
         level = sorted(found.values(), key=lambda w: w.word)
         elements.extend(level)
     complete = all(x is not None for w in level for x in rmul[w])
-    return WeylRange(rs, k, tuple(elements), complete, rmul, forms)
+    return WeylRange(rs, k, tuple(elements), complete, rmul, roots)
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

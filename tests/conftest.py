@@ -49,6 +49,53 @@ def affine_a_cartan(n):
     )
 
 
+def triangular_constants(table, u, v):
+    """The x-basis constants of (u, v) by Bruhat-triangular elimination:
+    the oracle of the Chevalley recurrence.
+
+    Walks the fixed points w in length-then-lex order (a linear extension
+    of Bruhat order) and peels off
+
+        value(w) = [ xi_u(w) xi_v(w) - sum_{w' solved} value(w') xi_{w'}(w) ]
+                   / xi_w(w)
+
+    dividing the diagonal's inversion roots (rebuilt from
+    ``inversion_coords``) out one linear form at a time.  Fixed points
+    excluded by the support condition (u <= w and v <= w) are skipped with
+    the numerator asserted to vanish; an inexact division or a value of
+    the wrong degree is an InternalInconsistency.
+    """
+    from eqschub import InternalInconsistency, NotDivisible, StructureTable
+    from eqschub.rootsys import LinearForm
+    from eqschub.weyl import inversion_coords
+
+    rng = table.range
+    total = u.length + v.length
+    order = [w for w in rng.elements if w.length <= total]
+    values = {}
+    solved = []
+    for w in order:
+        numerator = table.value(u, w) * table.value(v, w)
+        for wp, poly in solved:
+            numerator = numerator - poly * table.value(wp, w)
+        if u in rng.leq[w] and v in rng.leq[w]:
+            try:
+                for c in inversion_coords(table.rs, w.word):
+                    numerator = numerator.exact_divide_linear(
+                        LinearForm.from_linear(table.rs.rank, c)
+                    )
+            except NotDivisible as exc:
+                raise InternalInconsistency(f"inexact division at {w}") from exc
+            if not numerator.is_homogeneous_of(total - w.length):
+                raise InternalInconsistency(f"value at {w} has the wrong degree")
+            if not numerator.is_zero():
+                solved.append((w, numerator))
+        elif not numerator.is_zero():
+            raise InternalInconsistency(f"nonzero numerator at skipped fixed point {w}")
+        values[w] = numerator
+    return StructureTable(table, "x", u, v, values, tuple(order))
+
+
 def certificate_dict(cert):
     """Dict form of a positivity certificate, as a cache record holds it."""
     return {

@@ -204,7 +204,7 @@ def test_c4_product_identity(sweeps, affine_data):
             assert verify_product_identity(table, s), (name, s.u, s.v)
             checked += 1
         for s in sweeps[name]["y"].values():
-            proxy = StructureTable(transported, "x", s.u, s.v, s.values)
+            proxy = StructureTable(transported, "x", s.u, s.v, s.values, s.order)
             assert verify_product_identity(transported, proxy), (name, s.u, s.v)
             checked += 1
 
@@ -221,14 +221,14 @@ def test_c4_product_identity(sweeps, affine_data):
     good = structure_constants(table, s1, s1)
     values = dict(good.values)
     values[s1] = values[s1] + RootPolynomial.one(2)
-    mutated = StructureTable(table, "x", s1, s1, values)
+    mutated = StructureTable(table, "x", s1, s1, values, good.order)
     check = verify_product_identity(table, mutated)
     assert not check and check.failing is not None
 
     y_good = sweeps["A2"]["y"][(s1, s1)]
     y_values = dict(y_good.values)
     y_values[s1] = y_values[s1] + RootPolynomial.one(2)
-    y_mutated = StructureTable(table, "y", s1, s1, y_values)
+    y_mutated = StructureTable(table, "y", s1, s1, y_values, y_good.order)
     assert not verify_product_identity(table, y_mutated)
 
     report(4, f"identity re-verified for {checked} tables; mutations detected")

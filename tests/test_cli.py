@@ -22,7 +22,7 @@ from eqschub import (
 from eqschub.cli import main, run_sweep
 from eqschub.rootsys import GENERAL
 
-from conftest import affine_a_cartan, record_dict
+from conftest import affine_a_cartan, record_dict, triangular_constants
 
 
 def run(argv):
@@ -305,18 +305,17 @@ def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt):
     2, leaves no exact quotient."""
     import eqschub.cli as cli
 
-    build = cli.ChevalleyContext
+    read = cli.ChevalleyContext.read
 
-    def corrupted(table):
-        context = build(table)
-        rs = table.rs
-        index = context.index
-        u = index[element_from_word(rs, (1,))]
-        w = index[element_from_word(rs, (2, 1))]
-        corrupt(context, u, w)
-        return context
+    def corrupted(context, x):
+        fresh = context.steps[x] is None
+        steps = read(context, x)
+        rs = context.table.rs
+        if fresh and context.elements[x] == element_from_word(rs, (1,)):
+            corrupt(context, x, context.index[element_from_word(rs, (2, 1))])
+        return steps
 
-    monkeypatch.setattr(cli, "ChevalleyContext", corrupted)
+    monkeypatch.setattr(cli.ChevalleyContext, "read", corrupted)
     code, out = run(["sweep", "--type", "A2", "--max-length", "3"])
     assert (code, out) == (4, "")
 
@@ -442,7 +441,7 @@ def test_sweep_cache_lines_match_independent_solves(tmp_path, case):
     assert len(lines) == len(keys)
     w0 = longest_element(rs) if basis == "y" else None
     for (u, v), line in zip(keys, lines):
-        s = structure_constants(table, u, v)
+        s = triangular_constants(table, u, v)
         if w0 is not None:
             s = opposite_constants(s, w0)
         assert line == json.dumps(record_dict(s)), (u, v)

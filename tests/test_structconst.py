@@ -1,5 +1,5 @@
-"""Triangular solve, Chevalley recurrence, opposite basis, certificates,
-numeric evaluation."""
+"""Chevalley recurrence (against the triangular oracle), opposite basis,
+certificates, numeric evaluation."""
 
 import json
 import random
@@ -32,7 +32,7 @@ from eqschub.localize import RestrictionTable
 from eqschub.rootsys import GENERAL
 from eqschub.structconst import ChevalleyContext, column_constants, record_text
 
-from conftest import affine_a_cartan, certificate_dict, record_dict
+from conftest import affine_a_cartan, certificate_dict, record_dict, triangular_constants
 
 A1 = builtin_root_system("A1")
 A2 = builtin_root_system("A2")
@@ -143,7 +143,8 @@ def test_solver_rejects_foreign_elements():
 
 
 def test_solver_aborts_on_corrupted_diagonal():
-    """An inexact diagonal division is an internal inconsistency."""
+    """A diagonal value that is not a product of linear forms is an
+    internal inconsistency (here xi^s(s), read as the letter's linear form)."""
     from eqschub import InternalInconsistency
 
     s = element_from_word(A1, (1,))
@@ -154,7 +155,22 @@ def test_solver_aborts_on_corrupted_diagonal():
         structure_constants(bad, s, s)
 
 
+def test_recurrence_aborts_on_corrupted_base_case():
+    """With u = v = w0 the base case c_uv^u = xi^v(u) is the only value, so
+    only its degree check can refuse a corrupted diagonal there."""
+    from eqschub import InternalInconsistency
+
+    w0 = longest_element(A2)
+    corrupted = dict(T_A2.values)
+    corrupted[(w0, w0)] = corrupted[(w0, w0)] + RootPolynomial.one(2)
+    bad = RestrictionTable(A2, T_A2.range, corrupted, "KK")
+    with pytest.raises(InternalInconsistency):
+        structure_constants(bad, w0, w0)
+
+
 def test_solver_aborts_on_nonzero_numerator_at_skipped_element():
+    """The triangular oracle refuses a table whose numerator does not vanish
+    where the support condition skips w; a verified table never has one."""
     from eqschub import InternalInconsistency
 
     s = element_from_word(A1, (1,))
@@ -163,7 +179,7 @@ def test_solver_aborts_on_nonzero_numerator_at_skipped_element():
     corrupted[(s, e)] = RootPolynomial.one(1)
     bad = RestrictionTable(A1, T_A1.range, corrupted, "KK")
     with pytest.raises(InternalInconsistency):
-        structure_constants(bad, s, s)
+        triangular_constants(bad, s, s)
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +243,25 @@ def test_affine_constants_stable_under_bound_increase():
 
 
 # ---------------------------------------------------------------------------
-# Chevalley recurrence, checked against the triangular solver
+# Chevalley recurrence, checked against the triangular oracle
 
 
 def _assert_columns_match_solver(table, vs, us_of):
-    """Every column v of ``vs``, at the u of ``us_of(v)``, equals the
-    solver's constants of (u, v), entry by entry."""
+    """Every column v of ``vs``, at the u of ``us_of(v)``, and every one-pair
+    ``structure_constants`` of (u, v), equals the triangular oracle's
+    constants of (u, v), entry by entry."""
     context = ChevalleyContext(table)
     for v in vs:
         us = us_of(v)
         tables = column_constants(context, v, us)
         assert [s.u for s in tables] == us
         for s in tables:
-            expected = structure_constants(table, s.u, v)
-            assert s.v == v and s.order == expected.order, (s.u, v)
-            for w in expected.order:
-                assert s.values[w] == expected.values[w], (s.u, v, w)
+            expected = triangular_constants(table, s.u, v)
+            for got in (s, structure_constants(table, s.u, v)):
+                assert got.u == s.u and got.v == v, (s.u, v)
+                assert got.order == expected.order, (s.u, v)
+                for w in expected.order:
+                    assert got.values[w] == expected.values[w], (s.u, v, w)
 
 
 C3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
@@ -277,15 +296,46 @@ def test_recurrence_matches_solver_on_seeded_a4_columns():
     _assert_columns_match_solver(table, vs, lambda v: els)
 
 
+def test_one_pair_builds_steps_only_above_u(monkeypatch):
+    """A one-pair ``structure_constants`` builds the steps of exactly the
+    x >= u up to length l(u) + l(v), each once."""
+    a4 = build_root_system(CartanMatrix(
+        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    ))
+    table = restriction_table(a4, len(a4.positive_roots))
+    els = table.range.elements
+    read = ChevalleyContext.read
+    built = []
+
+    def counted(context, x):
+        if context.steps[x] is None:
+            built.append(els[x])
+        return read(context, x)
+
+    monkeypatch.setattr(ChevalleyContext, "read", counted)
+    pairs = [(els[1], els[-1]), (els[-1], els[0])]
+    pairs += [tuple(random.Random(seed).sample(els, 2)) for seed in range(6)]
+    for u, v in pairs:
+        built.clear()
+        structure_constants(table, u, v)
+        expected = [
+            x for x in reversed(els)
+            if u in table.range.leq[x] and x.length <= u.length + v.length
+        ]
+        assert built == expected, (u, v)
+
+
 def test_chevalley_integers_match_hand_values():
     """The gcd integers c_{s_i,u}^x of the context, against the hand values of
     ``test_degree_one_products_match_chevalley_values`` and against the
-    solver's degree-one products x_{s_i} x_u on every element u."""
+    oracle's degree-one products x_{s_i} x_u on every element u."""
     for name in ("B2", "G2"):
         system = builtin_root_system(name)
         t = restriction_table(system, len(system.positive_roots))
         context = ChevalleyContext(t)
         els = context.elements
+        for x in range(len(els)):
+            context.read(x)
 
         def integers(u, i):
             return {els[x].word: k for x, k in context.covers_up[u][i]}
@@ -298,7 +348,7 @@ def test_chevalley_integers_match_hand_values():
                 s_i = element_from_word(system, (i + 1,))
                 expected = {
                     w.word: p
-                    for w, p in structure_constants(t, s_i, els[u]).nonzero_items()
+                    for w, p in triangular_constants(t, s_i, els[u]).nonzero_items()
                     if w.length == els[u].length + 1
                 }
                 assert {
@@ -322,7 +372,7 @@ def test_verify_detects_single_coefficient_perturbation():
     table = structure_constants(T_A1, s, s)
     values = dict(table.values)
     values[s] = values[s] + RootPolynomial.one(1)
-    mutated = StructureTable(T_A1, "x", s, s, values)
+    mutated = StructureTable(T_A1, "x", s, s, values, table.order)
     check = verify_product_identity(T_A1, mutated)
     assert not check
     assert check.failing is not None
@@ -469,13 +519,13 @@ def test_certificate_y_a1():
 
 def test_certificate_zero_table_passes_vacuously():
     e = identity(A1)
-    table = StructureTable(T_A1, "x", e, e, {e: RootPolynomial.zero(1)})
+    table = StructureTable(T_A1, "x", e, e, {e: RootPolynomial.zero(1)}, (e,))
     assert positivity_certificate(table).verdict == "pass"
 
 
 def test_certificate_detects_sign_violation():
     s = element_from_word(A1, (1,))
-    bad = StructureTable(T_A1, "x", s, s, {s: poly(1, {(1,): -2})})
+    bad = StructureTable(T_A1, "x", s, s, {s: poly(1, {(1,): -2})}, (s,))
     cert = positivity_certificate(bad)
     assert cert.verdict == "fail"
     assert cert.failures == [s]
@@ -573,11 +623,13 @@ def _encoder_cases():
     s12 = element_from_word(A2, (1, 2))
     zero = RootPolynomial.zero(2)
     return {
-        "failing": StructureTable(T_A1, "x", s, s, {s: poly(1, {(1,): -2})}),
+        "failing": StructureTable(T_A1, "x", s, s, {s: poly(1, {(1,): -2})}, (s,)),
         "y-negative": opposite_constants(
             structure_constants(T_A2, s12, s1), longest_element(A2)
         ),
-        "all-zero": StructureTable(T_A2, "x", s1, s12, {w: zero for w in T_A2.range}),
+        "all-zero": StructureTable(
+            T_A2, "x", s1, s12, {w: zero for w in T_A2.range}, T_A2.range.elements
+        ),
     }
 
 

@@ -208,12 +208,17 @@ def test_right_mul_matches_multiply(rs, k):
 
 @pytest.mark.parametrize("rs,k", WHOLE_AND_TRUNCATED, ids=RANGE_IDS)
 def test_inversion_forms_match_inversion_coords(rs, k):
+    """The last roots along the prefixes of w's canonical word (each the
+    canonical word of an element of the range) are w's inversion roots."""
     rng = enumerate_upto(rs, k)
+    by_word = {w.word: w for w in rng}
+    assert set(rng.last_root) == set(rng.elements[1:])
     for w in rng:
         expected = tuple(
             RootPolynomial.from_linear(rs.rank, c) for c in inversion_coords(rs, w.word)
         )
-        assert rng.inversion_forms[w] == expected, w
+        prefixes = [by_word[w.word[:j]] for j in range(1, w.length + 1)]
+        assert tuple(rng.last_root[x] for x in prefixes) == expected, w
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +312,7 @@ def test_enumerate_makes_no_canonicalize_call(rs, k, monkeypatch):
     monkeypatch.setattr(weyl, "canonicalize", refuse)
     rng = enumerate_upto(rs, k)
     assert [w.word for w in rng] == expected
-    assert len(rng.right_mul) == len(rng.inversion_forms) == len(rng)
+    assert len(rng.right_mul) == len(rng.last_root) + 1 == len(rng)
 
 
 @pytest.mark.parametrize("rs", [B2, G2, A3], ids=["B2", "G2", "A3"])
