@@ -450,6 +450,11 @@ def _solve_rows(rows, rs, rng, basis, jobs):
         "w0": longest_element(rs) if basis == "y" else None,
     }
     if jobs > 1:
+        # A row reads the elements above its own (the identity's row reads
+        # all of them); read every element here once, so the workers
+        # inherit what they read instead of each building it again.
+        for x in range(len(rng.elements)):
+            state["context"].read(x)
         pairs = sum(len(row) for _, row in rows)
         workers = min(jobs, os.cpu_count() or 1, len(rows), -(-pairs // PAIRS_PER_WORKER))
         with ProcessPoolExecutor(

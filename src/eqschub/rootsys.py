@@ -309,12 +309,6 @@ def _pack(exp: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=16)
-def _linear_slots(rank: int) -> dict[int, int]:
-    """The packed key of each simple root -> its 0-based index."""
-    return {_pack(tuple(int(j == i) for j in range(rank))): i for i in range(rank)}
-
-
-@lru_cache(maxsize=16)
 def _unpacker(rank: int) -> struct.Struct:
     """Reads the exponent fields of a key's big-endian bytes, skipping its degree."""
     return struct.Struct(f">2x{rank}H")
@@ -379,17 +373,6 @@ class RootPolynomial:
             if c:
                 terms[degree_one | 1 << FIELD_BITS * (rank - 1 - i)] = c
         return cls(rank, terms, _clean=True)
-
-    def linear_coords(self) -> tuple[int, ...]:
-        """The coordinates ``from_linear`` takes back from a homogeneous
-        linear form; ValueError for any other polynomial."""
-        slot, coords = _linear_slots(self.rank), [0] * self.rank
-        try:
-            for key, c in self.terms.items():
-                coords[slot[key]] = c
-        except KeyError:
-            raise ValueError(f"{self.to_text()} is not a linear form") from None
-        return tuple(coords)
 
     # -- ring operations ----------------------------------------------
 

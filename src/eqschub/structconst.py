@@ -150,12 +150,7 @@ class ChevalleyContext:
             if e.length == 1:
                 row = [zero] * n
                 for w, poly in restriction[s].items():
-                    try:
-                        row[w] = poly.linear_coords()
-                    except ValueError as exc:
-                        raise InternalInconsistency(
-                            f"value({e}, {self.elements[w]}): {exc}"
-                        ) from exc
+                    row[w] = _linear_coords(poly, e, self.elements[w])
                 rows.append(row)
         self.xi = list(zip(*rows)) if rows else [()] * n
         self.steps = [None] * n
@@ -213,6 +208,17 @@ class ChevalleyContext:
                 lists[i].append((other, k))
 
 
+def _linear_coords(poly: RootPolynomial, a, b) -> tuple[int, ...]:
+    """Coefficients on a1, .., a_rank of xi^a(b), which must be a linear
+    form; anything else is an InternalInconsistency."""
+    coords = [0] * poly.rank
+    for exp, coeff in poly.sorted_terms():
+        if sum(exp) != 1:
+            raise InternalInconsistency(f"value({a}, {b}) is not a linear form")
+        coords[exp.index(1)] = coeff
+    return tuple(coords)
+
+
 def _checked_quotient(dividend: RootPolynomial, divisor, degree: int, u, v, w) -> RootPolynomial:
     """``dividend`` divided exactly by the linear form ``divisor``, or
     ``dividend`` itself if the divisor is None; an inexact division or a
@@ -244,14 +250,14 @@ def column_constants(
     pair at every w up to length l(u) + l(v).
     """
     rng = context.table.range
+    lv = v.length
+    top = max(u.length for u in us) + lv
+    if not rng.complete and rng.bound < top:
+        raise InsufficientBound(f"table bound {rng.bound} < length(u)+length(v) = {top}")
     index, length, elements = context.index, context.length, context.elements
     restriction = context.restriction
     vid = index[v]
-    lv = length[vid]
     ids = [index[u] for u in us]
-    top = max(length[u] for u in ids) + lv
-    if not rng.complete and rng.bound < top:
-        raise InsufficientBound(f"table bound {rng.bound} < length(u)+length(v) = {top}")
     rank = context.table.rs.rank
     xi_v = restriction[vid]
     covers_down = context.covers_down

@@ -244,6 +244,10 @@ def test_mult_explicit_max_length_too_small_exits_2():
         ["mult", "--type", "AffineA1", "--u", "1,2", "--v", "2,1", "--max-length", "2"]
     )
     assert code == 2
+    # u or v longer than the bound itself, so outside the range.
+    for rs_type, u, v in (("AffineA1", "1,2", "1"), ("A2", "1,2", "1"), ("A2", "1", "1,2")):
+        code, _ = run(["mult", "--type", rs_type, "--u", u, "--v", v, "--max-length", "1"])
+        assert code == 2
 
 
 @pytest.mark.parametrize(

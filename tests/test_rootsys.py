@@ -229,17 +229,6 @@ def test_divide_non_homogeneous_dividends():
             assert (q * lin).exact_divide_linear(lin) == q
 
 
-def test_linear_coords_inverts_from_linear_randomized():
-    rng = random.Random(17)
-    for rank in range(1, 7):
-        for _ in range(50):
-            coords = tuple(rng.randint(-9, 9) for _ in range(rank))
-            assert RootPolynomial.from_linear(rank, coords).linear_coords() == coords
-    for bad in ({(1, 1): 1}, {(0, 0): 3}, {(1, 0): 1, (0, 0): 2}, {(2, 0): 1}, {(0, 3): -1}):
-        with pytest.raises(ValueError):
-            RootPolynomial(2, bad).linear_coords()
-
-
 def test_negate_variables_is_involution():
     rng = random.Random(13)
     for _ in range(40):

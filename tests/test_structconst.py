@@ -116,6 +116,13 @@ def test_insufficient_bound_for_truncated_range():
         structure_constants(table, u, u)
     with pytest.raises(InsufficientBound):
         column_constants(ChevalleyContext(table), u, [u])
+    # u or v longer than the bound: refused before either is looked up.
+    longer = element_from_word(AFF, (1, 2, 1, 2))
+    for a, b in ((longer, u), (u, longer)):
+        with pytest.raises(InsufficientBound):
+            structure_constants(table, a, b)
+        with pytest.raises(InsufficientBound):
+            column_constants(ChevalleyContext(table), b, [a])
 
 
 def test_complete_range_allows_any_pair():
@@ -144,7 +151,8 @@ def test_solver_rejects_foreign_elements():
 
 def test_solver_aborts_on_corrupted_diagonal():
     """A diagonal value that is not a product of linear forms is an
-    internal inconsistency (here xi^s(s), read as the letter's linear form)."""
+    internal inconsistency (here xi^s(s), read as the letter's linear form;
+    a term of any degree but one is refused, not read as a coordinate)."""
     from eqschub import InternalInconsistency
 
     s = element_from_word(A1, (1,))
@@ -153,6 +161,11 @@ def test_solver_aborts_on_corrupted_diagonal():
     bad = RestrictionTable(A1, T_A1.range, corrupted, "KK")
     with pytest.raises(InternalInconsistency):
         structure_constants(bad, s, s)
+    s1 = element_from_word(A2, (1,))
+    corrupted = dict(T_A2.values)
+    corrupted[(s1, s1)] = poly(2, {(1, 1): 1})
+    with pytest.raises(InternalInconsistency):
+        ChevalleyContext(RestrictionTable(A2, T_A2.range, corrupted, "KK"))
 
 
 def test_recurrence_aborts_on_corrupted_base_case():
