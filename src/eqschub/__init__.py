@@ -2,10 +2,10 @@
 
 Builds root systems from (generalized) Cartan matrices, enumerates Weyl
 group elements as integer matrices, computes fixed-point restriction
-polynomials by the one-letter nil-Hecke recursion, computes structure constants by
-the Chevalley recurrence (one pair, or whole columns for sweeps), and
-certifies the sign properties of the results with exact integer
-arithmetic throughout.
+polynomials by the one-letter nil-Hecke recursion (a whole range, or one
+element's column), computes structure constants by the Chevalley
+recurrence (one pair, or whole columns for sweeps), and certifies the
+sign properties of the results with exact integer arithmetic throughout.
 """
 
 __version__ = "0.1.0"
@@ -24,13 +24,7 @@ from .errors import (
     ResourceCap,
     SingularCartan,
 )
-from .localize import (
-    CONVENTIONS,
-    RestrictionTable,
-    billey_restrict,
-    convert_convention,
-    restriction_table,
-)
+from .localize import RestrictionTable, restriction_column, restriction_table
 from .rootsys import (
     BUILTIN_TYPES,
     CartanMatrix,
@@ -70,7 +64,6 @@ from .weyl import (
 __all__ = [
     "__version__",
     "BUILTIN_TYPES",
-    "CONVENTIONS",
     "CartanMatrix",
     "ClosureOverflow",
     "DomainViolation",
@@ -95,12 +88,10 @@ __all__ = [
     "WeylRange",
     "apply",
     "billey_evaluate",
-    "billey_restrict",
     "bruhat_leq",
     "build_root_system",
     "builtin_root_system",
     "canonicalize",
-    "convert_convention",
     "element_from_word",
     "enumerate_upto",
     "identity",
@@ -110,6 +101,7 @@ __all__ = [
     "multiply",
     "opposite_constants",
     "positivity_certificate",
+    "restriction_column",
     "restriction_table",
     "simple_reflection",
     "structure_constants",

@@ -29,12 +29,13 @@ from .errors import (
     InvalidCartan,
     NotFiniteType,
 )
-from .localize import CONVENTIONS, billey_restrict, restriction_table
+from .localize import restriction_column, restriction_table
 from .rootsys import (
     BUILTIN_TYPES,
     CartanMatrix,
     FINITE,
     GENERAL,
+    RootPolynomial,
     RootSystem,
     build_root_system,
     builtin_root_system,
@@ -53,6 +54,9 @@ from .weyl import element_from_word, enumerate_upto, inverse, longest_element
 
 CACHE_ENV = "EQSCHUB_CACHE"
 CACHE_HEADER = {"engine": f"eqschub {__version__}", "convention": "KK", "format": 1}
+# Index conventions of `restrict`: KK reads value(w, v) as the table stores
+# it; Arabia and Billey both read it at (w^{-1}, v^{-1}).
+CONVENTIONS = ("KK", "Arabia", "Billey")
 # A --jobs pool starts at most one worker per this many pairs left.
 PAIRS_PER_WORKER = 16
 
@@ -171,7 +175,7 @@ def cmd_rootsys(args, out) -> int:
                 [str(c) for c in w.coords] for w in rs.fundamental_weights
             ]
         print(json.dumps(payload), file=out)
-    elif args.format == "text":
+    else:
         print(f"type: {rs.descriptor}", file=out)
         print(f"kind: {rs.kind}", file=out)
         print(f"rank: {rs.rank}", file=out)
@@ -184,8 +188,6 @@ def cmd_rootsys(args, out) -> int:
                 print(f"  w{j + 1} = {vector_text(w.coords)}", file=out)
         else:
             print("positive roots: not enumerated for general kind", file=out)
-    else:
-        raise CliError(f"rootsys does not support --format {args.format}")
     return EXIT_OK
 
 
@@ -201,7 +203,7 @@ def cmd_restrict(args, out) -> int:
     v = element_from_word(rs, v_word)
     if args.convention != "KK":
         w, v = inverse(w), inverse(v)
-    poly = billey_restrict(rs, w, v)
+    poly = restriction_column(v).get(w.matrix, RootPolynomial.zero(rs.rank))
     if args.format == "json":
         payload = {
             "type": rs.descriptor,
@@ -211,10 +213,8 @@ def cmd_restrict(args, out) -> int:
             "value": poly.to_json_dict(),
         }
         print(json.dumps(payload), file=out)
-    elif args.format == "text":
-        print(poly.to_text(), file=out)
     else:
-        raise CliError(f"restrict does not support --format {args.format}")
+        print(poly.to_text(), file=out)
     return EXIT_OK
 
 
@@ -255,7 +255,7 @@ def cmd_mult(args, out) -> int:
             record = record[:-1] + ", \"eval\": " + json.dumps({
                 "nu": [str(x) for x in point],
                 "values": [
-                    {"w": list(w.word), "value": str(evaluation[w])} for w in s.order
+                    {"w": list(w.word), "value": str(x)} for w, x in zip(s.order, evaluation)
                 ],
             }) + "}"
         print(record, file=out)
@@ -265,7 +265,7 @@ def cmd_mult(args, out) -> int:
         for w in s.order:
             for exp, coeff in s.values[w].sorted_terms():
                 writer.writerow([word_text(w.word), sum(exp), monomial_text(exp), coeff])
-    elif args.format == "text":
+    else:
         print(
             f"type={rs.descriptor} basis={args.basis} "
             f"u={word_text(u_word)} v={word_text(v_word)}",
@@ -276,10 +276,8 @@ def cmd_mult(args, out) -> int:
         print(f"certificate: {cert.verdict}", file=out)
         if evaluation is not None:
             nu_text = ",".join(str(x) for x in point)
-            for w in s.order:
-                print(f"eval nu={nu_text} w={w.word_text()}: {evaluation[w]}", file=out)
-    else:
-        raise CliError(f"mult does not support --format {args.format}")
+            for w, x in zip(s.order, evaluation):
+                print(f"eval nu={nu_text} w={w.word_text()}: {x}", file=out)
     return EXIT_OK if cert else EXIT_CERT_FAIL
 
 
@@ -600,7 +598,7 @@ def cmd_sweep(args, out) -> int:
         raise CliError(str(exc))
     if args.format == "json":
         print(json.dumps(report.to_json_dict()), file=out)
-    elif args.format == "text":
+    else:
         print(
             f"type={report.descriptor} bound={report.bound} basis={report.basis} "
             f"pairs={report.pair_count} fails={len(report.fails)} "
@@ -609,8 +607,6 @@ def cmd_sweep(args, out) -> int:
         )
         for u, v in report.fails:
             print(f"fail: u={word_text(u)} v={word_text(v)}", file=out)
-    else:
-        raise CliError(f"sweep does not support --format {args.format}")
     print(f"sweep completed in {report.wall_time:.2f}s", file=sys.stderr)
     return EXIT_OK if report.verdict == "pass" else EXIT_CERT_FAIL
 
@@ -620,15 +616,11 @@ def cmd_sweep(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", help="built-in root system name")
-    common.add_argument("--cartan", help="JSON file with a Cartan matrix")
-    common.add_argument(
-        "--format", default="text", choices=["text", "json", "csv"]
-    )
-    common.add_argument("--cache", help="JSONL cache path")
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--max-length", type=int, default=None)
+    """Each subcommand declares only the flags it reads, so argparse
+    refuses any other with exit 2."""
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--type", help="built-in root system name")
+    system.add_argument("--cartan", help="JSON file with a Cartan matrix")
 
     parser = argparse.ArgumentParser(
         prog="eqschub",
@@ -636,21 +628,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("rootsys", parents=[common])
+    def command(name, formats=("text", "json")):
+        p = sub.add_parser(name, parents=[system])
+        p.add_argument("--format", default="text", choices=list(formats))
+        return p
 
-    p_restrict = sub.add_parser("restrict", parents=[common])
+    command("rootsys")
+
+    p_restrict = command("restrict")
     p_restrict.add_argument("--w", required=True)
     p_restrict.add_argument("--v", required=True)
     p_restrict.add_argument("--convention", default="KK", choices=list(CONVENTIONS))
 
-    p_mult = sub.add_parser("mult", parents=[common])
+    p_mult = command("mult", ("text", "json", "csv"))
     p_mult.add_argument("--u", required=True)
     p_mult.add_argument("--v", required=True)
     p_mult.add_argument("--basis", default="x", choices=["x", "y"])
     p_mult.add_argument("--eval", default=None)
+    p_mult.add_argument("--max-length", type=int, default=None)
 
-    p_sweep = sub.add_parser("sweep", parents=[common])
+    p_sweep = command("sweep")
     p_sweep.add_argument("--basis", default="x", choices=["x", "y"])
+    p_sweep.add_argument("--max-length", type=int, default=None)
+    p_sweep.add_argument("--cache", help="JSONL cache path")
+    p_sweep.add_argument("--jobs", type=int, default=1)
 
     return parser
 

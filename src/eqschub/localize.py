@@ -1,35 +1,29 @@
 """Fixed-point restrictions of Schubert classes as exact polynomials.
 
-The table is built by the one-letter (nil-Hecke) recursion of
+Every value comes from the one-letter (nil-Hecke) recursion of
 Kostant-Kumar.  Let v have canonical word ending in the letter i and put
 v' = v s_i, whose canonical word is v's without its last letter.  Then
 
     value(w, v) = value(w, v') + [w s_i < w] * v'(alpha_i) * value(w s_i, v')
 
 with value(w, e) = [w = e], so each column costs one multiplication by a
-linear form per nonzero entry of its parent column.
+linear form per nonzero entry of its parent column.  Every term is a
+product of positive roots, so each value is a nonnegative integer
+combination of monomials in the simple roots.
 
-Unrolling the recursion along a reduced word (i1, .., iN) of v gives the
-subword formula: with beta(j) = s_{i1} .. s_{i_{j-1}} (alpha_{i_j}),
-
-    value(w, v) = sum over position subsets J such that the subword at J
-                  is a reduced word for w, of prod_{j in J} beta(j).
-
-``billey_restrict`` evaluates that formula for a single pair; it serves
-the ``restrict`` command and is the test suite's independent check of the
-table.  Every term is a product of positive roots, so each value is a
-nonnegative integer combination of monomials in the simple roots.
+``restriction_table`` runs the recursion over a whole length-bounded
+range; ``restriction_column`` runs it along one element's canonical word
+and holds only that element's column, which serves single-pair queries.
+Both take the step from ``_next_column``.
 
 The table stores only its nonzero entries, which are exactly the pairs
 w <= v, so its size and the cost of its invariant check follow the
-Bruhat intervals rather than the square of the range.  It uses the KK
-index convention; the Arabia and Billey conventions are pure reindexings
-by (w, v) -> (w^{-1}, v^{-1}).
+Bruhat intervals rather than the square of the range.
 """
 
 from __future__ import annotations
 
-from .errors import InternalInconsistency, RankMismatch
+from .errors import InternalInconsistency
 from .rootsys import RootPolynomial, RootSystem
 from .weyl import (
     WeylElement,
@@ -37,59 +31,44 @@ from .weyl import (
     _column_is_positive,
     _identity_matrix,
     _reflect_right,
-    element_from_word,
     enumerate_upto,
     inversion_coords,
 )
 
-CONVENTIONS = ("KK", "Arabia", "Billey")
 
+def _next_column(column: dict, i: int, beta: RootPolynomial, ascend) -> dict:
+    """The column of v from the column of v' = v s_i, with ``i`` 0-based
+    and beta = v'(alpha_i).
 
-def billey_restrict(
-    rs: RootSystem,
-    w: WeylElement,
-    v: WeylElement,
-    *,
-    reduced_word: tuple[int, ...] | None = None,
-) -> RootPolynomial:
-    """Restriction value for the pair (w, v); zero unless w <= v.
-
-    ``reduced_word`` may supply an alternative reduced word for v; the
-    result does not depend on the choice (checked by the test suite, not
-    assumed here).
+    ``ascend(u, i)`` is the key of u s_i when it is longer than u, else
+    None; each such entry u adds beta * value(u, v') there.
     """
-    if w.rs.rank != rs.rank or v.rs.rank != rs.rank:
-        raise RankMismatch("elements do not match the root system")
-    word = v.word if reduced_word is None else tuple(reduced_word)
-    if reduced_word is not None:
-        cand = element_from_word(rs, word)
-        if cand != v or len(word) != v.length:
-            raise ValueError("supplied word is not a reduced word for v")
-    betas = [RootPolynomial.from_linear(rs.rank, c) for c in inversion_coords(rs, word)]
-    n = len(word)
-    target = w.matrix
-    lw = w.length
-    ident = _identity_matrix(rs.rank)
-    zero = RootPolynomial.zero(rs.rank)
-    one = RootPolynomial.one(rs.rank)
+    out = dict(column)
+    for u, poly in column.items():
+        w = ascend(u, i)
+        if w is not None:
+            term = beta * poly
+            prev = out.get(w)
+            out[w] = term if prev is None else prev + term
+    return out
 
-    def walk(pos: int, partial, chosen: int, prod: RootPolynomial) -> RootPolynomial:
-        if chosen == lw:
-            return prod if partial == target else zero
-        if chosen + (n - pos) < lw:
-            return zero
-        acc = walk(pos + 1, partial, chosen, prod)
-        i = word[pos] - 1
-        if _column_is_positive(partial, i):
-            acc = acc + walk(
-                pos + 1,
-                _reflect_right(rs, partial, i),
-                chosen + 1,
-                prod * betas[pos],
-            )
-        return acc
 
-    return walk(0, ident, 0, one)
+def restriction_column(v: WeylElement) -> dict:
+    """w.matrix -> value(w, v) for every w <= v, and no other key.
+
+    Built along v's canonical word, one letter at a time, so it needs no
+    enumerated range and its cost follows the Bruhat interval below v.
+    """
+    rs = v.rs
+
+    def ascend(m, i):
+        return _reflect_right(rs, m, i) if _column_is_positive(m, i) else None
+
+    column = {_identity_matrix(rs.rank): RootPolynomial.one(rs.rank)}
+    for i, coords in zip(v.word, inversion_coords(rs, v.word)):
+        beta = RootPolynomial.from_linear(rs.rank, coords)
+        column = _next_column(column, i - 1, beta, ascend)
+    return column
 
 
 class RestrictionTable:
@@ -99,11 +78,10 @@ class RestrictionTable:
     ``value`` reads any pair, zero where nothing is stored.
     """
 
-    def __init__(self, rs: RootSystem, rng: WeylRange, values: dict, convention: str):
+    def __init__(self, rs: RootSystem, rng: WeylRange, values: dict):
         self.rs = rs
         self.range = rng
         self.values = values
-        self.convention = convention
         self._zero = RootPolynomial.zero(rs.rank)
 
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
@@ -124,23 +102,20 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
         rng = enumerate_upto(rs, k)
     rmul = rng.right_mul
     roots = rng.last_root
+
+    def ascend(u, i):
+        w = rmul[u][i]
+        return w if w.length > u.length else None
+
     columns: dict = {}
     for v in rng.elements:
         if not v.word:
             columns[v] = {v: RootPolynomial.one(rs.rank)}
             continue
         i = v.word[-1] - 1
-        parent = rmul[v][i]
-        beta = roots[v]
-        column = dict(columns[parent])
-        for u, poly in columns[parent].items():
-            w = rmul[u][i]
-            if w.length > u.length:
-                term = beta * poly
-                column[w] = column[w] + term if w in column else term
-        columns[v] = column
+        columns[v] = _next_column(columns[rmul[v][i]], i, roots[v], ascend)
     values = {(w, v): poly for v, column in columns.items() for w, poly in column.items()}
-    table = RestrictionTable(rs, rng, values, "KK")
+    table = RestrictionTable(rs, rng, values)
     _verify_table(table)
     return table
 
@@ -180,23 +155,3 @@ def _verify_table(table: RestrictionTable):
             raise InternalInconsistency(
                 f"diagonal value at {w} differs from its inversion product"
             )
-
-
-def convert_convention(table: RestrictionTable, target: str) -> RestrictionTable:
-    """Reindex a table into another convention; a round trip is the identity.
-
-    KK <-> Arabia and KK <-> Billey both send (w, v) to (w^{-1}, v^{-1});
-    Arabia and Billey therefore coincide as stored tables.
-    """
-    if target not in CONVENTIONS:
-        raise ValueError(f"unknown convention {target!r}")
-    if table.convention not in CONVENTIONS:
-        raise ValueError(f"table carries unknown convention {table.convention!r}")
-    flip = (table.convention == "KK") != (target == "KK")
-    if not flip:
-        if table.convention == target:
-            return table
-        return RestrictionTable(table.rs, table.range, dict(table.values), target)
-    inv = table.range.inverses
-    values = {(inv[w], inv[v]): poly for (w, v), poly in table.values.items()}
-    return RestrictionTable(table.rs, table.range, values, target)

@@ -68,7 +68,7 @@ from .errors import (
 )
 from .localize import RestrictionTable
 from .rootsys import FINITE, LinearForm, RootPolynomial, evaluate_many
-from .weyl import WeylElement, inverse
+from .weyl import WeylElement
 
 
 class StructureTable:
@@ -93,10 +93,10 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
     """The x-basis constants of the pair (u, v), by the recurrence over the
     x >= u (see the module docstring).
 
-    Requires the KK convention and a table bound of at least
-    length(u) + length(v), unless the range already exhausts the whole
-    group (finite type), in which case any bound works because no fixed
-    points beyond the enumerated ones exist.
+    Requires a table bound of at least length(u) + length(v), unless the
+    range already exhausts the whole group (finite type), in which case
+    any bound works because no fixed points beyond the enumerated ones
+    exist.
     """
     context = ChevalleyContext(table)
     if (
@@ -125,8 +125,6 @@ class ChevalleyContext:
     """
 
     def __init__(self, table: RestrictionTable):
-        if table.convention != "KK":
-            raise ValueError("recurrence requires a KK-convention table")
         self.table = table
         self.elements = table.range.elements
         n = len(self.elements)
@@ -458,24 +456,15 @@ def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, st
     return f'{head}"u": {u}, "v": {v}, {body}', f'{head}"u": {v}, "v": {u}, {body}'
 
 
-def billey_evaluate(
-    s: StructureTable,
-    nu,
-    *,
-    p_convention: bool = False,
-) -> dict[WeylElement, Fraction]:
-    """Evaluate every value at alpha_i := nu_i, all coordinates positive.
+def billey_evaluate(s: StructureTable, nu) -> list[Fraction]:
+    """The value of each w of ``s.order``, in that order, at alpha_i := nu_i,
+    all coordinates positive.
 
     On the positive cone the x-basis values are guaranteed nonnegative.
-    With ``p_convention`` the result is relabeled by w -> w^{-1} (and the
-    pair implicitly by (u, v) -> (u^{-1}, v^{-1})); applying the
-    relabeling twice returns the original indexing.
     """
     point = tuple(Fraction(x) for x in nu)
     if len(point) != s.rs.rank:
         raise RankMismatch("evaluation point has wrong rank")
     if any(x <= 0 for x in point):
         raise DomainViolation("every coordinate of nu must be positive")
-    values = evaluate_many(s.rs.rank, [s.values[w] for w in s.order], point)
-    keys = [inverse(w) for w in s.order] if p_convention else s.order
-    return dict(zip(keys, values))
+    return evaluate_many(s.rs.rank, [s.values[w] for w in s.order], point)

@@ -282,10 +282,6 @@ class WeylRange:
             below[v] = parent.union([rmul[u][i] for u in parent])
         return below
 
-    @cached_property
-    def inverses(self) -> dict:
-        return {w: inverse(w) for w in self.elements}
-
 
 def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> WeylRange:
     """Breadth-first closure under length-increasing right multiplication.

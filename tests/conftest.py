@@ -21,6 +21,62 @@ def all_reduced_words(w):
     return out
 
 
+def billey_restrict(rs, w, v, *, reduced_word=None):
+    """Restriction value for the pair (w, v) by the subword formula; zero
+    unless w <= v.  The oracle of ``restriction_table`` and
+    ``restriction_column``, which run the one-letter recursion.
+
+    Unrolling that recursion along a reduced word (i1, .., iN) of v gives,
+    with beta(j) = s_{i1} .. s_{i_{j-1}} (alpha_{i_j}),
+
+        value(w, v) = sum over position subsets J such that the subword at J
+                      is a reduced word for w, of prod_{j in J} beta(j).
+
+    Every term is a product of positive roots.  ``reduced_word`` may
+    supply an alternative reduced word for v; the result does not depend
+    on the choice (checked by the tests, not assumed here).  Exponential
+    in l(v).
+    """
+    from eqschub import RankMismatch, RootPolynomial
+    from eqschub.weyl import (
+        _column_is_positive,
+        _identity_matrix,
+        _reflect_right,
+        inversion_coords,
+    )
+
+    if w.rs.rank != rs.rank or v.rs.rank != rs.rank:
+        raise RankMismatch("elements do not match the root system")
+    word = v.word if reduced_word is None else tuple(reduced_word)
+    if reduced_word is not None:
+        cand = element_from_word(rs, word)
+        if cand != v or len(word) != v.length:
+            raise ValueError("supplied word is not a reduced word for v")
+    betas = [RootPolynomial.from_linear(rs.rank, c) for c in inversion_coords(rs, word)]
+    n = len(word)
+    target = w.matrix
+    lw = w.length
+    zero = RootPolynomial.zero(rs.rank)
+
+    def walk(pos, partial, chosen, prod):
+        if chosen == lw:
+            return prod if partial == target else zero
+        if chosen + (n - pos) < lw:
+            return zero
+        acc = walk(pos + 1, partial, chosen, prod)
+        i = word[pos] - 1
+        if _column_is_positive(partial, i):
+            acc = acc + walk(
+                pos + 1,
+                _reflect_right(rs, partial, i),
+                chosen + 1,
+                prod * betas[pos],
+            )
+        return acc
+
+    return walk(0, _identity_matrix(rs.rank), 0, RootPolynomial.one(rs.rank))
+
+
 def brute_subword_leq(u, w):
     """Bruhat test straight from the subword property.
 

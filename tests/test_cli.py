@@ -11,9 +11,13 @@ import pytest
 
 from eqschub import (
     CartanMatrix,
+    RootPolynomial,
     build_root_system,
     builtin_root_system,
     element_from_word,
+    enumerate_upto,
+    inverse,
+    inversions,
     longest_element,
     opposite_constants,
     restriction_table,
@@ -132,6 +136,38 @@ def test_restrict_billey_convention_matches_inverse_lookup():
         ["restrict", "--type", "A2", "--w", "1,2", "--v", "1,2", "--convention", "Billey"]
     )
     assert kk == billey
+    for name in ("A2", "B2"):
+        rs = builtin_root_system(name)
+        rng = enumerate_upto(rs, len(rs.positive_roots))
+        for w in rng:
+            for v in rng:
+                args = ["restrict", "--type", name, "--w", w.word_text(), "--v", v.word_text()]
+                code, kk = run(
+                    ["restrict", "--type", name,
+                     "--w", inverse(w).word_text(), "--v", inverse(v).word_text()]
+                )
+                assert code == 0
+                for convention in ("Billey", "Arabia"):
+                    assert run(args + ["--convention", convention]) == (0, kk)
+    code, _ = run(["restrict", "--type", "A2", "--w", "1", "--v", "1", "--convention", "Bourbaki"])
+    assert code == 2
+
+
+def test_restrict_beyond_the_subword_formula():
+    """l(v) = 64 on AffineA1: the subword formula would walk 2^64 subsets;
+    the column route walks 64 letters."""
+    aff = builtin_root_system("AffineA1")
+    v = element_from_word(aff, (1, 2) * 32)
+    assert v.length == 64
+    code, out = run(["restrict", "--type", "AffineA1", "--w", "e", "--v", v.word_text()])
+    assert (code, out) == (0, "1\n")
+    diagonal = RootPolynomial.one(2)
+    for beta in inversions(v):
+        diagonal = diagonal * beta.to_polynomial()
+    code, out = run(
+        ["restrict", "--type", "AffineA1", "--w", v.word_text(), "--v", v.word_text()]
+    )
+    assert (code, out) == (0, diagonal.to_text() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +366,13 @@ def test_csv_rejected_outside_mult():
     code, _ = run(["restrict", "--type", "A1", "--w", "1", "--v", "1", "--format", "csv"])
     assert code == 2
     code, _ = run(["sweep", "--type", "A1", "--max-length", "1", "--format", "csv"])
+    assert code == 2
+    # each command declares only the flags it reads
+    code, _ = run(["rootsys", "--type", "A1", "--jobs", "2"])
+    assert code == 2
+    code, _ = run(["restrict", "--type", "A1", "--w", "1", "--v", "1", "--max-length", "3"])
+    assert code == 2
+    code, _ = run(["mult", "--type", "A1", "--u", "1", "--v", "1", "--cache", "x"])
     assert code == 2
 
 

@@ -1,4 +1,5 @@
-"""Fixed-point restriction values and convention adapters."""
+"""Fixed-point restriction values: the table, single columns and the
+subword-formula oracle."""
 
 import pytest
 
@@ -6,23 +7,21 @@ from eqschub import (
     CartanMatrix,
     InternalInconsistency,
     RootPolynomial,
-    billey_restrict,
     build_root_system,
     builtin_root_system,
-    convert_convention,
     element_from_word,
     enumerate_upto,
     identity,
-    inverse,
     inversions,
     longest_element,
+    restriction_column,
     restriction_table,
 )
 
 from eqschub.localize import _verify_table
 from eqschub.rootsys import GENERAL
 
-from conftest import affine_a_cartan, all_reduced_words
+from conftest import affine_a_cartan, all_reduced_words, billey_restrict
 
 A1 = builtin_root_system("A1")
 A2 = builtin_root_system("A2")
@@ -104,9 +103,27 @@ def test_g2_full_diagonal_is_product_of_all_positive_roots():
 def test_batched_table_matches_single_restrictions():
     for rs, k in [(A2, 3), (B2, 3), (AFF, 4), (A3, 6), (AFF_A2, 5)]:
         table = restriction_table(rs, k)
-        for w in table.range:
-            for v in table.range:
-                assert table.value(w, v) == billey_restrict(rs, w, v)
+        zero = RootPolynomial.zero(rs.rank)
+        for v in table.range:
+            column = restriction_column(v)
+            for w in table.range:
+                oracle = billey_restrict(rs, w, v)
+                assert table.value(w, v) == oracle
+                assert column.get(w.matrix, zero) == oracle
+
+
+@pytest.mark.parametrize(
+    "rs,k",
+    [(A3, 6), (B2, 4), (G2, 6), (AFF, 10), (AFF_A2, 6)],
+    ids=["A3", "B2", "G2", "AffineA1", "AffineA2"],
+)
+def test_column_equals_every_table_column(rs, k):
+    table = restriction_table(rs, k)
+    expected = {v: {} for v in table.range}
+    for (w, v), poly in table.values.items():
+        expected[v][w.matrix] = poly
+    for v in table.range:
+        assert restriction_column(v) == expected[v]
 
 
 @pytest.mark.parametrize(
@@ -207,55 +224,3 @@ def test_triangular_with_nonzero_diagonal(rs, k):
         for v in table.range:
             if w in table.range.leq[v]:
                 assert not table.value(w, v).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# conventions
-
-
-def test_a1_conversion_is_identity_map():
-    table = restriction_table(A1, 1)
-    billey = convert_convention(table, "Billey")
-    assert billey.convention == "Billey"
-    assert billey.values == table.values
-
-
-def test_round_trip_restores_table():
-    table = restriction_table(A2, 3)
-    again = convert_convention(convert_convention(table, "Billey"), "KK")
-    assert again.convention == "KK"
-    assert again.values == table.values
-    arabia = convert_convention(convert_convention(table, "Arabia"), "KK")
-    assert arabia.values == table.values
-
-
-def test_billey_entry_is_kk_at_inverses():
-    table = restriction_table(A2, 3)
-    billey = convert_convention(table, "Billey")
-    for w in table.range:
-        for v in table.range:
-            assert billey.value(w, v) == table.value(inverse(w), inverse(v))
-
-
-def test_round_trip_restores_affine_table():
-    table = restriction_table(AFF_A2, 5)
-    billey = convert_convention(table, "Billey")
-    assert billey.values != table.values
-    for target in ("Billey", "Arabia"):
-        again = convert_convention(convert_convention(table, target), "KK")
-        assert again.convention == "KK"
-        assert again.values == table.values
-
-
-def test_arabia_equals_billey_as_stored():
-    table = restriction_table(B2, 3)
-    assert (
-        convert_convention(table, "Arabia").values
-        == convert_convention(table, "Billey").values
-    )
-
-
-def test_unknown_convention_rejected():
-    table = restriction_table(A1, 1)
-    with pytest.raises(ValueError):
-        convert_convention(table, "Bourbaki")
