@@ -200,8 +200,8 @@ def inversions(w: WeylElement) -> tuple[RootVector, ...]:
 def inversion_coords(rs: RootSystem, word: tuple[int, ...]) -> list[tuple[int, ...]]:
     """beta_j = s_{i1} .. s_{i_{j-1}} (alpha_{i_j}) for each letter of a word.
 
-    For a reduced word of w these are the inversion roots of w^{-1}; the
-    subword formula weights the letters of the word by them.
+    For a reduced word of w these are the inversion roots of w^{-1};
+    ``localize.restriction_column`` weights the letters of the word by them.
     """
     out = []
     cur = _identity_matrix(rs.rank)
