@@ -262,17 +262,18 @@ def cmd_mult(args, out) -> int:
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["w_word", "degree", "monomial", "coefficient"])
-        for w in s.order:
-            for exp, coeff in s.values[w].sorted_terms():
-                writer.writerow([word_text(w.word), sum(exp), monomial_text(exp), coeff])
+        for w, poly in s.values.items():
+            for exp, coeff in poly.sorted_terms():
+                writer.writerow([word_text(s.order[w].word), sum(exp), monomial_text(exp), coeff])
     else:
         print(
             f"type={rs.descriptor} basis={args.basis} "
             f"u={word_text(u_word)} v={word_text(v_word)}",
             file=out,
         )
-        for w in s.order:
-            print(f"w={w.word_text()}: {s.values[w].to_text()}", file=out)
+        zero = RootPolynomial.zero(rs.rank)
+        for k, w in enumerate(s.order):
+            print(f"w={w.word_text()}: {s.values.get(k, zero).to_text()}", file=out)
         print(f"certificate: {cert.verdict}", file=out)
         if evaluation is not None:
             nu_text = ",".join(str(x) for x in point)
@@ -292,20 +293,16 @@ def _sweep_init(state):
     _WORKER["state"] = state
 
 
-def _sweep_row_lines(state, u_word, v_words) -> list[tuple[str, str, bool]]:
+def _sweep_row_lines(state, u: int, vs) -> list[tuple[str, str, bool]]:
     """Cache lines of the pairs (u, v) and (v, u), and their verdict, for
-    each v of ``v_words``.
+    each v of ``vs``, all named by id.
 
     The constants are symmetric in u and v, so row u is column u of the
     recurrence, and the (u, v) record is the (v, u) record with its "u"
     and "v" values swapped; ``record_text`` encodes both from one body.
     """
-    elements = state["elements"]
-    tables = column_constants(
-        state["context"], elements[u_word], [elements[w] for w in v_words]
-    )
     out = []
-    for s in tables:
+    for s in column_constants(state["context"], u, vs):
         if state["w0"] is not None:
             s = opposite_constants(s, state["w0"])
         cert = positivity_certificate(s)
@@ -382,22 +379,19 @@ def run_sweep(
     if basis == "y" and rs.kind != FINITE:
         raise NotFiniteType("y-basis sweep requires a finite-type root system")
     rng = enumerate_upto(rs, bound)
-    if rng.complete:
-        swept = list(rng.elements)
-    else:
-        half = bound // 2
-        swept = [w for w in rng.elements if w.length <= half]
-    words = [w.word for w in swept]
+    words = [w.word for w in rng.elements if rng.complete or 2 * w.length <= bound]
     verdicts = cached or {}
 
     def missing(pair) -> bool:
         return (rs.descriptor, basis, *pair) not in verdicts
 
+    # Row u lists the ids v >= u of the pairs {u, v} left; the swept
+    # elements are a prefix of the range, so their ids are their positions.
     rows = [
-        [vw for vw in words[a:] if missing((uw, vw)) or missing((vw, uw))]
+        [b for b in range(a, len(words)) if missing((uw, words[b])) or missing((words[b], uw))]
         for a, uw in enumerate(words)
     ]
-    todo = [(uw, row) for uw, row in zip(words, rows) if row]
+    todo = [(a, row) for a, row in enumerate(rows) if row]
 
     fails = []
     # Lines not yet written, by ordered pair: a (v, u) line waits here
@@ -410,7 +404,8 @@ def run_sweep(
             fh.write(json.dumps(CACHE_HEADER) + "\n")
         for uw, row in zip(words, rows):
             # A row with nothing left is not in todo: nothing was computed for it.
-            for vw, (line, swapped, ok) in zip(row, next(solved) if row else []):
+            for b, (line, swapped, ok) in zip(row, next(solved) if row else []):
+                vw = words[b]
                 for pair, text in (((uw, vw), line), ((vw, uw), swapped)):
                     if missing(pair):
                         pending[pair] = (text, ok)
@@ -433,18 +428,16 @@ def run_sweep(
 
 
 def _solve_rows(rows, rs, rng, basis, jobs):
-    """Yield ``_sweep_row_lines`` of each (u word, v words) row, in order.
+    """Yield ``_sweep_row_lines`` of each (u id, v ids) row, in order.
 
     Nothing is set up before the first row is asked for.  The state (the
-    range's table and recurrence context, its elements by canonical word,
-    w0 for the y basis) is used here at ``jobs`` 1 and handed to each pool
-    worker otherwise: inherited under fork, pickled once per worker under
-    spawn.
+    range's table and recurrence context, w0 for the y basis) is used here
+    at ``jobs`` 1 and handed to each pool worker otherwise: inherited under
+    fork, pickled once per worker under spawn.
     """
     table = restriction_table(rs, rng.bound, rng=rng)
     state = {
         "context": ChevalleyContext(table),
-        "elements": {w.word: w for w in rng.elements},
         "w0": longest_element(rs) if basis == "y" else None,
     }
     if jobs > 1:
@@ -462,8 +455,8 @@ def _solve_rows(rows, rs, rng, basis, jobs):
         ) as pool:
             yield from pool.map(_sweep_task, rows)
     else:
-        for u_word, v_words in rows:
-            yield _sweep_row_lines(state, u_word, v_words)
+        for u, vs in rows:
+            yield _sweep_row_lines(state, u, vs)
 
 
 def _open_cache(path: str | None, needed):

@@ -74,8 +74,9 @@ def restriction_column(v: WeylElement) -> dict:
 class RestrictionTable:
     """Restriction polynomials over a length-bounded range.
 
-    ``values`` maps (w, v) to its polynomial for the nonzero entries only;
-    ``value`` reads any pair, zero where nothing is stored.
+    ``values`` maps the ids (w, v) of the range (see ``WeylRange``) to
+    their polynomial, for the nonzero entries only; ``value`` reads any
+    pair of elements, zero where nothing is stored.
     """
 
     def __init__(self, rs: RootSystem, rng: WeylRange, values: dict):
@@ -85,11 +86,12 @@ class RestrictionTable:
         self._zero = RootPolynomial.zero(rs.rank)
 
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
-        return self.values.get((w, v), self._zero)
+        index = self.range.index
+        return self.values.get((index.get(w), index.get(v)), self._zero)
 
 
 def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -> RestrictionTable:
-    """Restriction values for every pair in the length-<=-k range.
+    """Restriction values for every pair of ids in the length-<=-k range.
 
     Columns are built by the one-letter recursion, each from the column of
     v with its last letter removed, and only their nonzero entries are
@@ -101,20 +103,16 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
     if rng is None:
         rng = enumerate_upto(rs, k)
     rmul = rng.right_mul
-    roots = rng.last_root
 
     def ascend(u, i):
         w = rmul[u][i]
-        return w if w.length > u.length else None
+        return w if w > u else None
 
-    columns: dict = {}
-    for v in rng.elements:
-        if not v.word:
-            columns[v] = {v: RootPolynomial.one(rs.rank)}
-            continue
-        i = v.word[-1] - 1
-        columns[v] = _next_column(columns[rmul[v][i]], i, roots[v], ascend)
-    values = {(w, v): poly for v, column in columns.items() for w, poly in column.items()}
+    columns = [{0: RootPolynomial.one(rs.rank)}]
+    for v in range(1, len(rng)):
+        i = rng.elements[v].word[-1] - 1
+        columns.append(_next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend))
+    values = {(w, v): poly for v, column in enumerate(columns) for w, poly in column.items()}
     table = RestrictionTable(rs, rng, values)
     _verify_table(table)
     return table
@@ -123,35 +121,39 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -
 def _verify_table(table: RestrictionTable):
     rng = table.range
     leq = rng.leq
+    elements = rng.elements
     values = table.values
-    for v in rng.elements:
-        for w in leq[v]:
+    for v, below in enumerate(leq):
+        for w in below:
             poly = values.get((w, v))
             if poly is None or poly.is_zero():
                 raise InternalInconsistency(
-                    f"support violation: value({w}, {v}) zero but w <= v"
+                    f"support violation: value({elements[w]}, {elements[v]}) zero but w <= v"
                 )
     for (w, v), poly in values.items():
         if poly.is_zero():
             raise InternalInconsistency(
-                f"support violation: value({w}, {v}) stored as zero"
+                f"support violation: value({elements[w]}, {elements[v]}) stored as zero"
             )
         if w not in leq[v]:
             raise InternalInconsistency(
-                f"support violation: value({w}, {v}) nonzero but w !<= v"
+                f"support violation: value({elements[w]}, {elements[v]}) nonzero but w !<= v"
             )
-        if not poly.is_homogeneous_of(w.length):
+        if not poly.is_homogeneous_of(elements[w].length):
             raise InternalInconsistency(
-                f"value({w}, {v}) is not homogeneous of degree {w.length}"
+                f"value({elements[w]}, {elements[v]}) is not homogeneous of degree "
+                f"{elements[w].length}"
             )
         if poly.sign_pattern() not in ("nonneg", "zero"):
-            raise InternalInconsistency(f"value({w}, {v}) has negative coefficients")
-    one = RootPolynomial.one(table.rs.rank)
-    for w in rng.elements:
-        diag = one
-        for coords in inversion_coords(table.rs, w.word):
-            diag = diag * RootPolynomial.from_linear(table.rs.rank, coords)
-        if table.value(w, w) != diag:
             raise InternalInconsistency(
-                f"diagonal value at {w} differs from its inversion product"
+                f"value({elements[w]}, {elements[v]}) has negative coefficients"
+            )
+    one = RootPolynomial.one(table.rs.rank)
+    for w, x in enumerate(elements):
+        diag = one
+        for coords in inversion_coords(table.rs, x.word):
+            diag = diag * RootPolynomial.from_linear(table.rs.rank, coords)
+        if values.get((w, w)) != diag:
+            raise InternalInconsistency(
+                f"diagonal value at {x} differs from its inversion product"
             )

@@ -68,12 +68,16 @@ from .errors import (
 )
 from .localize import RestrictionTable
 from .rootsys import FINITE, LinearForm, RootPolynomial, evaluate_many
-from .weyl import WeylElement
+from .weyl import WeylElement, _check_same_system
 
 
 class StructureTable:
-    """Constants w -> polynomial for one index pair, with a basis tag;
-    ``order`` lists the keys of ``values`` in range order."""
+    """The constants of one index pair (u, v), with a basis tag.
+
+    ``order`` is the range prefix up to length l(u) + l(v), so ``order[k]``
+    is the element of id k; ``values`` maps the id of each w with a
+    nonzero constant to it, in increasing id, and holds no zero.
+    """
 
     def __init__(self, table: RestrictionTable, basis: str, u: WeylElement, v: WeylElement,
                  values: dict, order):
@@ -85,9 +89,6 @@ class StructureTable:
         self.values = values
         self.order = order
 
-    def nonzero_items(self) -> list[tuple[WeylElement, RootPolynomial]]:
-        return [(w, self.values[w]) for w in self.order if not self.values[w].is_zero()]
-
 
 def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement) -> StructureTable:
     """The x-basis constants of the pair (u, v), by the recurrence over the
@@ -98,21 +99,23 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
     any bound works because no fixed points beyond the enumerated ones
     exist.
     """
-    context = ChevalleyContext(table)
-    if (
-        u.rs.cartan.entries != table.rs.cartan.entries
-        or v.rs.cartan.entries != table.rs.cartan.entries
-    ):
-        raise RankMismatch("elements do not belong to the table's root system")
-    return column_constants(context, v, [u])[0]
+    _check_same_system(table.rs, u, v)
+    _check_bound(table.range, u.length + v.length)
+    index = table.range.index
+    return column_constants(ChevalleyContext(table), index[v], [index[u]])[0]
+
+
+def _check_bound(rng, top: int):
+    if not rng.complete and rng.bound < top:
+        raise InsufficientBound(f"table bound {rng.bound} < length(u)+length(v) = {top}")
 
 
 class ChevalleyContext:
     """What the Chevalley recurrence reads of one range.
 
-    An element's id is its position in the range, so ids run in length
-    order.  ``restriction[a]`` maps b to xi^a(b) for the b >= a (the
-    table's nonzero entries), ``below[w]`` lists the y that w covers, and
+    Elements are named by their ids in the range (see ``WeylRange``).
+    ``restriction[a]`` maps b to xi^a(b) for the b >= a (the table's
+    nonzero entries), ``below[w]`` lists the y that w covers, and
     ``xi[w][i]`` holds the coordinates of xi^{s_i}(w).  The first
     ``read(x)``, when a column first reads x, builds:
 
@@ -128,15 +131,10 @@ class ChevalleyContext:
         self.table = table
         self.elements = table.range.elements
         n = len(self.elements)
-        self.index = index = {w: k for k, w in enumerate(self.elements)}
         self.length = length = [w.length for w in self.elements]
         self.restriction = restriction = [{} for _ in range(n)]
         self.below = below = [[] for _ in range(n)]
-        last = b = None
-        for (a, v), poly in table.values.items():
-            if v is not last:
-                last, b = v, index[v]
-            a = index[a]
+        for (a, b), poly in table.values.items():
             restriction[a][b] = poly
             if length[a] + 1 == length[b]:
                 below[b].append(a)
@@ -237,38 +235,32 @@ def _checked_quotient(dividend: RootPolynomial, divisor, degree: int, u, v, w) -
     return dividend
 
 
-def column_constants(
-    context: ChevalleyContext, v: WeylElement, us
-) -> list[StructureTable]:
-    """The x-basis constants of the pairs (u, v), for each u of ``us``, by
-    the Chevalley recurrence (see the module docstring).
+def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTable]:
+    """The x-basis constants of the pairs (u, v), for the id v and each id
+    u of ``us``, by the Chevalley recurrence (see the module docstring).
 
     Computes the column of v at every x above some u, longest first, up
-    to length max(l(u)) + l(v); each table holds the constants of one
-    pair at every w up to length l(u) + l(v).
+    to length max(l(u)) + l(v); each table holds the nonzero constants of
+    one pair at the w up to length l(u) + l(v).
     """
-    rng = context.table.range
-    lv = v.length
-    top = max(u.length for u in us) + lv
-    if not rng.complete and rng.bound < top:
-        raise InsufficientBound(f"table bound {rng.bound} < length(u)+length(v) = {top}")
-    index, length, elements = context.index, context.length, context.elements
+    length, elements = context.length, context.elements
+    lv = length[v]
+    top = max(length[u] for u in us) + lv
+    _check_bound(context.table.range, top)
     restriction = context.restriction
-    vid = index[v]
-    ids = [index[u] for u in us]
     rank = context.table.rs.rank
-    xi_v = restriction[vid]
+    xi_v = restriction[v]
     covers_down = context.covers_down
     column: dict = {}
     # Every w > x read below is some u's upper element, longer than x, so
     # its ``read`` ran before x's.
-    for x in sorted({x for u in ids for x in restriction[u] if length[x] <= top}, reverse=True):
+    for x in sorted({x for u in us for x in restriction[u] if length[x] <= top}, reverse=True):
         steps, covers_up = context.read(x)
         degree = length[x] + lv
         last = min(degree, top)
         values = {}
         if x in xi_v:
-            values[x] = _checked_quotient(xi_v[x], None, lv, elements[x], v, elements[x])
+            values[x] = _checked_quotient(xi_v[x], None, lv, elements[x], elements[v], elements[x])
         for w, i, divisor in steps:
             if length[w] > last:
                 break
@@ -292,19 +284,16 @@ def column_constants(
                 continue
             values[w] = _checked_quotient(
                 RootPolynomial(rank, acc, _clean=True), divisor, degree - length[w],
-                elements[x], v, elements[w],
+                elements[x], elements[v], elements[w],
             )
         column[x] = values
-    zero = RootPolynomial.zero(rank)
-    out = []
-    for u, uid in zip(us, ids):
-        values = column[uid]
-        order = elements[:bisect_right(length, length[uid] + lv)]
-        out.append(StructureTable(
-            context.table, "x", u, v,
-            {w: values.get(k, zero) for k, w in enumerate(order)}, order,
-        ))
-    return out
+    return [
+        StructureTable(
+            context.table, "x", elements[u], elements[v], column[u],
+            elements[:bisect_right(length, length[u] + lv)],
+        )
+        for u in us
+    ]
 
 
 @dataclass
@@ -321,31 +310,34 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
 
     For an x-basis table this is the identity that defines the constants,
     checked independently of the recurrence that computed them, at fixed
-    points up to length(u)+length(v) and beyond.  A y-basis table satisfies the same identity with every
-    restriction transported by the longest element, so the check is run
-    against the transported values.
+    points up to length(u)+length(v) and beyond.  A y-basis table
+    satisfies the same identity with every restriction transported by the
+    longest element, so the check is run against the transported values.
+    The ids of ``s.values`` are read as ids of ``table``'s range, which
+    holds ``s.order`` as a prefix when its root system is ``s``'s.
     """
     transform = None
     if s.basis == "y":
         from .weyl import longest_element
 
         transform = longest_element(s.rs).matrix
-    nonzero = s.nonzero_items()
+    index, values = table.range.index, table.values
+    u, v = index.get(s.u), index.get(s.v)
     zero = RootPolynomial.zero(table.rs.rank)
-    for z in table.range.elements:
-        lhs = table.value(s.u, z) * table.value(s.v, z)
+    for z, element in enumerate(table.range.elements):
+        lhs = values.get((u, z), zero) * values.get((v, z), zero)
         if transform is not None:
             lhs = lhs.apply_linear(transform)
         rhs = zero
-        for w, poly in nonzero:
-            xi = table.values.get((w, z))
+        for w, poly in s.values.items():
+            xi = values.get((w, z))
             if xi is None:
                 continue
             if transform is not None:
                 xi = xi.apply_linear(transform)
             rhs = rhs + poly * xi
         if lhs != rhs:
-            return IdentityCheck(False, z)
+            return IdentityCheck(False, element)
     return IdentityCheck(True)
 
 
@@ -370,7 +362,7 @@ def opposite_constants(s: StructureTable, w0: WeylElement) -> StructureTable:
 
 @dataclass
 class CertificateEntry:
-    w: WeylElement
+    w: int
     monomials: list[tuple[tuple[int, ...], int]]
     ok: bool
 
@@ -379,7 +371,7 @@ class CertificateEntry:
 class PositivityCertificate:
     basis: str
     entries: list[CertificateEntry]
-    failures: list[WeylElement]
+    failures: list[int]
 
     @property
     def verdict(self) -> str:
@@ -403,15 +395,11 @@ def value_sign_ok(poly: RootPolynomial, basis: str) -> bool:
 
 
 def positivity_certificate(s: StructureTable) -> PositivityCertificate:
-    """Full monomial expansion of every value plus a per-value verdict; a
-    zero value gets an empty, passing entry."""
+    """Full monomial expansion of every stored value plus a per-value
+    verdict, with entries and failures named by id."""
     entries = []
     failures = []
-    for w in s.order:
-        poly = s.values[w]
-        if not poly.terms:
-            entries.append(CertificateEntry(w, [], True))
-            continue
+    for w, poly in s.values.items():
         ok = value_sign_ok(poly, s.basis)
         entries.append(CertificateEntry(w, poly.sorted_terms(), ok))
         if not ok:
@@ -432,19 +420,23 @@ def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, st
     ``json.dumps`` gives their dict form {"type", "basis", "u", "v",
     "values": [{"w", "poly": {"terms"}}], "certificate": {"verdict",
     "basis", "sign_rule", "monomials": [{"w", "terms", "verdict"}]}}, one
-    item per certificate entry.  Each value's terms are rendered once for
-    both of its lists, and the two records share all but "u" and "v"."""
-    values = []
-    monomials = []
+    item per w of ``s.order``, with empty terms and a passing verdict
+    where the certificate has no entry.  Each value's terms are rendered
+    once for both of its lists, and the two records share all but "u" and
+    "v"."""
+    rendered = {}
     for e in cert.entries:
-        w = _json(e.w.word)
         terms = "[" + ", ".join([
             f'{{"exp": {_json(exp)}, "coeff": "{coeff}"}}' for exp, coeff in e.monomials
         ]) + "]" if e.monomials else "[]"
+        rendered[e.w] = terms, "pass" if e.ok else "fail"
+    values = []
+    monomials = []
+    for k, element in enumerate(s.order):
+        w = _json(element.word)
+        terms, verdict = rendered.get(k, ("[]", "pass"))
         values.append(f'{{"w": {w}, "poly": {{"terms": {terms}}}}}')
-        monomials.append(
-            f'{{"w": {w}, "terms": {terms}, "verdict": "{"pass" if e.ok else "fail"}"}}'
-        )
+        monomials.append(f'{{"w": {w}, "terms": {terms}, "verdict": "{verdict}"}}')
     sign_rule = "nonneg" if cert.basis == "x" else "alternating"
     body = (
         f'"values": [{", ".join(values)}], "certificate": {{"verdict": "{cert.verdict}", '
@@ -458,7 +450,7 @@ def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, st
 
 def billey_evaluate(s: StructureTable, nu) -> list[Fraction]:
     """The value of each w of ``s.order``, in that order, at alpha_i := nu_i,
-    all coordinates positive.
+    all coordinates positive; zero at each w without a stored value.
 
     On the positive cone the x-basis values are guaranteed nonnegative.
     """
@@ -467,4 +459,5 @@ def billey_evaluate(s: StructureTable, nu) -> list[Fraction]:
         raise RankMismatch("evaluation point has wrong rank")
     if any(x <= 0 for x in point):
         raise DomainViolation("every coordinate of nu must be positive")
-    return evaluate_many(s.rs.rank, [s.values[w] for w in s.order], point)
+    zero = RootPolynomial.zero(s.rs.rank)
+    return evaluate_many(s.rs.rank, [s.values.get(w, zero) for w in range(len(s.order))], point)

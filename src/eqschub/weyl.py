@@ -161,13 +161,13 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     return canonicalize(rs, m)
 
 
-def _check_same_system(a: WeylElement, b: WeylElement):
-    if a.rs.cartan.entries != b.rs.cartan.entries or a.rs.kind != b.rs.kind:
+def _check_same_system(rs: RootSystem, *elements: WeylElement):
+    if any(x.rs.cartan.entries != rs.cartan.entries or x.rs.kind != rs.kind for x in elements):
         raise RankMismatch("elements belong to different root systems")
 
 
 def multiply(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    _check_same_system(w1, w2)
+    _check_same_system(w1.rs, w2)
     return canonicalize(w1.rs, _mat_mul(w1.matrix, w2.matrix))
 
 
@@ -220,7 +220,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 
     Independent of ``WeylRange.leq``, which the test suite checks against it.
     """
-    _check_same_system(u, w)
+    _check_same_system(u.rs, w)
     if u.length > w.length:
         return False
     if u.length == 0:
@@ -239,17 +239,18 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 class WeylRange:
     """All elements of length <= bound, sorted by (length, word lex).
 
-    ``complete`` is True when the range provably exhausts the whole group
-    (no element of maximal stored length has a length-increasing
-    extension).  ``right_mul`` maps w to (w s_1, .., w s_rank), with None
-    where w s_i leaves the range.  ``last_root`` maps each w other than the
-    identity to the last root of ``inversion_coords(rs, w.word)``, the
-    root parent(alpha_d) its canonical word's last letter d adds, as a
-    ``LinearForm``.
+    An element's id is its position in ``elements``, so ids run in length
+    order, and ``index`` maps an element to its id.  ``complete`` is True
+    when the range provably exhausts the whole group (no element of
+    maximal stored length has a length-increasing extension).
+    ``right_mul[w]`` lists the ids of w s_1, .., w s_rank, None where
+    w s_i leaves the range.  ``last_root[w]`` is the last root of
+    ``inversion_coords(rs, w.word)``, the root parent(alpha_d) its
+    canonical word's last letter d adds, as a ``LinearForm`` (None at id 0).
     """
 
     def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],
-                 complete: bool, right_mul: dict, last_root: dict):
+                 complete: bool, right_mul: list, last_root: list):
         self.rs = rs
         self.bound = bound
         self.elements = elements
@@ -264,22 +265,24 @@ class WeylRange:
         return iter(self.elements)
 
     @cached_property
-    def leq(self) -> dict:
-        """w -> frozenset of the stored elements u with u <= w in Bruhat order.
+    def index(self) -> dict:
+        """Element -> id."""
+        return {w: k for k, w in enumerate(self.elements)}
+
+    @cached_property
+    def leq(self) -> list:
+        """The frozenset of the ids u <= w in Bruhat order, for each id w.
 
         Built along canonical words by the lifting property (Bjorner-Brenti,
         GTM 231, 2.2): with i the last letter of v and v' = v s_i, the
         elements below v are those below v' and their products with s_i.
         """
         rmul = self.right_mul
-        below: dict = {}
-        for v in self.elements:
-            if not v.word:
-                below[v] = frozenset((v,))
-                continue
-            i = v.word[-1] - 1
+        below = [frozenset((0,))]
+        for v in range(1, len(self.elements)):
+            i = self.elements[v].word[-1] - 1
             parent = below[rmul[v][i]]
-            below[v] = parent.union([rmul[u][i] for u in parent])
+            below.append(parent.union([rmul[u][i] for u in parent]))
         return below
 
 
@@ -292,37 +295,43 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
     ascents.  Letters are tried in increasing order, so a new element is
     first reached from its parent w s_d, d its smallest right descent: its
     canonical word is the parent's followed by d, and its last root is
-    parent(alpha_d).
+    parent(alpha_d).  A level's ids are given once it is sorted.
     """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
     n = rs.rank
-    e = identity(rs)
-    rmul = {e: [None] * n}
-    roots = {}
-    elements, level = [e], [e]
+    elements = [identity(rs)]
+    rmul = [[None] * n]
+    roots = [None]
+    level = range(1)
     for _ in range(k):
+        # matrix -> [canonical word, last root, (a, i) for each w_a s_i = it]
         found: dict = {}
         for i in range(n):
-            for w in level:
-                if rmul[w][i] is None:
+            for a in level:
+                if rmul[a][i] is None:
+                    w = elements[a]
                     m = _reflect_right(rs, w.matrix, i)
                     child = found.get(m)
                     if child is None:
-                        child = found[m] = WeylElement(rs, m, w.word + (i + 1,))
-                        rmul[child] = [None] * n
-                        roots[child] = LinearForm.from_linear(n, _column(w.matrix, i))
-                        if len(rmul) > cap:
+                        child = found[m] = [w.word + (i + 1,), _column(w.matrix, i)]
+                        if len(elements) + len(found) > cap:
                             raise ResourceCap(
                                 f"enumeration exceeded {cap} elements at length bound {k}"
                             )
-                    rmul[w][i] = child
-                    rmul[child][i] = w
+                    child.append((a, i))
         if not found:
             break
-        level = sorted(found.values(), key=lambda w: w.word)
-        elements.extend(level)
-    complete = all(x is not None for w in level for x in rmul[w])
+        level = range(len(elements), len(elements) + len(found))
+        by_word = sorted(found.items(), key=lambda item: item[1][0])
+        for c, (m, (word, root, *parents)) in zip(level, by_word):
+            elements.append(WeylElement(rs, m, word))
+            rmul.append([None] * n)
+            roots.append(LinearForm.from_linear(n, root))
+            for a, i in parents:
+                rmul[a][i] = c
+                rmul[c][i] = a
+    complete = all(x is not None for a in level for x in rmul[a])
     return WeylRange(rs, k, tuple(elements), complete, rmul, roots)
 
 

@@ -127,14 +127,14 @@ def triangular_constants(table, u, v):
 
     rng = table.range
     total = u.length + v.length
-    order = [w for w in rng.elements if w.length <= total]
+    order = tuple(w for w in rng.elements if w.length <= total)
+    iu, iv = rng.index[u], rng.index[v]
     values = {}
-    solved = []
-    for w in order:
+    for k, w in enumerate(order):
         numerator = table.value(u, w) * table.value(v, w)
-        for wp, poly in solved:
-            numerator = numerator - poly * table.value(wp, w)
-        if u in rng.leq[w] and v in rng.leq[w]:
+        for wp, poly in values.items():
+            numerator = numerator - poly * table.value(order[wp], w)
+        if iu in rng.leq[k] and iv in rng.leq[k]:
             try:
                 for c in inversion_coords(table.rs, w.word):
                     numerator = numerator.exact_divide_linear(
@@ -145,46 +145,53 @@ def triangular_constants(table, u, v):
             if not numerator.is_homogeneous_of(total - w.length):
                 raise InternalInconsistency(f"value at {w} has the wrong degree")
             if not numerator.is_zero():
-                solved.append((w, numerator))
+                values[k] = numerator
         elif not numerator.is_zero():
             raise InternalInconsistency(f"nonzero numerator at skipped fixed point {w}")
-        values[w] = numerator
-    return StructureTable(table, "x", u, v, values, tuple(order))
+    return StructureTable(table, "x", u, v, values, order)
 
 
-def certificate_dict(cert):
-    """Dict form of a positivity certificate, as a cache record holds it."""
+def certificate_dict(s, cert):
+    """Dict form of the positivity certificate of a structure table, as a
+    cache record holds it: one item per w of ``s.order``, empty and
+    passing where the certificate has no entry."""
+    entries = {e.w: e for e in cert.entries}
+    monomials = []
+    for k, w in enumerate(s.order):
+        e = entries.get(k)
+        monomials.append({
+            "w": list(w.word),
+            "terms": [{"exp": list(exp), "coeff": str(c)} for exp, c in e.monomials] if e else [],
+            "verdict": "pass" if e is None or e.ok else "fail",
+        })
     return {
         "verdict": cert.verdict,
         "basis": cert.basis,
         "sign_rule": "nonneg" if cert.basis == "x" else "alternating",
-        "monomials": [
-            {
-                "w": list(e.w.word),
-                "terms": [{"exp": list(exp), "coeff": str(c)} for exp, c in e.monomials],
-                "verdict": "pass" if e.ok else "fail",
-            }
-            for e in cert.entries
-        ],
+        "monomials": monomials,
     }
 
 
 def record_dict(s, cert=None):
     """Dict form of the cache record of a structure table, built the plain
     way: the oracle of ``structconst.record_text``, which writes it as
-    text.  The values come from the table, the certificate is built
-    unless one is given."""
-    from eqschub import positivity_certificate
+    text.  The values come from the table, zero at every w of ``s.order``
+    without one; the certificate is built unless one is given."""
+    from eqschub import RootPolynomial, positivity_certificate
 
     if cert is None:
         cert = positivity_certificate(s)
+    zero = RootPolynomial.zero(s.rs.rank)
     return {
         "type": s.rs.descriptor,
         "basis": s.basis,
         "u": list(s.u.word),
         "v": list(s.v.word),
-        "values": [{"w": list(w.word), "poly": s.values[w].to_json_dict()} for w in s.order],
-        "certificate": certificate_dict(cert),
+        "values": [
+            {"w": list(w.word), "poly": s.values.get(k, zero).to_json_dict()}
+            for k, w in enumerate(s.order)
+        ],
+        "certificate": certificate_dict(s, cert),
     }
 
 

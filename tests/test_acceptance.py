@@ -95,9 +95,9 @@ def test_c1_sl2_ground_truth():
     alpha = RootPolynomial.variable(1, 1)
 
     x_ss = structure_constants(table, s, s)
-    assert x_ss.values[s] == alpha
+    assert x_ss.values[table.range.index[s]] == alpha
     y_ss = opposite_constants(x_ss, w0)
-    assert y_ss.values[s] == -alpha
+    assert y_ss.values[table.range.index[s]] == -alpha
 
     seen = []
     for u, v in itertools.product((e, s), repeat=2):
@@ -105,7 +105,7 @@ def test_c1_sl2_ground_truth():
         y = opposite_constants(x, w0)
         for t in (x, y):
             for w, p in t.values.items():
-                seen.append(((t.basis, u.word, v.word, w.word), p))
+                seen.append(((t.basis, u.word, v.word, t.order[w].word), p))
     allowed = {
         RootPolynomial.zero(1).to_text(),
         RootPolynomial.one(1).to_text(),
@@ -162,8 +162,8 @@ def test_c3_kac_moody_positivity_and_stability(affine_data):
         for p in s6.values.values():
             assert p.sign_pattern() in ("nonneg", "zero")
         s8 = structure_constants(t8, u, v)
-        for w in s6.order:
-            assert s6.values[w] == s8.values[w]
+        for k in range(len(s6.order)):
+            assert s6.values.get(k) == s8.values.get(k)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     count = len(affine_data["tables"])
@@ -216,14 +216,15 @@ def test_c4_product_identity(sweeps, affine_data):
     s1 = element_from_word(rs, (1,))
     good = structure_constants(table, s1, s1)
     values = dict(good.values)
-    values[s1] = values[s1] + RootPolynomial.one(2)
+    k = table.range.index[s1]
+    values[k] = values[k] + RootPolynomial.one(2)
     mutated = StructureTable(table, "x", s1, s1, values, good.order)
     check = verify_product_identity(table, mutated)
     assert not check and check.failing is not None
 
     y_good = sweeps["A2"]["y"][(s1, s1)]
     y_values = dict(y_good.values)
-    y_values[s1] = y_values[s1] + RootPolynomial.one(2)
+    y_values[k] = y_values[k] + RootPolynomial.one(2)
     y_mutated = StructureTable(table, "y", s1, s1, y_values, y_good.order)
     assert not verify_product_identity(table, y_mutated)
 
@@ -245,10 +246,10 @@ def test_c5_localization_properties():
     for rs in systems:
         table = restriction_table(rs, 5)
         rng = table.range
-        for w in rng:
-            for v in rng:
+        for a, w in enumerate(rng):
+            for b, v in enumerate(rng):
                 p = table.value(w, v)
-                if w not in rng.leq[v]:
+                if a not in rng.leq[b]:
                     assert p.is_zero()
                 assert p.is_homogeneous_of(w.length)
         for w in rng:
@@ -431,11 +432,12 @@ def test_c7_schubert_polynomial_oracle(sweeps):
         for (u, v), s in sweeps[name]["x"].items():
             pu = _perm_of_word(u.word, n)
             pv = _perm_of_word(v.word, n)
-            for w in s.order:
+            zero = RootPolynomial.zero(s.rs.rank)
+            for k, w in enumerate(s.order):
                 pw = _perm_of_word(w.word, n)
                 expected = _oracle_constant(schuberts, n, pu, pv, pw)
                 assert expected >= 0
-                assert s.values[w].evaluate([0] * s.rs.rank) == expected, (u, v, w)
+                assert s.values.get(k, zero).evaluate([0] * s.rs.rank) == expected, (u, v, w)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(7, f"A2 and A3 constant terms match the Schubert oracle, {elapsed:.2f}s")

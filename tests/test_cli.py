@@ -224,10 +224,13 @@ def test_mult_json_eval_is_json_dumps_of_the_record_dict():
     s = opposite_constants(structure_constants(restriction_table(rs, 3), u, v),
                            longest_element(rs))
     point = (Fraction(2), Fraction(5, 3))
+    zero = RootPolynomial.zero(rs.rank)
     data = dict(record_dict(s), eval={
         "nu": ["2", "5/3"],
-        "values": [{"w": list(w.word), "value": str(s.values[w].evaluate(point))}
-                   for w in s.order],
+        "values": [
+            {"w": list(w.word), "value": str(s.values.get(k, zero).evaluate(point))}
+            for k, w in enumerate(s.order)
+        ],
     })
     assert code == 0
     assert out == json.dumps(data) + "\n"
@@ -352,7 +355,7 @@ def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt):
         steps = read(context, x)
         rs = context.table.rs
         if fresh and context.elements[x] == element_from_word(rs, (1,)):
-            corrupt(context, x, context.index[element_from_word(rs, (2, 1))])
+            corrupt(context, x, context.table.range.index[element_from_word(rs, (2, 1))])
         return steps
 
     monkeypatch.setattr(cli.ChevalleyContext, "read", corrupted)
@@ -790,8 +793,8 @@ class _CountingPool:
 
 
 def _count_solves(monkeypatch, jobs):
-    """List that receives each pair solved: in this process at jobs 1, handed to
-    a worker otherwise."""
+    """List that receives the ids of each pair solved: in this process at
+    jobs 1, handed to a worker otherwise."""
     import eqschub.cli as cli
 
     seen = []
@@ -799,7 +802,7 @@ def _count_solves(monkeypatch, jobs):
         solve = cli.column_constants
 
         def counted(context, v, us):
-            seen.extend((v.word, u.word) for u in us)
+            seen.extend((v, u) for u in us)
             return solve(context, v, us)
 
         monkeypatch.setattr(cli, "column_constants", counted)
@@ -825,6 +828,7 @@ def test_sweep_resumes_cut_cache_solving_only_missing_pairs(tmp_path, monkeypatc
     lines = cold.read_bytes().splitlines(keepends=True)
     records = len(lines) - 1
     all_keys = _keys(lines[1:])
+    words = [w.word for w in enumerate_upto(rs, bound)]
     seen = _count_solves(monkeypatch, jobs)
     for k in sorted({0, 1, 5, records // 2 + 3, records - 1}):
         kept = b"".join(lines[: k + 1])
@@ -839,7 +843,7 @@ def test_sweep_resumes_cut_cache_solving_only_missing_pairs(tmp_path, monkeypatc
         cached = set(all_keys[:k])
         left = {frozenset(p) for p in all_keys if p not in cached or p[::-1] not in cached}
         assert len(seen) == len(left), k
-        assert {frozenset(p) for p in seen} == left
+        assert {frozenset((words[a], words[b])) for a, b in seen} == left
 
 
 def _edit_record(cache, edit):
