@@ -233,7 +233,16 @@ def cmd_mult(args, out) -> int:
     # The recurrence reads no fixed point longer than length(u)+length(v), and
     # a finite group's range stops at the longest element.
     bound = u.length + v.length if args.max_length is None else args.max_length
-    table = restriction_table(rs, bound)
+    rng = enumerate_upto(rs, bound)
+    # It reads the rows of e, of the s_i (the ids up to rank, as ids run in
+    # length order) and of the shorter of u and v (v on a tie), so the table
+    # holds just the lower ideal of that element.  One outside the range
+    # leaves the bound too short, which structure_constants reports.
+    short = rng.index.get(u if u.length < v.length else v)
+    ideal = frozenset((0,)) if short is None else rng.leq[short]
+    table = restriction_table(
+        rs, bound, rng=rng, rows=ideal.union(range(min(len(rng), rs.rank + 1)))
+    )
     try:
         s = structure_constants(table, u, v)
     except InsufficientBound as exc:

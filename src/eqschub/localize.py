@@ -13,12 +13,18 @@ combination of monomials in the simple roots.
 
 ``restriction_table`` runs the recursion over a whole length-bounded
 range; ``restriction_column`` runs it along one element's canonical word
-and holds only that element's column, which serves single-pair queries.
-Both take the step from ``_next_column``.
+and holds only that element's column, which serves ``restrict``.  Both
+take the step from ``_next_column``.
 
 The table stores only its nonzero entries, which are exactly the pairs
 w <= v, so its size and the cost of its invariant check follow the
-Bruhat intervals rather than the square of the range.
+Bruhat intervals rather than the square of the range.  The row of w (its
+values at every v) is built from the rows of w and w s_i only, with
+w s_i < w, so the rows of a Bruhat lower ideal are closed under the
+recursion: given such ``rows``, the table holds those rows over the whole
+range and nothing else.  A one-pair ``mult`` reads only the row of the
+shorter element and those of e and the s_i, so it builds just the lower
+ideal of that element.
 """
 
 from __future__ import annotations
@@ -75,45 +81,66 @@ class RestrictionTable:
     """Restriction polynomials over a length-bounded range.
 
     ``values`` maps the ids (w, v) of the range (see ``WeylRange``) to
-    their polynomial, for the nonzero entries only; ``value`` reads any
-    pair of elements, zero where nothing is stored.
+    their polynomial, for the nonzero entries only.  ``rows`` is the set of
+    ids w whose rows the table holds, or None when it holds every row;
+    ``value`` reads any pair of elements, zero where nothing is stored, and
+    raises InternalInconsistency on a row the table does not hold.
     """
 
-    def __init__(self, rs: RootSystem, rng: WeylRange, values: dict):
+    def __init__(self, rs: RootSystem, rng: WeylRange, values: dict, rows=None):
         self.rs = rs
         self.range = rng
         self.values = values
+        self.rows = rows
         self._zero = RootPolynomial.zero(rs.rank)
+
+    def holds(self, w) -> bool:
+        """Whether the row of the id ``w`` is in the table."""
+        return self.rows is None or w in self.rows
 
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
         index = self.range.index
-        return self.values.get((index.get(w), index.get(v)), self._zero)
+        a = index.get(w)
+        if not self.holds(a):
+            raise InternalInconsistency(f"the table does not hold the row of {w}")
+        return self.values.get((a, index.get(v)), self._zero)
 
 
-def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None) -> RestrictionTable:
-    """Restriction values for every pair of ids in the length-<=-k range.
+def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
+                      rows=None) -> RestrictionTable:
+    """Restriction values for every pair of ids in the length-<=-k range,
+    or, given ``rows``, for the pairs (w, v) with w in ``rows``.
 
-    Columns are built by the one-letter recursion, each from the column of
-    v with its last letter removed, and only their nonzero entries are
-    stored.  The four table invariants (support exactly the Bruhat
-    interval, homogeneity, diagonal = product of inversion roots,
-    nonnegative coefficients) are verified during construction; a
+    ``rows`` is a set of ids closed under w -> w s_i < w, such as a Bruhat
+    lower ideal; anything else is a ValueError.  Columns are built by the
+    one-letter recursion, each from the column of v with its last letter
+    removed, and only their nonzero entries in ``rows`` are stored.  The
+    four table invariants (support exactly the Bruhat interval,
+    homogeneity, diagonal = product of inversion roots, nonnegative
+    coefficients) are verified during construction on the rows held; a
     violation raises InternalInconsistency.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
     rmul = rng.right_mul
+    if rows is not None:
+        rows = frozenset(rows)
+        if 0 not in rows or not all(
+            0 <= w < len(rng) and all(x is None or x > w or x in rows for x in rmul[w])
+            for w in rows
+        ):
+            raise ValueError("rows must be ids of the range closed under going down")
 
     def ascend(u, i):
         w = rmul[u][i]
-        return w if w > u else None
+        return w if w > u and (rows is None or w in rows) else None
 
     columns = [{0: RootPolynomial.one(rs.rank)}]
     for v in range(1, len(rng)):
         i = rng.elements[v].word[-1] - 1
         columns.append(_next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend))
     values = {(w, v): poly for v, column in enumerate(columns) for w, poly in column.items()}
-    table = RestrictionTable(rs, rng, values)
+    table = RestrictionTable(rs, rng, values, rows)
     _verify_table(table)
     return table
 
@@ -123,8 +150,9 @@ def _verify_table(table: RestrictionTable):
     leq = rng.leq
     elements = rng.elements
     values = table.values
+    rows = table.rows
     for v, below in enumerate(leq):
-        for w in below:
+        for w in below if rows is None else below & rows:
             poly = values.get((w, v))
             if poly is None or poly.is_zero():
                 raise InternalInconsistency(
@@ -139,6 +167,10 @@ def _verify_table(table: RestrictionTable):
             raise InternalInconsistency(
                 f"support violation: value({elements[w]}, {elements[v]}) nonzero but w !<= v"
             )
+        if not table.holds(w):
+            raise InternalInconsistency(
+                f"support violation: value({elements[w]}, {elements[v]}) stored outside the rows"
+            )
         if not poly.is_homogeneous_of(elements[w].length):
             raise InternalInconsistency(
                 f"value({elements[w]}, {elements[v]}) is not homogeneous of degree "
@@ -150,6 +182,8 @@ def _verify_table(table: RestrictionTable):
             )
     one = RootPolynomial.one(table.rs.rank)
     for w, x in enumerate(elements):
+        if not table.holds(w):
+            continue
         diag = one
         for coords in inversion_coords(table.rs, x.word):
             diag = diag * RootPolynomial.from_linear(table.rs.rank, coords)

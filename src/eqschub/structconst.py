@@ -25,10 +25,15 @@ every u < w, since xi^{s_i}(w) = omega_i - w(omega_i) and only the
 identity fixes every fundamental weight.  The entries of u read only
 those of the x covering u at the same w, so the constants of (u, v) need
 only the x >= u and the w with l(w) <= l(u) + l(v), which a truncated
-(Kac-Moody) range must hold: ``structure_constants`` computes one pair
-over that set, ``column_constants`` many u over the union of theirs.
+(Kac-Moody) range must hold: ``column_constants`` computes many u over the
+union of their sets.  As c_uv = c_vu, ``structure_constants`` walks the
+x above the longer element of its pair and reads the row of the shorter
+one (the given v on a tie), so it walks the fewest x; a table over the
+Bruhat lower ideal of that element, with the rows of e and the s_i,
+serves it (see ``localize``), and ``mult`` builds just that.
 
-Everything is read from the restriction table, so no fundamental weight
+The Bruhat order comes from the range, and every value from the
+restriction table: the rows xi^{s_i} and xi^v, so no fundamental weight
 is needed.  For y covered by w = y s_beta, the Chevalley integer is
 c_{s_i,y}^w = <omega_i, beta^vee> >= 0, and
 
@@ -92,7 +97,9 @@ class StructureTable:
 
 def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement) -> StructureTable:
     """The x-basis constants of the pair (u, v), by the recurrence over the
-    x >= u (see the module docstring).
+    x >= the longer of u and v, reading the row of the other (see the
+    module docstring); on a tie the row read is v's.  The result keeps u
+    and v in the order given.
 
     Requires a table bound of at least length(u) + length(v), unless the
     range already exhausts the whole group (finite type), in which case
@@ -102,7 +109,10 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
     _check_same_system(table.rs, u, v)
     _check_bound(table.range, u.length + v.length)
     index = table.range.index
-    return column_constants(ChevalleyContext(table), index[v], [index[u]])[0]
+    short, long = (u, v) if u.length < v.length else (v, u)
+    s = column_constants(ChevalleyContext(table), index[short], [index[long]])[0]
+    s.u, s.v = u, v
+    return s
 
 
 def _check_bound(rng, top: int):
@@ -114,10 +124,13 @@ class ChevalleyContext:
     """What the Chevalley recurrence reads of one range.
 
     Elements are named by their ids in the range (see ``WeylRange``).
-    ``restriction[a]`` maps b to xi^a(b) for the b >= a (the table's
-    nonzero entries), ``below[w]`` lists the y that w covers, and
-    ``xi[w][i]`` holds the coordinates of xi^{s_i}(w).  The first
-    ``read(x)``, when a column first reads x, builds:
+    ``above[x]`` lists the w >= x in increasing id and ``below[w]`` the y
+    that w covers, both from the range's Bruhat order.
+    ``restriction[a]`` maps b to xi^a(b) for the b >= a, for each row a the
+    table holds (empty for the others), and ``xi[w][i]`` holds the
+    coordinates of xi^{s_i}(w); a table without the rows of the s_i is an
+    InternalInconsistency.  The first ``read(x)``, when a column first
+    reads x, builds:
 
     * ``steps[x]`` lists (w, i, divisor) for each w > x in increasing
       length, with i the recurrence's letter at (x, w) and the divisor
@@ -132,18 +145,23 @@ class ChevalleyContext:
         self.elements = table.range.elements
         n = len(self.elements)
         self.length = length = [w.length for w in self.elements]
-        self.restriction = restriction = [{} for _ in range(n)]
+        self.above = above = [[] for _ in range(n)]
         self.below = below = [[] for _ in range(n)]
+        for w, lower in enumerate(table.range.leq):
+            for y in lower:
+                above[y].append(w)
+                if length[y] + 1 == length[w]:
+                    below[w].append(y)
+        self.restriction = restriction = [{} for _ in range(n)]
         for (a, b), poly in table.values.items():
             restriction[a][b] = poly
-            if length[a] + 1 == length[b]:
-                below[b].append(a)
         # xi[w][i] from the rows of the length-1 elements s_i; a range
         # without them has no letters to read.
         zero = (0,) * table.rs.rank
         rows = []
         for s, e in enumerate(self.elements):
             if e.length == 1:
+                _check_row(table, s)
                 row = [zero] * n
                 for w, poly in restriction[s].items():
                     row[w] = _linear_coords(poly, e, self.elements[w])
@@ -162,7 +180,7 @@ class ChevalleyContext:
             at_x = xi[x]
             steps = []
             up = [[] for _ in at_x]
-            for w in sorted(self.restriction[x]):
+            for w in self.above[x]:
                 if w == x:
                     continue
                 at_w = xi[w]
@@ -202,6 +220,12 @@ class ChevalleyContext:
             k = gcd(*coeffs)
             if k:
                 lists[i].append((other, k))
+
+
+def _check_row(table: RestrictionTable, a) -> None:
+    """An InternalInconsistency unless ``table`` holds the row of the id ``a``."""
+    if not table.holds(a):
+        raise InternalInconsistency(f"the restriction table does not hold row {a}")
 
 
 def _linear_coords(poly: RootPolynomial, a, b) -> tuple[int, ...]:
@@ -247,14 +271,15 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
     lv = length[v]
     top = max(length[u] for u in us) + lv
     _check_bound(context.table.range, top)
-    restriction = context.restriction
+    _check_row(context.table, v)
+    above = context.above
     rank = context.table.rs.rank
-    xi_v = restriction[v]
+    xi_v = context.restriction[v]
     covers_down = context.covers_down
     column: dict = {}
     # Every w > x read below is some u's upper element, longer than x, so
     # its ``read`` ran before x's.
-    for x in sorted({x for u in us for x in restriction[u] if length[x] <= top}, reverse=True):
+    for x in sorted({x for u in us for x in above[u] if length[x] <= top}, reverse=True):
         steps, covers_up = context.read(x)
         degree = length[x] + lv
         last = min(degree, top)
@@ -323,6 +348,8 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
         transform = longest_element(s.rs).matrix
     index, values = table.range.index, table.values
     u, v = index.get(s.u), index.get(s.v)
+    for a in (u, v, *s.values):
+        _check_row(table, a)
     zero = RootPolynomial.zero(table.rs.rank)
     for z, element in enumerate(table.range.elements):
         lhs = values.get((u, z), zero) * values.get((v, z), zero)

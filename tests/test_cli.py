@@ -312,6 +312,40 @@ def test_mult_default_bound_matches_whole_group_table(rs_type, u, v, nu):
                 assert run(args) == expected, args
 
 
+@pytest.mark.parametrize("rs_type", ["B2", "G2"])
+def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, rs_type):
+    """On every pair, swapped and equal-length ones included, mult's table
+    holds the lower ideal of the shorter element (v on a tie) with e and
+    the s_i, and its constants are those of the whole table."""
+    import eqschub.cli as cli
+
+    rs = builtin_root_system(rs_type)
+    whole = restriction_table(rs, len(rs.positive_roots))
+    rng = whole.range
+    built = []
+    build = cli.restriction_table
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "restriction_table", recorded)
+    zero = RootPolynomial.zero(rs.rank)
+    for u in rng:
+        for v in rng:
+            code, out = run(["mult", "--type", rs_type, "--u", u.word_text(), "--v", v.word_text()])
+            # mult's range stops at l(u) + l(v), a prefix of the whole one.
+            table = built.pop()
+            short = rng.index[u if u.length < v.length else v]
+            assert table.rows == rng.leq[short] | set(range(min(len(table.range), rs.rank + 1)))
+            s = structure_constants(whole, u, v)
+            assert code == 0
+            assert out.splitlines()[1:-1] == [
+                f"w={w.word_text()}: {s.values.get(k, zero).to_text()}"
+                for k, w in enumerate(s.order)
+            ], (u, v)
+
+
 def test_internal_solver_failure_exits_4(monkeypatch):
     import eqschub.cli as cli
     from eqschub import NotDivisible

@@ -34,6 +34,11 @@ AFF_A2 = build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL)
 SYSTEMS = [(A2, 5), (B2, 5), (G2, 5), (AFF, 5)]
 
 
+def ideal_rows(rng, v):
+    """The ids of the Bruhat lower ideal of the id v, with e and the s_i."""
+    return rng.leq[v] | {a for a, w in enumerate(rng) if w.length <= 1}
+
+
 def inversion_product(w):
     out = RootPolynomial.one(w.rs.rank)
     for beta in inversions(w):
@@ -128,13 +133,26 @@ def test_column_equals_every_table_column(rs, k):
         assert restriction_column(element) == expected[v]
 
 
+def _table_holding(rs, k, w, v, ideal):
+    """The whole table, or one over the lower ideal of the longer of the
+    words w and v, which holds the rows of both."""
+    if not ideal:
+        return restriction_table(rs, k)
+    rng = enumerate_upto(rs, k)
+    longer = rng.index[element_from_word(rs, max(w, v, key=len))]
+    table = restriction_table(rs, k, rng=rng, rows=ideal_rows(rng, longer))
+    assert table.rows != frozenset(range(len(rng)))
+    return table
+
+
 @pytest.mark.parametrize(
-    "rs,k,w,v",
-    [(A2, 3, (1,), (1, 2)), (AFF_A2, 4, (2,), (3, 1, 2))],
-    ids=["A2", "AffineA2"],
+    "rs,k,w,v,ideal",
+    [(A2, 3, (1,), (1, 2), False), (A2, 3, (1,), (1, 2), True),
+     (AFF_A2, 4, (2,), (3, 1, 2), False), (AFF_A2, 4, (2,), (3, 1, 2), True)],
+    ids=["A2", "A2-ideal", "AffineA2", "AffineA2-ideal"],
 )
-def test_verify_table_rejects_zero_inside_bruhat_interval(rs, k, w, v):
-    table = restriction_table(rs, k)
+def test_verify_table_rejects_zero_inside_bruhat_interval(rs, k, w, v, ideal):
+    table = _table_holding(rs, k, w, v, ideal)
     w, v = (table.range.index[element_from_word(rs, x)] for x in (w, v))
     assert w in table.range.leq[v] and not table.values[(w, v)].is_zero()
     del table.values[(w, v)]
@@ -143,12 +161,13 @@ def test_verify_table_rejects_zero_inside_bruhat_interval(rs, k, w, v):
 
 
 @pytest.mark.parametrize(
-    "rs,k,w,v",
-    [(A2, 3, (1,), (1, 2)), (AFF_A2, 4, (2,), (3, 1, 2))],
-    ids=["A2", "AffineA2"],
+    "rs,k,w,v,ideal",
+    [(A2, 3, (1,), (1, 2), False), (A2, 3, (1,), (1, 2), True),
+     (AFF_A2, 4, (2,), (3, 1, 2), False), (AFF_A2, 4, (2,), (3, 1, 2), True)],
+    ids=["A2", "A2-ideal", "AffineA2", "AffineA2-ideal"],
 )
-def test_verify_table_rejects_stored_zero_inside_bruhat_interval(rs, k, w, v):
-    table = restriction_table(rs, k)
+def test_verify_table_rejects_stored_zero_inside_bruhat_interval(rs, k, w, v, ideal):
+    table = _table_holding(rs, k, w, v, ideal)
     w, v = (table.range.index[element_from_word(rs, x)] for x in (w, v))
     assert w in table.range.leq[v]
     table.values[(w, v)] = RootPolynomial.zero(rs.rank)
@@ -157,12 +176,13 @@ def test_verify_table_rejects_stored_zero_inside_bruhat_interval(rs, k, w, v):
 
 
 @pytest.mark.parametrize(
-    "rs,k,w,v",
-    [(A2, 3, (1, 2), (1,)), (AFF_A2, 4, (3, 1, 2), (2,))],
-    ids=["A2", "AffineA2"],
+    "rs,k,w,v,ideal",
+    [(A2, 3, (1, 2), (1,), False), (A2, 3, (1, 2), (1,), True),
+     (AFF_A2, 4, (3, 1, 2), (2,), False), (AFF_A2, 4, (3, 1, 2), (2,), True)],
+    ids=["A2", "A2-ideal", "AffineA2", "AffineA2-ideal"],
 )
-def test_verify_table_rejects_entry_outside_bruhat_interval(rs, k, w, v):
-    table = restriction_table(rs, k)
+def test_verify_table_rejects_entry_outside_bruhat_interval(rs, k, w, v, ideal):
+    table = _table_holding(rs, k, w, v, ideal)
     element = element_from_word(rs, w)
     w, v = (table.range.index[element_from_word(rs, x)] for x in (w, v))
     assert w not in table.range.leq[v]
@@ -172,6 +192,57 @@ def test_verify_table_rejects_entry_outside_bruhat_interval(rs, k, w, v):
     table.values[(w, v)] = RootPolynomial.zero(rs.rank)
     with pytest.raises(InternalInconsistency, match="stored as zero"):
         _verify_table(table)
+
+
+@pytest.mark.parametrize(
+    "rs,k",
+    [(A3, 6), (B2, 4), (G2, 6), (AFF_A2, 6)],
+    ids=["A3", "B2", "G2", "AffineA2"],
+)
+def test_ideal_table_is_the_whole_table_on_its_rows(rs, k):
+    """Built over the lower ideal of any v, with e and the s_i, the table
+    holds exactly the whole table's entries on those rows."""
+    whole = restriction_table(rs, k)
+    rng = whole.range
+    for v in range(len(rng)):
+        rows = ideal_rows(rng, v)
+        table = restriction_table(rs, k, rng=rng, rows=rows)
+        assert table.rows == rows
+        assert table.values == {key: p for key, p in whole.values.items() if key[0] in rows}
+
+
+def test_ideal_table_refuses_rows_not_closed_under_going_down():
+    rng = enumerate_upto(A2, 3)
+    s1s2 = rng.index[element_from_word(A2, (1, 2))]
+    for rows in ({s1s2}, {0, s1s2}, {0, len(rng)}):
+        with pytest.raises(ValueError, match="closed under going down"):
+            restriction_table(A2, 3, rng=rng, rows=rows)
+
+
+def test_verify_table_rejects_entry_outside_the_rows():
+    whole = restriction_table(A2, 3)
+    rng = whole.range
+    s1 = rng.index[element_from_word(A2, (1,))]
+    s2s1 = rng.index[element_from_word(A2, (2, 1))]
+    w0 = len(rng) - 1
+    table = restriction_table(A2, 3, rng=rng, rows=ideal_rows(rng, s1))
+    assert not table.holds(s2s1)
+    table.values[(s2s1, w0)] = whole.values[(s2s1, w0)]
+    with pytest.raises(InternalInconsistency, match="stored outside the rows"):
+        _verify_table(table)
+
+
+def test_value_raises_on_a_row_the_table_does_not_hold():
+    """Outside its rows an ideal table raises, where a whole one reads zero."""
+    rng = enumerate_upto(A2, 3)
+    s1, s2, s1s2, w0 = (element_from_word(A2, x) for x in ((1,), (2,), (1, 2), (1, 2, 1)))
+    table = restriction_table(A2, 3, rng=rng, rows=ideal_rows(rng, rng.index[s1]))
+    assert table.value(s2, w0) == restriction_table(A2, 3).value(s2, w0)
+    assert table.value(s1, s2).is_zero()
+    for w in (s1s2, w0):
+        with pytest.raises(InternalInconsistency, match="does not hold"):
+            table.value(w, w0)
+    assert restriction_table(A2, 3).value(s1s2, s1).is_zero()
 
 
 @pytest.mark.parametrize("rs,k", SYSTEMS)

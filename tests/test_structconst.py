@@ -353,7 +353,8 @@ def test_recurrence_matches_solver_on_seeded_a4_columns():
 
 def test_one_pair_builds_steps_only_above_u(monkeypatch):
     """A one-pair ``structure_constants`` builds the steps of exactly the
-    x >= u up to length l(u) + l(v), each once."""
+    x >= the longer of u and v (u on a tie) up to length l(u) + l(v),
+    each once."""
     a4 = build_root_system(CartanMatrix(
         ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
     ))
@@ -368,17 +369,92 @@ def test_one_pair_builds_steps_only_above_u(monkeypatch):
         return read(context, x)
 
     monkeypatch.setattr(ChevalleyContext, "read", counted)
-    pairs = [(els[1], els[-1]), (els[-1], els[0])]
+    pairs = [(els[1], els[-1]), (els[-1], els[0]), (els[1], els[2]), (els[7], els[7])]
     pairs += [tuple(random.Random(seed).sample(els, 2)) for seed in range(6)]
     for u, v in pairs:
         built.clear()
         structure_constants(table, u, v)
+        long = v if v.length > u.length else u
         expected = [
             x for x in reversed(range(len(els)))
-            if table.range.index[u] in table.range.leq[x]
+            if table.range.index[long] in table.range.leq[x]
             and els[x].length <= u.length + v.length
         ]
         assert built == expected, (u, v)
+
+
+def _swap_cases():
+    """Every pair of whole B2 and G2, and 100 seeded pairs of A3 of which
+    every third has equal lengths and every tenth u = v."""
+    cases = []
+    for rs in (B2, G2):
+        table = restriction_table(rs, len(rs.positive_roots))
+        cases += [(table, u, v) for u in table.range for v in table.range]
+    table = restriction_table(A3, 6)
+    els = list(table.range)
+    rng = random.Random(9908172)
+    for k in range(100):
+        u = rng.choice(els)
+        if k % 10 == 0:
+            v = u
+        elif k % 3 == 0:
+            v = rng.choice([w for w in els if w.length == u.length])
+        else:
+            v = rng.choice(els)
+        cases.append((table, u, v))
+    return cases
+
+
+def test_swapped_pair_gives_the_same_constants_in_the_given_order():
+    """c_uv = c_vu: the recurrence walks the x above the longer element of
+    the pair whichever comes first, and the table keeps u and v as given."""
+    cases = _swap_cases()
+    assert any(u == v for _, u, v in cases)
+    assert any(u != v and u.length == v.length for _, u, v in cases)
+    for table, u, v in cases:
+        uv, vu = structure_constants(table, u, v), structure_constants(table, v, u)
+        assert uv.values == vu.values, (u, v)
+        assert (uv.u, uv.v, vu.u, vu.v) == (u, v, v, u)
+        assert uv.order == vu.order
+
+
+def test_structure_constants_raise_on_a_row_the_table_lacks():
+    """Over the lower ideal of s1, with e and the s_i, the table serves the
+    pairs whose shorter element (v on a tie) is below s1, and refuses the
+    others rather than reading zeros; without the s_i rows it serves none."""
+    from eqschub import InternalInconsistency, enumerate_upto
+
+    rng = enumerate_upto(A3, 6)
+    whole = restriction_table(A3, 6, rng=rng)
+    s1, s2, s1s2, s2s1, s2s1s3 = (
+        element_from_word(A3, x) for x in ((1,), (2,), (1, 2), (2, 1), (2, 1, 3))
+    )
+    rows = rng.leq[rng.index[s1]] | set(range(4))
+    table = restriction_table(A3, 6, rng=rng, rows=rows)
+    for u, v in ((s1s2, s1), (s1, s1s2), (s2, s1), (s1, s2s1s3), (s1, s1)):
+        assert structure_constants(table, u, v).values == structure_constants(whole, u, v).values
+    for u, v in ((s1s2, s2s1), (s2s1, s2s1s3), (s2s1s3, s1s2)):
+        with pytest.raises(InternalInconsistency, match="does not hold"):
+            structure_constants(table, u, v)
+    bare = restriction_table(A3, 6, rng=rng, rows=rng.leq[rng.index[s1]])
+    with pytest.raises(InternalInconsistency, match="does not hold"):
+        structure_constants(bare, s1, s1)
+
+
+def test_verify_product_identity_raises_on_a_row_the_table_lacks():
+    """The identity reads the rows of u, v and every w with a constant, so a
+    table over the lower ideal of the shorter element cannot check it."""
+    from eqschub import InternalInconsistency, enumerate_upto
+
+    rng = enumerate_upto(B2, 4)
+    whole = restriction_table(B2, 4, rng=rng)
+    u, v = element_from_word(B2, (1, 2)), element_from_word(B2, (1,))
+    table = restriction_table(B2, 4, rng=rng, rows=rng.leq[rng.index[v]] | set(range(3)))
+    s = structure_constants(table, u, v)
+    assert s.values == structure_constants(whole, u, v).values
+    assert verify_product_identity(whole, s)
+    with pytest.raises(InternalInconsistency, match="does not hold"):
+        verify_product_identity(table, s)
 
 
 def test_chevalley_integers_match_hand_values():
