@@ -130,10 +130,13 @@ def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rank:
         raise CliError(f"--eval needs {rank} comma-separated values")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"--eval: bad rational value: {exc}")
+    point = []
+    for p in parts:
+        try:
+            point.append(Fraction(p))
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"--eval: bad rational value {p!r}") from None
+    return tuple(point)
 
 
 def word_text(word: tuple[int, ...]) -> str:
@@ -236,12 +239,18 @@ def cmd_mult(args, out) -> int:
     rng = enumerate_upto(rs, bound)
     # It reads the rows of e, of the s_i (the ids up to rank, as ids run in
     # length order) and of the shorter of u and v (v on a tie), so the table
-    # holds just the lower ideal of that element.  One outside the range
+    # holds just the lower ideal of that element, and only at the points
+    # above the longer one up to length(u)+length(v).  One outside the range
     # leaves the bound too short, which structure_constants reports.
-    short = rng.index.get(u if u.length < v.length else v)
-    ideal = frozenset((0,)) if short is None else rng.leq[short]
+    short, long = (u, v) if u.length < v.length else (v, u)
+    short, long = rng.index.get(short), rng.index.get(long)
+    ideal, points = frozenset((0,)), ()
+    if short is not None and long is not None:
+        ideal = rng.leq[short]
+        top = u.length + v.length
+        points = [b for b, w in enumerate(rng) if w.length <= top and long in rng.leq[b]]
     table = restriction_table(
-        rs, bound, rng=rng, rows=ideal.union(range(min(len(rng), rs.rank + 1)))
+        rs, bound, rng=rng, rows=ideal.union(range(min(len(rng), rs.rank + 1))), points=points
     )
     try:
         s = structure_constants(table, u, v)

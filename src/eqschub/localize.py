@@ -21,15 +21,19 @@ w <= v, so its size and the cost of its invariant check follow the
 Bruhat intervals rather than the square of the range.  The row of w (its
 values at every v) is built from the rows of w and w s_i only, with
 w s_i < w, so the rows of a Bruhat lower ideal are closed under the
-recursion: given such ``rows``, the table holds those rows over the whole
-range and nothing else.  A one-pair ``mult`` reads only the row of the
-shorter element and those of e and the s_i, so it builds just the lower
-ideal of that element.
+recursion: given such ``rows``, the table holds those rows and nothing
+else.  The column of v is built from that of v s_i alone, with i the last
+letter of v's canonical word, so a set of ``points`` closed under that
+step is closed under the recursion too: given it, the table holds those
+columns only.  A one-pair ``mult`` reads only the row of the shorter
+element and those of e and the s_i, at the fixed points above the longer
+element up to length l(u) + l(v), so it builds just the lower ideal of
+the shorter element at those points and the points they step from.
 """
 
 from __future__ import annotations
 
-from .errors import InternalInconsistency
+from .errors import InsufficientBound, InternalInconsistency
 from .rootsys import RootPolynomial, RootSystem
 from .weyl import (
     WeylElement,
@@ -82,43 +86,58 @@ class RestrictionTable:
 
     ``values`` maps the ids (w, v) of the range (see ``WeylRange``) to
     their polynomial, for the nonzero entries only.  ``rows`` is the set of
-    ids w whose rows the table holds, or None when it holds every row;
-    ``value`` reads any pair of elements, zero where nothing is stored, and
-    raises InternalInconsistency on a row the table does not hold.
+    ids w whose rows the table holds and ``points`` the set of ids v whose
+    columns it holds, each None when it holds them all.  ``value`` reads
+    any pair of elements, zero where nothing is stored; it raises
+    InternalInconsistency on a row or a point the table does not hold, and
+    InsufficientBound on a point beyond the range.
     """
 
-    def __init__(self, rs: RootSystem, rng: WeylRange, values: dict, rows=None):
+    def __init__(self, rs: RootSystem, rng: WeylRange, values: dict, rows=None, points=None):
         self.rs = rs
         self.range = rng
         self.values = values
         self.rows = rows
+        self.points = points
         self._zero = RootPolynomial.zero(rs.rank)
 
     def holds(self, w) -> bool:
         """Whether the row of the id ``w`` is in the table."""
         return self.rows is None or w in self.rows
 
+    def holds_point(self, v) -> bool:
+        """Whether the column of the id ``v`` is in the table."""
+        return self.points is None or v in self.points
+
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
         index = self.range.index
-        a = index.get(w)
+        a, b = index.get(w), index.get(v)
+        if b is None:
+            raise InsufficientBound(f"{v} lies beyond the range of bound {self.range.bound}")
         if not self.holds(a):
             raise InternalInconsistency(f"the table does not hold the row of {w}")
-        return self.values.get((a, index.get(v)), self._zero)
+        if not self.holds_point(b):
+            raise InternalInconsistency(f"the table does not hold the point {v}")
+        return self.values.get((a, b), self._zero)
 
 
 def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
-                      rows=None) -> RestrictionTable:
+                      rows=None, points=None) -> RestrictionTable:
     """Restriction values for every pair of ids in the length-<=-k range,
-    or, given ``rows``, for the pairs (w, v) with w in ``rows``.
+    or, given ``rows``, for the pairs (w, v) with w in ``rows``, and, given
+    ``points``, with v in ``points``.
 
     ``rows`` is a set of ids closed under w -> w s_i < w, such as a Bruhat
-    lower ideal; anything else is a ValueError.  Columns are built by the
-    one-letter recursion, each from the column of v with its last letter
-    removed, and only their nonzero entries in ``rows`` are stored.  The
-    four table invariants (support exactly the Bruhat interval,
-    homogeneity, diagonal = product of inversion roots, nonnegative
-    coefficients) are verified during construction on the rows held; a
-    violation raises InternalInconsistency.
+    lower ideal; anything else is a ValueError.  ``points`` is a set of ids
+    of the range; the table closes it under v -> v s_i, i the last letter
+    of v's canonical word, and adds the ids of ``rows``, so it holds the
+    diagonal entry of each row.  Columns are built by the one-letter
+    recursion, each from the column of v with its last letter removed, and
+    only their nonzero entries in ``rows`` are stored.  The four table
+    invariants (support exactly the Bruhat interval, homogeneity, diagonal
+    = product of inversion roots, nonnegative coefficients) are verified
+    during construction on the entries held; a violation raises
+    InternalInconsistency.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
@@ -130,17 +149,29 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
             for w in rows
         ):
             raise ValueError("rows must be ids of the range closed under going down")
+    held = range(len(rng))
+    if points is not None:
+        points = set(points).union(rows or ())
+        if not all(0 <= v < len(rng) for v in points):
+            raise ValueError("points must be ids of the range")
+        closed = {0}
+        for v in points:
+            while v not in closed:
+                closed.add(v)
+                v = rmul[v][rng.elements[v].word[-1] - 1]
+        points = frozenset(closed)
+        held = sorted(points)
 
     def ascend(u, i):
         w = rmul[u][i]
         return w if w > u and (rows is None or w in rows) else None
 
-    columns = [{0: RootPolynomial.one(rs.rank)}]
-    for v in range(1, len(rng)):
+    columns = {0: {0: RootPolynomial.one(rs.rank)}}
+    for v in held[1:]:
         i = rng.elements[v].word[-1] - 1
-        columns.append(_next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend))
-    values = {(w, v): poly for v, column in enumerate(columns) for w, poly in column.items()}
-    table = RestrictionTable(rs, rng, values, rows)
+        columns[v] = _next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend)
+    values = {(w, v): poly for v, column in columns.items() for w, poly in column.items()}
+    table = RestrictionTable(rs, rng, values, rows, points)
     _verify_table(table)
     return table
 
@@ -150,8 +181,9 @@ def _verify_table(table: RestrictionTable):
     leq = rng.leq
     elements = rng.elements
     values = table.values
-    rows = table.rows
-    for v, below in enumerate(leq):
+    rows, points = table.rows, table.points
+    for v in range(len(leq)) if points is None else sorted(points):
+        below = leq[v]
         for w in below if rows is None else below & rows:
             poly = values.get((w, v))
             if poly is None or poly.is_zero():
@@ -167,10 +199,6 @@ def _verify_table(table: RestrictionTable):
             raise InternalInconsistency(
                 f"support violation: value({elements[w]}, {elements[v]}) nonzero but w !<= v"
             )
-        if not table.holds(w):
-            raise InternalInconsistency(
-                f"support violation: value({elements[w]}, {elements[v]}) stored outside the rows"
-            )
         if not poly.is_homogeneous_of(elements[w].length):
             raise InternalInconsistency(
                 f"value({elements[w]}, {elements[v]}) is not homogeneous of degree "
@@ -180,9 +208,17 @@ def _verify_table(table: RestrictionTable):
             raise InternalInconsistency(
                 f"value({elements[w]}, {elements[v]}) has negative coefficients"
             )
+    if rows is not None or points is not None:
+        for w, v in values:
+            if not (table.holds(w) and table.holds_point(v)):
+                where = "points" if table.holds(w) else "rows"
+                raise InternalInconsistency(
+                    f"support violation: value({elements[w]}, {elements[v]}) "
+                    f"stored outside the {where}"
+                )
     one = RootPolynomial.one(table.rs.rank)
     for w, x in enumerate(elements):
-        if not table.holds(w):
+        if not (table.holds(w) and table.holds_point(w)):
             continue
         diag = one
         for coords in inversion_coords(table.rs, x.word):

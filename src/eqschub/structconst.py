@@ -28,9 +28,13 @@ only the x >= u and the w with l(w) <= l(u) + l(v), which a truncated
 (Kac-Moody) range must hold: ``column_constants`` computes many u over the
 union of their sets.  As c_uv = c_vu, ``structure_constants`` walks the
 x above the longer element of its pair and reads the row of the shorter
-one (the given v on a tie), so it walks the fewest x; a table over the
-Bruhat lower ideal of that element, with the rows of e and the s_i,
-serves it (see ``localize``), and ``mult`` builds just that.
+one (the given v on a tie), so it walks the fewest x.  It reads the
+table only at those x and the w above them: a table over the Bruhat
+lower ideal of the shorter element, with the rows of e and the s_i, at
+the fixed points above the longer one up to length l(u) + l(v), serves
+it (see ``localize``), and ``mult`` builds just that.  A column that
+would read a row or a point its table does not hold raises
+InternalInconsistency instead of reading zero.
 
 The Bruhat order comes from the range, and every value from the
 restriction table: the rows xi^{s_i} and xi^v, so no fundamental weight
@@ -124,13 +128,16 @@ class ChevalleyContext:
     """What the Chevalley recurrence reads of one range.
 
     Elements are named by their ids in the range (see ``WeylRange``).
-    ``above[x]`` lists the w >= x in increasing id and ``below[w]`` the y
-    that w covers, both from the range's Bruhat order.
-    ``restriction[a]`` maps b to xi^a(b) for the b >= a, for each row a the
-    table holds (empty for the others), and ``xi[w][i]`` holds the
-    coordinates of xi^{s_i}(w); a table without the rows of the s_i is an
-    InternalInconsistency.  The first ``read(x)``, when a column first
-    reads x, builds:
+    Everything is kept at the fixed points the table holds (its
+    ``points``) and nowhere else: a column walks the x >= some u and reads
+    them at w >= x, so a table holding the points above u up to the
+    column's length serves it.  ``above[x]`` lists the held w >= x in
+    increasing id and ``below[w]`` the held y that w covers, both from the
+    range's Bruhat order.  ``restriction[a]`` maps b to xi^a(b) for the
+    held b >= a, for each row a the table holds (empty for the others),
+    and ``xi[w][i]`` holds the coordinates of xi^{s_i}(w) at each held w;
+    a table without the rows of the s_i is an InternalInconsistency.  The
+    first ``read(x)``, when a column first reads x, builds:
 
     * ``steps[x]`` lists (w, i, divisor) for each w > x in increasing
       length, with i the recurrence's letter at (x, w) and the divisor
@@ -147,8 +154,9 @@ class ChevalleyContext:
         self.length = length = [w.length for w in self.elements]
         self.above = above = [[] for _ in range(n)]
         self.below = below = [[] for _ in range(n)]
-        for w, lower in enumerate(table.range.leq):
-            for y in lower:
+        leq, points = table.range.leq, table.points
+        for w in range(n) if points is None else sorted(points):
+            for y in leq[w] if points is None else leq[w] & points:
                 above[y].append(w)
                 if length[y] + 1 == length[w]:
                     below[w].append(y)
@@ -176,6 +184,7 @@ class ChevalleyContext:
         """``steps[x]`` and ``covers_up[x]``, with ``covers_down[x]``, built
         on the first call for x."""
         if self.steps[x] is None:
+            _check_point(self.table, x)
             length, xi, divisors = self.length, self.xi, self._divisors
             at_x = xi[x]
             steps = []
@@ -228,6 +237,12 @@ def _check_row(table: RestrictionTable, a) -> None:
         raise InternalInconsistency(f"the restriction table does not hold row {a}")
 
 
+def _check_point(table: RestrictionTable, b) -> None:
+    """An InternalInconsistency unless ``table`` holds the point of the id ``b``."""
+    if not table.holds_point(b):
+        raise InternalInconsistency(f"the restriction table does not hold point {b}")
+
+
 def _linear_coords(poly: RootPolynomial, a, b) -> tuple[int, ...]:
     """Coefficients on a1, .., a_rank of xi^a(b), which must be a linear
     form; anything else is an InternalInconsistency."""
@@ -270,10 +285,17 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
     length, elements = context.length, context.elements
     lv = length[v]
     top = max(length[u] for u in us) + lv
-    _check_bound(context.table.range, top)
-    _check_row(context.table, v)
+    table = context.table
+    _check_bound(table.range, top)
+    _check_row(table, v)
+    if table.points is not None:
+        # The column reads every x >= some u up to length top.
+        leq = table.range.leq
+        for b in range(bisect_right(length, top)):
+            if any(u in leq[b] for u in us):
+                _check_point(table, b)
     above = context.above
-    rank = context.table.rs.rank
+    rank = table.rs.rank
     xi_v = context.restriction[v]
     covers_down = context.covers_down
     column: dict = {}
@@ -314,7 +336,7 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         column[x] = values
     return [
         StructureTable(
-            context.table, "x", elements[u], elements[v], column[u],
+            table, "x", elements[u], elements[v], column[u],
             elements[:bisect_right(length, length[u] + lv)],
         )
         for u in us
@@ -339,7 +361,9 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
     satisfies the same identity with every restriction transported by the
     longest element, so the check is run against the transported values.
     The ids of ``s.values`` are read as ids of ``table``'s range, which
-    holds ``s.order`` as a prefix when its root system is ``s``'s.
+    holds ``s.order`` as a prefix when its root system is ``s``'s.  A
+    table missing a row this reads, or holding only some points, is an
+    InternalInconsistency.
     """
     transform = None
     if s.basis == "y":
@@ -350,6 +374,8 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
     u, v = index.get(s.u), index.get(s.v)
     for a in (u, v, *s.values):
         _check_row(table, a)
+    if table.points is not None:
+        raise InternalInconsistency("the identity reads every point, and the table holds some")
     zero = RootPolynomial.zero(table.rs.rank)
     for z, element in enumerate(table.range.elements):
         lhs = values.get((u, z), zero) * values.get((v, z), zero)

@@ -265,6 +265,13 @@ def test_mult_bad_eval_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("point,bad", [("1,1/0", "1/0"), ("x,1", "x"), ("1, 2/-0 ", "2/-0")])
+def test_mult_bad_eval_names_the_bad_value(capsys, point, bad):
+    code, out = run(["mult", "--type", "A2", "--u", "1", "--v", "1", "--eval", point])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: --eval: bad rational value {bad!r}\n"
+
+
 def test_mult_affine_pair():
     code, out = run(["mult", "--type", "AffineA1", "--u", "1", "--v", "2"])
     assert code == 0
@@ -316,7 +323,9 @@ def test_mult_default_bound_matches_whole_group_table(rs_type, u, v, nu):
 def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, rs_type):
     """On every pair, swapped and equal-length ones included, mult's table
     holds the lower ideal of the shorter element (v on a tie) with e and
-    the s_i, and its constants are those of the whole table."""
+    the s_i, at the points above the longer element up to l(u) + l(v),
+    those rows and the prefixes of their canonical words, and its
+    constants are those of the whole table."""
     import eqschub.cli as cli
 
     rs = builtin_root_system(rs_type)
@@ -336,8 +345,14 @@ def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, 
             code, out = run(["mult", "--type", rs_type, "--u", u.word_text(), "--v", v.word_text()])
             # mult's range stops at l(u) + l(v), a prefix of the whole one.
             table = built.pop()
-            short = rng.index[u if u.length < v.length else v]
+            short, long = (u, v) if u.length < v.length else (v, u)
+            short, long = rng.index[short], rng.index[long]
             assert table.rows == rng.leq[short] | set(range(min(len(table.range), rs.rank + 1)))
+            upper = {b for b in range(len(table.range)) if long in rng.leq[b]}
+            assert table.points == {
+                rng.index[element_from_word(rs, rng.elements[b].word[:j])]
+                for b in upper | table.rows for j in range(rng.elements[b].length + 1)
+            }, (u, v)
             s = structure_constants(whole, u, v)
             assert code == 0
             assert out.splitlines()[1:-1] == [

@@ -5,6 +5,7 @@ import pytest
 
 from eqschub import (
     CartanMatrix,
+    InsufficientBound,
     InternalInconsistency,
     RootPolynomial,
     build_root_system,
@@ -37,6 +38,20 @@ SYSTEMS = [(A2, 5), (B2, 5), (G2, 5), (AFF, 5)]
 def ideal_rows(rng, v):
     """The ids of the Bruhat lower ideal of the id v, with e and the s_i."""
     return rng.leq[v] | {a for a, w in enumerate(rng) if w.length <= 1}
+
+
+def upper_points(rng, x, top):
+    """The ids of the w >= the id x with l(w) <= top."""
+    return {w for w, e in enumerate(rng) if e.length <= top and x in rng.leq[w]}
+
+
+def word_prefixes(rng, ids):
+    """The ids of every prefix of the canonical words of ``ids``."""
+    rs = rng.elements[0].rs
+    return {
+        rng.index[element_from_word(rs, rng.elements[w].word[:j])]
+        for w in ids for j in range(rng.elements[w].length + 1)
+    }
 
 
 def inversion_product(w):
@@ -243,6 +258,101 @@ def test_value_raises_on_a_row_the_table_does_not_hold():
         with pytest.raises(InternalInconsistency, match="does not hold"):
             table.value(w, w0)
     assert restriction_table(A2, 3).value(s1s2, s1).is_zero()
+
+
+@pytest.mark.parametrize(
+    "rs,k",
+    [(A3, 6), (B2, 4), (G2, 6), (AFF_A2, 6), (AFF, 10)],
+    ids=["A3", "B2", "G2", "AffineA2", "AffineA1"],
+)
+def test_point_table_is_the_whole_table_at_its_points(rs, k):
+    """Given points, the table holds them with the points their canonical
+    words step from (and, given rows too, the rows' own points), and there
+    it holds exactly the whole table's entries."""
+    whole = restriction_table(rs, k)
+    rng = whole.range
+    for x in range(len(rng)):
+        # Every other x cut just above itself, the rest at the bound.
+        points = upper_points(rng, x, rng.elements[x].length + 1 if x % 2 else k)
+        for rows in (None, ideal_rows(rng, min(x, len(rng) - 1 - x))):
+            table = restriction_table(rs, k, rng=rng, rows=rows, points=points)
+            assert table.points == word_prefixes(rng, points | (rows or set()))
+            assert table.values == {
+                (w, v): p for (w, v), p in whole.values.items()
+                if v in table.points and (rows is None or w in rows)
+            }
+
+
+def test_point_table_refuses_points_outside_the_range():
+    rng = enumerate_upto(A2, 3)
+    for points in ({len(rng)}, {0, -1}):
+        with pytest.raises(ValueError, match="ids of the range"):
+            restriction_table(A2, 3, rng=rng, points=points)
+
+
+def _point_table():
+    """An A3 table over the lower ideal of s2 s1, with e and the s_i, at the
+    points above s1 s3 up to length 4: the one ``mult`` builds for that
+    pair.  Returns it with the whole table."""
+    whole = restriction_table(A3, 6)
+    rng = whole.range
+    short, long = (rng.index[element_from_word(A3, x)] for x in ((2, 1), (1, 3)))
+    table = restriction_table(A3, 6, rng=rng, rows=ideal_rows(rng, short),
+                              points=upper_points(rng, long, 4))
+    assert len(table.points) < len(rng)
+    return table, whole
+
+
+@pytest.mark.parametrize("invariant", ["support", "homogeneity", "diagonal", "sign"])
+def test_verify_point_table_rejects_a_corrupted_held_entry(invariant):
+    table, _ = _point_table()
+    rng = table.range
+    held = [(w, v) for (w, v) in table.values if 0 < w < v]
+    w, v = max(held, key=lambda key: (rng.elements[key[0]].length, key))
+    poly = table.values[(w, v)]
+    if invariant == "support":
+        del table.values[(w, v)]
+        message = "zero but w <= v"
+    elif invariant == "homogeneity":
+        table.values[(w, v)] = poly * RootPolynomial.variable(3, 1)
+        message = "not homogeneous"
+    elif invariant == "diagonal":
+        table.values[(w, w)] = table.values[(w, w)] + table.values[(w, w)]
+        message = "differs from its inversion product"
+    else:
+        table.values[(w, v)] = -poly
+        message = "negative coefficients"
+    with pytest.raises(InternalInconsistency, match=message):
+        _verify_table(table)
+
+
+def test_verify_table_rejects_entry_outside_the_points():
+    table, whole = _point_table()
+    w, v = next((w, v) for w, v in whole.values if table.holds(w) and not table.holds_point(v))
+    table.values[(w, v)] = whole.values[(w, v)]
+    with pytest.raises(InternalInconsistency, match="stored outside the points"):
+        _verify_table(table)
+
+
+def test_value_beyond_a_truncated_range_raises():
+    """xi^e is 1 at every fixed point, but a table cut at length 2 holds no
+    value at a point of length 5: reading one is InsufficientBound, not 0."""
+    e, s1s2s1s2s1 = identity(AFF), element_from_word(AFF, (1, 2, 1, 2, 1))
+    assert restriction_table(AFF, 5).value(e, s1s2s1s2s1) == RootPolynomial.one(2)
+    with pytest.raises(InsufficientBound, match="beyond the range"):
+        restriction_table(AFF, 2).value(e, s1s2s1s2s1)
+
+
+def test_value_off_the_points_raises():
+    """A point the table leaves out is not read as zero."""
+    table, whole = _point_table()
+    e = identity(A3)
+    for b, v in enumerate(table.range):
+        if table.holds_point(b):
+            assert table.value(e, v) == whole.value(e, v)
+        else:
+            with pytest.raises(InternalInconsistency, match="does not hold the point"):
+                table.value(e, v)
 
 
 @pytest.mark.parametrize("rs,k", SYSTEMS)

@@ -301,23 +301,46 @@ def test_parabolic_vanishing(rs, k):
 # Chevalley recurrence, checked against the triangular oracle
 
 
-def _assert_columns_match_solver(table, vs, us_of):
+def pair_table(rng, u, v):
+    """The table ``mult`` builds for the pair (u, v) over ``rng``: the rows
+    of the lower ideal of the shorter element (v on a tie) with e and the
+    s_i, at the points above the longer one up to length l(u) + l(v)."""
+    short, long = (u, v) if u.length < v.length else (v, u)
+    short, long = rng.index[short], rng.index[long]
+    top = u.length + v.length
+    rows = rng.leq[short] | {a for a, w in enumerate(rng) if w.length <= 1}
+    points = {b for b, w in enumerate(rng) if w.length <= top and long in rng.leq[b]}
+    return restriction_table(u.rs, rng.bound, rng=rng, rows=rows, points=points)
+
+
+def _assert_columns_match_solver(table, vs, us_of, pair_tables=True):
     """Every column of an id v of ``vs``, at the ids u of ``us_of(v)``, and
     every one-pair ``structure_constants`` of (u, v), equals the triangular
-    oracle's constants of (u, v), entry by entry."""
+    oracle's constants of (u, v), entry by entry; with ``pair_tables``, so
+    do those of (u, v) and of (v, u) on the table ``mult`` builds for each."""
     context = ChevalleyContext(table)
-    els = table.range.elements
+    rng = table.range
+    els = rng.elements
     for v in vs:
         us = us_of(v)
         tables = column_constants(context, v, us)
         assert [s.u for s in tables] == [els[u] for u in us]
         for s in tables:
-            expected = triangular_constants(table, s.u, els[v])
-            for got in (s, structure_constants(table, s.u, els[v])):
-                assert got.u == s.u and got.v == els[v], (s.u, els[v])
-                assert got.order == expected.order, (s.u, els[v])
-                assert got.values == expected.values, (s.u, els[v])
-
+            u = s.u
+            expected = triangular_constants(table, u, els[v])
+            solved = [s, structure_constants(table, u, els[v])]
+            if pair_tables:
+                ours = pair_table(rng, u, els[v])
+                # Only a tie of lengths gives (v, u) another table.
+                theirs = ours if u.length != els[v].length else pair_table(rng, els[v], u)
+                solved.append(structure_constants(ours, u, els[v]))
+                swapped = structure_constants(theirs, els[v], u)
+                assert (swapped.u, swapped.v) == (els[v], u)
+                solved.append(swapped)
+            for got in solved:
+                assert {got.u, got.v} == {u, els[v]}, (u, els[v])
+                assert got.order == expected.order, (u, els[v])
+                assert got.values == expected.values, (u, els[v])
 
 C3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 
@@ -331,14 +354,17 @@ def test_recurrence_matches_solver_on_whole_group(rs):
     table = restriction_table(rs, len(rs.positive_roots))
     n = len(table.range)
     # Columns at and after v in range order: the pairs a sweep computes.
-    _assert_columns_match_solver(table, range(n), lambda v: list(range(v, n)))
+    # Tables per pair on C3 would add some 7 s; A3, B2 and G2 have them.
+    _assert_columns_match_solver(table, range(n), lambda v: list(range(v, n)),
+                                 pair_tables=rs.rank < 3 or rs is A3)
 
 
 @pytest.mark.parametrize("bound", range(7))
 def test_recurrence_matches_solver_on_affine_a2(bound):
     table = restriction_table(AFF_A2, bound)
     swept = [a for a, w in enumerate(table.range) if w.length <= bound // 2]
-    _assert_columns_match_solver(table, swept, lambda v: swept)
+    # Tables per pair at bound 6 would add some 2 s; the lower bounds have them.
+    _assert_columns_match_solver(table, swept, lambda v: swept, pair_tables=bound < 6)
 
 
 def test_recurrence_matches_solver_on_seeded_a4_columns():
@@ -348,7 +374,7 @@ def test_recurrence_matches_solver_on_seeded_a4_columns():
     table = restriction_table(a4, len(a4.positive_roots))
     ids = list(range(len(table.range)))
     vs = random.Random(9908172).sample(ids, 2)
-    _assert_columns_match_solver(table, vs, lambda v: ids)
+    _assert_columns_match_solver(table, vs, lambda v: ids, pair_tables=False)
 
 
 def test_one_pair_builds_steps_only_above_u(monkeypatch):
@@ -454,6 +480,88 @@ def test_verify_product_identity_raises_on_a_row_the_table_lacks():
     assert s.values == structure_constants(whole, u, v).values
     assert verify_product_identity(whole, s)
     with pytest.raises(InternalInconsistency, match="does not hold"):
+        verify_product_identity(table, s)
+
+
+def test_context_builds_no_step_at_a_point_the_table_does_not_hold(monkeypatch):
+    """Over the table ``mult`` builds, the context lists, reads and steps
+    to held points only, and refuses to read any other; on A3 and on affine
+    A2 at bound 6, whose range runs past l(u) + l(v) for short pairs."""
+    from eqschub import InternalInconsistency, enumerate_upto
+
+    read = ChevalleyContext.read
+    contexts = []
+
+    def recorded(context, x):
+        contexts.append(context)
+        return read(context, x)
+
+    monkeypatch.setattr(ChevalleyContext, "read", recorded)
+    for rs, k in ((A3, 6), (AFF_A2, 6)):
+        rng = enumerate_upto(rs, k)
+        els = rng.elements
+        pairs = [(u, v) for u in els for v in els if u.length + v.length <= 3]
+        pairs += [tuple(random.Random(seed).sample(els, 2)) for seed in range(10)]
+        for u, v in pairs:
+            if u.length + v.length > k:
+                continue
+            table = pair_table(rng, u, v)
+            contexts.clear()
+            s = structure_constants(table, u, v)
+            context = contexts[0]
+            held = table.points
+            assert len(held) < len(rng)
+            for x in range(len(rng)):
+                lists = [context.above[x], context.below[x]]
+                if context.steps[x] is not None:
+                    assert x in held
+                    lists += [[w for w, _, _ in context.steps[x]]]
+                    covers = context.covers_up[x] + context.covers_down[x]
+                    lists += [[w for w, _ in c] for c in covers]
+                assert all(w in held for ws in lists for w in ws), (u, v, x)
+                if x not in held:
+                    assert not context.above[x] and not context.below[x]
+            assert all(w in held for w in s.values)
+            outside = next(x for x in range(len(rng)) if x not in held)
+            with pytest.raises(InternalInconsistency, match="does not hold point"):
+                context.read(outside)
+
+
+def test_structure_constants_raise_on_a_point_the_table_lacks():
+    """A column reads every x above the longer element up to l(u) + l(v);
+    a table that leaves one out is refused, not read as zero there."""
+    from eqschub import InternalInconsistency, enumerate_upto
+
+    rng = enumerate_upto(A3, 6)
+    u, v = element_from_word(A3, (1,)), element_from_word(A3, (2, 3))
+    whole = pair_table(rng, u, v)
+    rows = whole.rows
+    points = set(whole.points) - rows
+    top = max(points, key=lambda b: rng.elements[b].length)
+    assert rng.elements[top].length == 3
+    table = restriction_table(A3, 6, rng=rng, rows=rows, points=points - {top})
+    assert not table.holds_point(top)
+    assert structure_constants(whole, u, v).values == structure_constants(
+        restriction_table(A3, 6), u, v).values
+    with pytest.raises(InternalInconsistency, match="does not hold point"):
+        structure_constants(table, u, v)
+
+
+def test_verify_product_identity_raises_on_a_point_table():
+    """The identity is checked at every point of the range, so a table
+    holding only some points cannot check it, even with every row."""
+    from eqschub import InternalInconsistency, enumerate_upto
+
+    rng = enumerate_upto(B2, 4)
+    whole = restriction_table(B2, 4, rng=rng)
+    u, v = element_from_word(B2, (1, 2)), element_from_word(B2, (1,))
+    points = {b for b, w in enumerate(rng) if w.length <= 3 and rng.index[u] in rng.leq[b]}
+    table = restriction_table(B2, 4, rng=rng, points=points)
+    assert table.rows is None and len(table.points) < len(rng)
+    s = structure_constants(table, u, v)
+    assert s.values == structure_constants(whole, u, v).values
+    assert verify_product_identity(whole, s)
+    with pytest.raises(InternalInconsistency, match="holds some"):
         verify_product_identity(table, s)
 
 
