@@ -265,7 +265,10 @@ def test_mult_bad_eval_exits_2():
     assert code == 2
 
 
-@pytest.mark.parametrize("point,bad", [("1,1/0", "1/0"), ("x,1", "x"), ("1, 2/-0 ", "2/-0")])
+@pytest.mark.parametrize(
+    "point,bad", [("1,1/0", "1/0"), ("x,1", "x"), ("1, 3/0 ", "3/0")],
+    ids=["zero-denominator", "not-a-number", "padded"],
+)
 def test_mult_bad_eval_names_the_bad_value(capsys, point, bad):
     code, out = run(["mult", "--type", "A2", "--u", "1", "--v", "1", "--eval", point])
     assert (code, out) == (2, "")
