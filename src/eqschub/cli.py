@@ -16,10 +16,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .errors import (
@@ -38,7 +38,7 @@ from .rootsys import (
     RootPolynomial,
     RootSystem,
     build_root_system,
-    builtin_root_system,
+    descriptor_for,
     monomial_text,
 )
 from .structconst import (
@@ -50,7 +50,7 @@ from .structconst import (
     record_text,
     structure_constants,
 )
-from .weyl import element_from_word, enumerate_upto, inverse, longest_element
+from .weyl import WeylRange, element_from_word, enumerate_upto, inverse, longest_element
 
 CACHE_ENV = "EQSCHUB_CACHE"
 CACHE_HEADER = {"engine": f"eqschub {__version__}", "convention": "KK", "format": 1}
@@ -73,10 +73,47 @@ class CliError(EqschubError):
 
 
 # ---------------------------------------------------------------------------
+# Setup kept for later calls in the same process
+#
+# The root system, the range and its Bruhat order depend on the Cartan
+# matrix alone, not on the pair asked about, so a process that calls
+# ``main`` or ``run_sweep`` many times builds them once.  One range is held:
+# the one with the largest bound asked for, of the root system last used.
+
+
+@lru_cache(maxsize=16)
+def _root_system(cartan: CartanMatrix, kind: str, descriptor: str) -> RootSystem:
+    return build_root_system(cartan, kind, descriptor=descriptor)
+
+
+_held_range: WeylRange | None = None
+
+
+def weyl_range(rs: RootSystem, bound: int) -> WeylRange:
+    """``enumerate_upto(rs, bound)``, as a prefix of the range held for ``rs``
+    when that range reaches ``bound`` or is the whole group; otherwise the
+    range is enumerated and held in place of the last one."""
+    global _held_range
+    held = _held_range
+    if held is None or held.rs is not rs or (bound > held.bound and not held.complete):
+        held = _held_range = enumerate_upto(rs, bound)
+    return held.prefix(bound)
+
+
+def clear_setup() -> None:
+    """Forget the root systems and the range kept for later calls."""
+    global _held_range
+    _root_system.cache_clear()
+    _held_range = None
+
+
+# ---------------------------------------------------------------------------
 # Input parsing
 
 
 def load_root_system(args) -> RootSystem:
+    """The root system of ``--type`` or ``--cartan``; a file is read and
+    checked on every call, and the system built once per process."""
     if args.type and args.cartan:
         raise CliError("use either --type or --cartan, not both")
     if args.type:
@@ -84,7 +121,8 @@ def load_root_system(args) -> RootSystem:
             raise CliError(
                 f"unknown type {args.type!r}; choose from {', '.join(BUILTIN_TYPES)}"
             )
-        return builtin_root_system(args.type)
+        entries, kind = BUILTIN_TYPES[args.type]
+        return _root_system(CartanMatrix(entries), kind, args.type)
     if args.cartan:
         try:
             with open(args.cartan, "r", encoding="utf-8") as fh:
@@ -106,7 +144,7 @@ def load_root_system(args) -> RootSystem:
         kind = data.get("kind", FINITE)
         if kind not in (FINITE, GENERAL):
             raise CliError(f'kind must be "{FINITE}" or "{GENERAL}"')
-        return build_root_system(cartan, kind)
+        return _root_system(cartan, kind, descriptor_for(cartan, kind))
     raise CliError("one of --type or --cartan is required")
 
 
@@ -234,9 +272,11 @@ def cmd_mult(args, out) -> int:
     if args.basis == "y" and rs.kind != FINITE:
         raise CliError("--basis y requires a finite-type root system")
     # The recurrence reads no fixed point longer than length(u)+length(v), and
-    # a finite group's range stops at the longest element.
+    # a finite group's range stops at the longest element.  The range comes
+    # from the one held for the process (see ``weyl_range``), with its
+    # Bruhat order, so only the table below is built for this pair.
     bound = u.length + v.length if args.max_length is None else args.max_length
-    rng = enumerate_upto(rs, bound)
+    rng = weyl_range(rs, bound)
     # It reads the rows of e, of the s_i (the ids up to rank, as ids run in
     # length order) and of the shorter of u and v (v on a tie), so the table
     # holds just the lower ideal of that element, and only at the points
@@ -385,18 +425,21 @@ def run_sweep(
     them come from one column of the Chevalley recurrence.  The lines of
     row u are appended, each whole, and flushed as soon as row u is
     computed, so an interrupted sweep keeps every finished row.  The root
-    system and the range are built once, and their one restriction table
-    and recurrence context only if some pair is left; a ``jobs`` > 1 pool
+    system and the range come from those kept for the process (see
+    ``weyl_range``), built on the first sweep that needs them; the one
+    restriction table and recurrence context are built per sweep, and only
+    if some pair is left.  A ``jobs`` > 1 pool
     worker is handed both rather than building its own, and computes whole
     rows.  The pool has at most one worker per CPU, per row and per
     ``PAIRS_PER_WORKER`` pairs; the output does not depend on its size.
     """
     start = time.perf_counter()
     cached = _read_cache(cache_path) if cache_path else None
-    rs = build_root_system(CartanMatrix(entries), kind)
+    cartan = CartanMatrix(entries)
+    rs = _root_system(cartan, kind, descriptor_for(cartan, kind))
     if basis == "y" and rs.kind != FINITE:
         raise NotFiniteType("y-basis sweep requires a finite-type root system")
-    rng = enumerate_upto(rs, bound)
+    rng = weyl_range(rs, bound)
     words = [w.word for w in rng.elements if rng.complete or 2 * w.length <= bound]
     verdicts = cached or {}
 
@@ -443,6 +486,15 @@ def run_sweep(
     return SweepReport(
         rs.descriptor, bound, basis, len(words) ** 2, fails, wall, cache_path
     )
+
+
+def ProcessPoolExecutor(**kwargs):
+    """A ``concurrent.futures`` process pool.  Its module, with
+    ``multiprocessing``, is imported here rather than with the CLI: only
+    ``sweep --jobs`` > 1 needs it, and it takes about 20 ms to import."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(**kwargs)
 
 
 def _solve_rows(rows, rs, rng, basis, jobs):
@@ -675,11 +727,15 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:

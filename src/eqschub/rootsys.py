@@ -228,7 +228,7 @@ def build_root_system(
     n = cartan.rank
     reflections = tuple(_reflection_matrix(cartan, i) for i in range(n))
     if descriptor is None:
-        descriptor = _descriptor_for(cartan, kind)
+        descriptor = descriptor_for(cartan, kind)
     if kind == GENERAL:
         return RootSystem(cartan, kind, reflections, None, None, descriptor)
 
@@ -272,7 +272,7 @@ def build_root_system(
     )
 
 
-def _descriptor_for(cartan: CartanMatrix, kind: str) -> str:
+def descriptor_for(cartan: CartanMatrix, kind: str) -> str:
     for name, (entries, builtin_kind) in BUILTIN_TYPES.items():
         if cartan.entries == entries and kind == builtin_kind:
             return name

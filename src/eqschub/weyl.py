@@ -11,6 +11,7 @@ stripping descents, ``enumerate_upto`` by extending parents.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
@@ -257,6 +258,9 @@ class WeylRange:
         self.complete = complete
         self.right_mul = right_mul
         self.last_root = last_root
+        # The enumerated range this one is a prefix of; its Bruhat order is
+        # built there, once, and sliced here.
+        self._whole = self
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -277,6 +281,8 @@ class WeylRange:
         GTM 231, 2.2): with i the last letter of v and v' = v s_i, the
         elements below v are those below v' and their products with s_i.
         """
+        if self._whole is not self:
+            return self._whole.leq[: len(self)]
         rmul = self.right_mul
         below = [frozenset((0,))]
         for v in range(1, len(self.elements)):
@@ -284,6 +290,31 @@ class WeylRange:
             parent = below[rmul[v][i]]
             below.append(parent.union([rmul[u][i] for u in parent]))
         return below
+
+    def prefix(self, bound: int) -> WeylRange:
+        """The range of the same root system up to ``bound``, taken from this one.
+
+        Ids run in (length, word) order, so the elements up to a smaller
+        bound are this range's first ids.  Their ``right_mul`` is this
+        range's with the ids past them set to None, and ``last_root`` and
+        ``leq`` are prefixes, since everything below an element is shorter
+        than it.  A larger bound can be served only by a complete range,
+        whose elements it keeps.
+        """
+        if bound < 0:
+            raise ValueError("length bound must be nonnegative")
+        if bound == self.bound:
+            return self
+        if bound > self.bound and not self.complete:
+            raise ValueError(f"a range of bound {self.bound} is incomplete at bound {bound}")
+        n = bisect_right(self.elements, bound, key=lambda w: w.length)
+        rmul = self.right_mul
+        if n < len(rmul):
+            rmul = [[x if x is not None and x < n else None for x in row] for row in rmul[:n]]
+        view = WeylRange(self.rs, bound, self.elements[:n], self.complete and n == len(self),
+                         rmul, self.last_root[:n])
+        view._whole = self._whole
+        return view
 
 
 def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> WeylRange:

@@ -673,11 +673,13 @@ def test_sweep_pool_never_exceeds_cpus_or_chunks(monkeypatch, tmp_path):
 
 
 def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
-    """One root system, one range and one table per sweep; every element a
-    solve reads comes from that range, none is built from a word."""
+    """One root system, one range and one table on a cold sweep; every
+    element a solve reads comes from that range, none is built from a word.
+    A second sweep in the same process builds only its table."""
     import eqschub.cli as cli
     import eqschub.localize as localize
 
+    cli.clear_setup()
     calls = []
 
     def counted(name, fn):
@@ -699,6 +701,66 @@ def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
     report = run_sweep(rs.cartan.entries, rs.kind, 4, "y", cache_path=str(tmp_path / "c.jsonl"))
     assert report.verdict == "pass"
     assert sorted(calls) == ["build_root_system", "enumerate_upto", "restriction_table"]
+    calls.clear()
+    report = run_sweep(rs.cartan.entries, rs.kind, 4, "y", cache_path=str(tmp_path / "d.jsonl"))
+    assert report.verdict == "pass"
+    assert calls == ["restriction_table"]
+
+
+def test_warm_calls_match_cold_calls(tmp_path, monkeypatch, capsys):
+    """A shuffled run of calls in one process, each reusing the root systems
+    and the range its predecessors left, prints what the same call prints
+    on cleared memos: stdout, stderr and exit code."""
+    import random
+    import re
+
+    import eqschub.cli as cli
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    a3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    a3_file = write_cartan(tmp_path, "a3.json", a3)
+    a3_general = write_cartan(tmp_path, "a3-general.json", a3, GENERAL)
+    calls = [
+        ["mult", "--type", "A3", "--u", "1,2,3", "--v", "2,1,3,2", "--format", "json"],
+        ["mult", "--type", "A3", "--u", "1", "--v", "2"],
+        ["mult", "--type", "A3", "--u", "1,2", "--v", "2,3", "--basis", "y", "--format", "csv"],
+        ["mult", "--type", "A3", "--u", "2", "--v", "1,3", "--eval", "1,2,3"],
+        ["mult", "--type", "A3", "--u", "1,2,3", "--v", "3,2", "--max-length", "3"],
+        ["mult", "--type", "A3", "--u", "1", "--v", "1", "--max-length", "-1"],
+        ["mult", "--type", "A3", "--u", "1,2,3,1", "--v", "2,1,3,2", "--max-length", "6"],
+        ["mult", "--type", "G2", "--u", "1,2,1", "--v", "2", "--max-length", "20"],
+        ["mult", "--type", "G2", "--u", "2,1,2", "--v", "1,2,1,2", "--format", "csv"],
+        ["mult", "--type", "G2", "--u", "1", "--v", "2", "--basis", "y", "--eval", "1/2,3"],
+        ["mult", "--type", "G2", "--u", "1,2", "--v", "2", "--max-length", "2"],
+        ["mult", "--cartan", a3_file, "--u", "3", "--v", "3,2"],
+        ["mult", "--cartan", a3_general, "--u", "1,2", "--v", "2,1"],
+        ["mult", "--cartan", a3_general, "--u", "1,2,1", "--v", "3,2,1,2", "--format", "json"],
+        ["mult", "--cartan", a3_general, "--u", "1", "--v", "2", "--basis", "y"],
+        ["mult", "--type", "AffineA1", "--u", "1,2,1", "--v", "2,1", "--max-length", "7"],
+        ["mult", "--type", "AffineA1", "--u", "1,2", "--v", "2", "--max-length", "4"],
+        ["mult", "--type", "AffineA1", "--u", "1,2", "--v", "2,1,2", "--max-length", "9"],
+        ["mult", "--type", "AffineA1", "--u", "1,2,1", "--v", "2,1,2", "--max-length", "5"],
+        ["sweep", "--type", "A3", "--max-length", "3", "--format", "json"],
+        ["sweep", "--cartan", a3_file, "--basis", "y", "--max-length", "2"],
+        ["sweep", "--type", "AffineA1", "--max-length", "5"],
+        ["restrict", "--type", "G2", "--w", "1,2", "--v", "2,1,2"],
+    ]
+
+    def call(argv):
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        return code, out, re.sub(r"completed in [0-9.]+s", "completed in Ts", err)
+
+    cold = {}
+    for argv in calls:
+        cli.clear_setup()
+        cold[tuple(argv)] = call(argv)
+    assert {code for code, _, _ in cold.values()} == {0, 2}
+    sequence = calls * 2
+    random.Random(16).shuffle(sequence)
+    cli.clear_setup()
+    for argv in sequence:
+        assert call(argv) == cold[tuple(argv)], argv
 
 
 def _forbid_solving(monkeypatch):
