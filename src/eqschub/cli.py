@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from bisect import bisect_right
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,7 +289,10 @@ def cmd_mult(args, out) -> int:
     if short is not None and long is not None:
         ideal = rng.leq[short]
         top = u.length + v.length
-        points = [b for b, w in enumerate(rng) if w.length <= top and long in rng.leq[b]]
+        # Ids run in length order, so the points above long lie from long
+        # up to the last id of length top.
+        stop = bisect_right(rng.elements, top, key=lambda w: w.length)
+        points = [b for b in range(long, stop) if long in rng.leq[b]]
     table = restriction_table(
         rs, bound, rng=rng, rows=ideal.union(range(min(len(rng), rs.rank + 1))), points=points
     )

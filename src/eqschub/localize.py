@@ -17,18 +17,29 @@ and holds only that element's column, which serves ``restrict``.  Both
 take the step from ``_next_column``.
 
 The table stores only its nonzero entries, which are exactly the pairs
-w <= v, so its size and the cost of its invariant check follow the
-Bruhat intervals rather than the square of the range.  The row of w (its
-values at every v) is built from the rows of w and w s_i only, with
-w s_i < w, so the rows of a Bruhat lower ideal are closed under the
-recursion: given such ``rows``, the table holds those rows and nothing
-else.  The column of v is built from that of v s_i alone, with i the last
-letter of v's canonical word, so a set of ``points`` closed under that
-step is closed under the recursion too: given it, the table holds those
-columns only.  A one-pair ``mult`` reads only the row of the shorter
-element and those of e and the s_i, at the fixed points above the longer
-element up to length l(u) + l(v), so it builds just the lower ideal of
-the shorter element at those points and the points they step from.
+w <= v, so its size follows the Bruhat intervals rather than the square
+of the range.  ``_verify_table`` checks each table as it is built, and
+its cost follows what the table built:
+
+* support, by one set comparison per held column between the rows stored
+  there and the column's Bruhat interval (within the rows);
+* zero, homogeneity and sign, once per distinct (row, polynomial object),
+  since a column holds its parent's entries by reference;
+* the diagonal, at the held rows that are held points only, against the
+  range's inversion products, built from ``inversion_coords`` once per
+  element and kept on the range (see ``WeylRange.inversion_product``).
+
+The row of w (its values at every v) is built from the rows of w and
+w s_i only, with w s_i < w, so the rows of a Bruhat lower ideal are
+closed under the recursion: given such ``rows``, the table holds those
+rows and nothing else.  The column of v is built from that of v s_i
+alone, with i the last letter of v's canonical word, so a set of
+``points`` closed under that step is closed under the recursion too:
+given it, the table holds those columns only.  A one-pair ``mult``
+reads only the row of the shorter element and those of e and the s_i, at
+the fixed points above the longer element up to length l(u) + l(v), so
+it builds just the lower ideal of the shorter element at those points
+and the points they step from.
 """
 
 from __future__ import annotations
@@ -136,8 +147,10 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     only their nonzero entries in ``rows`` are stored.  The four table
     invariants (support exactly the Bruhat interval, homogeneity, diagonal
     = product of inversion roots, nonnegative coefficients) are verified
-    during construction on the entries held; a violation raises
-    InternalInconsistency.
+    by ``_verify_table`` on the entries held, as the module docstring
+    describes: support per held column, the per-entry invariants per
+    distinct stored polynomial and the diagonal per held row at the held
+    points.  A violation raises InternalInconsistency.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
@@ -177,6 +190,57 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
 
 
 def _verify_table(table: RestrictionTable):
+    """Raise InternalInconsistency unless ``table`` meets the four invariants.
+
+    One pass over the stored entries groups their rows by column and checks
+    each entry for zero, homogeneity of degree l(w) and sign, once per
+    distinct (row, polynomial object): a column copies its parent's
+    entries by reference, at the same rows.  Each held column's rows are
+    then compared with its Bruhat interval in one set comparison, and each
+    held diagonal with the range's memoised inversion product.  On a
+    failure ``_name_violation`` walks the entries to name the first one.
+    """
+    rng = table.range
+    leq = rng.leq
+    elements = rng.elements
+    values = table.values
+    rows, points = table.rows, table.points
+    columns: dict = {}
+    checked: dict = {}
+    sound = True
+    for (w, v), poly in values.items():
+        column = columns.get(v)
+        if column is None:
+            columns[v] = column = []
+        column.append(w)
+        if checked.get(id(poly)) != w:
+            checked[id(poly)] = w
+            # A zero's sign pattern is "zero", so this refuses it too.
+            sound = sound and (
+                poly.is_homogeneous_of(elements[w].length) and poly.sign_pattern() == "nonneg"
+            )
+    held = range(len(leq)) if points is None else points
+    for v in held:
+        below = leq[v] if rows is None else leq[v] & rows
+        column = columns.pop(v, ())
+        if len(column) != len(below) or not below.issuperset(column):
+            sound = False
+            break
+    if not sound or columns:
+        _name_violation(table)
+    diagonal = held if rows is None else rows if points is None else rows & points
+    for w in sorted(diagonal):
+        if values.get((w, w)) != rng.inversion_product(w):
+            raise InternalInconsistency(
+                f"diagonal value at {elements[w]} differs from its inversion product"
+            )
+
+
+def _name_violation(table: RestrictionTable):
+    """Raise the InternalInconsistency naming the first entry of ``table``
+    that breaks support, homogeneity or sign: first a zero in a held
+    Bruhat interval, then the stored entries in order, then one stored
+    outside the rows or the points."""
     rng = table.range
     leq = rng.leq
     elements = rng.elements
@@ -208,22 +272,10 @@ def _verify_table(table: RestrictionTable):
             raise InternalInconsistency(
                 f"value({elements[w]}, {elements[v]}) has negative coefficients"
             )
-    if rows is not None or points is not None:
-        for w, v in values:
-            if not (table.holds(w) and table.holds_point(v)):
-                where = "points" if table.holds(w) else "rows"
-                raise InternalInconsistency(
-                    f"support violation: value({elements[w]}, {elements[v]}) "
-                    f"stored outside the {where}"
-                )
-    one = RootPolynomial.one(table.rs.rank)
-    for w, x in enumerate(elements):
-        if not (table.holds(w) and table.holds_point(w)):
-            continue
-        diag = one
-        for coords in inversion_coords(table.rs, x.word):
-            diag = diag * RootPolynomial.from_linear(table.rs.rank, coords)
-        if values.get((w, w)) != diag:
+    for w, v in values:
+        if not (table.holds(w) and table.holds_point(v)):
+            where = "points" if table.holds(w) else "rows"
             raise InternalInconsistency(
-                f"diagonal value at {x} differs from its inversion product"
+                f"support violation: value({elements[w]}, {elements[v]}) "
+                f"stored outside the {where}"
             )

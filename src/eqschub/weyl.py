@@ -21,7 +21,7 @@ from .errors import (
     RankMismatch,
     ResourceCap,
 )
-from .rootsys import FINITE, LinearForm, RootSystem, RootVector
+from .rootsys import FINITE, LinearForm, RootPolynomial, RootSystem, RootVector
 
 DEFAULT_WORD_CAP = 10_000
 DEFAULT_ENUM_CAP = 100_000
@@ -259,8 +259,10 @@ class WeylRange:
         self.right_mul = right_mul
         self.last_root = last_root
         # The enumerated range this one is a prefix of; its Bruhat order is
-        # built there, once, and sliced here.
+        # built there, once, and sliced here, and its inversion products
+        # are kept there.
         self._whole = self
+        self._inversion_products: dict = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -290,6 +292,24 @@ class WeylRange:
             parent = below[rmul[v][i]]
             below.append(parent.union([rmul[u][i] for u in parent]))
         return below
+
+    def inversion_product(self, w: int) -> RootPolynomial:
+        """The product of the roots ``inversion_coords`` gives along the
+        canonical word of the id ``w``, its diagonal restriction value.
+
+        It is built from the word, not from ``last_root``, so it checks the
+        recursion that reads those, and it is kept per id on the range this
+        one is a prefix of.
+        """
+        products = self._whole._inversion_products
+        poly = products.get(w)
+        if poly is None:
+            rank = self.rs.rank
+            poly = RootPolynomial.one(rank)
+            for coords in inversion_coords(self.rs, self.elements[w].word):
+                poly = poly * RootPolynomial.from_linear(rank, coords)
+            products[w] = poly
+        return poly
 
     def prefix(self, bound: int) -> WeylRange:
         """The range of the same root system up to ``bound``, taken from this one.

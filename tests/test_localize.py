@@ -334,6 +334,58 @@ def test_verify_table_rejects_entry_outside_the_points():
         _verify_table(table)
 
 
+@pytest.mark.parametrize(
+    "rs,k",
+    [(A3, 6), (G2, 6), (AFF_A2, 6)],
+    ids=["A3", "G2", "AffineA2"],
+)
+def test_range_inversion_product_is_the_inversion_coords_product(rs, k):
+    """The diagonal the check compares against, kept on the range and
+    shared by its prefixes, is the product of the inversion roots."""
+    rng = enumerate_upto(rs, k)
+    view = rng.prefix(k - 2)
+    for w, x in enumerate(rng):
+        assert rng.inversion_product(w) == inversion_product(x)
+        if w < len(view):
+            assert view.inversion_product(w) is rng.inversion_product(w)
+
+
+def test_verify_rejects_a_corrupted_diagonal_with_the_products_kept():
+    """A second table over the same range finds the inversion products
+    already kept there and still refuses a doubled diagonal."""
+    table, whole = _point_table()
+    rng = table.range
+    assert whole.range is rng and len(rng._inversion_products) == len(rng)
+    w = max(table.rows)
+    table.values[(w, w)] = table.values[(w, w)] + table.values[(w, w)]
+    with pytest.raises(InternalInconsistency, match="differs from its inversion product"):
+        _verify_table(table)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [(lambda p: -p, "negative coefficients"),
+     (lambda p: p * RootPolynomial.variable(3, 1), "not homogeneous")],
+    ids=["negated", "times-a1"],
+)
+def test_verify_checks_a_replaced_copy_of_a_shared_polynomial(corrupt, message):
+    """A column copies its parent's entries by reference, so the check
+    looks at each (row, polynomial object) once; an entry replaced by a
+    new object at one (w, v), the other copies left intact, is still
+    checked and refused."""
+    table, _ = _point_table()
+    first: dict = {}
+    copies = []
+    for (w, v), poly in table.values.items():
+        if first.setdefault((w, id(poly)), v) != v:
+            copies.append((w, v))
+    assert copies
+    w, v = copies[-1]
+    table.values[(w, v)] = corrupt(table.values[(w, v)])
+    with pytest.raises(InternalInconsistency, match=message):
+        _verify_table(table)
+
+
 def test_value_beyond_a_truncated_range_raises():
     """xi^e is 1 at every fixed point, but a table cut at length 2 holds no
     value at a point of length 5: reading one is InsufficientBound, not 0."""
