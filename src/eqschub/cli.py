@@ -439,7 +439,7 @@ def run_sweep(
     """
     start = time.perf_counter()
     cached = _read_cache(cache_path) if cache_path else None
-    cartan = CartanMatrix(entries)
+    cartan = CartanMatrix.from_rows(entries)
     rs = _root_system(cartan, kind, descriptor_for(cartan, kind))
     if basis == "y" and rs.kind != FINITE:
         raise NotFiniteType("y-basis sweep requires a finite-type root system")

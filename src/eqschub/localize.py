@@ -16,18 +16,22 @@ range; ``restriction_column`` runs it along one element's canonical word
 and holds only that element's column, which serves ``restrict``.  Both
 take the step from ``_next_column``.
 
-The table stores only its nonzero entries, which are exactly the pairs
-w <= v, so its size follows the Bruhat intervals rather than the square
-of the range.  ``_verify_table`` checks each table as it is built, and
-its cost follows what the table built:
+The table keeps its columns as built: ``table.columns[v]`` maps the id w
+of each held row with a nonzero value at the point v to that value, so it
+holds exactly the pairs w <= v and its size follows the Bruhat intervals
+rather than the square of the range.  ``_verify_table`` checks each table
+as it is built, in one pass over its columns, and its cost follows what
+the table built:
 
-* support, by one set comparison per held column between the rows stored
-  there and the column's Bruhat interval (within the rows);
+* support, by one set comparison per held column between its keys and
+  the column's Bruhat interval (within the rows);
 * zero, homogeneity and sign, once per distinct (row, polynomial object),
   since a column holds its parent's entries by reference;
 * the diagonal, at the held rows that are held points only, against the
   range's inversion products, built from ``inversion_coords`` once per
   element and kept on the range (see ``WeylRange.inversion_product``).
+
+The first failed check raises, naming the entry it failed at.
 
 The row of w (its values at every v) is built from the rows of w and
 w s_i only, with w s_i < w, so the rows of a Bruhat lower ideal are
@@ -51,6 +55,7 @@ from .weyl import (
     WeylRange,
     _column_is_positive,
     _identity_matrix,
+    _check_same_system,
     _reflect_right,
     enumerate_upto,
     inversion_coords,
@@ -95,22 +100,31 @@ def restriction_column(v: WeylElement) -> dict:
 class RestrictionTable:
     """Restriction polynomials over a length-bounded range.
 
-    ``values`` maps the ids (w, v) of the range (see ``WeylRange``) to
-    their polynomial, for the nonzero entries only.  ``rows`` is the set of
-    ids w whose rows the table holds and ``points`` the set of ids v whose
+    ``columns`` maps the id v of each held point (see ``WeylRange``) to
+    its column: a dict from the id w of each held row with a nonzero value
+    at v to that value, and no other key.  ``rows`` is the set of ids w
+    whose rows the table holds and ``points`` the set of ids v whose
     columns it holds, each None when it holds them all.  ``value`` reads
-    any pair of elements, zero where nothing is stored; it raises
+    any pair of elements of the table's root system, zero where nothing is
+    stored; it raises RankMismatch on an element of another system,
     InternalInconsistency on a row or a point the table does not hold, and
     InsufficientBound on a point beyond the range.
     """
 
-    def __init__(self, rs: RootSystem, rng: WeylRange, values: dict, rows=None, points=None):
+    def __init__(self, rs: RootSystem, rng: WeylRange, columns: dict, rows=None, points=None):
         self.rs = rs
         self.range = rng
-        self.values = values
+        self.columns = columns
         self.rows = rows
         self.points = points
         self._zero = RootPolynomial.zero(rs.rank)
+
+    @property
+    def values(self) -> dict:
+        """The nonzero entries keyed by the id pair (w, v), built on each
+        read.  Only the benchmark's tracer (``bench/tracing.py``) reads it;
+        the engine reads ``columns``."""
+        return {(w, v): poly for v, column in self.columns.items() for w, poly in column.items()}
 
     def holds(self, w) -> bool:
         """Whether the row of the id ``w`` is in the table."""
@@ -121,6 +135,7 @@ class RestrictionTable:
         return self.points is None or v in self.points
 
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
+        _check_same_system(self.rs, w, v)
         index = self.range.index
         a, b = index.get(w), index.get(v)
         if b is None:
@@ -129,7 +144,7 @@ class RestrictionTable:
             raise InternalInconsistency(f"the table does not hold the row of {w}")
         if not self.holds_point(b):
             raise InternalInconsistency(f"the table does not hold the point {v}")
-        return self.values.get((a, b), self._zero)
+        return self.columns[b].get(a, self._zero)
 
 
 def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
@@ -144,13 +159,11 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     of v's canonical word, and adds the ids of ``rows``, so it holds the
     diagonal entry of each row.  Columns are built by the one-letter
     recursion, each from the column of v with its last letter removed, and
-    only their nonzero entries in ``rows`` are stored.  The four table
+    only their nonzero entries in ``rows`` are kept.  The four table
     invariants (support exactly the Bruhat interval, homogeneity, diagonal
     = product of inversion roots, nonnegative coefficients) are verified
     by ``_verify_table`` on the entries held, as the module docstring
-    describes: support per held column, the per-entry invariants per
-    distinct stored polynomial and the diagonal per held row at the held
-    points.  A violation raises InternalInconsistency.
+    describes.  A violation raises InternalInconsistency.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
@@ -183,99 +196,66 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     for v in held[1:]:
         i = rng.elements[v].word[-1] - 1
         columns[v] = _next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend)
-    values = {(w, v): poly for v, column in columns.items() for w, poly in column.items()}
-    table = RestrictionTable(rs, rng, values, rows, points)
+    table = RestrictionTable(rs, rng, columns, rows, points)
     _verify_table(table)
     return table
 
 
 def _verify_table(table: RestrictionTable):
-    """Raise InternalInconsistency unless ``table`` meets the four invariants.
+    """Raise InternalInconsistency, naming the entry, unless ``table`` meets
+    the four invariants.
 
-    One pass over the stored entries groups their rows by column and checks
-    each entry for zero, homogeneity of degree l(w) and sign, once per
-    distinct (row, polynomial object): a column copies its parent's
-    entries by reference, at the same rows.  Each held column's rows are
-    then compared with its Bruhat interval in one set comparison, and each
-    held diagonal with the range's memoised inversion product.  On a
-    failure ``_name_violation`` walks the entries to name the first one.
+    One pass over the held columns checks each entry for zero, homogeneity
+    of degree l(w) and sign, once per distinct (row, polynomial object): a
+    column copies its parent's entries by reference, at the same rows.  It
+    compares each column's keys with its Bruhat interval (within the rows)
+    in one set comparison.  Then a column stored at a point the table does
+    not hold is refused, and each held diagonal is compared with the
+    range's memoised inversion product.
     """
     rng = table.range
     leq = rng.leq
     elements = rng.elements
-    values = table.values
+    columns = table.columns
     rows, points = table.rows, table.points
-    columns: dict = {}
+
+    def refuse(w, v, what, support=True):
+        raise InternalInconsistency(
+            f"{'support violation: ' if support else ''}"
+            f"value({elements[w]}, {elements[v]}) {what}"
+        )
+
+    held = range(len(leq)) if points is None else sorted(points)
     checked: dict = {}
-    sound = True
-    for (w, v), poly in values.items():
-        column = columns.get(v)
-        if column is None:
-            columns[v] = column = []
-        column.append(w)
-        if checked.get(id(poly)) != w:
-            checked[id(poly)] = w
-            # A zero's sign pattern is "zero", so this refuses it too.
-            sound = sound and (
-                poly.is_homogeneous_of(elements[w].length) and poly.sign_pattern() == "nonneg"
-            )
-    held = range(len(leq)) if points is None else points
     for v in held:
         below = leq[v] if rows is None else leq[v] & rows
-        column = columns.pop(v, ())
+        column = columns.get(v, {})
+        for w, poly in column.items():
+            if checked.get(id(poly)) == w:
+                continue
+            checked[id(poly)] = w
+            degree = elements[w].length
+            if poly.is_homogeneous_of(degree) and poly.sign_pattern() == "nonneg":
+                continue
+            if poly.is_zero():
+                refuse(w, v, "zero but w <= v" if w in below else "stored as zero")
+            if w not in leq[v]:
+                refuse(w, v, "nonzero but w !<= v")
+            if not poly.is_homogeneous_of(degree):
+                refuse(w, v, f"is not homogeneous of degree {degree}", False)
+            refuse(w, v, "has negative coefficients", False)
         if len(column) != len(below) or not below.issuperset(column):
-            sound = False
-            break
-    if not sound or columns:
-        _name_violation(table)
+            missing = below.difference(column)
+            if missing:
+                refuse(min(missing), v, "zero but w <= v")
+            w = next(w for w in column if w not in below)
+            refuse(w, v, "nonzero but w !<= v" if w not in leq[v] else "stored outside the rows")
+    for v in sorted(columns.keys() - held):
+        for w in columns[v]:
+            refuse(w, v, "stored outside the points")
     diagonal = held if rows is None else rows if points is None else rows & points
     for w in sorted(diagonal):
-        if values.get((w, w)) != rng.inversion_product(w):
+        if columns[w].get(w) != rng.inversion_product(w):
             raise InternalInconsistency(
                 f"diagonal value at {elements[w]} differs from its inversion product"
-            )
-
-
-def _name_violation(table: RestrictionTable):
-    """Raise the InternalInconsistency naming the first entry of ``table``
-    that breaks support, homogeneity or sign: first a zero in a held
-    Bruhat interval, then the stored entries in order, then one stored
-    outside the rows or the points."""
-    rng = table.range
-    leq = rng.leq
-    elements = rng.elements
-    values = table.values
-    rows, points = table.rows, table.points
-    for v in range(len(leq)) if points is None else sorted(points):
-        below = leq[v]
-        for w in below if rows is None else below & rows:
-            poly = values.get((w, v))
-            if poly is None or poly.is_zero():
-                raise InternalInconsistency(
-                    f"support violation: value({elements[w]}, {elements[v]}) zero but w <= v"
-                )
-    for (w, v), poly in values.items():
-        if poly.is_zero():
-            raise InternalInconsistency(
-                f"support violation: value({elements[w]}, {elements[v]}) stored as zero"
-            )
-        if w not in leq[v]:
-            raise InternalInconsistency(
-                f"support violation: value({elements[w]}, {elements[v]}) nonzero but w !<= v"
-            )
-        if not poly.is_homogeneous_of(elements[w].length):
-            raise InternalInconsistency(
-                f"value({elements[w]}, {elements[v]}) is not homogeneous of degree "
-                f"{elements[w].length}"
-            )
-        if poly.sign_pattern() not in ("nonneg", "zero"):
-            raise InternalInconsistency(
-                f"value({elements[w]}, {elements[v]}) has negative coefficients"
-            )
-    for w, v in values:
-        if not (table.holds(w) and table.holds_point(v)):
-            where = "points" if table.holds(w) else "rows"
-            raise InternalInconsistency(
-                f"support violation: value({elements[w]}, {elements[v]}) "
-                f"stored outside the {where}"
             )

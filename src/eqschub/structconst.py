@@ -2,8 +2,9 @@
 
 The x-basis constants c_uv^w of a pair (u, v) are defined by
 xi^u xi^v = sum_w c_uv^w xi^w, where xi^u(w) is the restriction table's
-value at (u, w).  They vanish unless u <= w and v <= w, are homogeneous of
-degree l(u) + l(v) - l(w), and are symmetric in u and v.
+value at (u, w), ``table.columns[w].get(u)``.  They vanish unless u <= w
+and v <= w, are homogeneous of degree l(u) + l(v) - l(w), and are
+symmetric in u and v.
 
 The Chevalley formula (Kostant-Kumar, Adv. Math. 62, 1986) multiplies by a
 degree-one class:
@@ -133,11 +134,11 @@ class ChevalleyContext:
     them at w >= x, so a table holding the points above u up to the
     column's length serves it.  ``above[x]`` lists the held w >= x in
     increasing id and ``below[w]`` the held y that w covers, both from the
-    range's Bruhat order.  ``restriction[a]`` maps b to xi^a(b) for the
-    held b >= a, for each row a the table holds (empty for the others),
-    and ``xi[w][i]`` holds the coordinates of xi^{s_i}(w) at each held w;
-    a table without the rows of the s_i is an InternalInconsistency.  The
-    first ``read(x)``, when a column first reads x, builds:
+    range's Bruhat order.  ``xi[w][i]`` holds the coordinates of
+    xi^{s_i}(w), the value of ``table.columns[w]`` at the id of s_i, for
+    each held w; a table without the rows of the s_i is an
+    InternalInconsistency.  The first ``read(x)``, when a column first
+    reads x, builds:
 
     * ``steps[x]`` lists (w, i, divisor) for each w > x in increasing
       length, with i the recurrence's letter at (x, w) and the divisor
@@ -160,21 +161,19 @@ class ChevalleyContext:
                 above[y].append(w)
                 if length[y] + 1 == length[w]:
                     below[w].append(y)
-        self.restriction = restriction = [{} for _ in range(n)]
-        for (a, b), poly in table.values.items():
-            restriction[a][b] = poly
         # xi[w][i] from the rows of the length-1 elements s_i; a range
         # without them has no letters to read.
+        simple = [s for s, e in enumerate(self.elements) if e.length == 1]
+        for s in simple:
+            _check_row(table, s)
         zero = (0,) * table.rs.rank
-        rows = []
-        for s, e in enumerate(self.elements):
-            if e.length == 1:
-                _check_row(table, s)
-                row = [zero] * n
-                for w, poly in restriction[s].items():
-                    row[w] = _linear_coords(poly, e, self.elements[w])
-                rows.append(row)
-        self.xi = list(zip(*rows)) if rows else [()] * n
+        self.xi = xi = [(zero,) * len(simple)] * n
+        for w, column in table.columns.items():
+            xi[w] = tuple(
+                _linear_coords(column[s], self.elements[s], self.elements[w])
+                if s in column else zero
+                for s in simple
+            )
         self.steps = [None] * n
         self.covers_up = [None] * n
         self.covers_down = [None] * n
@@ -299,7 +298,7 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
                 _check_point(table, b)
     above = context.above
     rank = table.rs.rank
-    xi_v = context.restriction[v]
+    columns = table.columns
     covers_down = context.covers_down
     column: dict = {}
     # Every w > x read below is some u's upper element, longer than x, so
@@ -309,12 +308,13 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         degree = length[x] + lv
         last = min(degree, top)
         values = {}
-        if x in xi_v:
-            values[x] = _checked_quotient(xi_v[x], None, lv, elements[x], elements[v], elements[x])
+        base = columns[x].get(v)
+        if base is not None:
+            values[x] = _checked_quotient(base, None, lv, elements[x], elements[v], elements[x])
         for w, i, divisor in steps:
             if length[w] > last:
                 break
-            if w not in xi_v:
+            if v not in columns[w]:
                 continue
             acc: dict = {}
             get = acc.get
@@ -373,7 +373,7 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
         from .weyl import longest_element
 
         transform = longest_element(s.rs).matrix
-    index, values = table.range.index, table.values
+    index, columns = table.range.index, table.columns
     u, v = index.get(s.u), index.get(s.v)
     for a in (u, v, *s.values):
         _check_row(table, a)
@@ -381,12 +381,13 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
         raise InternalInconsistency("the identity reads every point, and the table holds some")
     zero = RootPolynomial.zero(table.rs.rank)
     for z, element in enumerate(table.range.elements):
-        lhs = values.get((u, z), zero) * values.get((v, z), zero)
+        column = columns[z]
+        lhs = column.get(u, zero) * column.get(v, zero)
         if transform is not None:
             lhs = lhs.apply_linear(transform)
         rhs = zero
         for w, poly in s.values.items():
-            xi = values.get((w, z))
+            xi = column.get(w)
             if xi is None:
                 continue
             if transform is not None:

@@ -194,7 +194,10 @@ def test_c4_product_identity(sweeps, affine_data):
         transported = RestrictionTable(
             table.rs,
             table.range,
-            {key: p.apply_linear(matrix) for key, p in table.values.items()},
+            {
+                v: {w: p.apply_linear(matrix) for w, p in column.items()}
+                for v, column in table.columns.items()
+            },
         )
         for s in sweeps[name]["x"].values():
             assert verify_product_identity(table, s), (name, s.u, s.v)

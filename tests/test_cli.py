@@ -494,6 +494,20 @@ def test_sweep_jobs_equivalence():
     assert serial == parallel
 
 
+def test_run_sweep_takes_list_rows(tmp_path):
+    """A library caller may give the Cartan rows as lists, as JSON does:
+    the report and the cache are those tuple rows give."""
+    rows = affine_a_cartan(2)
+    reports, caches = [], []
+    for name, entries in (("tuples", rows), ("lists", [list(row) for row in rows])):
+        cache = tmp_path / f"{name}.jsonl"
+        report = run_sweep(entries, GENERAL, 3, "x", cache_path=str(cache))
+        reports.append(dict(report.to_json_dict(), cache=None))
+        caches.append(cache.read_bytes())
+    assert reports[0] == reports[1] and reports[0]["pair_count"] == 16
+    assert caches[0] == caches[1]
+
+
 SWEEP_CASES = {
     "A3-y": (builtin_root_system("A3"), 6, "y"),
     "AffineA2-x": (build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL), 4, "x"),

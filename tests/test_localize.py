@@ -7,6 +7,7 @@ from eqschub import (
     CartanMatrix,
     InsufficientBound,
     InternalInconsistency,
+    RankMismatch,
     RootPolynomial,
     build_root_system,
     builtin_root_system,
@@ -104,7 +105,8 @@ def test_a1_table_entries():
     table = restriction_table(A1, 1)
     e = element_from_word(A1, ())
     s = element_from_word(A1, (1,))
-    assert len(table.values) == 3
+    one = RootPolynomial.one(1)
+    assert table.columns == {0: {0: one}, 1: {0: one, 1: RootPolynomial.variable(1, 1)}}
     assert table.value(e, e) == RootPolynomial.one(1)
     assert table.value(e, s) == RootPolynomial.one(1)
     assert table.value(s, e).is_zero()
@@ -118,7 +120,7 @@ def test_g2_full_diagonal_is_product_of_all_positive_roots():
     for root in G2.positive_roots:
         expected = expected * root.to_polynomial()
     w0 = table.range.index[w0]
-    assert table.values[(w0, w0)] == expected
+    assert table.columns[w0][w0] == expected
 
 
 def test_batched_table_matches_single_restrictions():
@@ -141,11 +143,9 @@ def test_batched_table_matches_single_restrictions():
 def test_column_equals_every_table_column(rs, k):
     table = restriction_table(rs, k)
     els = table.range.elements
-    expected = [{} for _ in els]
-    for (w, v), poly in table.values.items():
-        expected[v][els[w].matrix] = poly
     for v, element in enumerate(els):
-        assert restriction_column(element) == expected[v]
+        expected = {els[w].matrix: poly for w, poly in table.columns[v].items()}
+        assert restriction_column(element) == expected
 
 
 def _table_holding(rs, k, w, v, ideal):
@@ -169,8 +169,8 @@ def _table_holding(rs, k, w, v, ideal):
 def test_verify_table_rejects_zero_inside_bruhat_interval(rs, k, w, v, ideal):
     table = _table_holding(rs, k, w, v, ideal)
     w, v = (table.range.index[element_from_word(rs, x)] for x in (w, v))
-    assert w in table.range.leq[v] and not table.values[(w, v)].is_zero()
-    del table.values[(w, v)]
+    assert w in table.range.leq[v] and not table.columns[v][w].is_zero()
+    del table.columns[v][w]
     with pytest.raises(InternalInconsistency, match="zero but w <= v"):
         _verify_table(table)
 
@@ -185,7 +185,7 @@ def test_verify_table_rejects_stored_zero_inside_bruhat_interval(rs, k, w, v, id
     table = _table_holding(rs, k, w, v, ideal)
     w, v = (table.range.index[element_from_word(rs, x)] for x in (w, v))
     assert w in table.range.leq[v]
-    table.values[(w, v)] = RootPolynomial.zero(rs.rank)
+    table.columns[v][w] = RootPolynomial.zero(rs.rank)
     with pytest.raises(InternalInconsistency, match="zero but w <= v"):
         _verify_table(table)
 
@@ -201,10 +201,10 @@ def test_verify_table_rejects_entry_outside_bruhat_interval(rs, k, w, v, ideal):
     element = element_from_word(rs, w)
     w, v = (table.range.index[element_from_word(rs, x)] for x in (w, v))
     assert w not in table.range.leq[v]
-    table.values[(w, v)] = billey_restrict(rs, element, element)
+    table.columns[v][w] = billey_restrict(rs, element, element)
     with pytest.raises(InternalInconsistency, match="nonzero but w !<= v"):
         _verify_table(table)
-    table.values[(w, v)] = RootPolynomial.zero(rs.rank)
+    table.columns[v][w] = RootPolynomial.zero(rs.rank)
     with pytest.raises(InternalInconsistency, match="stored as zero"):
         _verify_table(table)
 
@@ -223,7 +223,10 @@ def test_ideal_table_is_the_whole_table_on_its_rows(rs, k):
         rows = ideal_rows(rng, v)
         table = restriction_table(rs, k, rng=rng, rows=rows)
         assert table.rows == rows
-        assert table.values == {key: p for key, p in whole.values.items() if key[0] in rows}
+        assert table.columns == {
+            v: {w: p for w, p in column.items() if w in rows}
+            for v, column in whole.columns.items()
+        }
 
 
 def test_ideal_table_refuses_rows_not_closed_under_going_down():
@@ -242,7 +245,7 @@ def test_verify_table_rejects_entry_outside_the_rows():
     w0 = len(rng) - 1
     table = restriction_table(A2, 3, rng=rng, rows=ideal_rows(rng, s1))
     assert not table.holds(s2s1)
-    table.values[(s2s1, w0)] = whole.values[(s2s1, w0)]
+    table.columns[w0][s2s1] = whole.columns[w0][s2s1]
     with pytest.raises(InternalInconsistency, match="stored outside the rows"):
         _verify_table(table)
 
@@ -277,9 +280,9 @@ def test_point_table_is_the_whole_table_at_its_points(rs, k):
         for rows in (None, ideal_rows(rng, min(x, len(rng) - 1 - x))):
             table = restriction_table(rs, k, rng=rng, rows=rows, points=points)
             assert table.points == word_prefixes(rng, points | (rows or set()))
-            assert table.values == {
-                (w, v): p for (w, v), p in whole.values.items()
-                if v in table.points and (rows is None or w in rows)
+            assert table.columns == {
+                v: {w: p for w, p in column.items() if rows is None or w in rows}
+                for v, column in whole.columns.items() if v in table.points
             }
 
 
@@ -303,24 +306,37 @@ def _point_table():
     return table, whole
 
 
-@pytest.mark.parametrize("invariant", ["support", "homogeneity", "diagonal", "sign"])
+@pytest.mark.parametrize(
+    "invariant",
+    ["support", "stored-zero", "outside-interval", "homogeneity", "diagonal", "sign"],
+)
 def test_verify_point_table_rejects_a_corrupted_held_entry(invariant):
     table, _ = _point_table()
     rng = table.range
-    held = [(w, v) for (w, v) in table.values if 0 < w < v]
+    columns = table.columns
+    held = [(w, v) for v, column in columns.items() for w in column if 0 < w < v]
     w, v = max(held, key=lambda key: (rng.elements[key[0]].length, key))
-    poly = table.values[(w, v)]
+    poly = columns[v][w]
+    # A held row off the interval of a held point.
+    off = max(b for b in columns if not table.rows <= rng.leq[b])
+    x = max(table.rows - rng.leq[off])
     if invariant == "support":
-        del table.values[(w, v)]
+        del columns[v][w]
         message = "zero but w <= v"
+    elif invariant == "stored-zero":
+        columns[off][x] = RootPolynomial.zero(3)
+        message = "stored as zero"
+    elif invariant == "outside-interval":
+        columns[off][x] = columns[x][x]
+        message = "nonzero but w !<= v"
     elif invariant == "homogeneity":
-        table.values[(w, v)] = poly * RootPolynomial.variable(3, 1)
+        columns[v][w] = poly * RootPolynomial.variable(3, 1)
         message = "not homogeneous"
     elif invariant == "diagonal":
-        table.values[(w, w)] = table.values[(w, w)] + table.values[(w, w)]
+        columns[w][w] = columns[w][w] + columns[w][w]
         message = "differs from its inversion product"
     else:
-        table.values[(w, v)] = -poly
+        columns[v][w] = -poly
         message = "negative coefficients"
     with pytest.raises(InternalInconsistency, match=message):
         _verify_table(table)
@@ -328,8 +344,9 @@ def test_verify_point_table_rejects_a_corrupted_held_entry(invariant):
 
 def test_verify_table_rejects_entry_outside_the_points():
     table, whole = _point_table()
-    w, v = next((w, v) for w, v in whole.values if table.holds(w) and not table.holds_point(v))
-    table.values[(w, v)] = whole.values[(w, v)]
+    v = next(v for v in whole.columns if not table.holds_point(v))
+    w = next(w for w in whole.columns[v] if table.holds(w))
+    table.columns[v] = {w: whole.columns[v][w]}
     with pytest.raises(InternalInconsistency, match="stored outside the points"):
         _verify_table(table)
 
@@ -357,7 +374,7 @@ def test_verify_rejects_a_corrupted_diagonal_with_the_products_kept():
     rng = table.range
     assert whole.range is rng and len(rng._inversion_products) == len(rng)
     w = max(table.rows)
-    table.values[(w, w)] = table.values[(w, w)] + table.values[(w, w)]
+    table.columns[w][w] = table.columns[w][w] + table.columns[w][w]
     with pytest.raises(InternalInconsistency, match="differs from its inversion product"):
         _verify_table(table)
 
@@ -376,12 +393,13 @@ def test_verify_checks_a_replaced_copy_of_a_shared_polynomial(corrupt, message):
     table, _ = _point_table()
     first: dict = {}
     copies = []
-    for (w, v), poly in table.values.items():
-        if first.setdefault((w, id(poly)), v) != v:
-            copies.append((w, v))
+    for v, column in table.columns.items():
+        for w, poly in column.items():
+            if first.setdefault((w, id(poly)), v) != v:
+                copies.append((w, v))
     assert copies
     w, v = copies[-1]
-    table.values[(w, v)] = corrupt(table.values[(w, v)])
+    table.columns[v][w] = corrupt(table.columns[v][w])
     with pytest.raises(InternalInconsistency, match=message):
         _verify_table(table)
 
@@ -393,6 +411,19 @@ def test_value_beyond_a_truncated_range_raises():
     assert restriction_table(AFF, 5).value(e, s1s2s1s2s1) == RootPolynomial.one(2)
     with pytest.raises(InsufficientBound, match="beyond the range"):
         restriction_table(AFF, 2).value(e, s1s2s1s2s1)
+
+
+def test_value_refuses_an_element_of_another_system():
+    """An element of another root system, or of A2's matrix built as
+    "general", is a RankMismatch, as in ``structure_constants``: not a zero
+    and not a point beyond the range."""
+    table = restriction_table(A2, 3)
+    s1 = element_from_word(A2, (1,))
+    b2 = element_from_word(B2, (1,))
+    general = element_from_word(build_root_system(A2.cartan, GENERAL), (1,))
+    for w, v in ((b2, s1), (s1, b2), (general, s1), (s1, general)):
+        with pytest.raises(RankMismatch):
+            table.value(w, v)
 
 
 def test_value_off_the_points_raises():

@@ -46,6 +46,8 @@ A3 = builtin_root_system("A3")
 G2 = builtin_root_system("G2")
 AFF = builtin_root_system("AffineA1")
 AFF_A2 = build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL)
+# Hyperbolic: deleting any one node leaves a finite or affine diagram.
+HYP3 = build_root_system(CartanMatrix(((2, -2, 0), (-2, 2, -1), (0, -1, 2))), GENERAL)
 
 T_A1 = restriction_table(A1, 1)
 T_A2 = restriction_table(A2, 3)
@@ -54,6 +56,13 @@ T_B2 = restriction_table(B2, 4)
 
 def poly(rank, terms):
     return RootPolynomial(rank, terms)
+
+
+def corrupted(table, w, v, value):
+    """A copy of the whole ``table`` whose value at the ids (w, v) is ``value``."""
+    columns = {b: dict(column) for b, column in table.columns.items()}
+    columns[v][w] = value
+    return RestrictionTable(table.rs, table.range, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +168,14 @@ def test_solver_aborts_on_corrupted_diagonal():
     from eqschub import InternalInconsistency
 
     s = element_from_word(A1, (1,))
-    corrupted = dict(T_A1.values)
     k = T_A1.range.index[s]
-    corrupted[(k, k)] = poly(1, {(1,): 1, (0,): 1})
-    bad = RestrictionTable(A1, T_A1.range, corrupted)
+    bad = corrupted(T_A1, k, k, poly(1, {(1,): 1, (0,): 1}))
     with pytest.raises(InternalInconsistency):
         structure_constants(bad, s, s)
     s1 = element_from_word(A2, (1,))
-    corrupted = dict(T_A2.values)
     k = T_A2.range.index[s1]
-    corrupted[(k, k)] = poly(2, {(1, 1): 1})
     with pytest.raises(InternalInconsistency):
-        ChevalleyContext(RestrictionTable(A2, T_A2.range, corrupted))
+        ChevalleyContext(corrupted(T_A2, k, k, poly(2, {(1, 1): 1})))
 
 
 def test_recurrence_aborts_on_corrupted_base_case():
@@ -179,10 +184,8 @@ def test_recurrence_aborts_on_corrupted_base_case():
     from eqschub import InternalInconsistency
 
     w0 = longest_element(A2)
-    corrupted = dict(T_A2.values)
     k = T_A2.range.index[w0]
-    corrupted[(k, k)] = corrupted[(k, k)] + RootPolynomial.one(2)
-    bad = RestrictionTable(A2, T_A2.range, corrupted)
+    bad = corrupted(T_A2, k, k, T_A2.columns[k][k] + RootPolynomial.one(2))
     with pytest.raises(InternalInconsistency):
         structure_constants(bad, w0, w0)
 
@@ -194,9 +197,7 @@ def test_solver_aborts_on_nonzero_numerator_at_skipped_element():
 
     s = element_from_word(A1, (1,))
     e = identity(A1)
-    corrupted = dict(T_A1.values)
-    corrupted[(T_A1.range.index[s], T_A1.range.index[e])] = RootPolynomial.one(1)
-    bad = RestrictionTable(A1, T_A1.range, corrupted)
+    bad = corrupted(T_A1, T_A1.range.index[s], T_A1.range.index[e], RootPolynomial.one(1))
     with pytest.raises(InternalInconsistency):
         triangular_constants(bad, s, s)
 
@@ -263,8 +264,8 @@ def test_affine_constants_stable_under_bound_increase():
 
 @pytest.mark.parametrize(
     "rs,k",
-    [(A3, 6), (B2, 4), (G2, 6), (AFF_A2, 6)],
-    ids=["A3", "B2", "G2", "AffineA2"],
+    [(A3, 6), (B2, 4), (G2, 6), (AFF_A2, 6), (HYP3, 6)],
+    ids=["A3", "B2", "G2", "AffineA2", "Hyperbolic3"],
 )
 def test_parabolic_vanishing(rs, k):
     """For a proper subset J of the letters, if u and v have no right
@@ -665,14 +666,14 @@ def _triple_product(first, second):
 
 @pytest.mark.parametrize(
     "rs,bound,sample",
-    [(B2, 4, None), (G2, 6, None), (A3, 6, 150), (AFF_A2, 6, None)],
-    ids=["B2", "G2", "A3-seeded", "AffineA2"],
+    [(B2, 4, None), (G2, 6, None), (A3, 6, 150), (AFF_A2, 6, None), (HYP3, 6, None)],
+    ids=["B2", "G2", "A3-seeded", "AffineA2", "Hyperbolic3"],
 )
 def test_associativity(rs, bound, sample):
     """(xi^u xi^v) xi^w = xi^u (xi^v xi^w): sum_x c_uv^x c_xw^y equals
     sum_x c_vw^x c_ux^y at every y, for every triple of a whole group,
-    seeded triples of A3, and the triples of affine A2 with
-    l(u) + l(v) + l(w) <= 6."""
+    seeded triples of A3, and the triples of affine A2 and of the
+    hyperbolic rank-3 type with l(u) + l(v) + l(w) <= 6."""
     table = restriction_table(rs, bound)
     c = _all_constants(table)
     rng = table.range
@@ -795,11 +796,12 @@ def _solve_on_transported_table(table, w0, u, v):
     rank = table.rs.rank
     zero = RootPolynomial.zero(rank)
     stored = {
-        key: p.apply_linear(w0.matrix) for key, p in table.values.items()
+        b: {a: p.apply_linear(w0.matrix) for a, p in column.items()}
+        for b, column in table.columns.items()
     }
 
-    def sub(key):
-        return stored.get(key, zero)
+    def sub(a, b):
+        return stored[b].get(a, zero)
 
     rng = table.range
     total = u.length + v.length
@@ -808,9 +810,9 @@ def _solve_on_transported_table(table, w0, u, v):
     for w, element in enumerate(rng.elements):
         if element.length > total:
             break
-        num = sub((u, w)) * sub((v, w))
+        num = sub(u, w) * sub(v, w)
         for wp, a in values.items():
-            num = num - a * sub((wp, w))
+            num = num - a * sub(wp, w)
         if u in rng.leq[w] and v in rng.leq[w]:
             q = num
             for beta in inversions(element):
