@@ -1,13 +1,17 @@
-"""The CI steps that pin the output of ``mult``, ``restrict`` and the
-zero-filled ``mult``/``sweep`` records, replayed through ``cli.main`` in
-one process.
+"""The CI steps that pin the output of ``mult``, ``restrict``, the
+zero-filled ``mult``/``sweep`` records and the sweep caches, replayed
+through ``cli.main`` in one process.
 
-Each such step runs a group of ``eqschub`` commands into one file and
+Each output step runs a group of ``eqschub`` commands into one file and
 checks the file's sha256.  Here every command of those steps runs in the
 order the workflow lists them, in this one process, so each reuses the
 root systems and the range its predecessors left; the output of each
-step must still match that step's digest.  The commands and digests are
-read from the workflow, so the two cannot drift apart.
+step must still match that step's digest.  Each sweep-digest step writes
+one or more caches, each of which must match its digest; its sweeps run
+here in workflow order and then interleaved across the steps, so a
+sweep reuses the table and context its predecessor left only when that
+predecessor swept the same range.  The commands and digests are read
+from the workflow, so the two cannot drift apart.
 
     PYTHONPATH=src python -m pytest -q tests/test_ci_pins.py
 """
@@ -21,6 +25,12 @@ from pathlib import Path
 import eqschub.cli as cli
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+# One step of the workflow, up to the next.
+WORKFLOW_STEP = re.compile(r"- name: (?:(?!\n[ \t]+- name: ).)*", re.S)
+# A Cartan file a sweep-digest step writes, and the digest of its caches.
+CARTAN_FILE = re.compile(r"echo '(?P<json>[^']*)' > (?P<path>\S+)")
+DIGEST = re.compile(r"digest=(?P<digest>[0-9a-f]{64})")
 
 # A group of eqschub commands written to one file, then that file's digest.
 STEP = re.compile(
@@ -48,3 +58,42 @@ def test_pinned_steps_replay_in_one_process(monkeypatch):
         for argv in commands:
             assert cli.main(argv, out) == 0, argv
         assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest, commands
+
+
+def sweep_digest_steps() -> list[tuple[dict, list[list[str]], str]]:
+    """(Cartan files by path, sweep commands, digest of every cache they
+    write) of each step that pins sweep caches, in workflow order."""
+    out = []
+    for m in WORKFLOW_STEP.finditer(WORKFLOW.read_text(encoding="utf-8")):
+        lines = [line.strip() for line in m[0].splitlines()]
+        sweeps = [
+            shlex.split(line)[1:] for line in lines
+            if line.startswith("eqschub sweep ") and "--cache" in line.split()
+        ]
+        digest = DIGEST.search(m[0])
+        if sweeps and digest:
+            files = {f["path"]: f["json"] for f in CARTAN_FILE.finditer(m[0])}
+            out.append((files, sweeps, digest["digest"]))
+    return out
+
+
+def test_sweep_digest_steps_replay_in_one_process(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    steps = sweep_digest_steps()
+    assert [digest[:8] for _, _, digest in steps] == ["2bd06c65", "0a95f5f4", "2850b8b7"]
+    in_order = [(step, argv) for step in steps for argv in step[1]]
+    interleaved = [
+        (step, step[1][k]) for k in range(max(len(s[1]) for s in steps))
+        for step in steps if k < len(step[1])
+    ]
+    for n, order in enumerate((in_order, interleaved)):
+        work = tmp_path / f"pass{n}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for files, _, _ in steps:
+            for path, text in files.items():
+                (work / path).write_text(text + "\n", encoding="utf-8")
+        for (_, _, digest), argv in order:
+            assert cli.main(argv, io.StringIO()) == 0, argv
+            cache = argv[argv.index("--cache") + 1]
+            assert hashlib.sha256((work / cache).read_bytes()).hexdigest() == digest, (n, argv)

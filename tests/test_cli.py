@@ -392,8 +392,19 @@ def _corrupt_chevalley_integer(context, u, w):
     covers[k] = (w, covers[k][1] + 1)
 
 
+@pytest.fixture
+def cleared_setup():
+    """Nothing held from earlier calls when the test starts, and nothing
+    it held left for later tests."""
+    import eqschub.cli as cli
+
+    cli.clear_setup()
+    yield
+    cli.clear_setup()
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_divisor, _corrupt_chevalley_integer])
-def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt):
+def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt, cleared_setup):
     """In column s1 of A2, the entry at (u, w) = (s1, s2s1) is a2 divided by
     the divisor a2, and its numerator takes the Chevalley integer of s2s1
     over s1 once.  Doubling the divisor, or raising that integer from 1 to
@@ -689,7 +700,8 @@ def test_sweep_pool_never_exceeds_cpus_or_chunks(monkeypatch, tmp_path):
 def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
     """One root system, one range and one table on a cold sweep; every
     element a solve reads comes from that range, none is built from a word.
-    A second sweep in the same process builds only its table."""
+    A second sweep of the same range in the same process builds nothing:
+    it reads the table and context the first one left."""
     import eqschub.cli as cli
     import eqschub.localize as localize
 
@@ -718,7 +730,104 @@ def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
     calls.clear()
     report = run_sweep(rs.cartan.entries, rs.kind, 4, "y", cache_path=str(tmp_path / "d.jsonl"))
     assert report.verdict == "pass"
-    assert calls == ["restriction_table"]
+    assert calls == []
+
+
+AFFINE_A2_ROWS = tuple(tuple(row) for row in affine_a_cartan(2))
+HYPERBOLIC_ROWS = ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
+A3_ROWS = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+
+# Calls run in turn in one process, each a sweep (rows, kind, bound, basis,
+# jobs) or a ``main`` argv, and how many restriction tables each builds.
+HELD_SWEEPS = {
+    "same-bound": (
+        [(AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (AFFINE_A2_ROWS, GENERAL, 6, "x", 1)],
+        [True, False],
+    ),
+    "smaller-bound": (
+        [(AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (AFFINE_A2_ROWS, GENERAL, 4, "x", 1),
+         (AFFINE_A2_ROWS, GENERAL, 5, "x", 2)],
+        [True, False, False],
+    ),
+    "larger-bound": (
+        [(AFFINE_A2_ROWS, GENERAL, 4, "x", 1), (AFFINE_A2_ROWS, GENERAL, 6, "x", 1),
+         (AFFINE_A2_ROWS, GENERAL, 5, "x", 1)],
+        [True, True, False],
+    ),
+    "y-after-x": (
+        [(A3_ROWS, "finite", 4, "x", 1), (A3_ROWS, "finite", 4, "y", 2),
+         (A3_ROWS, "finite", 3, "y", 1)],
+        [True, False, False],
+    ),
+    # The mult query holds the whole of A3; the sweep at bound 4 needs more
+    # of it than the table the sweep at bound 3 left.
+    "larger-bound-in-held-range": (
+        [("mult", "--type", "A3", "--u", "1,2,1", "--v", "2,3,2"),
+         (A3_ROWS, "finite", 3, "x", 1), (A3_ROWS, "finite", 4, "x", 1),
+         (A3_ROWS, "finite", 3, "x", 1)],
+        [True, True, True, False],
+    ),
+    "affine-hyperbolic-affine": (
+        [(AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (HYPERBOLIC_ROWS, GENERAL, 6, "x", 1),
+         (AFFINE_A2_ROWS, GENERAL, 6, "x", 1)],
+        [True, True, True],
+    ),
+}
+
+
+def _sweep_step(tmp_path, name, step):
+    """Report (without its cache path) and cache bytes of one sweep into a
+    fresh cache; exit code and stdout of a ``main`` argv."""
+    if step[0] == "mult":
+        return run(list(step))
+    rows, kind, bound, basis, jobs = step
+    cache = tmp_path / name
+    report = run_sweep(rows, kind, bound, basis, jobs=jobs, cache_path=str(cache))
+    return {k: v for k, v in report.to_json_dict().items() if k != "cache"}, cache.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(HELD_SWEEPS))
+def test_warm_sweeps_match_cold_sweeps(tmp_path, monkeypatch, case, cleared_setup):
+    """A sweep that reads the table and context an earlier sweep of the
+    same range left writes the report and cache bytes it writes cold; one
+    of another root system, or of a larger bound than that table's,
+    builds its own."""
+    import eqschub.cli as cli
+
+    steps, builds = HELD_SWEEPS[case]
+    cold = []
+    for k, step in enumerate(steps):
+        cli.clear_setup()
+        cold.append(_sweep_step(tmp_path, f"cold{k}.jsonl", step))
+    cli.clear_setup()
+    built = []
+    build = cli.restriction_table
+
+    def counted(*args, **kwargs):
+        built.append(True)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "restriction_table", counted)
+    for k, step in enumerate(steps):
+        count = len(built)
+        assert _sweep_step(tmp_path, f"warm{k}.jsonl", step) == cold[k], (case, k)
+        assert len(built) - count == builds[k], (case, k)
+
+
+def test_clear_setup_drops_the_held_sweep_context(tmp_path, cleared_setup):
+    import eqschub.cli as cli
+
+    step = (AFFINE_A2_ROWS, GENERAL, 4, "x", 1)
+    first = _sweep_step(tmp_path, "first.jsonl", step)
+    context = cli._held_context
+    assert context is not None and context.table.range.bound == 4
+    cli.clear_setup()
+    assert cli._held_context is None
+    assert _sweep_step(tmp_path, "second.jsonl", step) == first
+    assert cli._held_context is not None and cli._held_context is not context
+    # Replacing the held range drops it too; a mult query holds none.
+    assert run(["mult", "--type", "A2", "--u", "1", "--v", "2"])[0] == 0
+    assert cli._held_context is None
 
 
 def test_warm_calls_match_cold_calls(tmp_path, monkeypatch, capsys):

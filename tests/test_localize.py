@@ -404,6 +404,30 @@ def test_verify_checks_a_replaced_copy_of_a_shared_polynomial(corrupt, message):
         _verify_table(table)
 
 
+def test_step_refuses_a_degree_at_the_packed_limit(monkeypatch):
+    """The step adds packed keys without the check ``__mul__`` makes, so a
+    column or table refuses, before its first step, an entry whose degree
+    would reach the limit; with the limit lowered to 3, that is an entry of
+    an element of length 3 on A2."""
+    import eqschub.localize as localize
+
+    whole = restriction_table(A2, 3)
+    top = len(whole.range) - 1
+    monkeypatch.setattr(localize, "DEGREE_LIMIT", 3)
+    with pytest.raises(ValueError, match="product degree is not below 3"):
+        restriction_column(element_from_word(A2, (1, 2, 1)))
+    with pytest.raises(ValueError, match="product degree is not below 3"):
+        restriction_table(A2, 3)
+    v = element_from_word(A2, (1, 2))
+    assert restriction_column(v) == {
+        whole.range.elements[w].matrix: poly
+        for w, poly in whole.columns[whole.range.index[v]].items()
+    }
+    # Rows of length 1 or less hold entries of degree 1 or less at every point.
+    table = restriction_table(A2, 3, rng=whole.range, rows={0, 1, 2})
+    assert table.columns[top] == {w: whole.columns[top][w] for w in (0, 1, 2)}
+
+
 def test_value_beyond_a_truncated_range_raises():
     """xi^e is 1 at every fixed point, but a table cut at length 2 holds no
     value at a point of length 5: reading one is InsufficientBound, not 0."""

@@ -251,15 +251,16 @@ def test_constants_symmetric_in_u_and_v(rs, k):
 
 
 def test_affine_constants_stable_under_bound_increase():
-    t4 = restriction_table(AFF, 4)
-    t6 = restriction_table(AFF, 6)
-    els = [w for w in t4.range if w.length <= 2]
-    for u in els:
-        for v in els:
-            s4 = structure_constants(t4, u, v)
-            s6 = structure_constants(t6, u, v)
-            for k in range(len(s4.order)):
-                assert s4.values.get(k) == s6.values.get(k)
+    for rs in (AFF, HYP3):
+        t4 = restriction_table(rs, 4)
+        t6 = restriction_table(rs, 6)
+        els = [w for w in t4.range if w.length <= 2]
+        for u in els:
+            for v in els:
+                s4 = structure_constants(t4, u, v)
+                s6 = structure_constants(t6, u, v)
+                for k in range(len(s4.order)):
+                    assert s4.values.get(k) == s6.values.get(k), (rs.descriptor, u, v)
 
 
 @pytest.mark.parametrize(
@@ -366,6 +367,13 @@ def test_recurrence_matches_solver_on_affine_a2(bound):
     swept = [a for a, w in enumerate(table.range) if w.length <= bound // 2]
     # Tables per pair at bound 6 would add some 2 s; the lower bounds have them.
     _assert_columns_match_solver(table, swept, lambda v: swept, pair_tables=bound < 6)
+
+
+def test_recurrence_matches_solver_on_hyperbolic_rank3():
+    table = restriction_table(HYP3, 6)
+    swept = [a for a, w in enumerate(table.range) if w.length <= 3]
+    # Tables per pair would about double its time; affine A2 has them below bound 6.
+    _assert_columns_match_solver(table, swept, lambda v: swept, pair_tables=False)
 
 
 def test_recurrence_matches_solver_on_seeded_a4_columns():
