@@ -80,8 +80,6 @@ class CliError(EqschubError):
 # matrix alone, not on the pair asked about, so a process that calls
 # ``main`` or ``run_sweep`` many times builds them once.  One range is held:
 # the one with the largest bound asked for, of the root system last used.
-# Beside it, the whole restriction table of the last sweep that solved a
-# pair, and its recurrence context, are held over a prefix of that range.
 
 
 @lru_cache(maxsize=16)
@@ -90,28 +88,24 @@ def _root_system(cartan: CartanMatrix, kind: str, descriptor: str) -> RootSystem
 
 
 _held_range: WeylRange | None = None
-_held_context: ChevalleyContext | None = None
 
 
 def weyl_range(rs: RootSystem, bound: int) -> WeylRange:
     """``enumerate_upto(rs, bound)``, as a prefix of the range held for ``rs``
     when that range reaches ``bound`` or is the whole group; otherwise the
-    range is enumerated and held in place of the last one, and the held
-    sweep context (see ``_solve_rows``) is dropped with it."""
-    global _held_range, _held_context
+    range is enumerated and held in place of the last one."""
+    global _held_range
     held = _held_range
     if held is None or held.rs is not rs or (bound > held.bound and not held.complete):
         held = _held_range = enumerate_upto(rs, bound)
-        _held_context = None
     return held.prefix(bound)
 
 
 def clear_setup() -> None:
-    """Forget the root systems, the range and the sweep context kept for
-    later calls."""
-    global _held_range, _held_context
+    """Forget the root systems and the range kept for later calls."""
+    global _held_range
     _root_system.cache_clear()
-    _held_range = _held_context = None
+    _held_range = None
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +430,12 @@ def run_sweep(
     row u are appended, each whole, and flushed as soon as row u is
     computed, so an interrupted sweep keeps every finished row.  The root
     system and the range come from those kept for the process (see
-    ``weyl_range``), built on the first sweep that needs them.  The
-    restriction table and recurrence context are built only if some pair
-    is left, and are kept too (see ``_solve_rows``): a later sweep of the
-    held range at the same bound or a smaller one reads them again.  A
-    ``jobs`` > 1 pool worker is handed the context rather than building
-    its own, and computes whole rows.  The pool has at most one worker per
-    CPU, per row and per ``PAIRS_PER_WORKER`` pairs; the output does not
-    depend on its size.
+    ``weyl_range``), built on the first sweep that needs them; the one
+    restriction table and recurrence context are built per sweep, and only
+    if some pair is left.  A ``jobs`` > 1 pool
+    worker is handed both rather than building its own, and computes whole
+    rows.  The pool has at most one worker per CPU, per row and per
+    ``PAIRS_PER_WORKER`` pairs; the output does not depend on its size.
     """
     start = time.perf_counter()
     cached = _read_cache(cache_path) if cache_path else None
@@ -513,33 +505,31 @@ def _solve_rows(rows, rs, rng, basis, jobs):
     """Yield ``_sweep_row_lines`` of each (u id, v ids) row, in order.
 
     Nothing is set up before the first row is asked for.  The state (the
-    recurrence context over the range's whole restriction table, and w0
-    for the y basis) is used here at ``jobs`` 1 and handed to each pool
-    worker otherwise: inherited under fork, pickled once per worker under
-    spawn.
+    recurrence context over the range's table, w0 for the y basis) is used
+    here at ``jobs`` 1 and handed to each pool worker otherwise: inherited
+    under fork, pickled once per worker under spawn.
 
-    The context is the held one when its range reaches as far as ``rng``:
-    both are prefixes of the held range (see ``weyl_range``), so the ids of
-    ``rng`` are a prefix of its ids, and the constants of a pair of them,
-    and their records, do not depend on which table they are read from.
-    Otherwise the table is built at ``rng``'s bound, checked as every
-    table is, and held with its context in place of the last.
+    The table holds, at every point of the range, the rows the recurrence
+    reads: those of the swept elements, whose constants it computes, and
+    those of the simple reflections, from which the context reads each
+    point's linear forms.  A sweep whose range is the whole group sweeps
+    every element, so its table holds every row.
     """
-    global _held_context
-    context = _held_context
-    if context is None or len(context.elements) < len(rng):
-        context = _held_context = ChevalleyContext(restriction_table(rs, rng.bound, rng=rng))
+    top = max(1, rng.bound // 2)
+    table = restriction_table(
+        rs, rng.bound, rng=rng,
+        rows=None if rng.complete else [a for a, w in enumerate(rng.elements) if w.length <= top],
+    )
     state = {
-        "context": context,
+        "context": ChevalleyContext(table),
         "w0": longest_element(rs) if basis == "y" else None,
     }
     if jobs > 1:
         # A row reads the elements above its own (the identity's row reads
-        # all of them); read every element here, so the workers inherit
-        # what they read instead of each building it again.  ``read`` keeps
-        # what it builds, so each is read once per held context.
-        for x in range(len(rng)):
-            context.read(x)
+        # all of them); read every element here once, so the workers
+        # inherit what they read instead of each building it again.
+        for x in range(len(rng.elements)):
+            state["context"].read(x)
         pairs = sum(len(row) for _, row in rows)
         workers = min(jobs, os.cpu_count() or 1, len(rows), -(-pairs // PAIRS_PER_WORKER))
         with ProcessPoolExecutor(

@@ -7,9 +7,9 @@ v' = v s_i, whose canonical word is v's without its last letter.  Then
     value(w, v) = value(w, v') + [w s_i < w] * v'(alpha_i) * value(w s_i, v')
 
 with value(w, e) = [w = e], so each column costs one multiplication by a
-linear form per nonzero entry of its parent column, which
-``_next_column`` makes in one multiply-accumulate pass.  Every term is a
-product of positive roots, so each value is a nonnegative integer
+linear form per nonzero entry of its parent column, added to the
+entry it lands on in one pass (``RootPolynomial.add_product``).  Every
+term is a product of positive roots, so each value is a nonnegative integer
 combination of monomials in the simple roots.
 
 ``restriction_table`` runs the recursion over a whole length-bounded
@@ -50,7 +50,7 @@ and the points they step from.
 from __future__ import annotations
 
 from .errors import InsufficientBound, InternalInconsistency
-from .rootsys import DEGREE_LIMIT, RootPolynomial, RootSystem
+from .rootsys import RootPolynomial, RootSystem
 from .weyl import (
     WeylElement,
     WeylRange,
@@ -69,36 +69,15 @@ def _next_column(column: dict, i: int, beta: RootPolynomial, ascend) -> dict:
 
     ``ascend(u, i)`` is the key of u s_i when it is longer than u, else
     None; each such entry u adds beta * value(u, v') there, in one pass
-    that adds the terms of beta times each term of value(u, v') into a
-    copy of the terms already at u s_i.  Packed monomials multiply by
-    adding their keys, so the caller refuses a degree that would carry
-    (``_check_degree``) once, before the first step.
+    over the terms (``RootPolynomial.add_product``).
     """
-    rank = beta.rank
-    factors = beta.terms.items()
+    zero = RootPolynomial.zero(beta.rank)
     out = dict(column)
     for u, poly in column.items():
         w = ascend(u, i)
-        if w is None:
-            continue
-        prev = column.get(w)
-        acc = dict(prev.terms) if prev is not None else {}
-        get = acc.get
-        for e1, c1 in factors:
-            for e2, c2 in poly.terms.items():
-                e = e1 + e2
-                acc[e] = get(e, 0) + c1 * c2
-        if 0 in acc.values():
-            acc = {e: c for e, c in acc.items() if c}
-        out[w] = RootPolynomial(rank, acc, _clean=True)
+        if w is not None:
+            out[w] = column.get(w, zero).add_product(beta, poly)
     return out
-
-
-def _check_degree(top: int) -> None:
-    """The ValueError ``RootPolynomial.__mul__`` gives for a product of
-    degree ``top`` or more, the longest entry a column or table builds."""
-    if top >= DEGREE_LIMIT:
-        raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
 
 
 def restriction_column(v: WeylElement) -> dict:
@@ -112,7 +91,6 @@ def restriction_column(v: WeylElement) -> dict:
     def ascend(m, i):
         return _reflect_right(rs, m, i) if _column_is_positive(m, i) else None
 
-    _check_degree(len(v.word))
     column = {_identity_matrix(rs.rank): RootPolynomial.one(rs.rank)}
     for i, coords in zip(v.word, inversion_coords(rs, v.word)):
         beta = RootPolynomial.from_linear(rs.rank, coords)
@@ -210,10 +188,6 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
                 v = rmul[v][rng.elements[v].word[-1] - 1]
         points = frozenset(closed)
         held = sorted(points)
-
-    # Ids run in length order; every row is a held point, and the longest
-    # entry is the diagonal of the last held row.
-    _check_degree(rng.elements[held[-1] if rows is None else max(rows)].length)
 
     def ascend(u, i):
         w = rmul[u][i]

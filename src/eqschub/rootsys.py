@@ -429,6 +429,28 @@ class RootPolynomial:
             out = {e: c for e, c in out.items() if c}
         return RootPolynomial(self.rank, out, _clean=True)
 
+    def add_product(self, a: "RootPolynomial", b: "RootPolynomial") -> "RootPolynomial":
+        """``self + a * b`` in one pass, adding the terms of a times each
+        term of b into a copy of self's terms; a product of too high a
+        degree is refused as ``__mul__`` refuses it.  Loops over a's terms
+        outside, so a should be the shorter."""
+        self._check_rank(a)
+        self._check_rank(b)
+        out = dict(self.terms)
+        if a.terms and b.terms:
+            shift = FIELD_BITS * self.rank
+            if (max(a.terms) >> shift) + (max(b.terms) >> shift) >= DEGREE_LIMIT:
+                raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
+            get = out.get
+            factors = b.terms.items()
+            for e1, c1 in a.terms.items():
+                for e2, c2 in factors:
+                    exp = e1 + e2
+                    out[exp] = get(exp, 0) + c1 * c2
+            if 0 in out.values():
+                out = {e: c for e, c in out.items() if c}
+        return RootPolynomial(self.rank, out, _clean=True)
+
     def scale(self, k: int) -> "RootPolynomial":
         k = int(k)
         if k == 0:
@@ -526,7 +548,8 @@ class RootPolynomial:
         from the top down, fixes the quotient terms of x-degree k - 1 and
         pushes their products with L into bucket k - 1.  A quotient
         coefficient that is not an integer, or anything left in bucket 0,
-        means no exact quotient exists and NotDivisible is raised.
+        means no exact quotient exists and NotDivisible is raised.  A
+        monomial divisor c*x divides each term on its own, without buckets.
 
         A divisor used more than once should be a ``LinearForm``, which
         checks it and finds its leading variable once; any other
@@ -535,18 +558,29 @@ class RootPolynomial:
         self._check_rank(lin)
         if not isinstance(lin, LinearForm):
             lin = LinearForm(lin.rank, lin.terms, _clean=True)
-        if not self.terms:
-            return RootPolynomial.zero(self.rank)
-        shift = FIELD_BITS * self.rank
+        terms = self.terms
         pivot_key, pivot_coeff, pivot_shift = lin.pivot_key, lin.pivot_coeff, lin.pivot_shift
         rest = lin.rest
-        # No exponent exceeds the total degree, so that many buckets suffice.
-        buckets: list[dict] = [{} for _ in range((max(self.terms) >> shift) + 1)]
-        for exp, coeff in self.terms.items():
-            buckets[exp >> pivot_shift & _FIELD_MASK][exp] = coeff
         quotient: dict = {}
+        if not rest:
+            # A monomial divisor c*x: each term is divided on its own.
+            for exp, coeff in terms.items():
+                q, r = divmod(coeff, pivot_coeff)
+                if r or not exp >> pivot_shift & _FIELD_MASK:
+                    raise NotDivisible(
+                        f"{self.to_text()} is not divisible by {lin.to_text()}"
+                    )
+                quotient[exp - pivot_key] = q
+            return RootPolynomial(self.rank, quotient, _clean=True)
+        if not terms:
+            return RootPolynomial.zero(self.rank)
+        # No exponent exceeds the total degree, so that many buckets suffice.
+        buckets: list[dict] = [{} for _ in range((max(terms) >> FIELD_BITS * self.rank) + 1)]
+        for exp, coeff in terms.items():
+            buckets[exp >> pivot_shift & _FIELD_MASK][exp] = coeff
         for k in range(len(buckets) - 1, 0, -1):
             below = buckets[k - 1]
+            get = below.get
             for exp, coeff in buckets[k].items():
                 if not coeff:
                     continue
@@ -561,7 +595,7 @@ class RootPolynomial:
                 quotient[qexp] = q
                 for rexp, rcoeff in rest:
                     texp = qexp + rexp
-                    below[texp] = below.get(texp, 0) - q * rcoeff
+                    below[texp] = get(texp, 0) - q * rcoeff
         if any(buckets[0].values()):
             raise NotDivisible(f"{self.to_text()} is not divisible by {lin.to_text()}")
         return RootPolynomial(self.rank, quotient, _clean=True)

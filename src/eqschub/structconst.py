@@ -472,6 +472,18 @@ def _json(value: tuple[int, ...] | str) -> str:
     return json.dumps(list(value) if isinstance(value, tuple) else value)
 
 
+@lru_cache(maxsize=None)
+def _word_items(word: tuple[int, ...]) -> tuple[str, str, str]:
+    """JSON text of a word, and the "values" and "monomials" items of
+    ``record_text`` for it where the record has no stored value."""
+    w = _json(word)
+    return (
+        w,
+        f'{{"w": {w}, "poly": {{"terms": []}}}}',
+        f'{{"w": {w}, "terms": [], "verdict": "pass"}}',
+    )
+
+
 def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, str]:
     """The cache records of the pairs (u, v) and (v, u), as the text
     ``json.dumps`` gives their dict form {"type", "basis", "u", "v",
@@ -490,10 +502,14 @@ def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, st
     values = []
     monomials = []
     for k, element in enumerate(s.order):
-        w = _json(element.word)
-        terms, verdict = rendered.get(k, ("[]", "pass"))
-        values.append(f'{{"w": {w}, "poly": {{"terms": {terms}}}}}')
-        monomials.append(f'{{"w": {w}, "terms": {terms}, "verdict": "{verdict}"}}')
+        w, no_value, no_monomials = _word_items(element.word)
+        if k in rendered:
+            terms, verdict = rendered[k]
+            values.append(f'{{"w": {w}, "poly": {{"terms": {terms}}}}}')
+            monomials.append(f'{{"w": {w}, "terms": {terms}, "verdict": "{verdict}"}}')
+        else:
+            values.append(no_value)
+            monomials.append(no_monomials)
     sign_rule = "nonneg" if cert.basis == "x" else "alternating"
     body = (
         f'"values": [{", ".join(values)}], "certificate": {{"verdict": "{cert.verdict}", '

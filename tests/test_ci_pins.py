@@ -9,9 +9,9 @@ root systems and the range its predecessors left; the output of each
 step must still match that step's digest.  Each sweep-digest step writes
 one or more caches, each of which must match its digest; its sweeps run
 here in workflow order and then interleaved across the steps, so a
-sweep reuses the table and context its predecessor left only when that
-predecessor swept the same range.  The commands and digests are read
-from the workflow, so the two cannot drift apart.
+sweep follows one of the same root system at another bound or one of
+another root system.  The commands and digests are read from the
+workflow, so the two cannot drift apart.
 
     PYTHONPATH=src python -m pytest -q tests/test_ci_pins.py
 """

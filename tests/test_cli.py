@@ -392,19 +392,8 @@ def _corrupt_chevalley_integer(context, u, w):
     covers[k] = (w, covers[k][1] + 1)
 
 
-@pytest.fixture
-def cleared_setup():
-    """Nothing held from earlier calls when the test starts, and nothing
-    it held left for later tests."""
-    import eqschub.cli as cli
-
-    cli.clear_setup()
-    yield
-    cli.clear_setup()
-
-
 @pytest.mark.parametrize("corrupt", [_corrupt_divisor, _corrupt_chevalley_integer])
-def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt, cleared_setup):
+def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt):
     """In column s1 of A2, the entry at (u, w) = (s1, s2s1) is a2 divided by
     the divisor a2, and its numerator takes the Chevalley integer of s2s1
     over s1 once.  Doubling the divisor, or raising that integer from 1 to
@@ -700,8 +689,7 @@ def test_sweep_pool_never_exceeds_cpus_or_chunks(monkeypatch, tmp_path):
 def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
     """One root system, one range and one table on a cold sweep; every
     element a solve reads comes from that range, none is built from a word.
-    A second sweep of the same range in the same process builds nothing:
-    it reads the table and context the first one left."""
+    A second sweep in the same process builds only its table."""
     import eqschub.cli as cli
     import eqschub.localize as localize
 
@@ -730,7 +718,47 @@ def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
     calls.clear()
     report = run_sweep(rs.cartan.entries, rs.kind, 4, "y", cache_path=str(tmp_path / "d.jsonl"))
     assert report.verdict == "pass"
-    assert calls == []
+    assert calls == ["restriction_table"]
+
+
+@pytest.mark.parametrize("rows, kind, bound, held", [
+    # Affine A2: the 19 elements of length <= 3 of the 64 of length <= 6.
+    (tuple(tuple(row) for row in affine_a_cartan(2)), GENERAL, 6, 19),
+    # Only e is swept, but the context reads the rows of s1, s2 and s3.
+    (tuple(tuple(row) for row in affine_a_cartan(2)), GENERAL, 1, 4),
+    (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), "finite", 4, 9),
+    # The whole of A2 is swept, so every row is held.
+    (((2, -1), (-1, 2)), "finite", 6, None),
+])
+def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, rows, kind, bound, held):
+    """A sweep's table holds, at every point of its range, the rows of
+    the swept elements and of the simple reflections, and no other; its
+    cache is the one a table with every row gives."""
+    import eqschub.cli as cli
+    import eqschub.localize as localize
+
+    tables = []
+
+    def kept(*args, **kwargs):
+        tables.append(localize.restriction_table(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "restriction_table", kept)
+    assert run_sweep(rows, kind, bound, "x", cache_path=str(tmp_path / "rows.jsonl")).verdict == "pass"
+    (table,) = tables
+    assert table.points is None
+    if held is None:
+        assert table.rows is None
+    else:
+        assert table.rows == frozenset(range(held))
+        assert {w.length for w in table.range.elements[:held]} == set(range(max(1, bound // 2) + 1))
+
+    def whole(rs, k, *, rng, rows):
+        return localize.restriction_table(rs, k, rng=rng)
+
+    monkeypatch.setattr(cli, "restriction_table", whole)
+    run_sweep(rows, kind, bound, "x", cache_path=str(tmp_path / "whole.jsonl"))
+    assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
 
 
 AFFINE_A2_ROWS = tuple(tuple(row) for row in affine_a_cartan(2))
@@ -738,40 +766,31 @@ HYPERBOLIC_ROWS = ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
 A3_ROWS = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 
 # Calls run in turn in one process, each a sweep (rows, kind, bound, basis,
-# jobs) or a ``main`` argv, and how many restriction tables each builds.
-HELD_SWEEPS = {
-    "same-bound": (
-        [(AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (AFFINE_A2_ROWS, GENERAL, 6, "x", 1)],
-        [True, False],
-    ),
-    "smaller-bound": (
-        [(AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (AFFINE_A2_ROWS, GENERAL, 4, "x", 1),
-         (AFFINE_A2_ROWS, GENERAL, 5, "x", 2)],
-        [True, False, False],
-    ),
-    "larger-bound": (
-        [(AFFINE_A2_ROWS, GENERAL, 4, "x", 1), (AFFINE_A2_ROWS, GENERAL, 6, "x", 1),
-         (AFFINE_A2_ROWS, GENERAL, 5, "x", 1)],
-        [True, True, False],
-    ),
-    "y-after-x": (
-        [(A3_ROWS, "finite", 4, "x", 1), (A3_ROWS, "finite", 4, "y", 2),
-         (A3_ROWS, "finite", 3, "y", 1)],
-        [True, False, False],
-    ),
-    # The mult query holds the whole of A3; the sweep at bound 4 needs more
-    # of it than the table the sweep at bound 3 left.
-    "larger-bound-in-held-range": (
-        [("mult", "--type", "A3", "--u", "1,2,1", "--v", "2,3,2"),
-         (A3_ROWS, "finite", 3, "x", 1), (A3_ROWS, "finite", 4, "x", 1),
-         (A3_ROWS, "finite", 3, "x", 1)],
-        [True, True, True, False],
-    ),
-    "affine-hyperbolic-affine": (
-        [(AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (HYPERBOLIC_ROWS, GENERAL, 6, "x", 1),
-         (AFFINE_A2_ROWS, GENERAL, 6, "x", 1)],
-        [True, True, True],
-    ),
+# jobs) or a ``main`` argv.
+WARM_SWEEPS = {
+    "same-bound": [(AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (AFFINE_A2_ROWS, GENERAL, 6, "x", 1)],
+    "smaller-bound": [
+        (AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (AFFINE_A2_ROWS, GENERAL, 4, "x", 1),
+        (AFFINE_A2_ROWS, GENERAL, 5, "x", 2),
+    ],
+    "larger-bound": [
+        (AFFINE_A2_ROWS, GENERAL, 4, "x", 1), (AFFINE_A2_ROWS, GENERAL, 6, "x", 1),
+        (AFFINE_A2_ROWS, GENERAL, 5, "x", 1),
+    ],
+    "y-after-x": [
+        (A3_ROWS, "finite", 4, "x", 1), (A3_ROWS, "finite", 4, "y", 2),
+        (A3_ROWS, "finite", 3, "y", 1),
+    ],
+    # The mult query holds the whole of A3; the sweeps read prefixes of it.
+    "prefixes-of-a-whole-group": [
+        ("mult", "--type", "A3", "--u", "1,2,1", "--v", "2,3,2"),
+        (A3_ROWS, "finite", 3, "x", 1), (A3_ROWS, "finite", 4, "x", 1),
+        (A3_ROWS, "finite", 3, "x", 1),
+    ],
+    "affine-hyperbolic-affine": [
+        (AFFINE_A2_ROWS, GENERAL, 6, "x", 1), (HYPERBOLIC_ROWS, GENERAL, 6, "x", 1),
+        (AFFINE_A2_ROWS, GENERAL, 6, "x", 1),
+    ],
 }
 
 
@@ -786,48 +805,22 @@ def _sweep_step(tmp_path, name, step):
     return {k: v for k, v in report.to_json_dict().items() if k != "cache"}, cache.read_bytes()
 
 
-@pytest.mark.parametrize("case", sorted(HELD_SWEEPS))
-def test_warm_sweeps_match_cold_sweeps(tmp_path, monkeypatch, case, cleared_setup):
-    """A sweep that reads the table and context an earlier sweep of the
-    same range left writes the report and cache bytes it writes cold; one
-    of another root system, or of a larger bound than that table's,
-    builds its own."""
+@pytest.mark.parametrize("case", sorted(WARM_SWEEPS))
+def test_warm_sweeps_match_cold_sweeps(tmp_path, case):
+    """A sweep that reads the root system and range earlier calls in the
+    process left writes the report and cache bytes it writes cold, whether
+    it asks for the same bound, a smaller or a larger one, the other basis
+    or another root system."""
     import eqschub.cli as cli
 
-    steps, builds = HELD_SWEEPS[case]
+    steps = WARM_SWEEPS[case]
     cold = []
     for k, step in enumerate(steps):
         cli.clear_setup()
         cold.append(_sweep_step(tmp_path, f"cold{k}.jsonl", step))
     cli.clear_setup()
-    built = []
-    build = cli.restriction_table
-
-    def counted(*args, **kwargs):
-        built.append(True)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "restriction_table", counted)
     for k, step in enumerate(steps):
-        count = len(built)
         assert _sweep_step(tmp_path, f"warm{k}.jsonl", step) == cold[k], (case, k)
-        assert len(built) - count == builds[k], (case, k)
-
-
-def test_clear_setup_drops_the_held_sweep_context(tmp_path, cleared_setup):
-    import eqschub.cli as cli
-
-    step = (AFFINE_A2_ROWS, GENERAL, 4, "x", 1)
-    first = _sweep_step(tmp_path, "first.jsonl", step)
-    context = cli._held_context
-    assert context is not None and context.table.range.bound == 4
-    cli.clear_setup()
-    assert cli._held_context is None
-    assert _sweep_step(tmp_path, "second.jsonl", step) == first
-    assert cli._held_context is not None and cli._held_context is not context
-    # Replacing the held range drops it too; a mult query holds none.
-    assert run(["mult", "--type", "A2", "--u", "1", "--v", "2"])[0] == 0
-    assert cli._held_context is None
 
 
 def test_warm_calls_match_cold_calls(tmp_path, monkeypatch, capsys):

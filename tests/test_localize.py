@@ -405,15 +405,15 @@ def test_verify_checks_a_replaced_copy_of_a_shared_polynomial(corrupt, message):
 
 
 def test_step_refuses_a_degree_at_the_packed_limit(monkeypatch):
-    """The step adds packed keys without the check ``__mul__`` makes, so a
-    column or table refuses, before its first step, an entry whose degree
-    would reach the limit; with the limit lowered to 3, that is an entry of
-    an element of length 3 on A2."""
-    import eqschub.localize as localize
+    """The step adds each product in with ``RootPolynomial.add_product``,
+    which refuses a degree at the packed limit as ``__mul__`` does; with
+    the limit lowered to 3, that is an entry of an element of length 3 on
+    A2, in a column and in a table."""
+    import eqschub.rootsys as rootsys
 
     whole = restriction_table(A2, 3)
     top = len(whole.range) - 1
-    monkeypatch.setattr(localize, "DEGREE_LIMIT", 3)
+    monkeypatch.setattr(rootsys, "DEGREE_LIMIT", 3)
     with pytest.raises(ValueError, match="product degree is not below 3"):
         restriction_column(element_from_word(A2, (1, 2, 1)))
     with pytest.raises(ValueError, match="product degree is not below 3"):

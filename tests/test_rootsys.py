@@ -334,6 +334,23 @@ def test_degree_overflow_raises_instead_of_wrapping():
     assert fits.is_homogeneous_of(65535)
 
 
+def test_add_product_is_sum_plus_product():
+    rng = random.Random(7)
+    for _ in range(200):
+        p, a, b = (random_polynomial(rng, 3) for _ in range(3))
+        assert p.add_product(a, b) == p + a * b
+    # Terms that cancel are dropped.
+    a1 = RootPolynomial.variable(2, 1)
+    assert (-a1 * a1).add_product(a1, a1).is_zero()
+    with pytest.raises(RankMismatch):
+        a1.add_product(a1, RootPolynomial.variable(3, 1))
+    high = RootPolynomial(2, {(40000, 0): 1})
+    with pytest.raises(ValueError, match="product degree"):
+        high.add_product(high, RootPolynomial(2, {(0, 25536): 1}))
+    fits = RootPolynomial.zero(2).add_product(high, RootPolynomial(2, {(0, 25535): 1}))
+    assert fits.sorted_terms() == [((40000, 25535), 1)]
+
+
 def test_constructor_rejects_bad_exponent_vectors():
     for rank, exp in [(2, (1,)), (2, (1, 0, 0)), (2, (1, -1)), (1, (-2,))]:
         with pytest.raises(ValueError, match="bad exponent vector"):
