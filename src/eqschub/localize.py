@@ -7,9 +7,9 @@ v' = v s_i, whose canonical word is v's without its last letter.  Then
     value(w, v) = value(w, v') + [w s_i < w] * v'(alpha_i) * value(w s_i, v')
 
 with value(w, e) = [w = e], so each column costs one multiplication by a
-linear form per nonzero entry of its parent column, added to the
-entry it lands on in one pass (``RootPolynomial.add_product``).  Every
-term is a product of positive roots, so each value is a nonnegative integer
+linear form per nonzero entry of its parent column, added into the entry
+it lands on in one pass (``RootPolynomial.add_product``).  Every term is
+a product of positive roots, so each value is a nonnegative integer
 combination of monomials in the simple roots.
 
 ``restriction_table`` runs the recursion over a whole length-bounded

@@ -721,16 +721,21 @@ def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
     assert calls == ["restriction_table"]
 
 
-@pytest.mark.parametrize("rows, kind, bound, held", [
+AFFINE_A2_ROWS = tuple(tuple(row) for row in affine_a_cartan(2))
+HYPERBOLIC_ROWS = ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
+A3_ROWS = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+
+
+@pytest.mark.parametrize("cartan, kind, bound, held", [
     # Affine A2: the 19 elements of length <= 3 of the 64 of length <= 6.
-    (tuple(tuple(row) for row in affine_a_cartan(2)), GENERAL, 6, 19),
+    (AFFINE_A2_ROWS, GENERAL, 6, 19),
     # Only e is swept, but the context reads the rows of s1, s2 and s3.
-    (tuple(tuple(row) for row in affine_a_cartan(2)), GENERAL, 1, 4),
-    (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), "finite", 4, 9),
+    (AFFINE_A2_ROWS, GENERAL, 1, 4),
+    (A3_ROWS, "finite", 4, 9),
     # The whole of A2 is swept, so every row is held.
     (((2, -1), (-1, 2)), "finite", 6, None),
 ])
-def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, rows, kind, bound, held):
+def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind, bound, held):
     """A sweep's table holds, at every point of its range, the rows of
     the swept elements and of the simple reflections, and no other; its
     cache is the one a table with every row gives."""
@@ -744,7 +749,7 @@ def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, rows, kind, 
         return tables[-1]
 
     monkeypatch.setattr(cli, "restriction_table", kept)
-    assert run_sweep(rows, kind, bound, "x", cache_path=str(tmp_path / "rows.jsonl")).verdict == "pass"
+    assert run_sweep(cartan, kind, bound, "x", cache_path=str(tmp_path / "rows.jsonl")).verdict == "pass"
     (table,) = tables
     assert table.points is None
     if held is None:
@@ -757,13 +762,9 @@ def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, rows, kind, 
         return localize.restriction_table(rs, k, rng=rng)
 
     monkeypatch.setattr(cli, "restriction_table", whole)
-    run_sweep(rows, kind, bound, "x", cache_path=str(tmp_path / "whole.jsonl"))
+    run_sweep(cartan, kind, bound, "x", cache_path=str(tmp_path / "whole.jsonl"))
     assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
 
-
-AFFINE_A2_ROWS = tuple(tuple(row) for row in affine_a_cartan(2))
-HYPERBOLIC_ROWS = ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
-A3_ROWS = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 
 # Calls run in turn in one process, each a sweep (rows, kind, bound, basis,
 # jobs) or a ``main`` argv.
