@@ -1,6 +1,6 @@
-"""The CI steps that pin the output of ``mult``, ``restrict``, the
-zero-filled ``mult``/``sweep`` records and the sweep caches, replayed
-through ``cli.main`` in one process.
+"""The CI steps that pin the output of ``mult``, ``restrict``,
+``rootsys``, the zero-filled ``mult``/``sweep`` records and the sweep
+caches, replayed through ``cli.main`` in one process.
 
 Each output step runs a group of ``eqschub`` commands into one file and
 checks the file's sha256.  Here every command of those steps runs in the
@@ -51,7 +51,7 @@ def test_pinned_steps_replay_in_one_process(monkeypatch):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     steps = pinned_steps()
     assert [digest[:8] for _, digest in steps] == [
-        "b4072952", "a6f10368", "2e371e63", "7bbb9aed", "426a687f",
+        "b4072952", "a6f10368", "2e371e63", "7bbb9aed", "426a687f", "8543aaf5",
     ]
     for commands, digest in steps:
         out = io.StringIO()
