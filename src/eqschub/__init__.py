@@ -30,7 +30,6 @@ from .rootsys import (
     CartanMatrix,
     RootPolynomial,
     RootSystem,
-    RootVector,
     build_root_system,
     builtin_root_system,
 )
@@ -48,16 +47,13 @@ from .structconst import (
 from .weyl import (
     WeylElement,
     WeylRange,
-    apply,
     bruhat_leq,
     canonicalize,
     element_from_word,
     enumerate_upto,
     identity,
     inverse,
-    inversions,
     longest_element,
-    multiply,
     simple_reflection,
 )
 
@@ -81,12 +77,10 @@ __all__ = [
     "RestrictionTable",
     "RootPolynomial",
     "RootSystem",
-    "RootVector",
     "SingularCartan",
     "StructureTable",
     "WeylElement",
     "WeylRange",
-    "apply",
     "billey_evaluate",
     "bruhat_leq",
     "build_root_system",
@@ -96,9 +90,7 @@ __all__ = [
     "enumerate_upto",
     "identity",
     "inverse",
-    "inversions",
     "longest_element",
-    "multiply",
     "opposite_constants",
     "positivity_certificate",
     "restriction_column",

@@ -60,6 +60,9 @@ CACHE_HEADER = {"engine": f"eqschub {__version__}", "convention": "KK", "format"
 CONVENTIONS = ("KK", "Arabia", "Billey")
 # A --jobs pool starts at most one worker per this many pairs left.
 PAIRS_PER_WORKER = 16
+# The largest exponent magnitude of an --eval decimal such as 1e-5: the
+# interpreter's default limit on the digits of an int read from a string.
+MAX_EVAL_EXPONENT = 4300
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -166,12 +169,19 @@ def parse_word(text: str, rank: int, flag: str) -> tuple[int, ...]:
 
 
 def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
+    """The rationals of a comma-separated point.  A decimal exponent past
+    ``MAX_EVAL_EXPONENT`` in magnitude is refused before conversion, which
+    would expand its power of ten."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rank:
         raise CliError(f"--eval needs {rank} comma-separated values")
     point = []
     for p in parts:
+        _, e, exponent = p.lower().rpartition("e")
+        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
         try:
+            if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EVAL_EXPONENT):
+                raise ValueError(p)
             point.append(Fraction(p))
         except (ValueError, ZeroDivisionError):
             raise CliError(f"--eval: bad rational value {p!r}") from None
@@ -210,11 +220,9 @@ def cmd_rootsys(args, out) -> int:
             "cartan": [list(row) for row in rs.cartan.entries],
         }
         if rs.kind == FINITE:
-            payload["positive_roots"] = [
-                [int(c) for c in root.coords] for root in rs.positive_roots
-            ]
+            payload["positive_roots"] = [list(root) for root in rs.positive_roots]
             payload["fundamental_weights"] = [
-                [str(c) for c in w.coords] for w in rs.fundamental_weights
+                [str(c) for c in w] for w in rs.fundamental_weights
             ]
         print(json.dumps(payload), file=out)
     else:
@@ -224,10 +232,10 @@ def cmd_rootsys(args, out) -> int:
         if rs.kind == FINITE:
             print(f"positive roots ({len(rs.positive_roots)}):", file=out)
             for root in rs.positive_roots:
-                print(f"  {vector_text(root.coords)}", file=out)
+                print(f"  {vector_text(root)}", file=out)
             print("fundamental weights:", file=out)
             for j, w in enumerate(rs.fundamental_weights):
-                print(f"  w{j + 1} = {vector_text(w.coords)}", file=out)
+                print(f"  w{j + 1} = {vector_text(w)}", file=out)
         else:
             print("positive roots: not enumerated for general kind", file=out)
     return EXIT_OK

@@ -152,7 +152,8 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
                       rows=None, points=None) -> RestrictionTable:
     """Restriction values for every pair of ids in the length-<=-k range,
     or, given ``rows``, for the pairs (w, v) with w in ``rows``, and, given
-    ``points``, with v in ``points``.
+    ``points``, with v in ``points``.  A given ``rng`` must be a range of
+    ``rs`` (else ValueError), and its prefix up to k is used.
 
     ``rows`` is a set of ids closed under w -> w s_i < w, such as a Bruhat
     lower ideal; anything else is a ValueError.  ``points`` is a set of ids
@@ -168,6 +169,10 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
+    elif rng.rs.cartan.entries != rs.cartan.entries or rng.rs.kind != rs.kind:
+        raise ValueError("the range belongs to another root system")
+    else:
+        rng = rng.prefix(k)
     rmul = rng.right_mul
     if rows is not None:
         rows = frozenset(rows)

@@ -5,8 +5,9 @@ Conventions fixed here and relied on everywhere else:
 
 * ``a[i][j] = <alpha_j, alpha_i^vee>``, so the simple reflection acts by
   ``s_i(alpha_j) = alpha_j - a[i][j] * alpha_i``.
-* All vector coordinates are exact rationals, all polynomial coefficients
-  arbitrary-precision integers.  There is no floating point in the core.
+* Roots have integer coordinates, fundamental weights exact rational
+  ones, and polynomial coefficients are arbitrary-precision integers.
+  There is no floating point in the core.
 * Monomials are ordered graded-lexicographically (total degree first,
   then the exponent tuple), descending, for every serialization.
 * A monomial a1^e1 .. an^en is stored as one packed int (after
@@ -96,91 +97,23 @@ class CartanMatrix:
 
 
 @dataclass(frozen=True)
-class RootVector:
-    """Vector in simple-root coordinates; rationals so weights are expressible."""
-
-    coords: tuple[Fraction, ...]
-
-    @classmethod
-    def from_ints(cls, coords) -> "RootVector":
-        return cls(tuple(Fraction(c) for c in coords))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch("vector ranks differ")
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch("vector ranks differ")
-        return RootVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-a for a in self.coords))
-
-    def sign(self) -> str:
-        """'positive' | 'negative' | 'zero' | 'mixed' coordinate pattern."""
-        has_pos = any(c > 0 for c in self.coords)
-        has_neg = any(c < 0 for c in self.coords)
-        if has_pos and has_neg:
-            return "mixed"
-        if has_pos:
-            return "positive"
-        if has_neg:
-            return "negative"
-        return "zero"
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def to_polynomial(self) -> "RootPolynomial":
-        """Degree-1 polynomial with the same integer coordinates."""
-        if not self.is_integral():
-            raise ValueError("vector is not in the root lattice")
-        return RootPolynomial.from_linear(len(self.coords), [int(c) for c in self.coords])
-
-
-@dataclass(frozen=True)
 class RootSystem:
     """Cartan matrix plus derived data.
 
-    ``reflections[i]`` is the matrix of ``s_{i+1}`` acting on simple-root
-    coordinates (columns are images of the simple roots).  For finite kind
-    the positive roots and fundamental weights are populated; for general
-    (Kac-Moody) kind they are absent.
+    For finite kind the positive roots (integer tuples) and fundamental
+    weights (``Fraction`` tuples) are populated, both in simple-root
+    coordinates; for general (Kac-Moody) kind they are absent.
     """
 
     cartan: CartanMatrix
     kind: str
-    reflections: tuple[tuple[tuple[int, ...], ...], ...]
-    positive_roots: tuple[RootVector, ...] | None
-    fundamental_weights: tuple[RootVector, ...] | None
+    positive_roots: tuple[tuple[int, ...], ...] | None
+    fundamental_weights: tuple[tuple[Fraction, ...], ...] | None
     descriptor: str
 
     @property
     def rank(self) -> int:
         return self.cartan.rank
-
-    def simple_root(self, i: int) -> RootVector:
-        coords = [Fraction(0)] * self.rank
-        coords[i - 1] = Fraction(1)
-        return RootVector(tuple(coords))
-
-
-def _reflection_matrix(cartan: CartanMatrix, i: int) -> tuple[tuple[int, ...], ...]:
-    # Row k of s_i is e_k for k != i; row i is e_i - (row i of the Cartan matrix).
-    n = cartan.rank
-    rows = []
-    for k in range(n):
-        if k != i:
-            rows.append(tuple(1 if j == k else 0 for j in range(n)))
-        else:
-            rows.append(tuple((1 if j == i else 0) - cartan.entries[i][j] for j in range(n)))
-    return tuple(rows)
 
 
 def _reflect_coords(cartan: CartanMatrix, i: int, coords: tuple) -> tuple:
@@ -221,16 +154,15 @@ def build_root_system(
     simple roots and the fundamental weights from the inverse Cartan
     matrix.  The closure aborts with ClosureOverflow once more than
     ``root_cap`` roots appear, which signals a matrix that is not finite
-    type.  General kind keeps only the reflection matrices.
+    type.  General kind keeps the Cartan matrix alone.
     """
     if kind not in (FINITE, GENERAL):
         raise ValueError(f"unknown kind {kind!r}")
     n = cartan.rank
-    reflections = tuple(_reflection_matrix(cartan, i) for i in range(n))
     if descriptor is None:
         descriptor = descriptor_for(cartan, kind)
     if kind == GENERAL:
-        return RootSystem(cartan, kind, reflections, None, None, descriptor)
+        return RootSystem(cartan, kind, None, None, descriptor)
 
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simple)
@@ -259,17 +191,8 @@ def build_root_system(
         )
     inverse = _invert_matrix(cartan.entries)
     # Column j of the inverse Cartan matrix gives omega_j in simple-root coords.
-    weights = tuple(
-        RootVector(tuple(inverse[k][j] for k in range(n))) for j in range(n)
-    )
-    return RootSystem(
-        cartan,
-        kind,
-        reflections,
-        tuple(RootVector.from_ints(v) for v in positive),
-        weights,
-        descriptor,
-    )
+    weights = tuple(tuple(inverse[k][j] for k in range(n)) for j in range(n))
+    return RootSystem(cartan, kind, tuple(positive), weights, descriptor)
 
 
 def descriptor_for(cartan: CartanMatrix, kind: str) -> str:
@@ -408,31 +331,14 @@ class RootPolynomial:
         return RootPolynomial(self.rank, out, _clean=True)
 
     def __mul__(self, other: "RootPolynomial") -> "RootPolynomial":
-        self._check_rank(other)
-        if not self.terms or not other.terms:
-            return RootPolynomial.zero(self.rank)
-        shift = FIELD_BITS * self.rank
-        if (max(self.terms) >> shift) + (max(other.terms) >> shift) >= DEGREE_LIMIT:
-            raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
-        small, large = self.terms, other.terms
-        if len(small) > len(large):
-            small, large = large, small
-        out: dict = {}
-        get = out.get
-        # Packed monomials multiply by adding their keys; the degree check
-        # above keeps every field of the sum from carrying into the next.
-        for e1, c1 in small.items():
-            for e2, c2 in large.items():
-                exp = e1 + e2
-                out[exp] = get(exp, 0) + c1 * c2
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
-        return RootPolynomial(self.rank, out, _clean=True)
+        if len(self.terms) > len(other.terms):
+            return RootPolynomial.zero(self.rank).add_product(other, self)
+        return RootPolynomial.zero(self.rank).add_product(self, other)
 
     def add_product(self, a: "RootPolynomial", b: "RootPolynomial") -> "RootPolynomial":
         """``self + a * b`` in one pass, adding the terms of a times each
-        term of b into a copy of self's terms; a product of too high a
-        degree is refused as ``__mul__`` refuses it.  Loops over a's terms
+        term of b into a copy of self's terms.  A product of degree
+        ``DEGREE_LIMIT`` or more raises ValueError.  Loops over a's terms
         outside, so a should be the shorter."""
         self._check_rank(a)
         self._check_rank(b)
@@ -443,6 +349,9 @@ class RootPolynomial:
                 raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
             get = out.get
             factors = b.terms.items()
+            # Packed monomials multiply by adding their keys; the degree
+            # check above keeps every field of the sum from carrying into
+            # the next.
             for e1, c1 in a.terms.items():
                 for e2, c2 in factors:
                     exp = e1 + e2
@@ -482,6 +391,19 @@ class RootPolynomial:
             return True
         shift = FIELD_BITS * self.rank
         return min(self.terms) >> shift == degree == max(self.terms) >> shift
+
+    def linear_coords(self) -> tuple[int, ...]:
+        """Coefficients on a1, .., a_rank of a linear form (zero gives all
+        zeros); a term of another degree raises ValueError."""
+        rank = self.rank
+        shift = FIELD_BITS * rank
+        coords = [0] * rank
+        for key, coeff in self.terms.items():
+            # A degree-1 key is its degree bit and the bit of a_i's field.
+            if key >> shift != 1:
+                raise ValueError(f"{self.to_text()} is not a linear form")
+            coords[rank - 1 - (key ^ 1 << shift).bit_length() // FIELD_BITS] = coeff
+        return tuple(coords)
 
     def sign_pattern(self) -> str:
         """'nonneg' | 'nonpos' | 'zero' | 'mixed' over the stored coefficients."""
@@ -624,16 +546,6 @@ class RootPolynomial:
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]}
-
-    @classmethod
-    def from_json_dict(cls, rank: int, data: dict) -> "RootPolynomial":
-        terms = {}
-        for item in data["terms"]:
-            exp = tuple(int(e) for e in item["exp"])
-            coeff = int(item["coeff"])
-            if coeff:
-                terms[exp] = coeff
-        return cls(rank, terms)
 
 
 class LinearForm(RootPolynomial):

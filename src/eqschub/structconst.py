@@ -77,7 +77,7 @@ from .errors import (
     RankMismatch,
 )
 from .localize import RestrictionTable
-from .rootsys import FIELD_BITS, FINITE, LinearForm, RootPolynomial, evaluate_many
+from .rootsys import FINITE, LinearForm, RootPolynomial, evaluate_many
 from .weyl import WeylElement, _check_same_system
 
 
@@ -245,15 +245,10 @@ def _check_point(table: RestrictionTable, b) -> None:
 def _linear_coords(poly: RootPolynomial, a, b) -> tuple[int, ...]:
     """Coefficients on a1, .., a_rank of xi^a(b), which must be a linear
     form; anything else is an InternalInconsistency."""
-    rank = poly.rank
-    shift = FIELD_BITS * rank
-    coords = [0] * rank
-    for key, coeff in poly.terms.items():
-        # A degree-1 key is its degree bit and the bit of a_i's field.
-        if key >> shift != 1:
-            raise InternalInconsistency(f"value({a}, {b}) is not a linear form")
-        coords[rank - 1 - (key ^ 1 << shift).bit_length() // FIELD_BITS] = coeff
-    return tuple(coords)
+    try:
+        return poly.linear_coords()
+    except ValueError:
+        raise InternalInconsistency(f"value({a}, {b}) is not a linear form") from None
 
 
 def _checked_quotient(dividend: RootPolynomial, divisor, degree: int, u, v, w) -> RootPolynomial:

@@ -12,7 +12,6 @@ stripping descents, ``enumerate_upto`` by extending parents.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     RankMismatch,
     ResourceCap,
 )
-from .rootsys import FINITE, LinearForm, RootPolynomial, RootSystem, RootVector
+from .rootsys import FINITE, LinearForm, RootPolynomial, RootSystem
 
 DEFAULT_WORD_CAP = 10_000
 DEFAULT_ENUM_CAP = 100_000
@@ -31,14 +30,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def _identity_matrix(rank: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def _reflect_right(rs: RootSystem, m: Matrix, i: int) -> Matrix:
@@ -120,7 +111,7 @@ def identity(rs: RootSystem) -> WeylElement:
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple reflection index {i} out of range")
-    return WeylElement(rs, rs.reflections[i - 1], (i,))
+    return WeylElement(rs, _reflect_right(rs, _identity_matrix(rs.rank), i - 1), (i,))
 
 
 def canonicalize(rs: RootSystem, matrix, *, cap: int = DEFAULT_WORD_CAP) -> WeylElement:
@@ -167,35 +158,11 @@ def _check_same_system(rs: RootSystem, *elements: WeylElement):
         raise RankMismatch("elements belong to different root systems")
 
 
-def multiply(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    _check_same_system(w1.rs, w2)
-    return canonicalize(w1.rs, _mat_mul(w1.matrix, w2.matrix))
-
-
 def inverse(w: WeylElement) -> WeylElement:
     m = _identity_matrix(w.rs.rank)
     for i in reversed(w.word):
         m = _reflect_right(w.rs, m, i - 1)
     return canonicalize(w.rs, m)
-
-
-def apply(w: WeylElement, v: RootVector) -> RootVector:
-    if v.rank != w.rs.rank:
-        raise RankMismatch("vector rank does not match element")
-    coords = tuple(
-        sum((Fraction(row[j]) * v.coords[j] for j in range(w.rs.rank)), Fraction(0))
-        for row in w.matrix
-    )
-    return RootVector(coords)
-
-
-def inversions(w: WeylElement) -> tuple[RootVector, ...]:
-    """Positive roots sent negative by w^{-1}, in canonical-word order.
-
-    There are length(w) of them, all distinct, and their product is the
-    diagonal restriction.
-    """
-    return tuple(RootVector.from_ints(c) for c in inversion_coords(w.rs, w.word))
 
 
 def inversion_coords(rs: RootSystem, word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -210,10 +177,6 @@ def inversion_coords(rs: RootSystem, word: tuple[int, ...]) -> list[tuple[int, .
         out.append(_column(cur, i - 1))
         cur = _reflect_right(rs, cur, i - 1)
     return out
-
-
-def right_descents(w: WeylElement) -> list[int]:
-    return [i + 1 for i in range(w.rs.rank) if _column_is_negative(w.matrix, i)]
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:

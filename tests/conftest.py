@@ -5,8 +5,43 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from eqschub import element_from_word, multiply, simple_reflection  # noqa: E402
-from eqschub.weyl import right_descents  # noqa: E402
+from eqschub import RootPolynomial, element_from_word  # noqa: E402
+from eqschub.weyl import inversion_coords  # noqa: E402
+
+
+def mat_vec(m, v):
+    """The image of the simple-root coordinates v under the matrix m, whose
+    columns are the images of the simple roots."""
+    return tuple(sum(x * c for x, c in zip(row, v)) for row in m)
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def reflection_matrix(rs, i):
+    """The matrix of s_{i+1}, read off the Cartan matrix by
+    s_i(alpha_j) = alpha_j - a[i][j] alpha_i: row k is e_k for k != i, and
+    row i is e_i minus row i of the Cartan matrix."""
+    n = rs.rank
+    return tuple(
+        tuple((j == k) - (rs.cartan.entries[i][j] if k == i else 0) for j in range(n))
+        for k in range(n)
+    )
+
+
+def right_descents(w):
+    """The letters i with w(alpha_i) negative."""
+    return [i for i in range(1, w.rs.rank + 1) if all(row[i - 1] <= 0 for row in w.matrix)]
+
+
+def inversion_product(w):
+    """The product of the roots ``inversion_coords`` gives along w's
+    canonical word, the diagonal restriction value at w."""
+    out = RootPolynomial.one(w.rs.rank)
+    for coords in inversion_coords(w.rs, w.word):
+        out = out * RootPolynomial.from_linear(w.rs.rank, coords)
+    return out
 
 
 def all_reduced_words(w):
@@ -15,7 +50,7 @@ def all_reduced_words(w):
         return [()]
     out = []
     for i in right_descents(w):
-        shorter = multiply(w, simple_reflection(w.rs, i))
+        shorter = element_from_word(w.rs, w.word + (i,))
         for word in all_reduced_words(shorter):
             out.append(word + (i,))
     return out

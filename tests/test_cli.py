@@ -17,16 +17,15 @@ from eqschub import (
     element_from_word,
     enumerate_upto,
     inverse,
-    inversions,
     longest_element,
     opposite_constants,
     restriction_table,
     structure_constants,
 )
-from eqschub.cli import main, run_sweep
+from eqschub.cli import main, parse_eval_point, run_sweep
 from eqschub.rootsys import GENERAL
 
-from conftest import affine_a_cartan, record_dict, triangular_constants
+from conftest import affine_a_cartan, inversion_product, record_dict, triangular_constants
 
 
 def run(argv):
@@ -161,9 +160,7 @@ def test_restrict_beyond_the_subword_formula():
     assert v.length == 64
     code, out = run(["restrict", "--type", "AffineA1", "--w", "e", "--v", v.word_text()])
     assert (code, out) == (0, "1\n")
-    diagonal = RootPolynomial.one(2)
-    for beta in inversions(v):
-        diagonal = diagonal * beta.to_polynomial()
+    diagonal = inversion_product(v)
     code, out = run(
         ["restrict", "--type", "AffineA1", "--w", v.word_text(), "--v", v.word_text()]
     )
@@ -273,6 +270,26 @@ def test_mult_bad_eval_names_the_bad_value(capsys, point, bad):
     code, out = run(["mult", "--type", "A2", "--u", "1", "--v", "1", "--eval", point])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: --eval: bad rational value {bad!r}\n"
+
+
+@pytest.mark.parametrize("value", ["1e-99999999", "1E+4301", "1e4_301", "-2.5e-00012345"])
+def test_mult_eval_refuses_a_huge_decimal_exponent_before_expanding_it(value):
+    """Converting 1e-99999999 would build 10**99999999 first; the value is
+    refused as bad input at once."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqschub.cli", "mult", "--type", "A2", "--u", "1", "--v", "1",
+         "--eval", f"1,{value}"],
+        capture_output=True, text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: --eval: bad rational value {value!r}\n"
+
+
+def test_eval_point_keeps_decimals_fractions_and_exponents_up_to_the_limit():
+    assert parse_eval_point("1e5, 2/3,0.5,1e-4300,1e+0_0", 5) == (
+        Fraction(100000), Fraction(2, 3), Fraction(1, 2), Fraction(1, 10**4300), Fraction(1),
+    )
 
 
 def test_mult_affine_pair():

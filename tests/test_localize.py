@@ -14,7 +14,6 @@ from eqschub import (
     element_from_word,
     enumerate_upto,
     identity,
-    inversions,
     longest_element,
     restriction_column,
     restriction_table,
@@ -23,7 +22,13 @@ from eqschub import (
 from eqschub.localize import _verify_table
 from eqschub.rootsys import GENERAL
 
-from conftest import affine_a_cartan, all_reduced_words, billey_restrict
+from conftest import (
+    affine_a_cartan,
+    all_reduced_words,
+    billey_restrict,
+    inversion_product,
+    mat_vec,
+)
 
 A1 = builtin_root_system("A1")
 A2 = builtin_root_system("A2")
@@ -53,13 +58,6 @@ def word_prefixes(rng, ids):
         rng.index[element_from_word(rs, rng.elements[w].word[:j])]
         for w in ids for j in range(rng.elements[w].length + 1)
     }
-
-
-def inversion_product(w):
-    out = RootPolynomial.one(w.rs.rank)
-    for beta in inversions(w):
-        out = out * beta.to_polynomial()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +116,7 @@ def test_g2_full_diagonal_is_product_of_all_positive_roots():
     w0 = longest_element(G2)
     expected = RootPolynomial.one(2)
     for root in G2.positive_roots:
-        expected = expected * root.to_polynomial()
+        expected = expected * RootPolynomial.from_linear(2, root)
     w0 = table.range.index[w0]
     assert table.columns[w0][w0] == expected
 
@@ -291,6 +289,25 @@ def test_point_table_refuses_points_outside_the_range():
     for points in ({len(rng)}, {0, -1}):
         with pytest.raises(ValueError, match="ids of the range"):
             restriction_table(A2, 3, rng=rng, points=points)
+
+
+def test_table_refuses_a_range_of_another_root_system():
+    """A range of another Cartan matrix or kind would label its values with
+    the wrong system."""
+    for rng in (enumerate_upto(B2, 4), enumerate_upto(build_root_system(A2.cartan, GENERAL), 2)):
+        with pytest.raises(ValueError, match="another root system"):
+            restriction_table(A2, 2, rng=rng)
+
+
+def test_table_over_a_longer_range_takes_its_prefix_up_to_k():
+    rng = enumerate_upto(B2, 4)
+    table = restriction_table(B2, 2, rng=rng)
+    fresh = restriction_table(B2, 2)
+    assert table.range.bound == 2 and table.range.elements == fresh.range.elements
+    assert table.columns == fresh.columns
+    # An incomplete range cannot serve a larger bound.
+    with pytest.raises(ValueError, match="incomplete"):
+        restriction_table(AFF, 5, rng=enumerate_upto(AFF, 4))
 
 
 def _point_table():
@@ -493,15 +510,15 @@ def test_degree_one_closed_form(rs):
     """Restriction of a simple reflection is omega_i minus its image."""
     k = len(rs.positive_roots)
     rng = enumerate_upto(rs, k)
-    from eqschub import apply, simple_reflection
+    from eqschub import simple_reflection
 
     for i in range(1, rs.rank + 1):
         si = simple_reflection(rs, i)
         omega = rs.fundamental_weights[i - 1]
         for v in rng:
-            expected = omega - apply(v, omega)
-            assert expected.is_integral()
-            assert billey_restrict(rs, si, v) == expected.to_polynomial()
+            expected = [a - b for a, b in zip(omega, mat_vec(v.matrix, omega))]
+            assert all(c.denominator == 1 for c in expected)
+            assert billey_restrict(rs, si, v) == RootPolynomial.from_linear(rs.rank, expected)
 
 
 @pytest.mark.parametrize("rs,k", SYSTEMS)

@@ -13,18 +13,14 @@ from eqschub import (
     DomainViolation,
     InsufficientBound,
     RootPolynomial,
-    RootVector,
     StructureTable,
-    apply,
     billey_evaluate,
     build_root_system,
     builtin_root_system,
     element_from_word,
     identity,
     inverse,
-    inversions,
     longest_element,
-    multiply,
     opposite_constants,
     positivity_certificate,
     restriction_table,
@@ -35,9 +31,16 @@ from eqschub import (
 from eqschub.localize import RestrictionTable
 from eqschub.rootsys import GENERAL
 from eqschub.structconst import ChevalleyContext, column_constants, record_text
-from eqschub.weyl import right_descents
+from eqschub.weyl import inversion_coords
 
-from conftest import affine_a_cartan, certificate_dict, record_dict, triangular_constants
+from conftest import (
+    affine_a_cartan,
+    certificate_dict,
+    mat_vec,
+    record_dict,
+    right_descents,
+    triangular_constants,
+)
 
 A1 = builtin_root_system("A1")
 A2 = builtin_root_system("A2")
@@ -174,7 +177,7 @@ def test_solver_aborts_on_corrupted_diagonal():
         structure_constants(bad, s, s)
     s1 = element_from_word(A2, (1,))
     k = T_A2.range.index[s1]
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(InternalInconsistency, match=r"value\(WeylElement\(1\), WeylElement\(1\)\) is not a linear form"):
         ChevalleyContext(corrupted(T_A2, k, k, poly(2, {(1, 1): 1})))
 
 
@@ -630,14 +633,16 @@ def test_chevalley_integers_are_coroot_pairings(rs):
         for y in rng.leq[w]:
             if els[y].length + 1 != above.length:
                 continue
-            reflection = multiply(inverse(els[y]), above)
-            beta = next(r for r in rs.positive_roots if apply(reflection, r) == -r)
-            j = next(j for j, c in enumerate(beta.coords) if c)
+            reflection = element_from_word(rs, inverse(els[y]).word + above.word).matrix
+            beta = next(
+                r for r in rs.positive_roots if mat_vec(reflection, r) == tuple(-c for c in r)
+            )
+            j = next(j for j, c in enumerate(beta) if c)
             for i, omega in enumerate(rs.fundamental_weights):
-                diff = omega - apply(reflection, omega)
-                k = diff.coords[j] / beta.coords[j]
+                diff = tuple(a - b for a, b in zip(omega, mat_vec(reflection, omega)))
+                k = Fraction(diff[j], beta[j])
                 assert k.denominator == 1 and k >= 0, (els[y], above, i)
-                assert diff == RootVector(tuple(k * c for c in beta.coords))
+                assert diff == tuple(k * c for c in beta)
                 up = dict(context.covers_up[y][i])
                 down = dict(context.covers_down[w][i])
                 if k:
@@ -823,8 +828,10 @@ def _solve_on_transported_table(table, w0, u, v):
             num = num - a * sub(wp, w)
         if u in rng.leq[w] and v in rng.leq[w]:
             q = num
-            for beta in inversions(element):
-                q = q.exact_divide_linear(beta.to_polynomial().apply_linear(w0.matrix))
+            for beta in inversion_coords(table.rs, element.word):
+                q = q.exact_divide_linear(
+                    RootPolynomial.from_linear(rank, beta).apply_linear(w0.matrix)
+                )
             if not q.is_zero():
                 values[w] = q
         else:
