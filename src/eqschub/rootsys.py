@@ -331,9 +331,9 @@ class RootPolynomial:
         return RootPolynomial(self.rank, out, _clean=True)
 
     def __mul__(self, other: "RootPolynomial") -> "RootPolynomial":
-        if len(self.terms) > len(other.terms):
-            return RootPolynomial.zero(self.rank).add_product(other, self)
-        return RootPolynomial.zero(self.rank).add_product(self, other)
+        self._check_rank(other)
+        small, large = (other, self) if len(self.terms) > len(other.terms) else (self, other)
+        return RootPolynomial(self.rank, _add_product({}, small, large), _clean=True)
 
     def add_product(self, a: "RootPolynomial", b: "RootPolynomial") -> "RootPolynomial":
         """``self + a * b`` in one pass, adding the terms of a times each
@@ -342,23 +342,7 @@ class RootPolynomial:
         outside, so a should be the shorter."""
         self._check_rank(a)
         self._check_rank(b)
-        out = dict(self.terms)
-        if a.terms and b.terms:
-            shift = FIELD_BITS * self.rank
-            if (max(a.terms) >> shift) + (max(b.terms) >> shift) >= DEGREE_LIMIT:
-                raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
-            get = out.get
-            factors = b.terms.items()
-            # Packed monomials multiply by adding their keys; the degree
-            # check above keeps every field of the sum from carrying into
-            # the next.
-            for e1, c1 in a.terms.items():
-                for e2, c2 in factors:
-                    exp = e1 + e2
-                    out[exp] = get(exp, 0) + c1 * c2
-            if 0 in out.values():
-                out = {e: c for e, c in out.items() if c}
-        return RootPolynomial(self.rank, out, _clean=True)
+        return RootPolynomial(self.rank, _add_product(dict(self.terms), a, b), _clean=True)
 
     def scale(self, k: int) -> "RootPolynomial":
         k = int(k)
@@ -546,6 +530,26 @@ class RootPolynomial:
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]}
+
+
+def _add_product(out: dict, a: RootPolynomial, b: RootPolynomial) -> dict:
+    """``out`` (packed terms, updated in place) plus a * b, for the one
+    multiply loop of ``__mul__`` and ``add_product``."""
+    if a.terms and b.terms:
+        shift = FIELD_BITS * a.rank
+        if (max(a.terms) >> shift) + (max(b.terms) >> shift) >= DEGREE_LIMIT:
+            raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
+        get = out.get
+        factors = b.terms.items()
+        # Packed monomials multiply by adding their keys; the degree check
+        # above keeps every field of the sum from carrying into the next.
+        for e1, c1 in a.terms.items():
+            for e2, c2 in factors:
+                exp = e1 + e2
+                out[exp] = get(exp, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+    return out
 
 
 class LinearForm(RootPolynomial):
