@@ -533,8 +533,9 @@ class RootPolynomial:
 
 
 def _add_product(out: dict, a: RootPolynomial, b: RootPolynomial) -> dict:
-    """``out`` (packed terms, updated in place) plus a * b, for the one
-    multiply loop of ``__mul__`` and ``add_product``."""
+    """The packed terms ``out`` plus those of a * b, a's terms in the outer
+    loop; ``out`` may be reused.  The one multiply loop of ``__mul__`` and
+    ``add_product``."""
     if a.terms and b.terms:
         shift = FIELD_BITS * a.rank
         if (max(a.terms) >> shift) + (max(b.terms) >> shift) >= DEGREE_LIMIT:
