@@ -6,7 +6,8 @@ Each output step runs a group of ``eqschub`` commands into one file and
 checks the file's sha256.  Here every command of those steps runs in the
 order the workflow lists them, in this one process, so each reuses the
 root systems and the range its predecessors left; the output of each
-step must still match that step's digest.  Each sweep-digest step writes
+step must still match that step's digest.  A step that writes a Cartan
+file for its commands has it written first.  Each sweep-digest step writes
 one or more caches, each of which must match its digest; its sweeps run
 here in workflow order and then interleaved across the steps, so a
 sweep follows one of the same root system at another bound or one of
@@ -38,22 +39,29 @@ STEP = re.compile(
 )
 
 
-def pinned_steps() -> list[tuple[list[list[str]], str]]:
-    """(commands, digest) of each pinned group, in workflow order."""
-    text = WORKFLOW.read_text(encoding="utf-8")
-    return [
-        ([shlex.split(line)[1:] for line in m["commands"].splitlines()], m["digest"])
-        for m in STEP.finditer(text)
-    ]
+def pinned_steps() -> list[tuple[dict, list[list[str]], str]]:
+    """(Cartan files by path, commands, digest) of each pinned group, in
+    workflow order."""
+    out = []
+    for step in WORKFLOW_STEP.finditer(WORKFLOW.read_text(encoding="utf-8")):
+        files = {f["path"]: f["json"] for f in CARTAN_FILE.finditer(step[0])}
+        out.extend(
+            (files, [shlex.split(line)[1:] for line in m["commands"].splitlines()], m["digest"])
+            for m in STEP.finditer(step[0])
+        )
+    return out
 
 
-def test_pinned_steps_replay_in_one_process(monkeypatch):
+def test_pinned_steps_replay_in_one_process(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
     steps = pinned_steps()
-    assert [digest[:8] for _, digest in steps] == [
-        "b4072952", "a6f10368", "2e371e63", "7bbb9aed", "426a687f", "8543aaf5",
+    assert [digest[:8] for _, _, digest in steps] == [
+        "b4072952", "a6f10368", "2e371e63", "7bbb9aed", "426a687f", "8cded4cb", "8543aaf5",
     ]
-    for commands, digest in steps:
+    for files, commands, digest in steps:
+        for path, text in files.items():
+            (tmp_path / path).write_text(text + "\n", encoding="utf-8")
         out = io.StringIO()
         for argv in commands:
             assert cli.main(argv, out) == 0, argv
