@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -272,6 +273,41 @@ def cmd_restrict(args, out) -> int:
 # mult
 
 
+def _mult_payload(args, words, s, cert, point, evaluation) -> str:
+    """The stdout of ``mult`` in ``args.format``, for the input words of u
+    and v and their constants ``s``, with the values at ``point`` unless
+    ``evaluation`` is None (csv prints none)."""
+    if args.format == "json":
+        record, _ = record_text(s, cert)
+        if evaluation is not None:
+            record = record[:-1] + ", \"eval\": " + json.dumps({
+                "nu": [str(x) for x in point],
+                "values": [
+                    {"w": list(w.word), "value": str(x)} for w, x in zip(s.order, evaluation)
+                ],
+            }) + "}"
+        return record + "\n"
+    if args.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["w_word", "degree", "monomial", "coefficient"])
+        for w, poly in s.values.items():
+            for exp, coeff in poly.sorted_terms():
+                writer.writerow([word_text(s.order[w].word), sum(exp), monomial_text(exp), coeff])
+        return buffer.getvalue()
+    zero = RootPolynomial.zero(s.rs.rank)
+    u_word, v_word = words
+    lines = [
+        f"type={s.rs.descriptor} basis={args.basis} u={word_text(u_word)} v={word_text(v_word)}",
+        *(f"w={w.word_text()}: {s.values.get(k, zero).to_text()}" for k, w in enumerate(s.order)),
+        f"certificate: {cert.verdict}",
+    ]
+    if evaluation is not None:
+        nu_text = ",".join(str(x) for x in point)
+        lines += [f"eval nu={nu_text} w={w.word_text()}: {x}" for w, x in zip(s.order, evaluation)]
+    return "".join(line + "\n" for line in lines)
+
+
 def cmd_mult(args, out) -> int:
     rs = load_root_system(args)
     u_word = parse_word(args.u, rs.rank, "--u")
@@ -286,8 +322,7 @@ def cmd_mult(args, out) -> int:
     # Bruhat order, so only the table below is built for this pair.
     bound = u.length + v.length if args.max_length is None else args.max_length
     rng = weyl_range(rs, bound)
-    # It reads the rows of e, of the s_i (the ids up to rank, as ids run in
-    # length order) and of the shorter of u and v (v on a tie), so the table
+    # It reads the row of the shorter of u and v (v on a tie), so the table
     # holds just the lower ideal of that element, and only at the points
     # above the longer one up to length(u)+length(v).  One outside the range
     # leaves the bound too short, which structure_constants reports.
@@ -301,9 +336,7 @@ def cmd_mult(args, out) -> int:
         # up to the last id of length top.
         stop = bisect_right(rng.elements, top, key=lambda w: w.length)
         points = [b for b in range(long, stop) if long in rng.leq[b]]
-    table = restriction_table(
-        rs, bound, rng=rng, rows=ideal.union(range(min(len(rng), rs.rank + 1))), points=points
-    )
+    table = restriction_table(rs, bound, rng=rng, rows=ideal, points=points)
     try:
         s = structure_constants(table, u, v)
     except InsufficientBound as exc:
@@ -311,44 +344,24 @@ def cmd_mult(args, out) -> int:
     if args.basis == "y":
         s = opposite_constants(s, longest_element(rs))
     cert = positivity_certificate(s)
-    evaluation = None
+    point = evaluation = None
     if args.eval is not None:
         point = parse_eval_point(args.eval, rs.rank)
         try:
             evaluation = billey_evaluate(s, point)
         except DomainViolation as exc:
             raise CliError(str(exc))
-
-    if args.format == "json":
-        record, _ = record_text(s, cert)
-        if evaluation is not None:
-            record = record[:-1] + ", \"eval\": " + json.dumps({
-                "nu": [str(x) for x in point],
-                "values": [
-                    {"w": list(w.word), "value": str(x)} for w, x in zip(s.order, evaluation)
-                ],
-            }) + "}"
-        print(record, file=out)
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["w_word", "degree", "monomial", "coefficient"])
-        for w, poly in s.values.items():
-            for exp, coeff in poly.sorted_terms():
-                writer.writerow([word_text(s.order[w].word), sum(exp), monomial_text(exp), coeff])
-    else:
-        print(
-            f"type={rs.descriptor} basis={args.basis} "
-            f"u={word_text(u_word)} v={word_text(v_word)}",
-            file=out,
-        )
-        zero = RootPolynomial.zero(rs.rank)
-        for k, w in enumerate(s.order):
-            print(f"w={w.word_text()}: {s.values.get(k, zero).to_text()}", file=out)
-        print(f"certificate: {cert.verdict}", file=out)
-        if evaluation is not None:
-            nu_text = ",".join(str(x) for x in point)
-            for w, x in zip(s.order, evaluation):
-                print(f"eval nu={nu_text} w={w.word_text()}: {x}", file=out)
+    try:
+        text = _mult_payload(args, (u_word, v_word), s, cert, point, evaluation)
+    except ValueError as exc:
+        # str of a rational past the interpreter's digit limit; only an
+        # --eval value or point can have one.
+        if evaluation is None:
+            raise
+        reason = str(exc).split(";")[0]
+        raise CliError(f"--eval: a value at this point is too long to print: {reason}")
+    # Written at once, so a payload that fails to render leaves stdout empty.
+    out.write(text)
     return EXIT_OK if cert else EXIT_CERT_FAIL
 
 
@@ -518,12 +531,11 @@ def _solve_rows(rows, rs, rng, basis, jobs):
     under fork, pickled once per worker under spawn.
 
     The table holds, at every point of the range, the rows the recurrence
-    reads: those of the swept elements, whose constants it computes, and
-    those of the simple reflections, from which the context reads each
-    point's linear forms.  A sweep whose range is the whole group sweeps
-    every element, so its table holds every row.
+    reads: those of the swept elements, whose constants it computes.  A
+    sweep whose range is the whole group sweeps every element, so its
+    table holds every row.
     """
-    top = max(1, rng.bound // 2)
+    top = rng.bound // 2
     table = restriction_table(
         rs, rng.bound, rng=rng,
         rows=None if rng.complete else [a for a, w in enumerate(rng.elements) if w.length <= top],
@@ -533,11 +545,6 @@ def _solve_rows(rows, rs, rng, basis, jobs):
         "w0": longest_element(rs) if basis == "y" else None,
     }
     if jobs > 1:
-        # A row reads the elements above its own (the identity's row reads
-        # all of them); read every element here once, so the workers
-        # inherit what they read instead of each building it again.
-        for x in range(len(rng.elements)):
-            state["context"].read(x)
         pairs = sum(len(row) for _, row in rows)
         workers = min(jobs, os.cpu_count() or 1, len(rows), -(-pairs // PAIRS_PER_WORKER))
         with ProcessPoolExecutor(

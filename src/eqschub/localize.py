@@ -41,10 +41,10 @@ rows and nothing else.  The column of v is built from that of v s_i
 alone, with i the last letter of v's canonical word, so a set of
 ``points`` closed under that step is closed under the recursion too:
 given it, the table holds those columns only.  A one-pair ``mult``
-reads only the row of the shorter element and those of e and the s_i, at
-the fixed points above the longer element up to length l(u) + l(v), so
-it builds just the lower ideal of the shorter element at those points
-and the points they step from.
+reads only the row of the shorter element, at the fixed points above
+the longer element up to length l(u) + l(v), so it builds just the lower
+ideal of the shorter element at those points and the points they step
+from.
 """
 
 from __future__ import annotations

@@ -376,19 +376,6 @@ class RootPolynomial:
         shift = FIELD_BITS * self.rank
         return min(self.terms) >> shift == degree == max(self.terms) >> shift
 
-    def linear_coords(self) -> tuple[int, ...]:
-        """Coefficients on a1, .., a_rank of a linear form (zero gives all
-        zeros); a term of another degree raises ValueError."""
-        rank = self.rank
-        shift = FIELD_BITS * rank
-        coords = [0] * rank
-        for key, coeff in self.terms.items():
-            # A degree-1 key is its degree bit and the bit of a_i's field.
-            if key >> shift != 1:
-                raise ValueError(f"{self.to_text()} is not a linear form")
-            coords[rank - 1 - (key ^ 1 << shift).bit_length() // FIELD_BITS] = coeff
-        return tuple(coords)
-
     def sign_pattern(self) -> str:
         """'nonneg' | 'nonpos' | 'zero' | 'mixed' over the stored coefficients."""
         if not self.terms:

@@ -31,16 +31,17 @@ union of their sets.  As c_uv = c_vu, ``structure_constants`` walks the
 x above the longer element of its pair and reads the row of the shorter
 one (the given v on a tie), so it walks the fewest x.  It reads the
 table only at those x and the w above them: a table over the Bruhat
-lower ideal of the shorter element, with the rows of e and the s_i, at
-the fixed points above the longer one up to length l(u) + l(v), serves
-it (see ``localize``), and ``mult`` builds just that.  A column that
-would read a row or a point its table does not hold raises
-InternalInconsistency instead of reading zero.
+lower ideal of the shorter element, at the fixed points above the
+longer one up to length l(u) + l(v), serves it (see ``localize``), and
+``mult`` builds just that.  A column that would read a row or a point
+its table does not hold raises InternalInconsistency instead of
+reading zero.
 
-The Bruhat order comes from the range, and every value from the
-restriction table: the rows xi^{s_i} and xi^v, so no fundamental weight
-is needed.  For y covered by w = y s_beta, the Chevalley integer is
-c_{s_i,y}^w = <omega_i, beta^vee> >= 0, and
+The Bruhat order and the linear forms xi^{s_i} come from the range
+(``WeylRange.xi``, summed from the inversion roots along canonical
+words), and the values xi^v from the restriction table, so no
+fundamental weight is needed.  For y covered by w = y s_beta, the
+Chevalley integer is c_{s_i,y}^w = <omega_i, beta^vee> >= 0, and
 
     xi^{s_i}(w) - xi^{s_i}(y) = y(omega_i) - y s_beta(omega_i)
                               = <omega_i, beta^vee> y(beta)
@@ -77,7 +78,7 @@ from .errors import (
     RankMismatch,
 )
 from .localize import RestrictionTable
-from .rootsys import FINITE, LinearForm, RootPolynomial, evaluate_many
+from .rootsys import FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many
 from .weyl import WeylElement, _check_same_system
 
 
@@ -89,10 +90,9 @@ class StructureTable:
     nonzero constant to it, in increasing id, and holds no zero.
     """
 
-    def __init__(self, table: RestrictionTable, basis: str, u: WeylElement, v: WeylElement,
+    def __init__(self, rs: RootSystem, basis: str, u: WeylElement, v: WeylElement,
                  values: dict, order):
-        self.source = table
-        self.rs = table.rs
+        self.rs = rs
         self.basis = basis
         self.u = u
         self.v = v
@@ -135,10 +135,8 @@ class ChevalleyContext:
     column's length serves it.  ``above[x]`` lists the held w >= x in
     increasing id and ``below[w]`` the held y that w covers, both from the
     range's Bruhat order.  ``xi[w][i]`` holds the coordinates of
-    xi^{s_i}(w), the value of ``table.columns[w]`` at the id of s_i, for
-    each held w; a table without the rows of the s_i is an
-    InternalInconsistency.  The first ``read(x)``, when a column first
-    reads x, builds:
+    xi^{s_{i+1}}(w), the range's ``xi``.  The first ``read(x)``, when a
+    column first reads x, builds:
 
     * ``steps[x]`` lists (w, i, divisor) for each w > x in increasing
       length, with i the recurrence's letter at (x, w) and the divisor
@@ -161,19 +159,7 @@ class ChevalleyContext:
                 above[y].append(w)
                 if length[y] + 1 == length[w]:
                     below[w].append(y)
-        # xi[w][i] from the rows of the length-1 elements s_i; a range
-        # without them has no letters to read.
-        simple = [s for s, e in enumerate(self.elements) if e.length == 1]
-        for s in simple:
-            _check_row(table, s)
-        zero = (0,) * table.rs.rank
-        self.xi = xi = [(zero,) * len(simple)] * n
-        for w, column in table.columns.items():
-            xi[w] = tuple(
-                _linear_coords(column[s], self.elements[s], self.elements[w])
-                if s in column else zero
-                for s in simple
-            )
+        self.xi = table.range.xi
         self.steps = [None] * n
         self.covers_up = [None] * n
         self.covers_down = [None] * n
@@ -240,15 +226,6 @@ def _check_point(table: RestrictionTable, b) -> None:
     """An InternalInconsistency unless ``table`` holds the point of the id ``b``."""
     if not table.holds_point(b):
         raise InternalInconsistency(f"the restriction table does not hold point {b}")
-
-
-def _linear_coords(poly: RootPolynomial, a, b) -> tuple[int, ...]:
-    """Coefficients on a1, .., a_rank of xi^a(b), which must be a linear
-    form; anything else is an InternalInconsistency."""
-    try:
-        return poly.linear_coords()
-    except ValueError:
-        raise InternalInconsistency(f"value({a}, {b}) is not a linear form") from None
 
 
 def _checked_quotient(dividend: RootPolynomial, divisor, degree: int, u, v, w) -> RootPolynomial:
@@ -334,7 +311,7 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         column[x] = values
     return [
         StructureTable(
-            table, "x", elements[u], elements[v], column[u],
+            table.rs, "x", elements[u], elements[v], column[u],
             elements[:bisect_right(length, length[u] + lv)],
         )
         for u in us
@@ -409,7 +386,7 @@ def opposite_constants(s: StructureTable, w0: WeylElement) -> StructureTable:
         raise ValueError("opposite_constants expects an x-basis table")
     matrix = w0.matrix
     values = {w: poly.apply_linear(matrix) for w, poly in s.values.items()}
-    return StructureTable(s.source, "y", s.u, s.v, values, s.order)
+    return StructureTable(s.rs, "y", s.u, s.v, values, s.order)
 
 
 @dataclass

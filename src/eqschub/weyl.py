@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
+from operator import add
 
 from .errors import (
     NotFiniteType,
@@ -211,16 +212,20 @@ class WeylRange:
     w s_i leaves the range.  ``last_root[w]`` is the last root of
     ``inversion_coords(rs, w.word)``, the root parent(alpha_d) its
     canonical word's last letter d adds, as a ``LinearForm`` (None at id 0).
+    ``xi[w][i]`` holds the coordinates on the simple roots of
+    xi^{s_{i+1}}(w) = omega_{i+1} - w(omega_{i+1}): the sum of the last
+    roots w's canonical word adds at its letters i + 1.
     """
 
     def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],
-                 complete: bool, right_mul: list, last_root: list):
+                 complete: bool, right_mul: list, last_root: list, xi: list):
         self.rs = rs
         self.bound = bound
         self.elements = elements
         self.complete = complete
         self.right_mul = right_mul
         self.last_root = last_root
+        self.xi = xi
         # The enumerated range this one is a prefix of; its Bruhat order is
         # built there, once, and sliced here, and its inversion products
         # are kept there.
@@ -279,10 +284,10 @@ class WeylRange:
 
         Ids run in (length, word) order, so the elements up to a smaller
         bound are this range's first ids.  Their ``right_mul`` is this
-        range's with the ids past them set to None, and ``last_root`` and
-        ``leq`` are prefixes, since everything below an element is shorter
-        than it.  A larger bound can be served only by a complete range,
-        whose elements it keeps.
+        range's with the ids past them set to None, and ``last_root``,
+        ``xi`` and ``leq`` are prefixes, since everything below an element
+        is shorter than it.  A larger bound can be served only by a
+        complete range, whose elements it keeps.
         """
         if bound < 0:
             raise ValueError("length bound must be nonnegative")
@@ -295,7 +300,7 @@ class WeylRange:
         if n < len(rmul):
             rmul = [[x if x is not None and x < n else None for x in row] for row in rmul[:n]]
         view = WeylRange(self.rs, bound, self.elements[:n], self.complete and n == len(self),
-                         rmul, self.last_root[:n])
+                         rmul, self.last_root[:n], self.xi[:n])
         view._whole = self._whole
         return view
 
@@ -309,7 +314,9 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
     ascents.  Letters are tried in increasing order, so a new element is
     first reached from its parent w s_d, d its smallest right descent: its
     canonical word is the parent's followed by d, and its last root is
-    parent(alpha_d).  A level's ids are given once it is sorted.
+    parent(alpha_d).  Its xi is the parent's with that root added at d,
+    since xi^{s_i}(w) = xi^{s_i}(parent) + [d = i] parent(alpha_d).  A
+    level's ids are given once it is sorted.
     """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
@@ -317,6 +324,7 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
     elements = [identity(rs)]
     rmul = [[None] * n]
     roots = [None]
+    xi = [((0,) * n,) * n]
     level = range(1)
     for _ in range(k):
         # matrix -> [canonical word, last root, (a, i) for each w_a s_i = it]
@@ -342,11 +350,16 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
             elements.append(WeylElement(rs, m, word))
             rmul.append([None] * n)
             roots.append(LinearForm.from_linear(n, root))
+            # The first (a, i) recorded is the canonical parent and letter.
+            a, d = parents[0]
+            forms = list(xi[a])
+            forms[d] = tuple(map(add, forms[d], root))
+            xi.append(tuple(forms))
             for a, i in parents:
                 rmul[a][i] = c
                 rmul[c][i] = a
     complete = all(x is not None for a in level for x in rmul[a])
-    return WeylRange(rs, k, tuple(elements), complete, rmul, roots)
+    return WeylRange(rs, k, tuple(elements), complete, rmul, roots, xi)
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

@@ -183,7 +183,7 @@ def triangular_constants(table, u, v):
                 values[k] = numerator
         elif not numerator.is_zero():
             raise InternalInconsistency(f"nonzero numerator at skipped fixed point {w}")
-    return StructureTable(table, "x", u, v, values, order)
+    return StructureTable(table.rs, "x", u, v, values, order)
 
 
 def certificate_dict(s, cert):

@@ -37,6 +37,7 @@ B2 = builtin_root_system("B2")
 G2 = builtin_root_system("G2")
 AFF = builtin_root_system("AffineA1")
 AFF_A2 = build_root_system(CartanMatrix(affine_a_cartan(2)), GENERAL)
+HYP3 = build_root_system(CartanMatrix(((2, -2, 0), (-2, 2, -1), (0, -1, 2))), GENERAL)
 
 SYSTEMS = [(A2, 5), (B2, 5), (G2, 5), (AFF, 5)]
 
@@ -227,6 +228,25 @@ def test_ideal_table_is_the_whole_table_on_its_rows(rs, k):
         }
 
 
+@pytest.mark.parametrize(
+    "rs,k",
+    [(A3, 6), (B2, 4), (G2, 6), (AFF_A2, 6), (HYP3, 6)],
+    ids=["A3", "B2", "G2", "AffineA2", "Hyperbolic3"],
+)
+def test_range_xi_is_the_simple_reflection_rows(rs, k):
+    """The range's xi^{s_i}, summed from the inversion roots along canonical
+    words, is the whole table's row of s_i at every point."""
+    table = restriction_table(rs, k)
+    rng = table.range
+    simple = [rng.index[element_from_word(rs, (i,))] for i in range(1, rs.rank + 1)]
+    zero = RootPolynomial.zero(rs.rank)
+    assert len(rng.xi) == len(rng)
+    for v, column in table.columns.items():
+        assert tuple(RootPolynomial.from_linear(rs.rank, c) for c in rng.xi[v]) == tuple(
+            column.get(s, zero) for s in simple
+        ), rng.elements[v]
+
+
 def test_ideal_table_refuses_rows_not_closed_under_going_down():
     rng = enumerate_upto(A2, 3)
     s1s2 = rng.index[element_from_word(A2, (1, 2))]
@@ -312,8 +332,8 @@ def test_table_over_a_longer_range_takes_its_prefix_up_to_k():
 
 def _point_table():
     """An A3 table over the lower ideal of s2 s1, with e and the s_i, at the
-    points above s1 s3 up to length 4: the one ``mult`` builds for that
-    pair.  Returns it with the whole table."""
+    points above s1 s3 up to length 4, which ``mult`` reads for that pair.
+    Returns it with the whole table."""
     whole = restriction_table(A3, 6)
     rng = whole.range
     short, long = (rng.index[element_from_word(A3, x)] for x in ((2, 1), (1, 3)))

@@ -359,15 +359,3 @@ def test_constructor_rejects_bad_exponent_vectors():
     for rank, exp in [(2, (1,)), (2, (1, 0, 0)), (2, (1, -1)), (1, (-2,))]:
         with pytest.raises(ValueError, match="bad exponent vector"):
             RootPolynomial(rank, {exp: 1})
-
-
-def test_linear_coords_reads_a_linear_form():
-    assert RootPolynomial.from_linear(3, (2, 0, -5)).linear_coords() == (2, 0, -5)
-    assert RootPolynomial.zero(2).linear_coords() == (0, 0)
-    for p in (RootPolynomial.one(2), var(2, 1) * var(2, 2), var(2, 1) + RootPolynomial.one(2)):
-        with pytest.raises(ValueError, match="not a linear form"):
-            p.linear_coords()
-    rng = random.Random(11)
-    for rank in range(1, 6):
-        coords = tuple(rng.randint(-9, 9) for _ in range(rank))
-        assert RootPolynomial.from_linear(rank, coords).linear_coords() == coords

@@ -166,8 +166,8 @@ def test_solver_rejects_foreign_elements():
 
 def test_solver_aborts_on_corrupted_diagonal():
     """A diagonal value that is not a product of linear forms is an
-    internal inconsistency (here xi^s(s), read as the letter's linear form;
-    a term of any degree but one is refused, not read as a coordinate)."""
+    internal inconsistency (here xi^s(s), the base case c_ss^s, which the
+    recurrence refuses unless it is homogeneous of degree one)."""
     from eqschub import InternalInconsistency
 
     s = element_from_word(A1, (1,))
@@ -177,8 +177,9 @@ def test_solver_aborts_on_corrupted_diagonal():
         structure_constants(bad, s, s)
     s1 = element_from_word(A2, (1,))
     k = T_A2.range.index[s1]
-    with pytest.raises(InternalInconsistency, match=r"value\(WeylElement\(1\), WeylElement\(1\)\) is not a linear form"):
-        ChevalleyContext(corrupted(T_A2, k, k, poly(2, {(1, 1): 1})))
+    bad = corrupted(T_A2, k, k, poly(2, {(1, 1): 1}))
+    with pytest.raises(InternalInconsistency, match=r"w=1\) is not homogeneous of degree 1"):
+        structure_constants(bad, s1, s1)
 
 
 def test_recurrence_aborts_on_corrupted_base_case():
@@ -308,14 +309,13 @@ def test_parabolic_vanishing(rs, k):
 
 def pair_table(rng, u, v):
     """The table ``mult`` builds for the pair (u, v) over ``rng``: the rows
-    of the lower ideal of the shorter element (v on a tie) with e and the
-    s_i, at the points above the longer one up to length l(u) + l(v)."""
+    of the lower ideal of the shorter element (v on a tie), at the points
+    above the longer one up to length l(u) + l(v)."""
     short, long = (u, v) if u.length < v.length else (v, u)
     short, long = rng.index[short], rng.index[long]
     top = u.length + v.length
-    rows = rng.leq[short] | {a for a, w in enumerate(rng) if w.length <= 1}
     points = {b for b, w in enumerate(rng) if w.length <= top and long in rng.leq[b]}
-    return restriction_table(u.rs, rng.bound, rng=rng, rows=rows, points=points)
+    return restriction_table(u.rs, rng.bound, rng=rng, rows=rng.leq[short], points=points)
 
 
 def _assert_columns_match_solver(table, vs, us_of, pair_tables=True):
@@ -459,7 +459,8 @@ def test_swapped_pair_gives_the_same_constants_in_the_given_order():
 def test_structure_constants_raise_on_a_row_the_table_lacks():
     """Over the lower ideal of s1, with e and the s_i, the table serves the
     pairs whose shorter element (v on a tie) is below s1, and refuses the
-    others rather than reading zeros; without the s_i rows it serves none."""
+    others rather than reading zeros; the linear forms come from the
+    range, so the lower ideal of s1 alone serves (s1, s1) too."""
     from eqschub import InternalInconsistency, enumerate_upto
 
     rng = enumerate_upto(A3, 6)
@@ -475,8 +476,22 @@ def test_structure_constants_raise_on_a_row_the_table_lacks():
         with pytest.raises(InternalInconsistency, match="does not hold"):
             structure_constants(table, u, v)
     bare = restriction_table(A3, 6, rng=rng, rows=rng.leq[rng.index[s1]])
-    with pytest.raises(InternalInconsistency, match="does not hold"):
-        structure_constants(bare, s1, s1)
+    assert structure_constants(bare, s1, s1).values == structure_constants(whole, s1, s1).values
+
+
+@pytest.mark.parametrize("rs,k", [(A3, 6), (AFF_A2, 6)], ids=["A3", "AffineA2"])
+def test_lower_ideal_alone_serves_every_pair_it_holds_the_shorter_row_of(rs, k):
+    """A table over the rows of the lower ideal of v alone, at every point,
+    serves ``structure_constants`` for each (u, v) with v the shorter
+    element (or as long as u), and gives the whole table's constants."""
+    whole = restriction_table(rs, k)
+    rng = whole.range
+    for v in rng:
+        table = restriction_table(rs, k, rng=rng, rows=rng.leq[rng.index[v]])
+        for u in rng:
+            if v.length <= u.length and u.length + v.length <= k:
+                s = structure_constants(table, u, v)
+                assert s.values == structure_constants(whole, u, v).values, (u, v)
 
 
 def test_verify_product_identity_raises_on_a_row_the_table_lacks():
@@ -487,7 +502,7 @@ def test_verify_product_identity_raises_on_a_row_the_table_lacks():
     rng = enumerate_upto(B2, 4)
     whole = restriction_table(B2, 4, rng=rng)
     u, v = element_from_word(B2, (1, 2)), element_from_word(B2, (1,))
-    table = restriction_table(B2, 4, rng=rng, rows=rng.leq[rng.index[v]] | set(range(3)))
+    table = restriction_table(B2, 4, rng=rng, rows=rng.leq[rng.index[v]])
     s = structure_constants(table, u, v)
     assert s.values == structure_constants(whole, u, v).values
     assert verify_product_identity(whole, s)
@@ -745,7 +760,7 @@ def test_verify_detects_single_coefficient_perturbation():
     values = dict(table.values)
     k = T_A1.range.index[s]
     values[k] = values[k] + RootPolynomial.one(1)
-    mutated = StructureTable(T_A1, "x", s, s, values, table.order)
+    mutated = StructureTable(A1, "x", s, s, values, table.order)
     check = verify_product_identity(T_A1, mutated)
     assert not check
     assert check.failing is not None
@@ -894,14 +909,14 @@ def test_certificate_y_a1():
 
 def test_certificate_zero_table_passes_vacuously():
     e = identity(A1)
-    table = StructureTable(T_A1, "x", e, e, {}, (e,))
+    table = StructureTable(A1, "x", e, e, {}, (e,))
     assert positivity_certificate(table).verdict == "pass"
 
 
 def test_certificate_detects_sign_violation():
     s = element_from_word(A1, (1,))
     k = T_A1.range.index[s]
-    bad = StructureTable(T_A1, "x", s, s, {k: poly(1, {(1,): -2})}, T_A1.range.elements)
+    bad = StructureTable(A1, "x", s, s, {k: poly(1, {(1,): -2})}, T_A1.range.elements)
     cert = positivity_certificate(bad)
     assert cert.verdict == "fail"
     assert cert.failures == [k]
@@ -988,12 +1003,12 @@ def _encoder_cases():
     s12 = element_from_word(A2, (1, 2))
     return {
         "failing": StructureTable(
-            T_A1, "x", s, s, {T_A1.range.index[s]: poly(1, {(1,): -2})}, T_A1.range.elements
+            A1, "x", s, s, {T_A1.range.index[s]: poly(1, {(1,): -2})}, T_A1.range.elements
         ),
         "y-negative": opposite_constants(
             structure_constants(T_A2, s12, s1), longest_element(A2)
         ),
-        "all-zero": StructureTable(T_A2, "x", s1, s12, {}, T_A2.range.elements),
+        "all-zero": StructureTable(A2, "x", s1, s12, {}, T_A2.range.elements),
     }
 
 

@@ -301,6 +301,7 @@ def _range_fields(rng) -> dict:
         "elements": [(w.word, w.matrix) for w in rng.elements],
         "right_mul": rng.right_mul,
         "last_root": rng.last_root,
+        "xi": rng.xi,
         "complete": rng.complete,
         "leq": rng.leq,
         "index": {w.word: k for w, k in rng.index.items()},
