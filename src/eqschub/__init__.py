@@ -41,7 +41,6 @@ from .structconst import (
     opposite_constants,
     positivity_certificate,
     structure_constants,
-    value_sign_ok,
     verify_product_identity,
 )
 from .weyl import (
@@ -97,6 +96,5 @@ __all__ = [
     "restriction_table",
     "simple_reflection",
     "structure_constants",
-    "value_sign_ok",
     "verify_product_identity",
 ]

@@ -17,21 +17,14 @@ import json
 import os
 import sys
 import time
-from bisect import bisect_right
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .errors import (
-    DomainViolation,
-    EqschubError,
-    InsufficientBound,
-    InvalidCartan,
-    NotFiniteType,
-)
-from .localize import restriction_column, restriction_table
+from .errors import EqschubError, InvalidCartan, NotFiniteType
+from .localize import restriction_column
 from .rootsys import (
     BUILTIN_TYPES,
     CartanMatrix,
@@ -48,11 +41,14 @@ from .structconst import (
     billey_evaluate,
     column_constants,
     opposite_constants,
+    pair_table,
     positivity_certificate,
     record_text,
+    recurrence_table,
     structure_constants,
+    terms_sign_ok,
 )
-from .weyl import WeylRange, element_from_word, enumerate_upto, inverse, longest_element
+from .weyl import WeylRange, element_from_word, enumerate_upto, inverse, longest_element, word_text
 
 CACHE_ENV = "EQSCHUB_CACHE"
 CACHE_HEADER = {"engine": f"eqschub {__version__}", "convention": "KK", "format": 1}
@@ -170,9 +166,9 @@ def parse_word(text: str, rank: int, flag: str) -> tuple[int, ...]:
 
 
 def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
-    """The rationals of a comma-separated point.  A decimal exponent past
-    ``MAX_EVAL_EXPONENT`` in magnitude is refused before conversion, which
-    would expand its power of ten."""
+    """The positive rationals of a comma-separated point.  A decimal
+    exponent past ``MAX_EVAL_EXPONENT`` in magnitude is refused before
+    conversion, which would expand its power of ten."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rank:
         raise CliError(f"--eval needs {rank} comma-separated values")
@@ -186,11 +182,9 @@ def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
             point.append(Fraction(p))
         except (ValueError, ZeroDivisionError):
             raise CliError(f"--eval: bad rational value {p!r}") from None
+    if min(point) <= 0:
+        raise CliError("every coordinate of nu must be positive")
     return tuple(point)
-
-
-def word_text(word: tuple[int, ...]) -> str:
-    return ",".join(str(i) for i in word) if word else "e"
 
 
 def vector_text(coords) -> str:
@@ -319,38 +313,17 @@ def cmd_mult(args, out) -> int:
     # The recurrence reads no fixed point longer than length(u)+length(v), and
     # a finite group's range stops at the longest element.  The range comes
     # from the one held for the process (see ``weyl_range``), with its
-    # Bruhat order, so only the table below is built for this pair.
+    # Bruhat order, so only the pair's table is built here.
     bound = u.length + v.length if args.max_length is None else args.max_length
-    rng = weyl_range(rs, bound)
-    # It reads the row of the shorter of u and v (v on a tie), so the table
-    # holds just the lower ideal of that element, and only at the points
-    # above the longer one up to length(u)+length(v).  One outside the range
-    # leaves the bound too short, which structure_constants reports.
-    short, long = (u, v) if u.length < v.length else (v, u)
-    short, long = rng.index.get(short), rng.index.get(long)
-    ideal, points = frozenset((0,)), ()
-    if short is not None and long is not None:
-        ideal = rng.leq[short]
-        top = u.length + v.length
-        # Ids run in length order, so the points above long lie from long
-        # up to the last id of length top.
-        stop = bisect_right(rng.elements, top, key=lambda w: w.length)
-        points = [b for b in range(long, stop) if long in rng.leq[b]]
-    table = restriction_table(rs, bound, rng=rng, rows=ideal, points=points)
-    try:
-        s = structure_constants(table, u, v)
-    except InsufficientBound as exc:
-        raise CliError(str(exc))
+    s = structure_constants(pair_table(weyl_range(rs, bound), u, v), u, v)
     if args.basis == "y":
         s = opposite_constants(s, longest_element(rs))
     cert = positivity_certificate(s)
     point = evaluation = None
     if args.eval is not None:
         point = parse_eval_point(args.eval, rs.rank)
-        try:
+        if args.format != "csv":
             evaluation = billey_evaluate(s, point)
-        except DomainViolation as exc:
-            raise CliError(str(exc))
     try:
         text = _mult_payload(args, (u_word, v_word), s, cert, point, evaluation)
     except ValueError as exc:
@@ -377,20 +350,21 @@ def _sweep_init(state):
 
 
 def _sweep_row_lines(state, u: int, vs) -> list[tuple[str, str, bool]]:
-    """Cache lines of the pairs (u, v) and (v, u), and their verdict, for
-    each v of ``vs``, all named by id.
+    """The cache line of the pair (u, v), that of (v, u) and their verdict,
+    for each v of ``vs``, all named by id.
 
     The constants are symmetric in u and v, so row u is column u of the
-    recurrence, and the (u, v) record is the (v, u) record with its "u"
-    and "v" values swapped; ``record_text`` encodes both from one body.
+    recurrence, whose tables are those of the pairs (v, u); the (u, v)
+    record is the (v, u) record with its "u" and "v" values swapped, and
+    ``record_text`` encodes both from one body.
     """
     out = []
     for s in column_constants(state["context"], u, vs):
         if state["w0"] is not None:
             s = opposite_constants(s, state["w0"])
         cert = positivity_certificate(s)
-        line, swapped = record_text(s, cert)
-        out.append((swapped, line, bool(cert)))
+        vu, uv = record_text(s, cert)
+        out.append((uv, vu, bool(cert)))
     return out
 
 
@@ -484,15 +458,15 @@ def run_sweep(
     # from row u, which computes {u, v}, until row v is written.
     pending: dict = {}
     with closing(
-        _solve_rows(todo, rs, rng, basis, jobs)
+        _solve_rows(todo, range(len(words)), rng, basis, jobs)
     ) as solved, _open_cache(cache_path, cached is None or todo) as fh:
         if fh is not None and cached is None:
             fh.write(json.dumps(CACHE_HEADER) + "\n")
         for uw, row in zip(words, rows):
             # A row with nothing left is not in todo: nothing was computed for it.
-            for b, (line, swapped, ok) in zip(row, next(solved) if row else []):
+            for b, (uv, vu, ok) in zip(row, next(solved) if row else []):
                 vw = words[b]
-                for pair, text in (((uw, vw), line), ((vw, uw), swapped)):
+                for pair, text in (((uw, vw), uv), ((vw, uw), vu)):
                     if missing(pair):
                         pending[pair] = (text, ok)
             lines = []
@@ -522,27 +496,18 @@ def ProcessPoolExecutor(**kwargs):
     return ProcessPoolExecutor(**kwargs)
 
 
-def _solve_rows(rows, rs, rng, basis, jobs):
+def _solve_rows(rows, swept, rng, basis, jobs):
     """Yield ``_sweep_row_lines`` of each (u id, v ids) row, in order.
 
     Nothing is set up before the first row is asked for.  The state (the
-    recurrence context over the range's table, w0 for the y basis) is used
-    here at ``jobs`` 1 and handed to each pool worker otherwise: inherited
-    under fork, pickled once per worker under spawn.
-
-    The table holds, at every point of the range, the rows the recurrence
-    reads: those of the swept elements, whose constants it computes.  A
-    sweep whose range is the whole group sweeps every element, so its
-    table holds every row.
+    recurrence context over the table the columns of the ``swept`` ids
+    read, w0 for the y basis) is used here at ``jobs`` 1 and handed to
+    each pool worker otherwise: inherited under fork, pickled once per
+    worker under spawn.
     """
-    top = rng.bound // 2
-    table = restriction_table(
-        rs, rng.bound, rng=rng,
-        rows=None if rng.complete else [a for a, w in enumerate(rng.elements) if w.length <= top],
-    )
     state = {
-        "context": ChevalleyContext(table),
-        "w0": longest_element(rs) if basis == "y" else None,
+        "context": ChevalleyContext(recurrence_table(rng, swept, swept, rng.bound)),
+        "w0": longest_element(rng.rs) if basis == "y" else None,
     }
     if jobs > 1:
         pairs = sum(len(row) for _, row in rows)
@@ -578,28 +543,13 @@ def _cache_key(record: dict) -> tuple:
     )
 
 
-def _stored_values_pass(record: dict) -> bool:
-    """The sign rule of ``structconst.value_sign_ok`` on a record's stored values.
-
-    x basis: every coefficient >= 0.  y basis: every coeff*(-1)^degree >= 0.
-    """
-    alternating = {"x": False, "y": True}[record["basis"]]
-    for value in record["values"]:
-        for term in value["poly"]["terms"]:
-            coeff = int(term["coeff"])
-            if alternating and sum(term["exp"]) % 2:
-                coeff = -coeff
-            if coeff < 0:
-                return False
-    return True
-
-
 def _read_cache(path: str) -> dict | None:
     """Verdict of each record in the cache at ``path``, by key; None if the
     cache is absent or empty.
 
-    A verdict is recomputed from the record's stored values; the record's
-    own certificate verdict is not trusted, only compared with it.
+    A verdict is recomputed from the record's stored values by the sign
+    rule of its basis (``terms_sign_ok``); the record's own certificate
+    verdict is not trusted, only compared with it.
     Refuses, with exit 2, a cache whose first line is not this version's
     header, a later line that is not a sweep record, and a record whose
     stored verdict disagrees with its values.  A last line after the
@@ -641,7 +591,10 @@ def _read_cache(path: str) -> dict | None:
                     )
                 continue
             try:
-                ok = _stored_values_pass(record)
+                ok = terms_sign_ok(record["basis"], (
+                    (term["exp"], int(term["coeff"]))
+                    for value in record["values"] for term in value["poly"]["terms"]
+                ))
                 stored = record["certificate"]["verdict"]
                 verdicts[_cache_key(record)] = ok
             except (KeyError, TypeError, ValueError):
@@ -677,17 +630,14 @@ def cmd_sweep(args, out) -> int:
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
     cache_path = args.cache or os.environ.get(CACHE_ENV) or None
-    try:
-        report = run_sweep(
-            rs.cartan.entries,
-            rs.kind,
-            args.max_length,
-            args.basis,
-            jobs=args.jobs,
-            cache_path=cache_path,
-        )
-    except NotFiniteType as exc:
-        raise CliError(str(exc))
+    report = run_sweep(
+        rs.cartan.entries,
+        rs.kind,
+        args.max_length,
+        args.basis,
+        jobs=args.jobs,
+        cache_path=cache_path,
+    )
     if args.format == "json":
         print(json.dumps(report.to_json_dict()), file=out)
     else:

@@ -40,11 +40,9 @@ closed under the recursion: given such ``rows``, the table holds those
 rows and nothing else.  The column of v is built from that of v s_i
 alone, with i the last letter of v's canonical word, so a set of
 ``points`` closed under that step is closed under the recursion too:
-given it, the table holds those columns only.  A one-pair ``mult``
-reads only the row of the shorter element, at the fixed points above
-the longer element up to length l(u) + l(v), so it builds just the lower
-ideal of the shorter element at those points and the points they step
-from.
+given it, the table holds those columns only.  Which rows and points
+the Chevalley recurrence reads is ``structconst.recurrence_table``'s
+rule.
 """
 
 from __future__ import annotations

@@ -29,12 +29,16 @@ only the x >= u and the w with l(w) <= l(u) + l(v), which a truncated
 (Kac-Moody) range must hold: ``column_constants`` computes many u over the
 union of their sets.  As c_uv = c_vu, ``structure_constants`` walks the
 x above the longer element of its pair and reads the row of the shorter
-one (the given v on a tie), so it walks the fewest x.  It reads the
-table only at those x and the w above them: a table over the Bruhat
-lower ideal of the shorter element, at the fixed points above the
-longer one up to length l(u) + l(v), serves it (see ``localize``), and
-``mult`` builds just that.  A column that would read a row or a point
-its table does not hold raises InternalInconsistency instead of
+one (the given v on a tie), so it walks the fewest x.
+
+One rule, ``recurrence_table``, gives the table the recurrence reads:
+the rows of the columns' Bruhat lower ideals at the fixed points above
+the other elements, up to the longest length computed (``localize``
+closes both sets).  So ``mult`` reads ``pair_table``, the lower ideal of
+the shorter element at the points above the longer one up to length
+l(u) + l(v), and a sweep, whose swept elements form a lower ideal
+holding e, their rows at every point.  A column that would read a row or
+a point its table does not hold raises InternalInconsistency instead of
 reading zero.
 
 The Bruhat order and the linear forms xi^{s_i} come from the range
@@ -56,8 +60,9 @@ The x-basis values are the constants of the Schubert-class basis dual to
 the cell closures.  The y-basis table for the same index pair is obtained
 by substituting each simple root with its image under the longest
 element; its entries expand with nonnegative coefficients in the negated
-simple roots (coefficient sign (-1)^degree in the plain monomials),
-which is the sign dichotomy the certificates check.
+simple roots (coefficient sign (-1)^degree in the plain monomials).
+``SIGN_RULES`` names each basis's rule, and ``terms_sign_ok`` tests it
+for the certificates and for the sweep cache's reader.
 """
 
 from __future__ import annotations
@@ -77,9 +82,9 @@ from .errors import (
     NotFiniteType,
     RankMismatch,
 )
-from .localize import RestrictionTable
+from .localize import RestrictionTable, restriction_table
 from .rootsys import FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many
-from .weyl import WeylElement, _check_same_system
+from .weyl import WeylElement, WeylRange, _check_same_system
 
 
 class StructureTable:
@@ -111,13 +116,50 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
     any bound works because no fixed points beyond the enumerated ones
     exist.
     """
-    _check_same_system(table.rs, u, v)
-    _check_bound(table.range, u.length + v.length)
-    index = table.range.index
-    short, long = (u, v) if u.length < v.length else (v, u)
-    s = column_constants(ChevalleyContext(table), index[short], [index[long]])[0]
+    short, long = _pair_ids(table.range, u, v)
+    s = column_constants(ChevalleyContext(table), short, [long])[0]
     s.u, s.v = u, v
     return s
+
+
+def pair_table(rng: WeylRange, u: WeylElement, v: WeylElement) -> RestrictionTable:
+    """The table ``structure_constants`` reads for the pair (u, v) over
+    ``rng`` (see the module docstring); raises as it does on elements of
+    another system or a range too short."""
+    short, long = _pair_ids(rng, u, v)
+    return recurrence_table(rng, [short], [long], u.length + v.length)
+
+
+def recurrence_table(rng: WeylRange, vs, us, top: int) -> RestrictionTable:
+    """The table the recurrence reads for the columns of the ids ``vs`` at
+    the ids ``us`` up to length ``top``: the rows of the lower ideals
+    ``rng.leq[v]``, at the points x >= some u with l(x) <= ``top``.  A set
+    covering the range is passed on as None, the rows only with the points,
+    since ``restriction_table`` adds the rows to any points it is given."""
+    rows = frozenset().union(*(rng.leq[v] for v in vs))
+    points = _points_above(rng, us, top)
+    if len(points) == len(rng):
+        points = None
+        if len(rows) == len(rng):
+            rows = None
+    return restriction_table(rng.rs, rng.bound, rng=rng, rows=rows, points=points)
+
+
+def _points_above(rng: WeylRange, us, top: int) -> list[int]:
+    """The ids x >= some id u of ``us`` with l(x) <= ``top``, in increasing
+    order.  Ids run in length order, so they lie from the least u up to the
+    last id of length ``top``."""
+    leq = rng.leq
+    stop = bisect_right(rng.elements, top, key=lambda w: w.length)
+    return [x for x in range(min(us), stop) if any(u in leq[x] for u in us)]
+
+
+def _pair_ids(rng: WeylRange, u: WeylElement, v: WeylElement) -> tuple[int, int]:
+    """Ids of the shorter and longer of u and v (v on a tie), after the system and bound checks."""
+    _check_same_system(rng.rs, u, v)
+    _check_bound(rng, u.length + v.length)
+    short, long = (u, v) if u.length < v.length else (v, u)
+    return rng.index[short], rng.index[long]
 
 
 def _check_bound(rng, top: int):
@@ -264,10 +306,8 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
     _check_row(table, v)
     if table.points is not None:
         # The column reads every x >= some u up to length top.
-        leq = table.range.leq
-        for b in range(bisect_right(length, top)):
-            if any(u in leq[b] for u in us):
-                _check_point(table, b)
+        for x in _points_above(table.range, us, top):
+            _check_point(table, x)
     above = context.above
     rank = table.rs.rank
     columns = table.columns
@@ -410,17 +450,20 @@ class PositivityCertificate:
         return not self.failures
 
 
-def value_sign_ok(poly: RootPolynomial, basis: str) -> bool:
-    """Sign test per basis tag.
+SIGN_RULES = {"x": "nonneg", "y": "alternating"}
 
-    x-basis: every monomial coefficient nonnegative.  y-basis: every
-    coefficient nonnegative after negating the variables, i.e. the value
-    is a nonnegative combination of monomials in the negated simple
-    roots (plain coefficients carry sign (-1)^degree).
+
+def terms_sign_ok(basis: str, terms) -> bool:
+    """Whether the (exponent, coefficient) pairs ``terms`` of a value meet
+    the sign rule of ``basis`` (any other basis is a KeyError).
+
+    "nonneg" (x basis): every coefficient >= 0.  "alternating" (y basis):
+    every coefficient times (-1)^degree >= 0, i.e. the value is a
+    nonnegative combination of monomials in the negated simple roots.
     """
-    if basis == "x":
-        return poly.sign_pattern() in ("nonneg", "zero")
-    return poly.negate_variables().sign_pattern() in ("nonneg", "zero")
+    if SIGN_RULES[basis] == "nonneg":
+        return all(c >= 0 for _, c in terms)
+    return all((-c if sum(e) % 2 else c) >= 0 for e, c in terms)
 
 
 def positivity_certificate(s: StructureTable) -> PositivityCertificate:
@@ -429,8 +472,9 @@ def positivity_certificate(s: StructureTable) -> PositivityCertificate:
     entries = []
     failures = []
     for w, poly in s.values.items():
-        ok = value_sign_ok(poly, s.basis)
-        entries.append(CertificateEntry(w, poly.sorted_terms(), ok))
+        terms = poly.sorted_terms()
+        ok = terms_sign_ok(s.basis, terms)
+        entries.append(CertificateEntry(w, terms, ok))
         if not ok:
             failures.append(w)
     return PositivityCertificate(s.basis, entries, failures)
@@ -482,10 +526,9 @@ def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, st
         else:
             values.append(no_value)
             monomials.append(no_monomials)
-    sign_rule = "nonneg" if cert.basis == "x" else "alternating"
     body = (
         f'"values": [{", ".join(values)}], "certificate": {{"verdict": "{cert.verdict}", '
-        f'"basis": "{cert.basis}", "sign_rule": "{sign_rule}", '
+        f'"basis": "{cert.basis}", "sign_rule": "{SIGN_RULES[cert.basis]}", '
         f'"monomials": [{", ".join(monomials)}]}}}}'
     )
     head = f'{{"type": {_json(s.rs.descriptor)}, "basis": "{s.basis}", '

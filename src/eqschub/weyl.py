@@ -102,7 +102,11 @@ class WeylElement:
         return f"WeylElement({self.word_text()})"
 
     def word_text(self) -> str:
-        return ",".join(str(i) for i in self.word) if self.word else "e"
+        return word_text(self.word)
+
+
+def word_text(word: tuple[int, ...]) -> str:
+    return ",".join(str(i) for i in word) if word else "e"
 
 
 def identity(rs: RootSystem) -> WeylElement:

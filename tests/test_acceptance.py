@@ -13,9 +13,11 @@ from fractions import Fraction
 import pytest
 
 from eqschub import (
+    CartanMatrix,
     RootPolynomial,
     StructureTable,
     billey_evaluate,
+    build_root_system,
     builtin_root_system,
     element_from_word,
     identity,
@@ -532,8 +534,28 @@ def test_c7_double_schubert_oracle(sweeps):
                 for k, w in enumerate(s.order):
                     assert _in_y(s.values.get(k, zero), n) == expected[k], (u, v, w)
                     checked += 1
+
+    # Three seeded pairs of the whole of A4, every w up to l(u) + l(v).
+    a4 = build_root_system(CartanMatrix(
+        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    ))
+    table = restriction_table(a4, 10)
+    doubles = _double_schubert_polynomials(5)
+    elements = table.range.elements
+    zero = RootPolynomial.zero(4)
+    draw = random.Random(22)
+    for _ in range(3):
+        u, v = draw.choice(elements), draw.choice(elements)
+        s = structure_constants(table, u, v)
+        expected = _double_oracle_constants(
+            doubles, 5, _perm_of_word(u.word, 5), _perm_of_word(v.word, 5),
+            [_perm_of_word(w.word, 5) for w in s.order],
+        )
+        for k, w in enumerate(s.order):
+            assert _in_y(s.values.get(k, zero), 5) == expected[k], (u, v, w)
+            checked += 1
     elapsed = time.perf_counter() - start
-    report(7, f"{checked} A2 and A3 entries match the double Schubert oracle, {elapsed:.2f}s")
+    report(7, f"{checked} A2, A3 and A4 entries match the double Schubert oracle, {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------

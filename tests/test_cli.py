@@ -262,6 +262,33 @@ def test_mult_bad_eval_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    ("mult --type AffineA1 --u 1,2 --v 2,1 --max-length 3",
+     "error: table bound 3 < length(u)+length(v) = 4\n"),
+    ("mult --type A2 --u 1 --v 2 --eval 0,1", "error: every coordinate of nu must be positive\n"),
+    ("sweep --type AffineA1 --max-length 3 --basis y",
+     "error: y-basis sweep requires a finite-type root system\n"),
+])
+def test_engine_errors_exit_2_with_their_message(capsys, argv, err):
+    """An engine error reaches stderr as ``error: <message>``, exit 2."""
+    assert run(argv.split()) == (2, "")
+    assert capsys.readouterr().err == err
+
+
+def test_mult_csv_eval_checks_the_point_and_evaluates_nothing(monkeypatch):
+    """csv prints no value, so ``--eval`` only checks its point."""
+    import eqschub.cli as cli
+
+    def boom(*args):
+        raise AssertionError("csv evaluated a constant")
+
+    monkeypatch.setattr(cli, "billey_evaluate", boom)
+    argv = ["mult", "--type", "A2", "--u", "1", "--v", "1", "--format", "csv"]
+    expected = 'w_word,degree,monomial,coefficient\n1,1,a1,1\n"2,1",0,1,1\n'
+    assert run(argv + ["--eval", "1,2"]) == (0, expected)
+    assert run(argv + ["--eval", "0,2"]) == (2, "")
+
+
 @pytest.mark.parametrize(
     "point,bad", [("1,1/0", "1/0"), ("x,1", "x"), ("1, 3/0 ", "3/0")],
     ids=["zero-denominator", "not-a-number", "padded"],
@@ -358,39 +385,43 @@ def test_mult_default_bound_matches_whole_group_table(rs_type, u, v, nu):
                 assert run(args) == expected, args
 
 
-@pytest.mark.parametrize("rs_type", ["B2", "G2"])
+@pytest.mark.parametrize("rs_type", ["B2", "G2", "A3"])
 def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, rs_type):
     """On every pair, swapped and equal-length ones included, mult's table
     holds the lower ideal of the shorter element (v on a tie) and no other
     row, at the points above the longer element up to l(u) + l(v),
     those rows and the prefixes of their canonical words, and its
     constants are those of the whole table."""
-    import eqschub.cli as cli
+    import eqschub.structconst as structconst
 
     rs = builtin_root_system(rs_type)
     whole = restriction_table(rs, len(rs.positive_roots))
     rng = whole.range
     built = []
-    build = cli.restriction_table
+    build = structconst.restriction_table
 
     def recorded(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(cli, "restriction_table", recorded)
+    monkeypatch.setattr(structconst, "restriction_table", recorded)
     zero = RootPolynomial.zero(rs.rank)
     for u in rng:
         for v in rng:
             code, out = run(["mult", "--type", rs_type, "--u", u.word_text(), "--v", v.word_text()])
-            # mult's range stops at l(u) + l(v), a prefix of the whole one.
+            # mult's range stops at l(u) + l(v), a prefix of the whole one;
+            # a set given as None is the whole of it.
             table = built.pop()
+            held = frozenset(range(len(table.range)))
+            rows = held if table.rows is None else table.rows
+            points = held if table.points is None else table.points
             short, long = (u, v) if u.length < v.length else (v, u)
             short, long = rng.index[short], rng.index[long]
-            assert table.rows == rng.leq[short]
+            assert rows == rng.leq[short]
             upper = {b for b in range(len(table.range)) if long in rng.leq[b]}
-            assert table.points == {
+            assert points == {
                 rng.index[element_from_word(rs, rng.elements[b].word[:j])]
-                for b in upper | table.rows for j in range(rng.elements[b].length + 1)
+                for b in upper | rows for j in range(rng.elements[b].length + 1)
             }, (u, v)
             s = structure_constants(whole, u, v)
             assert code == 0
@@ -728,6 +759,7 @@ def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
     A second sweep in the same process builds only its table."""
     import eqschub.cli as cli
     import eqschub.localize as localize
+    import eqschub.structconst as structconst
 
     cli.clear_setup()
     calls = []
@@ -743,7 +775,7 @@ def test_cold_sweep_sets_up_once(monkeypatch, tmp_path):
         (cli, "build_root_system"),
         (cli, "enumerate_upto"),
         (localize, "enumerate_upto"),
-        (cli, "restriction_table"),
+        (structconst, "restriction_table"),
         (cli, "element_from_word"),
     ]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -775,8 +807,8 @@ def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind
     """A sweep's table holds, at every point of its range, the rows of
     the swept elements, and no other; its cache is the one a table with
     every row gives."""
-    import eqschub.cli as cli
     import eqschub.localize as localize
+    import eqschub.structconst as structconst
 
     tables = []
 
@@ -784,7 +816,7 @@ def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind
         tables.append(localize.restriction_table(*args, **kwargs))
         return tables[-1]
 
-    monkeypatch.setattr(cli, "restriction_table", kept)
+    monkeypatch.setattr(structconst, "restriction_table", kept)
     assert run_sweep(cartan, kind, bound, "x", cache_path=str(tmp_path / "rows.jsonl")).verdict == "pass"
     (table,) = tables
     assert table.points is None
@@ -794,10 +826,10 @@ def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind
         assert table.rows == frozenset(range(held))
         assert {w.length for w in table.range.elements[:held]} == set(range(bound // 2 + 1))
 
-    def whole(rs, k, *, rng, rows):
+    def whole(rs, k, *, rng, rows, points):
         return localize.restriction_table(rs, k, rng=rng)
 
-    monkeypatch.setattr(cli, "restriction_table", whole)
+    monkeypatch.setattr(structconst, "restriction_table", whole)
     run_sweep(cartan, kind, bound, "x", cache_path=str(tmp_path / "whole.jsonl"))
     assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
 
@@ -960,6 +992,8 @@ def test_sweep_refuses_cache_with_wrong_header(tmp_path, monkeypatch, capsys, he
         ' "certificate": {"verdict": "pass"}}',
         '{"type": ["A1"], "basis": "x", "u": [], "v": [], "values": [],'
         ' "certificate": {"verdict": "pass"}}',
+        '{"type": "A1", "basis": "z", "u": [], "v": [], "values": [],'
+        ' "certificate": {"verdict": "pass"}}',
     ],
 )
 def test_sweep_refuses_cache_with_bad_line(tmp_path, monkeypatch, capsys, bad):
@@ -1012,11 +1046,12 @@ def test_sweep_writes_header_into_empty_cache_file(tmp_path):
 
 def _forbid_table(monkeypatch):
     import eqschub.cli as cli
+    import eqschub.structconst as structconst
 
     def build(*args, **kwargs):
         raise AssertionError("a restriction table was built with nothing left to solve")
 
-    monkeypatch.setattr(cli, "restriction_table", build)
+    monkeypatch.setattr(structconst, "restriction_table", build)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", build)
 
 

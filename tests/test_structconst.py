@@ -25,12 +25,11 @@ from eqschub import (
     positivity_certificate,
     restriction_table,
     structure_constants,
-    value_sign_ok,
     verify_product_identity,
 )
 from eqschub.localize import RestrictionTable
 from eqschub.rootsys import GENERAL
-from eqschub.structconst import ChevalleyContext, column_constants, record_text
+from eqschub.structconst import ChevalleyContext, column_constants, record_text, terms_sign_ok
 from eqschub.weyl import inversion_coords
 
 from conftest import (
@@ -863,7 +862,7 @@ def test_a2_opposite_cross_check_full_sweep():
             independent = _solve_on_transported_table(T_A2, w0, u, v)
             assert y.values == independent
             for p in y.values.values():
-                assert value_sign_ok(p, "y")
+                assert terms_sign_ok("y", p.sorted_terms())
                 assert p.negate_variables().sign_pattern() in ("nonneg", "zero")
 
 
@@ -875,7 +874,7 @@ def test_a2_even_degree_opposite_value_is_positive_in_negated_roots():
     val = y.values[T_A2.range.index[s12]]
     assert val == poly(2, {(1, 1): 1, (0, 2): 1})
     assert val.sign_pattern() == "nonneg"
-    assert value_sign_ok(val, "y")
+    assert terms_sign_ok("y", val.sorted_terms())
 
 
 def test_opposite_verify_product_identity():
