@@ -21,6 +21,8 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import countOf
 
 from . import __version__
 from .errors import EqschubError, InvalidCartan, NotFiniteType
@@ -549,7 +551,9 @@ def _read_cache(path: str) -> dict | None:
 
     A verdict is recomputed from the record's stored values by the sign
     rule of its basis (``terms_sign_ok``); the record's own certificate
-    verdict is not trusted, only compared with it.
+    verdict is not trusted, only compared with it.  A stored term whose
+    exponent is not a list of nonnegative ints makes the line no sweep
+    record, under either basis.
     Refuses, with exit 2, a cache whose first line is not this version's
     header, a later line that is not a sweep record, and a record whose
     stored verdict disagrees with its values.  A last line after the
@@ -591,10 +595,12 @@ def _read_cache(path: str) -> dict | None:
                     )
                 continue
             try:
-                ok = terms_sign_ok(record["basis"], (
-                    (term["exp"], int(term["coeff"]))
-                    for value in record["values"] for term in value["poly"]["terms"]
-                ))
+                terms = [term for value in record["values"] for term in value["poly"]["terms"]]
+                exps = [term["exp"] for term in terms]
+                if not _natural_exponents(exps):
+                    raise ValueError("an exponent is not a list of nonnegative ints")
+                coeffs = [int(term["coeff"]) for term in terms]
+                ok = terms_sign_ok(record["basis"], zip(exps, coeffs))
                 stored = record["certificate"]["verdict"]
                 verdicts[_cache_key(record)] = ok
             except (KeyError, TypeError, ValueError):
@@ -619,6 +625,21 @@ def _read_cache(path: str) -> dict | None:
     except OSError as exc:
         raise CliError(f"cannot repair cache {path}: {exc.strerror}")
     return verdicts
+
+
+def _natural_exponents(exps: list) -> bool:
+    """Whether each of ``exps`` is a list of nonnegative ints, bools excluded.
+
+    The check makes three C-level passes over the record's exponents (their
+    types, their entries' types, the least entry), not a Python loop per
+    exponent: it runs on every term of every record a resumed sweep reads.
+    """
+    flat = [*chain.from_iterable(exps)]
+    return (
+        countOf(map(type, exps), list) == len(exps)
+        and countOf(map(type, flat), int) == len(flat)
+        and min(flat, default=0) >= 0
+    )
 
 
 def cmd_sweep(args, out) -> int:

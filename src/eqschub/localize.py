@@ -25,23 +25,31 @@ as it is built, in one pass over its columns, and its cost follows what
 the table built:
 
 * support, by one set comparison per held column between its keys and
-  the column's Bruhat interval (within the rows);
+  the column's Bruhat interval (within the rows held at that point);
 * zero, homogeneity and sign, once per distinct (row, polynomial object),
   since a column holds its parent's entries by reference;
-* the diagonal, at the held rows that are held points only, against the
+* the diagonal, at the held rows, each a held point, against the
   range's inversion products, built from ``inversion_coords`` once per
   element and kept on the range (see ``WeylRange.inversion_product``).
 
 The first failed check raises, naming the entry it failed at.
 
-The row of w (its values at every v) is built from the rows of w and
-w s_i only, with w s_i < w, so the rows of a Bruhat lower ideal are
-closed under the recursion: given such ``rows``, the table holds those
-rows and nothing else.  The column of v is built from that of v s_i
-alone, with i the last letter of v's canonical word, so a set of
-``points`` closed under that step is closed under the recursion too:
-given it, the table holds those columns only.  Which rows and points
-the Chevalley recurrence reads is ``structconst.recurrence_table``'s
+The value at (w, v) is built from the values of w and of w s_i < w at
+v' = v s_i alone, with i the last letter of v's canonical word.  So a
+table given the rows wanted at some points holds, at each point v, only
+the rows D(v) that the steps up to those points read:
+
+* D(p) holds the rows wanted, at each given point p;
+* D(v') holds D(v) and each w s_i < w of it, for v' = v s_i as above;
+* each w of the Bruhat lower ideal of the rows wanted is a point of its
+  own, and D(w) holds those rows and w, so the table checks every
+  diagonal of that ideal.
+
+The points are those, closed under v -> v s_i, and ``table.rows`` is the
+union of the D(v), the lower ideal.  Given a lower ideal as the rows, D is
+that ideal at every point.  The one step keeps only D(v) at v, since a
+row of v' that v does not hold would carry a stale value.  Which rows and
+points the Chevalley recurrence reads is ``structconst.recurrence_table``'s
 rule.
 """
 
@@ -61,19 +69,21 @@ from .weyl import (
 )
 
 
-def _next_column(column: dict, i: int, beta: RootPolynomial, ascend) -> dict:
+def _next_column(column: dict, i: int, beta: RootPolynomial, ascend, keep=None) -> dict:
     """The column of v from the column of v' = v s_i, with ``i`` 0-based
     and beta = v'(alpha_i).
 
     ``ascend(u, i)`` is the key of u s_i when it is longer than u, else
     None; each such entry u adds beta * value(u, v') there, in one pass
-    over the terms (``RootPolynomial.add_product``).
+    over the terms (``RootPolynomial.add_product``).  ``keep``, when
+    given, is the set of rows the new column holds, and the others are
+    left out; None keeps them all.
     """
     zero = RootPolynomial.zero(beta.rank)
-    out = dict(column)
+    out = dict(column) if keep is None else {u: p for u, p in column.items() if u in keep}
     for u, poly in column.items():
         w = ascend(u, i)
-        if w is not None:
+        if w is not None and (keep is None or w in keep):
             out[w] = column.get(w, zero).add_product(beta, poly)
     return out
 
@@ -100,22 +110,26 @@ class RestrictionTable:
     """Restriction polynomials over a length-bounded range.
 
     ``columns`` maps the id v of each held point (see ``WeylRange``) to
-    its column: a dict from the id w of each held row with a nonzero value
-    at v to that value, and no other key.  ``rows`` is the set of ids w
-    whose rows the table holds and ``points`` the set of ids v whose
-    columns it holds, each None when it holds them all.  ``value`` reads
-    any pair of elements of the table's root system, zero where nothing is
-    stored; it raises RankMismatch on an element of another system,
-    InternalInconsistency on a row or a point the table does not hold, and
-    InsufficientBound on a point beyond the range.
+    its column: a dict from the id w of each row held at v with a nonzero
+    value there to that value, and no other key.  ``points`` is the set of
+    ids v whose columns the table holds, ``rows`` the set of ids w whose
+    rows it holds at some point, and ``rows_at`` maps each held point to
+    the set of rows held there; each is None when it holds them all.
+    ``value`` reads any pair of elements of the table's root system, zero
+    where nothing is stored; it raises RankMismatch on an element of
+    another system, InternalInconsistency on a point the table does not
+    hold or a row it does not hold there, and InsufficientBound on a point
+    beyond the range.
     """
 
-    def __init__(self, rs: RootSystem, rng: WeylRange, columns: dict, rows=None, points=None):
+    def __init__(self, rs: RootSystem, rng: WeylRange, columns: dict, rows=None, points=None,
+                 rows_at=None):
         self.rs = rs
         self.range = rng
         self.columns = columns
         self.rows = rows
         self.points = points
+        self.rows_at = rows_at
         self._zero = RootPolynomial.zero(rs.rank)
 
     @property
@@ -125,9 +139,12 @@ class RestrictionTable:
         the engine reads ``columns``."""
         return {(w, v): poly for v, column in self.columns.items() for w, poly in column.items()}
 
-    def holds(self, w) -> bool:
-        """Whether the row of the id ``w`` is in the table."""
-        return self.rows is None or w in self.rows
+    def holds(self, w, v=None) -> bool:
+        """Whether the row of the id ``w`` is in the table, at the id ``v``
+        if given."""
+        if v is None or self.rows_at is None:
+            return self.rows is None or w in self.rows
+        return w in self.rows_at.get(v, ())
 
     def holds_point(self, v) -> bool:
         """Whether the column of the id ``v`` is in the table."""
@@ -143,27 +160,32 @@ class RestrictionTable:
             raise InternalInconsistency(f"the table does not hold the row of {w}")
         if not self.holds_point(b):
             raise InternalInconsistency(f"the table does not hold the point {v}")
+        if not self.holds(a, b):
+            raise InternalInconsistency(f"the table does not hold the row of {w} at {v}")
         return self.columns[b].get(a, self._zero)
 
 
 def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
                       rows=None, points=None) -> RestrictionTable:
     """Restriction values for every pair of ids in the length-<=-k range,
-    or, given ``rows``, for the pairs (w, v) with w in ``rows``, and, given
-    ``points``, with v in ``points``.  A given ``rng`` must be a range of
+    or, given ``rows``, for the rows of ``rows``, and, given ``points``,
+    at the points of ``points``.  A given ``rng`` must be a range of
     ``rs`` (else ValueError), and its prefix up to k is used.
 
-    ``rows`` is a set of ids closed under w -> w s_i < w, such as a Bruhat
-    lower ideal; anything else is a ValueError.  ``points`` is a set of ids
-    of the range; the table closes it under v -> v s_i, i the last letter
-    of v's canonical word, and adds the ids of ``rows``, so it holds the
-    diagonal entry of each row.  Columns are built by the one-letter
-    recursion, each from the column of v with its last letter removed, and
-    only their nonzero entries in ``rows`` are kept.  The four table
-    invariants (support exactly the Bruhat interval, homogeneity, diagonal
-    = product of inversion roots, nonnegative coefficients) are verified
-    by ``_verify_table`` on the entries held, as the module docstring
-    describes.  A violation raises InternalInconsistency.
+    ``rows`` is a nonempty set of ids of the range, the rows wanted at
+    the given points (every point if ``points`` is None); ``points`` is a
+    set of ids of the range.  Anything else is a ValueError.  The table
+    closes both, as the module docstring describes: it adds each id of
+    the Bruhat lower ideal of ``rows`` as a point of its own, holding the
+    rows of ``rows`` and itself, closes the points under v -> v s_i, i the
+    last letter of v's canonical word, and holds at each point the rows
+    the step to the points above it reads.  Columns are built by the
+    one-letter recursion, each from the column of v with its last letter
+    removed, and only their nonzero entries in the rows held there are
+    kept.  The four table invariants (support exactly the Bruhat interval,
+    homogeneity, diagonal = product of inversion roots, nonnegative
+    coefficients) are verified by ``_verify_table`` on the entries held.
+    A violation raises InternalInconsistency.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
@@ -171,36 +193,57 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
         raise ValueError("the range belongs to another root system")
     else:
         rng = rng.prefix(k)
-    rmul = rng.right_mul
+    rmul, elements, n = rng.right_mul, rng.elements, len(rng)
+    given = range(n) if points is None else set(points)
+    if points is not None and not all(0 <= v < n for v in given):
+        raise ValueError("points must be ids of the range")
+    rows_at = None
     if rows is not None:
         rows = frozenset(rows)
-        if 0 not in rows or not all(
-            0 <= w < len(rng) and all(x is None or x > w or x in rows for x in rmul[w])
-            for w in rows
-        ):
-            raise ValueError("rows must be ids of the range closed under going down")
-    held = range(len(rng))
-    if points is not None:
-        points = set(points).union(rows or ())
-        if not all(0 <= v < len(rng) for v in points):
-            raise ValueError("points must be ids of the range")
+        if not rows or not all(0 <= w < n for w in rows):
+            raise ValueError("rows must be a nonempty set of ids of the range")
+        leq = rng.leq
+        ideal = frozenset().union(*(leq[w] for w in rows))
+        rows_at = dict.fromkeys(given, rows)
+        for w in ideal:
+            here = rows_at.get(w, rows)
+            rows_at[w] = here if w in here else here | {w}
+        # Parents have smaller ids, so each point's rows are complete
+        # before they are passed down to its parent.
+        for v in range(max(rows_at), 0, -1):
+            here = rows_at.get(v)
+            if here is None:
+                continue
+            i = elements[v].word[-1] - 1
+            down = here.union([x for w in here if (x := rmul[w][i]) is not None and x < w])
+            parent = rmul[v][i]
+            there = rows_at.get(parent)
+            rows_at[parent] = down if there is None else there | down
+        rows = ideal
+        if points is not None:
+            points = frozenset(rows_at)
+        held = sorted(rows_at)
+    elif points is not None:
         closed = {0}
-        for v in points:
+        for v in given:
             while v not in closed:
                 closed.add(v)
-                v = rmul[v][rng.elements[v].word[-1] - 1]
+                v = rmul[v][elements[v].word[-1] - 1]
         points = frozenset(closed)
         held = sorted(points)
+    else:
+        held = range(n)
 
     def ascend(u, i):
         w = rmul[u][i]
-        return w if w > u and (rows is None or w in rows) else None
+        return w if w > u else None
 
     columns = {0: {0: RootPolynomial.one(rs.rank)}}
     for v in held[1:]:
-        i = rng.elements[v].word[-1] - 1
-        columns[v] = _next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend)
-    table = RestrictionTable(rs, rng, columns, rows, points)
+        i = elements[v].word[-1] - 1
+        keep = None if rows_at is None else rows_at[v]
+        columns[v] = _next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend, keep)
+    table = RestrictionTable(rs, rng, columns, rows, points, rows_at)
     _verify_table(table)
     return table
 
@@ -212,16 +255,16 @@ def _verify_table(table: RestrictionTable):
     One pass over the held columns checks each entry for zero, homogeneity
     of degree l(w) and sign, once per distinct (row, polynomial object): a
     column copies its parent's entries by reference, at the same rows.  It
-    compares each column's keys with its Bruhat interval (within the rows)
-    in one set comparison.  Then a column stored at a point the table does
-    not hold is refused, and each held diagonal is compared with the
-    range's memoised inversion product.
+    compares each column's keys with its Bruhat interval (within the rows
+    held at its point) in one set comparison.  Then a column stored at a
+    point the table does not hold is refused, and each held diagonal is
+    compared with the range's memoised inversion product.
     """
     rng = table.range
     leq = rng.leq
     elements = rng.elements
     columns = table.columns
-    rows, points = table.rows, table.points
+    rows, points, rows_at = table.rows, table.points, table.rows_at
 
     def refuse(w, v, what, support=True):
         raise InternalInconsistency(
@@ -232,7 +275,7 @@ def _verify_table(table: RestrictionTable):
     held = range(len(leq)) if points is None else sorted(points)
     checked: dict = {}
     for v in held:
-        below = leq[v] if rows is None else leq[v] & rows
+        below = leq[v] if rows_at is None else leq[v] & rows_at[v]
         column = columns.get(v, {})
         for w, poly in column.items():
             if checked.get(id(poly)) == w:
@@ -257,8 +300,7 @@ def _verify_table(table: RestrictionTable):
     for v in sorted(columns.keys() - held):
         for w in columns[v]:
             refuse(w, v, "stored outside the points")
-    diagonal = held if rows is None else rows if points is None else rows & points
-    for w in sorted(diagonal):
+    for w in held if rows is None else sorted(rows):
         if columns[w].get(w) != rng.inversion_product(w):
             raise InternalInconsistency(
                 f"diagonal value at {elements[w]} differs from its inversion product"

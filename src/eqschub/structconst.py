@@ -32,14 +32,17 @@ x above the longer element of its pair and reads the row of the shorter
 one (the given v on a tie), so it walks the fewest x.
 
 One rule, ``recurrence_table``, gives the table the recurrence reads:
-the rows of the columns' Bruhat lower ideals at the fixed points above
-the other elements, up to the longest length computed (``localize``
-closes both sets).  So ``mult`` reads ``pair_table``, the lower ideal of
-the shorter element at the points above the longer one up to length
-l(u) + l(v), and a sweep, whose swept elements form a lower ideal
-holding e, their rows at every point.  A column that would read a row or
-a point its table does not hold raises InternalInconsistency instead of
-reading zero.
+the rows of the columns themselves at the fixed points above the other
+elements, up to the longest length computed.  ``localize`` closes both
+sets: it adds the points the table's steps start from and holds at each
+only the rows those steps read, with the columns' Bruhat lower ideals as
+points of their own.  So ``mult`` reads ``pair_table``: the row of the
+shorter element at the points above the longer one up to length
+l(u) + l(v), and below them the rows the steps up to those points read.
+A sweep's swept elements form a lower ideal holding e, so its table holds
+their rows at every point.  A column that would read a point its table
+does not hold, or its row at a point that does not hold it, raises
+InternalInconsistency instead of reading zero.
 
 The Bruhat order and the linear forms xi^{s_i} come from the range
 (``WeylRange.xi``, summed from the inversion roots along canonical
@@ -132,11 +135,11 @@ def pair_table(rng: WeylRange, u: WeylElement, v: WeylElement) -> RestrictionTab
 
 def recurrence_table(rng: WeylRange, vs, us, top: int) -> RestrictionTable:
     """The table the recurrence reads for the columns of the ids ``vs`` at
-    the ids ``us`` up to length ``top``: the rows of the lower ideals
-    ``rng.leq[v]``, at the points x >= some u with l(x) <= ``top``.  A set
-    covering the range is passed on as None, the rows only with the points,
-    since ``restriction_table`` adds the rows to any points it is given."""
-    rows = frozenset().union(*(rng.leq[v] for v in vs))
+    the ids ``us`` up to length ``top``: the rows ``vs`` at the points
+    x >= some u with l(x) <= ``top``, which ``restriction_table`` closes
+    (see the module docstring).  A point set covering the range is passed
+    on as None, and the rows too when they are the whole range."""
+    rows = frozenset(vs)
     points = _points_above(rng, us, top)
     if len(points) == len(rng):
         points = None
@@ -258,16 +261,13 @@ class ChevalleyContext:
                 lists[i].append((other, k))
 
 
-def _check_row(table: RestrictionTable, a) -> None:
-    """An InternalInconsistency unless ``table`` holds the row of the id ``a``."""
-    if not table.holds(a):
-        raise InternalInconsistency(f"the restriction table does not hold row {a}")
-
-
-def _check_point(table: RestrictionTable, b) -> None:
-    """An InternalInconsistency unless ``table`` holds the point of the id ``b``."""
+def _check_point(table: RestrictionTable, b, a=None) -> None:
+    """An InternalInconsistency unless ``table`` holds the point of the id
+    ``b`` (and the row of the id ``a`` there, if given)."""
     if not table.holds_point(b):
         raise InternalInconsistency(f"the restriction table does not hold point {b}")
+    if a is not None and not table.holds(a, b):
+        raise InternalInconsistency(f"the restriction table does not hold row {a} at point {b}")
 
 
 def _checked_quotient(dividend: RootPolynomial, divisor, degree: int, u, v, w) -> RootPolynomial:
@@ -303,11 +303,10 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
     top = max(length[u] for u in us) + lv
     table = context.table
     _check_bound(table.range, top)
-    _check_row(table, v)
-    if table.points is not None:
-        # The column reads every x >= some u up to length top.
+    if table.points is not None or table.rows is not None:
+        # The column reads row v at every x >= some u up to length top.
         for x in _points_above(table.range, us, top):
-            _check_point(table, x)
+            _check_point(table, x, v)
     above = context.above
     rank = table.rs.rank
     columns = table.columns
@@ -377,8 +376,8 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
     longest element, so the check is run against the transported values.
     The ids of ``s.values`` are read as ids of ``table``'s range, which
     holds ``s.order`` as a prefix when its root system is ``s``'s.  A
-    table missing a row this reads, or holding only some points, is an
-    InternalInconsistency.
+    table missing a row this reads at some point, or holding only some
+    points, is an InternalInconsistency.
     """
     transform = None
     if s.basis == "y":
@@ -387,12 +386,12 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
         transform = longest_element(s.rs).matrix
     index, columns = table.range.index, table.columns
     u, v = index.get(s.u), index.get(s.v)
-    for a in (u, v, *s.values):
-        _check_row(table, a)
     if table.points is not None:
         raise InternalInconsistency("the identity reads every point, and the table holds some")
     zero = RootPolynomial.zero(table.rs.rank)
     for z, element in enumerate(table.range.elements):
+        for a in (u, v, *s.values):
+            _check_point(table, z, a)
         column = columns[z]
         lhs = column.get(u, zero) * column.get(v, zero)
         if transform is not None:

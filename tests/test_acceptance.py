@@ -29,6 +29,7 @@ from eqschub import (
     verify_product_identity,
 )
 from eqschub.localize import RestrictionTable
+from eqschub.structconst import pair_table
 
 from conftest import all_reduced_words, billey_restrict, inversion_product, mat_vec
 
@@ -547,12 +548,16 @@ def test_c7_double_schubert_oracle(sweeps):
     for _ in range(3):
         u, v = draw.choice(elements), draw.choice(elements)
         s = structure_constants(table, u, v)
+        # mult's own table, which holds at each point only the rows read there.
+        pair = structure_constants(pair_table(table.range, u, v), u, v)
+        assert pair.order == s.order
         expected = _double_oracle_constants(
             doubles, 5, _perm_of_word(u.word, 5), _perm_of_word(v.word, 5),
             [_perm_of_word(w.word, 5) for w in s.order],
         )
         for k, w in enumerate(s.order):
             assert _in_y(s.values.get(k, zero), 5) == expected[k], (u, v, w)
+            assert _in_y(pair.values.get(k, zero), 5) == expected[k], (u, v, w)
             checked += 1
     elapsed = time.perf_counter() - start
     report(7, f"{checked} A2, A3 and A4 entries match the double Schubert oracle, {elapsed:.2f}s")

@@ -390,8 +390,10 @@ def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, 
     """On every pair, swapped and equal-length ones included, mult's table
     holds the lower ideal of the shorter element (v on a tie) and no other
     row, at the points above the longer element up to l(u) + l(v),
-    those rows and the prefixes of their canonical words, and its
-    constants are those of the whole table."""
+    those rows and the prefixes of their canonical words; at a point above
+    the longer element that is no other point's prefix, it holds the
+    shorter element's row alone; and its constants are those of the whole
+    table."""
     import eqschub.structconst as structconst
 
     rs = builtin_root_system(rs_type)
@@ -423,6 +425,14 @@ def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, 
                 rng.index[element_from_word(rs, rng.elements[b].word[:j])]
                 for b in upper | rows for j in range(rng.elements[b].length + 1)
             }, (u, v)
+            # A point above the longer element that no step starts from
+            # holds the shorter element's row alone.
+            prefixes = {
+                rng.index[element_from_word(rs, rng.elements[b].word[:j])]
+                for b in points for j in range(rng.elements[b].length)
+            }
+            for b in upper - prefixes:
+                assert table.columns[b].keys() == {short} & rng.leq[b], (u, v, b)
             s = structure_constants(whole, u, v)
             assert code == 0
             assert out.splitlines()[1:-1] == [
@@ -1008,6 +1018,33 @@ def test_sweep_refuses_cache_with_bad_line(tmp_path, monkeypatch, capsys, bad):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cache {cache}: line 6 is not ")
+
+
+@pytest.mark.parametrize(
+    "basis,exp", [("x", "zz"), ("y", [-1]), ("x", [True]), ("y", [1.0])],
+    ids=["x-string", "y-negative", "x-bool", "y-float"],
+)
+def test_sweep_refuses_cache_with_a_bad_exponent(tmp_path, monkeypatch, capsys, basis, exp):
+    """A stored exponent that is not a list of nonnegative ints makes the
+    line no sweep record under either basis, though the x sign rule reads
+    no exponent and the y rule only the parity of their sum."""
+    cache = tmp_path / "cache.jsonl"
+    args = ["sweep", "--type", "A1", "--max-length", "1", "--basis", basis, "--cache", str(cache)]
+    assert run(args)[0] == 0
+    lines = cache.read_text().splitlines()
+    record = json.loads(lines[-1])
+    terms = [term for value in record["values"] for term in value["poly"]["terms"]]
+    assert terms
+    for term in terms:
+        term["exp"] = exp
+    lines[-1] = json.dumps(record)
+    cache.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    _forbid_solving(monkeypatch)
+    code, out = run(args)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cache {cache}: line {len(lines)} is not a sweep record")
 
 
 def test_sweep_cache_that_cannot_be_read_exits_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Fixed-point restriction values: the table, single columns and the
 subword-formula oracle."""
 
+import re
+
 import pytest
 
 from eqschub import (
@@ -50,6 +52,36 @@ def ideal_rows(rng, v):
 def upper_points(rng, x, top):
     """The ids of the w >= the id x with l(w) <= top."""
     return {w for w, e in enumerate(rng) if e.length <= top and x in rng.leq[w]}
+
+
+def wanted_rows(rng, rows, points):
+    """The rows a table over ``rows`` at ``points`` holds at each point, by
+    its rules iterated to a fixed point, with w s_i read off the elements'
+    matrices: ``rows`` at each of ``points``, ``rows`` and w itself at each
+    w of their Bruhat lower ideal, and at the canonical parent v s_i of a
+    point v, the rows of v with each w s_i < w of them."""
+    rs = rng.elements[0].rs
+    down = {
+        (w, i): rng.index[x] for w, e in enumerate(rng) for i in range(1, rs.rank + 1)
+        if (x := element_from_word(rs, e.word + (i,))).length < e.length
+    }
+    ideal = set().union(*(rng.leq[w] for w in rows))
+    want = {p: set(rows) for p in points | ideal}
+    for w in ideal:
+        want[w].add(w)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(want):
+            word = rng.elements[v].word
+            if not word:
+                continue
+            parent = rng.index[element_from_word(rs, word[:-1])]
+            step = want[v] | {down[w, word[-1]] for w in want[v] if (w, word[-1]) in down}
+            if not step <= want.setdefault(parent, set()):
+                want[parent] |= step
+                changed = True
+    return want
 
 
 def word_prefixes(rng, ids):
@@ -247,11 +279,21 @@ def test_range_xi_is_the_simple_reflection_rows(rs, k):
         ), rng.elements[v]
 
 
-def test_ideal_table_refuses_rows_not_closed_under_going_down():
-    rng = enumerate_upto(A2, 3)
+def test_table_closes_unclosed_rows_and_refuses_rows_outside_the_range():
+    """Rows not closed under going down are the rows wanted: the table
+    closes them and holds the whole table's entries wherever it holds a
+    row.  An id outside the range, or no row at all, is refused."""
+    whole = restriction_table(A2, 3)
+    rng = whole.range
     s1s2 = rng.index[element_from_word(A2, (1, 2))]
-    for rows in ({s1s2}, {0, s1s2}, {0, len(rng)}):
-        with pytest.raises(ValueError, match="closed under going down"):
+    for rows in ({s1s2}, {0, s1s2}):
+        table = restriction_table(A2, 3, rng=rng, rows=rows)
+        assert table.rows == rng.leq[s1s2]
+        assert table.rows_at == wanted_rows(rng, rows, set(range(len(rng))))
+        for v, column in table.columns.items():
+            assert column == {w: p for w, p in whole.columns[v].items() if w in table.rows_at[v]}
+    for rows in ({0, len(rng)}, set()):
+        with pytest.raises(ValueError, match="ids of the range"):
             restriction_table(A2, 3, rng=rng, rows=rows)
 
 
@@ -281,6 +323,26 @@ def test_value_raises_on_a_row_the_table_does_not_hold():
     assert restriction_table(A2, 3).value(s1s2, s1).is_zero()
 
 
+def test_value_raises_on_a_row_held_at_another_point_only():
+    """A table over one row holds, at a point, only the rows the steps above
+    it read; a row it holds elsewhere is not read as zero at that point."""
+    whole = restriction_table(A3, 6)
+    rng = whole.range
+    els = rng.elements
+    short, long = (rng.index[element_from_word(A3, x)] for x in ((2, 1), (1, 3)))
+    table = restriction_table(A3, 6, rng=rng, rows={short}, points=upper_points(rng, long, 4))
+    pairs = [(w, v) for v in table.points for w in table.rows if not table.holds(w, v)]
+    assert any(w in rng.leq[v] for w, v in pairs)
+    for w, v in pairs:
+        assert table.holds(w) and table.holds_point(v)
+        message = re.escape(f"does not hold the row of {els[w]} at {els[v]}")
+        with pytest.raises(InternalInconsistency, match=message):
+            table.value(els[w], els[v])
+    for v in table.points:
+        for w in table.rows_at[v]:
+            assert table.value(els[w], els[v]) == whole.columns[v].get(w, RootPolynomial.zero(3))
+
+
 @pytest.mark.parametrize(
     "rs,k",
     [(A3, 6), (B2, 4), (G2, 6), (AFF_A2, 6), (AFF, 10)],
@@ -295,13 +357,27 @@ def test_point_table_is_the_whole_table_at_its_points(rs, k):
     for x in range(len(rng)):
         # Every other x cut just above itself, the rest at the bound.
         points = upper_points(rng, x, rng.elements[x].length + 1 if x % 2 else k)
-        for rows in (None, ideal_rows(rng, min(x, len(rng) - 1 - x))):
+        y = min(x, len(rng) - 1 - x)
+        for rows in (None, ideal_rows(rng, y)):
             table = restriction_table(rs, k, rng=rng, rows=rows, points=points)
             assert table.points == word_prefixes(rng, points | (rows or set()))
             assert table.columns == {
                 v: {w: p for w, p in column.items() if rows is None or w in rows}
                 for v, column in whole.columns.items() if v in table.points
             }
+            if rows is not None:
+                assert table.rows_at == dict.fromkeys(table.points, rows)
+        # A single row, closed by the table: at each given point it holds
+        # the rows the steps above that point read.
+        table = restriction_table(rs, k, rng=rng, rows={y}, points=points)
+        want = wanted_rows(rng, {y}, points)
+        assert table.rows == rng.leq[y]
+        assert table.points == word_prefixes(rng, points | rng.leq[y])
+        assert table.rows_at == want
+        for p in points:
+            assert table.columns[p].keys() == want[p] & rng.leq[p], (x, p)
+        for v, column in table.columns.items():
+            assert column == {w: whole.columns[v][w] for w in column}, (x, v)
 
 
 def test_point_table_refuses_points_outside_the_range():

@@ -29,7 +29,13 @@ from eqschub import (
 )
 from eqschub.localize import RestrictionTable
 from eqschub.rootsys import GENERAL
-from eqschub.structconst import ChevalleyContext, column_constants, record_text, terms_sign_ok
+from eqschub.structconst import (
+    ChevalleyContext,
+    column_constants,
+    pair_table,
+    record_text,
+    terms_sign_ok,
+)
 from eqschub.weyl import inversion_coords
 
 from conftest import (
@@ -306,17 +312,6 @@ def test_parabolic_vanishing(rs, k):
 # Chevalley recurrence, checked against the triangular oracle
 
 
-def pair_table(rng, u, v):
-    """The table ``mult`` builds for the pair (u, v) over ``rng``: the rows
-    of the lower ideal of the shorter element (v on a tie), at the points
-    above the longer one up to length l(u) + l(v)."""
-    short, long = (u, v) if u.length < v.length else (v, u)
-    short, long = rng.index[short], rng.index[long]
-    top = u.length + v.length
-    points = {b for b, w in enumerate(rng) if w.length <= top and long in rng.leq[b]}
-    return restriction_table(u.rs, rng.bound, rng=rng, rows=rng.leq[short], points=points)
-
-
 def _assert_columns_match_solver(table, vs, us_of, pair_tables=True):
     """Every column of an id v of ``vs``, at the ids u of ``us_of(v)``, and
     every one-pair ``structure_constants`` of (u, v), equals the triangular
@@ -476,6 +471,25 @@ def test_structure_constants_raise_on_a_row_the_table_lacks():
             structure_constants(table, u, v)
     bare = restriction_table(A3, 6, rng=rng, rows=rng.leq[rng.index[s1]])
     assert structure_constants(bare, s1, s1).values == structure_constants(whole, s1, s1).values
+
+
+def test_structure_constants_raise_on_a_row_held_at_other_points_only():
+    """``mult``'s table for (s1 s3, s2 s1) holds the rows s1 and s2 of the
+    lower ideal of s2 s1 at some points, but not at every point above s1 s3
+    that the pairs (s1 s3, s1) and (s1 s3, s2) read: those are refused,
+    not read as zero there."""
+    from eqschub import InternalInconsistency, enumerate_upto
+
+    rng = enumerate_upto(A3, 6)
+    whole = restriction_table(A3, 6, rng=rng)
+    u, v = element_from_word(A3, (1, 3)), element_from_word(A3, (2, 1))
+    table = pair_table(rng, u, v)
+    for x in (v, identity(A3)):
+        assert structure_constants(table, u, x).values == structure_constants(whole, u, x).values
+    for x in (element_from_word(A3, (1,)), element_from_word(A3, (2,))):
+        assert table.holds(rng.index[x])
+        with pytest.raises(InternalInconsistency, match=f"does not hold row {rng.index[x]} at"):
+            structure_constants(table, u, x)
 
 
 @pytest.mark.parametrize("rs,k", [(A3, 6), (AFF_A2, 6)], ids=["A3", "AffineA2"])
