@@ -595,12 +595,13 @@ def _read_cache(path: str) -> dict | None:
                     )
                 continue
             try:
-                terms = [term for value in record["values"] for term in value["poly"]["terms"]]
-                exps = [term["exp"] for term in terms]
-                if not _natural_exponents(exps):
+                terms = [
+                    (term["exp"], int(term["coeff"]))
+                    for value in record["values"] for term in value["poly"]["terms"]
+                ]
+                if not _natural_exponents([exp for exp, _ in terms]):
                     raise ValueError("an exponent is not a list of nonnegative ints")
-                coeffs = [int(term["coeff"]) for term in terms]
-                ok = terms_sign_ok(record["basis"], zip(exps, coeffs))
+                ok = terms_sign_ok(record["basis"], terms)
                 stored = record["certificate"]["verdict"]
                 verdicts[_cache_key(record)] = ok
             except (KeyError, TypeError, ValueError):
