@@ -54,17 +54,26 @@ def upper_points(rng, x, top):
     return {w for w, e in enumerate(rng) if e.length <= top and x in rng.leq[w]}
 
 
-def wanted_rows(rng, rows, points):
-    """The rows a table over ``rows`` at ``points`` holds at each point, by
-    its rules iterated to a fixed point, with w s_i read off the elements'
-    matrices: ``rows`` at each of ``points``, ``rows`` and w itself at each
-    w of their Bruhat lower ideal, and at the canonical parent v s_i of a
-    point v, the rows of v with each w s_i < w of them."""
+def word_steps(rng):
+    """The canonical parent v s_i of each id v but e, with i the last letter
+    of v's word, and the id of w s_i < w for each id w and letter i, read
+    off the elements' matrices."""
     rs = rng.elements[0].rs
+    parent = {v: rng.index[element_from_word(rs, e.word[:-1])] for v, e in enumerate(rng) if v}
     down = {
         (w, i): rng.index[x] for w, e in enumerate(rng) for i in range(1, rs.rank + 1)
         if (x := element_from_word(rs, e.word + (i,))).length < e.length
     }
+    return parent, down
+
+
+def wanted_rows(rng, rows, points, steps):
+    """The rows a table over ``rows`` at ``points`` holds at each point, by
+    its rules iterated to a fixed point over ``steps = word_steps(rng)``:
+    ``rows`` at each of ``points``, ``rows`` and w itself at each w of
+    their Bruhat lower ideal, and at the canonical parent v s_i of a point
+    v, the rows of v with each w s_i < w of them."""
+    parent, down = steps
     ideal = set().union(*(rng.leq[w] for w in rows))
     want = {p: set(rows) for p in points | ideal}
     for w in ideal:
@@ -73,13 +82,12 @@ def wanted_rows(rng, rows, points):
     while changed:
         changed = False
         for v in list(want):
-            word = rng.elements[v].word
-            if not word:
+            if not v:
                 continue
-            parent = rng.index[element_from_word(rs, word[:-1])]
-            step = want[v] | {down[w, word[-1]] for w in want[v] if (w, word[-1]) in down}
-            if not step <= want.setdefault(parent, set()):
-                want[parent] |= step
+            i = rng.elements[v].word[-1]
+            step = want[v] | {down[w, i] for w in want[v] if (w, i) in down}
+            if not step <= want.setdefault(parent[v], set()):
+                want[parent[v]] |= step
                 changed = True
     return want
 
@@ -289,7 +297,7 @@ def test_table_closes_unclosed_rows_and_refuses_rows_outside_the_range():
     for rows in ({s1s2}, {0, s1s2}):
         table = restriction_table(A2, 3, rng=rng, rows=rows)
         assert table.rows == rng.leq[s1s2]
-        assert table.rows_at == wanted_rows(rng, rows, set(range(len(rng))))
+        assert table.rows_at == wanted_rows(rng, rows, set(range(len(rng))), word_steps(rng))
         for v, column in table.columns.items():
             assert column == {w: p for w, p in whole.columns[v].items() if w in table.rows_at[v]}
     for rows in ({0, len(rng)}, set()):
@@ -354,6 +362,7 @@ def test_point_table_is_the_whole_table_at_its_points(rs, k):
     it holds exactly the whole table's entries."""
     whole = restriction_table(rs, k)
     rng = whole.range
+    steps = word_steps(rng)
     for x in range(len(rng)):
         # Every other x cut just above itself, the rest at the bound.
         points = upper_points(rng, x, rng.elements[x].length + 1 if x % 2 else k)
@@ -370,7 +379,7 @@ def test_point_table_is_the_whole_table_at_its_points(rs, k):
         # A single row, closed by the table: at each given point it holds
         # the rows the steps above that point read.
         table = restriction_table(rs, k, rng=rng, rows={y}, points=points)
-        want = wanted_rows(rng, {y}, points)
+        want = wanted_rows(rng, {y}, points, steps)
         assert table.rows == rng.leq[y]
         assert table.points == word_prefixes(rng, points | rng.leq[y])
         assert table.rows_at == want
