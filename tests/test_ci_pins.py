@@ -58,7 +58,7 @@ def test_pinned_steps_replay_in_one_process(tmp_path, monkeypatch):
     steps = pinned_steps()
     assert [digest[:8] for _, _, digest in steps] == [
         "b4072952", "a6f10368", "2e371e63", "7bbb9aed", "426a687f", "8cded4cb", "6c0338ca",
-        "0024674a", "8543aaf5",
+        "0024674a", "059fc534", "8543aaf5",
     ]
     for files, commands, digest in steps:
         for path, text in files.items():
