@@ -111,6 +111,13 @@ class RootSystem:
     fundamental_weights: tuple[tuple[Fraction, ...], ...] | None
     descriptor: str
 
+    def __hash__(self) -> int:
+        # Equal systems have equal matrices, kinds and descriptors, so this
+        # hash is valid without the roots and weights, whose Fractions make
+        # hashing them some 25 times slower on A4; a memo keyed by the
+        # system (``weyl.longest_element``) hashes it on every look-up.
+        return hash((self.cartan, self.kind, self.descriptor))
+
     @property
     def rank(self) -> int:
         return self.cartan.rank
@@ -406,27 +413,26 @@ class RootPolynomial:
         )
 
     def apply_linear(self, matrix) -> "RootPolynomial":
-        """Substitute a_i by the i-th column of an integer matrix.
+        """Substitute a_i by the i-th column of ``matrix``, a signed
+        permutation matrix: each a_i goes to +-a_j, and each term to one
+        term, its exponents permuted and its sign flipped when its degree
+        in the negated variables is odd.  Any other matrix is a ValueError.
 
-        Used to transport polynomials along a Weyl group element acting on
-        the simple roots.
+        The engine substitutes by the longest element w0 of a finite type.
+        -w0 maps the positive roots onto the positive roots, so it maps the
+        simple roots, the positive roots that are no sum of two others,
+        onto the simple roots: w0(alpha_i) = -alpha_sigma(i), for sigma the
+        diagram's opposition involution (the identity where w0 = -1).
         """
         n = self.rank
-        images = [
-            RootPolynomial.from_linear(n, [matrix[r][i] for r in range(n)])
-            for i in range(n)
-        ]
-        powers: list[list[RootPolynomial]] = [[RootPolynomial.one(n)] for _ in range(n)]
-        out = RootPolynomial.zero(n)
-        for exp, coeff in self._exponent_items(self.terms.items()):
-            term = RootPolynomial.constant(n, coeff)
-            for i, e in enumerate(exp):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * images[i])
-                if e:
-                    term = term * powers[i][e]
-            out = out + term
-        return out
+        moves, keep, odd = _signed_permutation(tuple(map(tuple, matrix)), n)
+        out = {}
+        for key, coeff in self.terms.items():
+            image = key & keep
+            for source, target in moves:
+                image |= (key >> source & _FIELD_MASK) << target
+            out[image] = -coeff if (key & odd).bit_count() & 1 else coeff
+        return RootPolynomial(n, out, _clean=True)
 
     def evaluate(self, values) -> Fraction:
         """Exact evaluation at a_i = values[i-1] (rationals)."""
@@ -517,6 +523,34 @@ class RootPolynomial:
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]}
+
+
+@lru_cache(maxsize=64)
+def _signed_permutation(matrix: tuple, rank: int) -> tuple[tuple, int, int]:
+    """How ``apply_linear`` moves a packed key under a signed permutation
+    ``matrix`` of ``rank``: the (source, target) shifts of the exponent
+    fields that move, the mask of the bits that stay (the degree and the
+    fixed fields), and the mask of the low bits of the negated variables'
+    fields, whose set bits in a key count, mod 2, its degree in those
+    variables.  A ValueError for any other matrix."""
+    if len(matrix) != rank or any(len(row) != rank for row in matrix):
+        raise ValueError(f"substitution matrix is not {rank} x {rank}")
+    shift = [FIELD_BITS * (rank - 1 - i) for i in range(rank)]
+    targets, negated = [], []
+    for i in range(rank):
+        entries = [(j, row[i]) for j, row in enumerate(matrix) if row[i]]
+        if len(entries) != 1 or entries[0][1] not in (1, -1):
+            raise ValueError(f"substitution matrix {matrix} is not a signed permutation")
+        targets.append(entries[0][0])
+        negated.append(entries[0][1] < 0)
+    if len(set(targets)) != rank:
+        raise ValueError(f"substitution matrix {matrix} is not a signed permutation")
+    moves = tuple((shift[i], shift[j]) for i, j in enumerate(targets) if i != j)
+    keep = (1 << FIELD_BITS * (rank + 1)) - 1
+    for source, _ in moves:
+        keep &= ~(_FIELD_MASK << source)
+    odd = sum(1 << shift[i] for i in range(rank) if negated[i])
+    return moves, keep, odd
 
 
 def _add_product(out: dict, a: RootPolynomial, b: RootPolynomial) -> dict:

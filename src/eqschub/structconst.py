@@ -189,6 +189,13 @@ class ChevalleyContext:
     * ``covers_up[x][i]`` lists (w, c_{s_i,x}^w) for the w covering x, and
       ``covers_down[x][i]`` lists (y, c_{s_i,y}^x) for the y that x covers,
       each without the zero integers.
+
+    Those depend on the pair of ids alone, not on the table, so the range
+    keeps them for every context over it and its prefixes, in its memo
+    "recurrence steps": under x, for each w > x read so far, the step
+    (w, i, divisor) and the nonzero (i, c_{s_i,x}^w) if w covers x (none
+    otherwise).  They are computed, and checked, on the first read of the
+    pair in the process; the point check runs on every ``read``.
     """
 
     def __init__(self, table: RestrictionTable):
@@ -208,57 +215,64 @@ class ChevalleyContext:
         self.steps = [None] * n
         self.covers_up = [None] * n
         self.covers_down = [None] * n
-        self._divisors: dict = {}
+        self.rank = table.rs.rank
+        self._known = table.range.memo("recurrence steps")
+        self._divisors = table.range.memo("recurrence divisors")
 
     def read(self, x: int):
         """``steps[x]`` and ``covers_up[x]``, with ``covers_down[x]``, built
         on the first call for x."""
         if self.steps[x] is None:
             _check_point(self.table, x)
-            length, xi, divisors = self.length, self.xi, self._divisors
-            at_x = xi[x]
+            known = self._known.setdefault(x, {})
             steps = []
-            up = [[] for _ in at_x]
+            up = [[] for _ in range(self.rank)]
             for w in self.above[x]:
                 if w == x:
                     continue
-                at_w = xi[w]
-                if length[w] == length[x] + 1:
-                    self._cover(up, w, x, w)
-                i = 0
-                while at_w[i] == at_x[i]:
-                    i += 1
-                    if i == len(at_x):
-                        raise InternalInconsistency(
-                            f"no letter separates {self.elements[x]} < {self.elements[w]}"
-                        )
-                key = (at_w[i], at_x[i])
-                divisor = divisors.get(key)
-                if divisor is None:
-                    diff = tuple(map(sub, *key))
-                    divisor = divisors[key] = LinearForm.from_linear(len(diff), diff)
-                steps.append((w, i, divisor))
-            down = [[] for _ in at_x]
+                step, covers = known.get(w) or self._pair(x, w)
+                steps.append(step)
+                for i, k in covers:
+                    up[i].append((w, k))
+            down = [[] for _ in range(self.rank)]
             for y in sorted(self.below[x]):
-                self._cover(down, y, y, x)
+                for i, k in (self._known.setdefault(y, {}).get(x) or self._pair(y, x))[1]:
+                    down[i].append((y, k))
             self.steps[x], self.covers_up[x], self.covers_down[x] = steps, up, down
         return self.steps[x], self.covers_up[x]
 
-    def _cover(self, lists, other: int, y: int, w: int):
-        """Append (other, c_{s_i,y}^w) to ``lists[i]`` for each i with a
-        nonzero integer, for w covering y."""
-        for i, (p, q) in enumerate(zip(self.xi[w], self.xi[y])):
-            if p == q:
-                continue
-            coeffs = tuple(map(sub, p, q))
-            if min(coeffs) < 0:
+    def _pair(self, x: int, w: int):
+        """The step (w, i, divisor) of the ids x < w, and (i, c_{s_i,x}^w)
+        for each i with a nonzero integer if w covers x, kept in the
+        range's memo."""
+        at_x, at_w = self.xi[x], self.xi[w]
+        covers = []
+        if self.length[w] == self.length[x] + 1:
+            for i, (p, q) in enumerate(zip(at_w, at_x)):
+                if p == q:
+                    continue
+                coeffs = tuple(map(sub, p, q))
+                if min(coeffs) < 0:
+                    raise InternalInconsistency(
+                        f"xi^s{i + 1} at {self.elements[w]} minus at "
+                        f"{self.elements[x]} has a negative coefficient"
+                    )
+                k = gcd(*coeffs)
+                if k:
+                    covers.append((i, k))
+        i = 0
+        while at_w[i] == at_x[i]:
+            i += 1
+            if i == len(at_x):
                 raise InternalInconsistency(
-                    f"xi^s{i + 1} at {self.elements[w]} minus at "
-                    f"{self.elements[y]} has a negative coefficient"
+                    f"no letter separates {self.elements[x]} < {self.elements[w]}"
                 )
-            k = gcd(*coeffs)
-            if k:
-                lists[i].append((other, k))
+        diff = tuple(map(sub, at_w[i], at_x[i]))
+        divisor = self._divisors.get(diff)
+        if divisor is None:
+            divisor = self._divisors[diff] = LinearForm.from_linear(len(diff), diff)
+        entry = self._known.setdefault(x, {})[w] = (w, i, divisor), tuple(covers)
+        return entry
 
 
 def _check_point(table: RestrictionTable, b, a=None) -> None:

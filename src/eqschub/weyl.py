@@ -12,10 +12,11 @@ stripping descents, ``enumerate_upto`` by extending parents.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add
 
 from .errors import (
+    InternalInconsistency,
     NotFiniteType,
     NotGroupElement,
     RankMismatch,
@@ -105,7 +106,10 @@ class WeylElement:
         return word_text(self.word)
 
 
+@lru_cache(maxsize=None)
 def word_text(word: tuple[int, ...]) -> str:
+    """The text of a word, such as "1,2,1", or "e" for the empty word;
+    memoised per word, since ``mult`` prints a word per row."""
     return ",".join(str(i) for i in word) if word else "e"
 
 
@@ -218,7 +222,9 @@ class WeylRange:
     canonical word's last letter d adds, as a ``LinearForm`` (None at id 0).
     ``xi[w][i]`` holds the coordinates on the simple roots of
     xi^{s_{i+1}}(w) = omega_{i+1} - w(omega_{i+1}): the sum of the last
-    roots w's canonical word adds at its letters i + 1.
+    roots w's canonical word adds at its letters i + 1.  ``memo(name)``
+    holds data kept per id, such as the inversion products and the steps
+    of the Chevalley recurrence (``structconst.ChevalleyContext``).
     """
 
     def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],
@@ -231,10 +237,9 @@ class WeylRange:
         self.last_root = last_root
         self.xi = xi
         # The enumerated range this one is a prefix of; its Bruhat order is
-        # built there, once, and sliced here, and its inversion products
-        # are kept there.
+        # built there, once, and sliced here, and its memos are kept there.
         self._whole = self
-        self._inversion_products: dict = {}
+        self._memos: dict = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -265,15 +270,20 @@ class WeylRange:
             below.append(parent.union([rmul[u][i] for u in parent]))
         return below
 
+    def memo(self, name: str) -> dict:
+        """The dict kept under ``name`` for data computed per id, shared by
+        the range this one is a prefix of and all its prefixes: a prefix's
+        ids are that range's ids."""
+        return self._whole._memos.setdefault(name, {})
+
     def inversion_product(self, w: int) -> RootPolynomial:
         """The product of the roots ``inversion_coords`` gives along the
         canonical word of the id ``w``, its diagonal restriction value.
 
         It is built from the word, not from ``last_root``, so it checks the
-        recursion that reads those, and it is kept per id on the range this
-        one is a prefix of.
+        recursion that reads those, and it is kept per id in ``memo``.
         """
-        products = self._whole._inversion_products
+        products = self.memo("inversion products")
         poly = products.get(w)
         if poly is None:
             rank = self.rs.rank
@@ -366,8 +376,11 @@ def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> We
     return WeylRange(rs, k, tuple(elements), complete, rmul, roots, xi)
 
 
+@lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElement:
-    """Unique maximal-length element of a finite-type Weyl group."""
+    """Unique maximal-length element of a finite-type Weyl group, built
+    once per root system.  Its length is checked against the number of
+    positive roots (InternalInconsistency otherwise)."""
     if rs.kind != FINITE:
         raise NotFiniteType("longest element requires a finite-type root system")
     cur = _identity_matrix(rs.rank)
@@ -377,5 +390,9 @@ def longest_element(rs: RootSystem) -> WeylElement:
             break
         cur = _reflect_right(rs, cur, ascent)
     w0 = canonicalize(rs, cur)
-    assert w0.length == len(rs.positive_roots)
+    if w0.length != len(rs.positive_roots):
+        raise InternalInconsistency(
+            f"longest element has length {w0.length}, but there are"
+            f" {len(rs.positive_roots)} positive roots"
+        )
     return w0

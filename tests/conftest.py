@@ -30,6 +30,22 @@ def reflection_matrix(rs, i):
     )
 
 
+def substitute_linear(poly, matrix):
+    """poly with each a_i replaced by the linear form of the i-th column of
+    the integer ``matrix``, expanded as a product of powers: the oracle of
+    ``RootPolynomial.apply_linear``, which takes signed permutations only."""
+    n = poly.rank
+    images = [RootPolynomial.from_linear(n, [row[i] for row in matrix]) for i in range(n)]
+    out = RootPolynomial.zero(n)
+    for exp, coeff in poly.sorted_terms():
+        term = RootPolynomial.constant(n, coeff)
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                term = term * image
+        out = out + term
+    return out
+
+
 def right_descents(w):
     """The letters i with w(alpha_i) negative."""
     return [i for i in range(1, w.rs.rank + 1) if all(row[i - 1] <= 0 for row in w.matrix)]

@@ -450,6 +450,30 @@ def test_internal_solver_failure_exits_4(monkeypatch):
     assert code == 4
 
 
+def test_mult_exits_4_on_a_longest_element_of_the_wrong_length(monkeypatch, capsys):
+    """The length check of ``longest_element`` raises, so ``python -O``
+    keeps it: a canonical word of w0 one letter short of the number of
+    positive roots makes ``mult --basis y`` exit 4, on a cleared memo."""
+    import eqschub.weyl as weyl
+
+    canonicalize = weyl.canonicalize
+
+    def short(rs, matrix, **kwargs):
+        w = canonicalize(rs, matrix, **kwargs)
+        if w.length == len(rs.positive_roots):
+            return weyl.WeylElement(rs, w.matrix, w.word[:-1])
+        return w
+
+    monkeypatch.setattr(weyl, "canonicalize", short)
+    longest_element.cache_clear()
+    try:
+        code, out = run(["mult", "--type", "A2", "--u", "1", "--v", "2", "--basis", "y"])
+    finally:
+        longest_element.cache_clear()
+    assert (code, out) == (4, "")
+    assert "internal error: longest element has length 2, but there are 3" in capsys.readouterr().err
+
+
 def _corrupt_divisor(context, u, w):
     from eqschub.rootsys import LinearForm
 
@@ -953,6 +977,40 @@ def test_warm_calls_match_cold_calls(tmp_path, monkeypatch, capsys):
     cli.clear_setup()
     for argv in sequence:
         assert call(argv) == cold[tuple(argv)], argv
+
+
+def test_interleaved_mult_queries_print_what_fresh_processes_print(tmp_path, monkeypatch):
+    """mult queries on A3, B3 and a hyperbolic rank-3 matrix, interleaved
+    through ``cli.main`` in one process (twice over, in two orders), each
+    reading the range, the recurrence steps, w0 and the word texts its
+    predecessors left, print what each prints in a process of its own."""
+    import eqschub.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    write_cartan(tmp_path, "b3.json", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+    write_cartan(tmp_path, "hyp3.json", [[2, -2, 0], [-2, 2, -1], [0, -1, 2]], GENERAL)
+    calls = [
+        ["--type", "A3", "--u", "1,2,3", "--v", "2,1,3,2", "--basis", "y", "--format", "json"],
+        ["--type", "A3", "--u", "2,1", "--v", "3,2", "--eval", "1,2,3"],
+        ["--cartan", "b3.json", "--u", "3,2,3", "--v", "1,2,3,2", "--basis", "y"],
+        ["--cartan", "hyp3.json", "--u", "1,2", "--v", "2,3"],
+        ["--cartan", "hyp3.json", "--u", "2,1", "--v", "3,2,1,2", "--format", "json"],
+        ["--type", "A3", "--u", "1,2,3,1", "--v", "2,3", "--basis", "y", "--format", "csv"],
+        ["--cartan", "b3.json", "--u", "1,2", "--v", "2,3,2", "--format", "json", "--eval", "1,2,3"],
+    ]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "eqschub.cli", "mult", *argv], capture_output=True,
+            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        for argv in calls
+    ]
+    assert all(proc.returncode == 0 and proc.stdout for proc in fresh)
+    cli.clear_setup()
+    order = [*range(len(calls)), *reversed(range(len(calls)))]
+    for k in order:
+        assert run(["mult", *calls[k]]) == (0, fresh[k].stdout), calls[k]
 
 
 def _forbid_solving(monkeypatch):

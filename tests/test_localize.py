@@ -494,7 +494,7 @@ def test_verify_rejects_a_corrupted_diagonal_with_the_products_kept():
     already kept there and still refuses a doubled diagonal."""
     table, whole = _point_table()
     rng = table.range
-    assert whole.range is rng and len(rng._inversion_products) == len(rng)
+    assert whole.range is rng and len(rng.memo("inversion products")) == len(rng)
     w = max(table.rows)
     table.columns[w][w] = table.columns[w][w] + table.columns[w][w]
     with pytest.raises(InternalInconsistency, match="differs from its inversion product"):

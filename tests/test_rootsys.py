@@ -17,7 +17,7 @@ from eqschub import (
 )
 from eqschub.rootsys import GENERAL
 
-from conftest import mat_vec, random_polynomial
+from conftest import mat_vec, random_polynomial, substitute_linear
 
 
 def var(rank, i):
@@ -271,6 +271,74 @@ def test_apply_linear_negation_matrix():
     p = random_polynomial(random.Random(19), 2)
     neg = ((-1, 0), (0, -1))
     assert p.apply_linear(neg) == p.negate_variables()
+
+
+# Cartan matrices of the finite types whose longest element the tests
+# transport by; sigma is trivial on A1, B2, B3, C3, D4 and G2 (w0 = -1) and
+# not on A2-A5, D5 and E6.
+def _a(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+W0_CARTANS = {
+    **{f"A{n}": _a(n) for n in range(1, 6)},
+    "B2": [[2, -1], [-2, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "D5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0],
+           [0, 0, -1, 0, 2]],
+    "E6": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+           [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]],
+    "G2": [[2, -1], [-3, 2]],
+}
+NONTRIVIAL_SIGMA = {"A2", "A3", "A4", "A5", "D5", "E6"}
+
+
+def _w0_matrix(name):
+    from eqschub import longest_element
+
+    return longest_element(build_root_system(CartanMatrix.from_rows(W0_CARTANS[name]))).matrix
+
+
+@pytest.mark.parametrize("name", sorted(W0_CARTANS))
+def test_longest_element_is_minus_a_permutation(name):
+    """w0(alpha_i) = -alpha_sigma(i): each column of w0 has a single -1, in
+    distinct rows, and sigma moves some letter exactly on the types whose
+    diagram has a nontrivial opposition."""
+    m = _w0_matrix(name)
+    n = len(m)
+    sigma = []
+    for i in range(n):
+        column = [row[i] for row in m]
+        assert sorted(column) == [-1] + [0] * (n - 1), (name, i)
+        sigma.append(column.index(-1))
+    assert sorted(sigma) == list(range(n))
+    assert (sigma != list(range(n))) == (name in NONTRIVIAL_SIGMA)
+
+
+# A signed permutation that is not a negation: a1 -> a2, a2 -> -a1, a3 -> a3.
+ROTATION = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("name", [*sorted(W0_CARTANS), "rotation"])
+def test_apply_linear_matches_the_general_substitution(name):
+    """On seeded random polynomials, the signed-permutation transport equals
+    the product expansion of the conftest oracle, for w0 of each type and
+    for one signed permutation that is not a negation."""
+    m = ROTATION if name == "rotation" else _w0_matrix(name)
+    r = random.Random(f"apply_linear {name}")
+    for _ in range(20):
+        p = random_polynomial(r, len(m), max_terms=8)
+        assert p.apply_linear(m) == substitute_linear(p, m), (name, p)
+
+
+@pytest.mark.parametrize("matrix", [((1, 1), (0, 1)), ((2, 0), (0, 1)), ((0, 1), (0, 1)),
+                                    ((1, 0),)])
+def test_apply_linear_refuses_a_matrix_that_is_no_signed_permutation(matrix):
+    p = var(2, 1) * var(2, 2) + var(2, 1)
+    with pytest.raises(ValueError):
+        p.apply_linear(matrix)
 
 
 def test_text_rendering():

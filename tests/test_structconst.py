@@ -567,6 +567,47 @@ def test_context_builds_no_step_at_a_point_the_table_does_not_hold(monkeypatch):
                 context.read(outside)
 
 
+@pytest.mark.parametrize(
+    "rs,bound", [(A3, 12), (B2, 8), (G2, 12), (AFF_A2, 6)], ids=["A3", "B2", "G2", "AffineA2"]
+)
+def test_held_range_serves_the_steps_a_fresh_range_builds(monkeypatch, rs, bound):
+    """The steps, covers_up and covers_down a context reads for a pair over
+    the held range, whose memo the queries of the pairs before it filled,
+    equal those it reads over a fresh range: on every pair of A3, B2 and
+    G2, and every pair of affine A2 with l(u) + l(v) <= 6.  A pair whose u
+    is the longer reads what (v, u) reads, so u runs over the others."""
+    import eqschub.cli as cli
+
+    read = ChevalleyContext.read
+    contexts = []
+
+    def recorded(context, x):
+        contexts.append(context)
+        return read(context, x)
+
+    def reads(rng, u, v):
+        contexts.clear()
+        structure_constants(pair_table(rng, u, v), u, v)
+        context = contexts[0]
+        return {
+            x: (context.steps[x], context.covers_up[x], context.covers_down[x])
+            for x in range(len(rng)) if context.steps[x] is not None
+        }
+
+    monkeypatch.setattr(ChevalleyContext, "read", recorded)
+    cli.clear_setup()
+    held = cli.weyl_range(rs, bound)
+    pairs = [(u, v) for u in held for v in held if u.length <= v.length <= bound - u.length]
+    try:
+        for u, v in pairs:
+            cli.clear_setup()
+            fresh = reads(cli.weyl_range(rs, u.length + v.length), u, v)
+            assert reads(held.prefix(u.length + v.length), u, v) == fresh, (u, v)
+    finally:
+        cli.clear_setup()
+    assert held.memo("recurrence steps")
+
+
 def test_structure_constants_raise_on_a_point_the_table_lacks():
     """A column reads every x above the longer element up to l(u) + l(v);
     a table that leaves one out is refused, not read as zero there."""
