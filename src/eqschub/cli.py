@@ -70,9 +70,7 @@ EXIT_CERT_FAIL = 5
 
 
 class CliError(EqschubError):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.exit_code = code
+    """Bad command-line input: exit 2, from ``EqschubError.exit_code``."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,7 @@ def parse_word(text: str, rank: int, flag: str) -> tuple[int, ...]:
     out = []
     for part in text.split(","):
         part = part.strip()
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise CliError(f"{flag}: malformed word {text!r}")
         i = int(part)
         if not 1 <= i <= rank:

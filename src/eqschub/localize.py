@@ -28,7 +28,7 @@ the table built:
   the column's Bruhat interval (within the rows held at that point);
 * zero, homogeneity and sign, once per distinct (row, polynomial object),
   since a column holds its parent's entries by reference;
-* the diagonal, at the held rows, each a held point, against the
+* the diagonal, at each row held at its own point, against the
   range's inversion products, built from ``inversion_coords`` once per
   element and kept on the range (see ``WeylRange.inversion_product``).
 
@@ -45,11 +45,13 @@ the rows D(v) that the steps up to those points read:
   own, and D(w) holds those rows and w, so the table checks every
   diagonal of that ideal.
 
-The points are those, closed under v -> v s_i, and ``table.rows`` is the
-union of the D(v), the lower ideal.  Given a lower ideal as the rows, D is
-that ideal at every point.  The one step keeps only D(v) at v, since a
-row of v' that v does not hold would carry a stale value.  Which rows and
-points the Chevalley recurrence reads is ``structconst.recurrence_table``'s
+The points are those, closed under v -> v s_i, and ``table.rows_at``
+maps each to its D(v), the table's one extent (None for the whole
+table).  The union of the D(v) is the lower ideal, each w of which is
+held at its own point.  Given a lower ideal as the rows, D is that ideal
+at every point.  The one step keeps only D(v) at v, since a row of v'
+that v does not hold would carry a stale value.  Which rows and points
+the Chevalley recurrence reads is ``structconst.recurrence_table``'s
 rule.
 """
 
@@ -111,26 +113,23 @@ class RestrictionTable:
 
     ``columns`` maps the id v of each held point (see ``WeylRange``) to
     its column: a dict from the id w of each row held at v with a nonzero
-    value there to that value, and no other key.  ``points`` is the set of
-    ids v whose columns the table holds, ``rows`` the set of ids w whose
-    rows it holds at some point, and ``rows_at`` maps each held point to
-    the set of rows held there; each is None when it holds them all.
-    ``value`` reads any pair of elements of the table's root system, zero
-    where nothing is stored; it raises RankMismatch on an element of
-    another system, InternalInconsistency on a point the table does not
-    hold or a row it does not hold there, and InsufficientBound on a point
-    beyond the range.
+    value there to that value, and no other key.  ``rows_at`` is the one
+    extent: None when the table holds every row at every point of its
+    range, else a map from the id of each held point to the frozenset of
+    the rows held there.  A row is held somewhere iff it is held at its
+    own point, since every element of the rows' lower ideal is a point
+    that holds itself.  ``value`` reads any pair of elements of the
+    range's root system, zero where nothing is stored; it raises
+    RankMismatch on an element of another system, InternalInconsistency
+    on a point the table does not hold or a row it does not hold there,
+    and InsufficientBound on a point beyond the range.
     """
 
-    def __init__(self, rs: RootSystem, rng: WeylRange, columns: dict, rows=None, points=None,
-                 rows_at=None):
-        self.rs = rs
+    def __init__(self, rng: WeylRange, columns: dict, rows_at=None):
         self.range = rng
         self.columns = columns
-        self.rows = rows
-        self.points = points
         self.rows_at = rows_at
-        self._zero = RootPolynomial.zero(rs.rank)
+        self._zero = RootPolynomial.zero(rng.rs.rank)
 
     @property
     def values(self) -> dict:
@@ -141,17 +140,15 @@ class RestrictionTable:
 
     def holds(self, w, v=None) -> bool:
         """Whether the row of the id ``w`` is in the table, at the id ``v``
-        if given."""
-        if v is None or self.rows_at is None:
-            return self.rows is None or w in self.rows
-        return w in self.rows_at.get(v, ())
+        if given, else at some point (the point ``w`` itself)."""
+        return self.rows_at is None or w in self.rows_at.get(w if v is None else v, ())
 
     def holds_point(self, v) -> bool:
         """Whether the column of the id ``v`` is in the table."""
-        return self.points is None or v in self.points
+        return self.rows_at is None or v in self.rows_at
 
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
-        _check_same_system(self.rs, w, v)
+        _check_same_system(self.range.rs, w, v)
         index = self.range.index
         a, b = index.get(w), index.get(v)
         if b is None:
@@ -168,24 +165,24 @@ class RestrictionTable:
 def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
                       rows=None, points=None) -> RestrictionTable:
     """Restriction values for every pair of ids in the length-<=-k range,
-    or, given ``rows``, for the rows of ``rows``, and, given ``points``,
-    at the points of ``points``.  A given ``rng`` must be a range of
-    ``rs`` (else ValueError), and its prefix up to k is used.
+    or, given ``rows``, for the rows of ``rows`` at the points of
+    ``points`` (every point if ``points`` is None).  A given ``rng`` must
+    be a range of ``rs`` (else ValueError), and its prefix up to k is used.
 
     ``rows`` is a nonempty set of ids of the range, the rows wanted at
-    the given points (every point if ``points`` is None); ``points`` is a
-    set of ids of the range.  Anything else is a ValueError.  The table
-    closes both, as the module docstring describes: it adds each id of
-    the Bruhat lower ideal of ``rows`` as a point of its own, holding the
-    rows of ``rows`` and itself, closes the points under v -> v s_i, i the
-    last letter of v's canonical word, and holds at each point the rows
-    the step to the points above it reads.  Columns are built by the
-    one-letter recursion, each from the column of v with its last letter
-    removed, and only their nonzero entries in the rows held there are
-    kept.  The four table invariants (support exactly the Bruhat interval,
-    homogeneity, diagonal = product of inversion roots, nonnegative
-    coefficients) are verified by ``_verify_table`` on the entries held.
-    A violation raises InternalInconsistency.
+    the given points; ``points`` is a set of ids of the range, given with
+    ``rows`` only.  Anything else is a ValueError.  The table closes both,
+    as the module docstring describes: it adds each id of the Bruhat lower
+    ideal of ``rows`` as a point of its own, holding the rows of ``rows``
+    and itself, closes the points under v -> v s_i, i the last letter of
+    v's canonical word, and holds at each point the rows the step to the
+    points above it reads.  Columns are built by the one-letter recursion,
+    each from the column of v with its last letter removed, and only their
+    nonzero entries in the rows held there are kept.  The four table
+    invariants (support exactly the Bruhat interval, homogeneity, diagonal
+    = product of inversion roots, nonnegative coefficients) are verified
+    by ``_verify_table`` on the entries held.  A violation raises
+    InternalInconsistency.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
@@ -203,9 +200,8 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
         if not rows or not all(0 <= w < n for w in rows):
             raise ValueError("rows must be a nonempty set of ids of the range")
         leq = rng.leq
-        ideal = frozenset().union(*(leq[w] for w in rows))
         rows_at = dict.fromkeys(given, rows)
-        for w in ideal:
+        for w in frozenset().union(*(leq[w] for w in rows)):
             here = rows_at.get(w, rows)
             rows_at[w] = here if w in here else here | {w}
         # Parents have smaller ids, so each point's rows are complete
@@ -219,18 +215,9 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
             parent = rmul[v][i]
             there = rows_at.get(parent)
             rows_at[parent] = down if there is None else there | down
-        rows = ideal
-        if points is not None:
-            points = frozenset(rows_at)
         held = sorted(rows_at)
     elif points is not None:
-        closed = {0}
-        for v in given:
-            while v not in closed:
-                closed.add(v)
-                v = rmul[v][elements[v].word[-1] - 1]
-        points = frozenset(closed)
-        held = sorted(points)
+        raise ValueError("points must be given with rows")
     else:
         held = range(n)
 
@@ -243,7 +230,7 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
         i = elements[v].word[-1] - 1
         keep = None if rows_at is None else rows_at[v]
         columns[v] = _next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend, keep)
-    table = RestrictionTable(rs, rng, columns, rows, points, rows_at)
+    table = RestrictionTable(rng, columns, rows_at)
     _verify_table(table)
     return table
 
@@ -257,14 +244,14 @@ def _verify_table(table: RestrictionTable):
     column copies its parent's entries by reference, at the same rows.  It
     compares each column's keys with its Bruhat interval (within the rows
     held at its point) in one set comparison.  Then a column stored at a
-    point the table does not hold is refused, and each held diagonal is
-    compared with the range's memoised inversion product.
+    point the table does not hold is refused, and the diagonal of each row
+    held at its own point is compared with the range's memoised inversion
+    product.
     """
     rng = table.range
     leq = rng.leq
     elements = rng.elements
-    columns = table.columns
-    rows, points, rows_at = table.rows, table.points, table.rows_at
+    columns, rows_at = table.columns, table.rows_at
 
     def refuse(w, v, what, support=True):
         raise InternalInconsistency(
@@ -272,7 +259,7 @@ def _verify_table(table: RestrictionTable):
             f"value({elements[w]}, {elements[v]}) {what}"
         )
 
-    held = range(len(leq)) if points is None else sorted(points)
+    held = range(len(leq)) if rows_at is None else sorted(rows_at)
     checked: dict = {}
     for v in held:
         below = leq[v] if rows_at is None else leq[v] & rows_at[v]
@@ -300,7 +287,7 @@ def _verify_table(table: RestrictionTable):
     for v in sorted(columns.keys() - held):
         for w in columns[v]:
             refuse(w, v, "stored outside the points")
-    for w in held if rows is None else sorted(rows):
+    for w in filter(table.holds, held):
         if columns[w].get(w) != rng.inversion_product(w):
             raise InternalInconsistency(
                 f"diagonal value at {elements[w]} differs from its inversion product"

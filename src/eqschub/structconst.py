@@ -87,7 +87,7 @@ from .errors import (
 )
 from .localize import RestrictionTable, restriction_table
 from .rootsys import FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many
-from .weyl import WeylElement, WeylRange, _check_same_system
+from .weyl import WeylElement, WeylRange, _check_same_system, longest_element
 
 
 class StructureTable:
@@ -137,14 +137,13 @@ def recurrence_table(rng: WeylRange, vs, us, top: int) -> RestrictionTable:
     """The table the recurrence reads for the columns of the ids ``vs`` at
     the ids ``us`` up to length ``top``: the rows ``vs`` at the points
     x >= some u with l(x) <= ``top``, which ``restriction_table`` closes
-    (see the module docstring).  A point set covering the range is passed
-    on as None, and the rows too when they are the whole range."""
+    (see the module docstring).  Rows that are the whole range are held at
+    every point, so they give the whole table."""
     rows = frozenset(vs)
-    points = _points_above(rng, us, top)
-    if len(points) == len(rng):
-        points = None
-        if len(rows) == len(rng):
-            rows = None
+    if len(rows) == len(rng):
+        rows = points = None
+    else:
+        points = _points_above(rng, us, top)
     return restriction_table(rng.rs, rng.bound, rng=rng, rows=rows, points=points)
 
 
@@ -174,12 +173,12 @@ class ChevalleyContext:
     """What the Chevalley recurrence reads of one range.
 
     Elements are named by their ids in the range (see ``WeylRange``).
-    Everything is kept at the fixed points the table holds (its
-    ``points``) and nowhere else: a column walks the x >= some u and reads
-    them at w >= x, so a table holding the points above u up to the
-    column's length serves it.  ``above[x]`` lists the held w >= x in
-    increasing id and ``below[w]`` the held y that w covers, both from the
-    range's Bruhat order.  ``xi[w][i]`` holds the coordinates of
+    Everything is kept at the fixed points the table holds (the keys of
+    its ``rows_at``, or every point) and nowhere else: a column walks the
+    x >= some u and reads them at w >= x, so a table holding the points
+    above u up to the column's length serves it.  ``above[x]`` lists the
+    held w >= x in increasing id and ``below[w]`` the held y that w
+    covers, both from the range's Bruhat order over the held points.  ``xi[w][i]`` holds the coordinates of
     xi^{s_{i+1}}(w), the range's ``xi``.  The first ``read(x)``, when a
     column first reads x, builds:
 
@@ -205,7 +204,8 @@ class ChevalleyContext:
         self.length = length = [w.length for w in self.elements]
         self.above = above = [[] for _ in range(n)]
         self.below = below = [[] for _ in range(n)]
-        leq, points = table.range.leq, table.points
+        leq, rows_at = table.range.leq, table.rows_at
+        points = None if rows_at is None else frozenset(rows_at)
         for w in range(n) if points is None else sorted(points):
             for y in leq[w] if points is None else leq[w] & points:
                 above[y].append(w)
@@ -215,7 +215,7 @@ class ChevalleyContext:
         self.steps = [None] * n
         self.covers_up = [None] * n
         self.covers_down = [None] * n
-        self.rank = table.rs.rank
+        self.rank = table.range.rs.rank
         self._known = table.range.memo("recurrence steps")
         self._divisors = table.range.memo("recurrence divisors")
 
@@ -317,18 +317,18 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
     top = max(length[u] for u in us) + lv
     table = context.table
     _check_bound(table.range, top)
-    if table.points is not None or table.rows is not None:
-        # The column reads row v at every x >= some u up to length top.
-        for x in _points_above(table.range, us, top):
+    # The column reads row v at every x >= some u up to length top.
+    xs = _points_above(table.range, us, top)
+    if table.rows_at is not None:
+        for x in xs:
             _check_point(table, x, v)
-    above = context.above
-    rank = table.rs.rank
+    rank = table.range.rs.rank
     columns = table.columns
     covers_down = context.covers_down
     column: dict = {}
     # Every w > x read below is some u's upper element, longer than x, so
     # its ``read`` ran before x's.
-    for x in sorted({x for u in us for x in above[u] if length[x] <= top}, reverse=True):
+    for x in reversed(xs):
         steps, covers_up = context.read(x)
         degree = length[x] + lv
         last = min(degree, top)
@@ -364,7 +364,7 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         column[x] = values
     return [
         StructureTable(
-            table.rs, "x", elements[u], elements[v], column[u],
+            table.range.rs, "x", elements[u], elements[v], column[u],
             elements[:bisect_right(length, length[u] + lv)],
         )
         for u in us
@@ -393,16 +393,12 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
     table missing a row this reads at some point, or holding only some
     points, is an InternalInconsistency.
     """
-    transform = None
-    if s.basis == "y":
-        from .weyl import longest_element
-
-        transform = longest_element(s.rs).matrix
+    transform = longest_element(s.rs).matrix if s.basis == "y" else None
     index, columns = table.range.index, table.columns
     u, v = index.get(s.u), index.get(s.v)
-    if table.points is not None:
+    if table.rows_at is not None and len(table.rows_at) < len(table.range):
         raise InternalInconsistency("the identity reads every point, and the table holds some")
-    zero = RootPolynomial.zero(table.rs.rank)
+    zero = RootPolynomial.zero(table.range.rs.rank)
     for z, element in enumerate(table.range.elements):
         for a in (u, v, *s.values):
             _check_point(table, z, a)

@@ -168,10 +168,7 @@ def _check_same_system(rs: RootSystem, *elements: WeylElement):
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    m = _identity_matrix(w.rs.rank)
-    for i in reversed(w.word):
-        m = _reflect_right(w.rs, m, i - 1)
-    return canonicalize(w.rs, m)
+    return element_from_word(w.rs, reversed(w.word))
 
 
 def inversion_coords(rs: RootSystem, word: tuple[int, ...]) -> list[tuple[int, ...]]:

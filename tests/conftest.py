@@ -19,6 +19,12 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
+def held_rows(table):
+    """The rows a restriction table holds at some point: those it holds at
+    their own points, read off ``table.rows_at`` (not None)."""
+    return frozenset(w for w, here in table.rows_at.items() if w in here)
+
+
 def reflection_matrix(rs, i):
     """The matrix of s_{i+1}, read off the Cartan matrix by
     s_i(alpha_j) = alpha_j - a[i][j] alpha_i: row k is e_k for k != i, and
@@ -187,9 +193,9 @@ def triangular_constants(table, u, v):
             numerator = numerator - poly * table.value(order[wp], w)
         if iu in rng.leq[k] and iv in rng.leq[k]:
             try:
-                for c in inversion_coords(table.rs, w.word):
+                for c in inversion_coords(table.range.rs, w.word):
                     numerator = numerator.exact_divide_linear(
-                        LinearForm.from_linear(table.rs.rank, c)
+                        LinearForm.from_linear(table.range.rs.rank, c)
                     )
             except NotDivisible as exc:
                 raise InternalInconsistency(f"inexact division at {w}") from exc
@@ -199,7 +205,7 @@ def triangular_constants(table, u, v):
                 values[k] = numerator
         elif not numerator.is_zero():
             raise InternalInconsistency(f"nonzero numerator at skipped fixed point {w}")
-    return StructureTable(table.rs, "x", u, v, values, order)
+    return StructureTable(table.range.rs, "x", u, v, values, order)
 
 
 def certificate_dict(s, cert):

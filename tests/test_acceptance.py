@@ -194,7 +194,6 @@ def test_c4_product_identity(sweeps, affine_data):
         table = sweeps[name]["table"]
         matrix = sweeps[name]["w0"].matrix
         transported = RestrictionTable(
-            table.rs,
             table.range,
             {
                 v: {w: p.apply_linear(matrix) for w, p in column.items()}
@@ -205,7 +204,7 @@ def test_c4_product_identity(sweeps, affine_data):
             assert verify_product_identity(table, s), (name, s.u, s.v)
             checked += 1
         for s in sweeps[name]["y"].values():
-            proxy = StructureTable(transported.rs, "x", s.u, s.v, s.values, s.order)
+            proxy = StructureTable(transported.range.rs, "x", s.u, s.v, s.values, s.order)
             assert verify_product_identity(transported, proxy), (name, s.u, s.v)
             checked += 1
 
@@ -223,14 +222,14 @@ def test_c4_product_identity(sweeps, affine_data):
     values = dict(good.values)
     k = table.range.index[s1]
     values[k] = values[k] + RootPolynomial.one(2)
-    mutated = StructureTable(table.rs, "x", s1, s1, values, good.order)
+    mutated = StructureTable(table.range.rs, "x", s1, s1, values, good.order)
     check = verify_product_identity(table, mutated)
     assert not check and check.failing is not None
 
     y_good = sweeps["A2"]["y"][(s1, s1)]
     y_values = dict(y_good.values)
     y_values[k] = y_values[k] + RootPolynomial.one(2)
-    y_mutated = StructureTable(table.rs, "y", s1, s1, y_values, y_good.order)
+    y_mutated = StructureTable(table.range.rs, "y", s1, s1, y_values, y_good.order)
     assert not verify_product_identity(table, y_mutated)
 
     report(4, f"identity re-verified for {checked} tables; mutations detected")

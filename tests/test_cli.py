@@ -25,7 +25,13 @@ from eqschub import (
 from eqschub.cli import main, parse_eval_point, run_sweep
 from eqschub.rootsys import GENERAL
 
-from conftest import affine_a_cartan, inversion_product, record_dict, triangular_constants
+from conftest import (
+    affine_a_cartan,
+    held_rows,
+    inversion_product,
+    record_dict,
+    triangular_constants,
+)
 
 
 def run(argv):
@@ -127,6 +133,17 @@ def test_restrict_malformed_word_exits_2():
     assert code == 2
     code, _ = run(["restrict", "--type", "A2", "--w", "3", "--v", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "letter", ["\u00b2", "\u0663", "\uff11"], ids=["superscript-2", "arabic-indic-3", "fullwidth-1"]
+)
+def test_word_with_a_non_ascii_digit_is_malformed(capsys, letter):
+    """A letter is ASCII digits only: a superscript, an Arabic-Indic or a
+    fullwidth digit is a malformed word, exit 2, whether or not ``int``
+    would read it."""
+    assert run(["mult", "--type", "A2", "--u", letter, "--v", "1"]) == (2, "")
+    assert capsys.readouterr().err == f"error: --u: malformed word {letter!r}\n"
 
 
 def test_restrict_billey_convention_matches_inverse_lookup():
@@ -413,11 +430,11 @@ def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, 
         for v in rng:
             code, out = run(["mult", "--type", rs_type, "--u", u.word_text(), "--v", v.word_text()])
             # mult's range stops at l(u) + l(v), a prefix of the whole one;
-            # a set given as None is the whole of it.
+            # a map given as None holds the whole of it.
             table = built.pop()
             held = frozenset(range(len(table.range)))
-            rows = held if table.rows is None else table.rows
-            points = held if table.points is None else table.points
+            rows = held if table.rows_at is None else held_rows(table)
+            points = held if table.rows_at is None else table.rows_at.keys()
             short, long = (u, v) if u.length < v.length else (v, u)
             short, long = rng.index[short], rng.index[long]
             assert rows == rng.leq[short]
@@ -503,7 +520,7 @@ def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt):
     def corrupted(context, x):
         fresh = context.steps[x] is None
         steps = read(context, x)
-        rs = context.table.rs
+        rs = context.table.range.rs
         if fresh and context.elements[x] == element_from_word(rs, (1,)):
             corrupt(context, x, context.table.range.index[element_from_word(rs, (2, 1))])
         return steps
@@ -850,11 +867,10 @@ def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind
     monkeypatch.setattr(structconst, "restriction_table", kept)
     assert run_sweep(cartan, kind, bound, "x", cache_path=str(tmp_path / "rows.jsonl")).verdict == "pass"
     (table,) = tables
-    assert table.points is None
     if held is None:
-        assert table.rows is None
+        assert table.rows_at is None
     else:
-        assert table.rows == frozenset(range(held))
+        assert table.rows_at == dict.fromkeys(range(len(table.range)), frozenset(range(held)))
         assert {w.length for w in table.range.elements[:held]} == set(range(bound // 2 + 1))
 
     def whole(rs, k, *, rng, rows, points):

@@ -28,6 +28,7 @@ from conftest import (
     affine_a_cartan,
     all_reduced_words,
     billey_restrict,
+    held_rows,
     inversion_product,
     mat_vec,
 )
@@ -195,7 +196,7 @@ def _table_holding(rs, k, w, v, ideal):
     rng = enumerate_upto(rs, k)
     longer = rng.index[element_from_word(rs, max(w, v, key=len))]
     table = restriction_table(rs, k, rng=rng, rows=ideal_rows(rng, longer))
-    assert table.rows != frozenset(range(len(rng)))
+    assert held_rows(table) != frozenset(range(len(rng)))
     return table
 
 
@@ -261,7 +262,7 @@ def test_ideal_table_is_the_whole_table_on_its_rows(rs, k):
     for v in range(len(rng)):
         rows = ideal_rows(rng, v)
         table = restriction_table(rs, k, rng=rng, rows=rows)
-        assert table.rows == rows
+        assert held_rows(table) == rows
         assert table.columns == {
             v: {w: p for w, p in column.items() if w in rows}
             for v, column in whole.columns.items()
@@ -296,7 +297,7 @@ def test_table_closes_unclosed_rows_and_refuses_rows_outside_the_range():
     s1s2 = rng.index[element_from_word(A2, (1, 2))]
     for rows in ({s1s2}, {0, s1s2}):
         table = restriction_table(A2, 3, rng=rng, rows=rows)
-        assert table.rows == rng.leq[s1s2]
+        assert held_rows(table) == rng.leq[s1s2]
         assert table.rows_at == wanted_rows(rng, rows, set(range(len(rng))), word_steps(rng))
         for v, column in table.columns.items():
             assert column == {w: p for w, p in whole.columns[v].items() if w in table.rows_at[v]}
@@ -339,14 +340,14 @@ def test_value_raises_on_a_row_held_at_another_point_only():
     els = rng.elements
     short, long = (rng.index[element_from_word(A3, x)] for x in ((2, 1), (1, 3)))
     table = restriction_table(A3, 6, rng=rng, rows={short}, points=upper_points(rng, long, 4))
-    pairs = [(w, v) for v in table.points for w in table.rows if not table.holds(w, v)]
+    pairs = [(w, v) for v in table.rows_at for w in held_rows(table) if not table.holds(w, v)]
     assert any(w in rng.leq[v] for w, v in pairs)
     for w, v in pairs:
         assert table.holds(w) and table.holds_point(v)
         message = re.escape(f"does not hold the row of {els[w]} at {els[v]}")
         with pytest.raises(InternalInconsistency, match=message):
             table.value(els[w], els[v])
-    for v in table.points:
+    for v in table.rows_at:
         for w in table.rows_at[v]:
             assert table.value(els[w], els[v]) == whole.columns[v].get(w, RootPolynomial.zero(3))
 
@@ -357,8 +358,8 @@ def test_value_raises_on_a_row_held_at_another_point_only():
     ids=["A3", "B2", "G2", "AffineA2", "AffineA1"],
 )
 def test_point_table_is_the_whole_table_at_its_points(rs, k):
-    """Given points, the table holds them with the points their canonical
-    words step from (and, given rows too, the rows' own points), and there
+    """Given rows at points, the table holds the points with the points
+    their canonical words step from and the rows' own points, and there
     it holds exactly the whole table's entries."""
     whole = restriction_table(rs, k)
     rng = whole.range
@@ -367,21 +368,20 @@ def test_point_table_is_the_whole_table_at_its_points(rs, k):
         # Every other x cut just above itself, the rest at the bound.
         points = upper_points(rng, x, rng.elements[x].length + 1 if x % 2 else k)
         y = min(x, len(rng) - 1 - x)
-        for rows in (None, ideal_rows(rng, y)):
-            table = restriction_table(rs, k, rng=rng, rows=rows, points=points)
-            assert table.points == word_prefixes(rng, points | (rows or set()))
-            assert table.columns == {
-                v: {w: p for w, p in column.items() if rows is None or w in rows}
-                for v, column in whole.columns.items() if v in table.points
-            }
-            if rows is not None:
-                assert table.rows_at == dict.fromkeys(table.points, rows)
+        rows = ideal_rows(rng, y)
+        table = restriction_table(rs, k, rng=rng, rows=rows, points=points)
+        assert table.rows_at.keys() == word_prefixes(rng, points | rows)
+        assert table.columns == {
+            v: {w: p for w, p in column.items() if w in rows}
+            for v, column in whole.columns.items() if v in table.rows_at
+        }
+        assert table.rows_at == dict.fromkeys(table.rows_at, rows)
         # A single row, closed by the table: at each given point it holds
         # the rows the steps above that point read.
         table = restriction_table(rs, k, rng=rng, rows={y}, points=points)
         want = wanted_rows(rng, {y}, points, steps)
-        assert table.rows == rng.leq[y]
-        assert table.points == word_prefixes(rng, points | rng.leq[y])
+        assert held_rows(table) == rng.leq[y]
+        assert table.rows_at.keys() == word_prefixes(rng, points | rng.leq[y])
         assert table.rows_at == want
         for p in points:
             assert table.columns[p].keys() == want[p] & rng.leq[p], (x, p)
@@ -393,6 +393,15 @@ def test_point_table_refuses_points_outside_the_range():
     rng = enumerate_upto(A2, 3)
     for points in ({len(rng)}, {0, -1}):
         with pytest.raises(ValueError, match="ids of the range"):
+            restriction_table(A2, 3, rng=rng, points=points)
+
+
+def test_point_table_refuses_points_without_rows():
+    """A table holds every row at every point or the given rows at the
+    given points: points alone, even every point, are refused."""
+    rng = enumerate_upto(A2, 3)
+    for points in ({0, 1}, set(range(len(rng)))):
+        with pytest.raises(ValueError, match="with rows"):
             restriction_table(A2, 3, rng=rng, points=points)
 
 
@@ -424,7 +433,7 @@ def _point_table():
     short, long = (rng.index[element_from_word(A3, x)] for x in ((2, 1), (1, 3)))
     table = restriction_table(A3, 6, rng=rng, rows=ideal_rows(rng, short),
                               points=upper_points(rng, long, 4))
-    assert len(table.points) < len(rng)
+    assert len(table.rows_at) < len(rng)
     return table, whole
 
 
@@ -440,8 +449,9 @@ def test_verify_point_table_rejects_a_corrupted_held_entry(invariant):
     w, v = max(held, key=lambda key: (rng.elements[key[0]].length, key))
     poly = columns[v][w]
     # A held row off the interval of a held point.
-    off = max(b for b in columns if not table.rows <= rng.leq[b])
-    x = max(table.rows - rng.leq[off])
+    rows = held_rows(table)
+    off = max(b for b in columns if not rows <= rng.leq[b])
+    x = max(rows - rng.leq[off])
     if invariant == "support":
         del columns[v][w]
         message = "zero but w <= v"
@@ -495,7 +505,7 @@ def test_verify_rejects_a_corrupted_diagonal_with_the_products_kept():
     table, whole = _point_table()
     rng = table.range
     assert whole.range is rng and len(rng.memo("inversion products")) == len(rng)
-    w = max(table.rows)
+    w = max(held_rows(table))
     table.columns[w][w] = table.columns[w][w] + table.columns[w][w]
     with pytest.raises(InternalInconsistency, match="differs from its inversion product"):
         _verify_table(table)

@@ -41,6 +41,7 @@ from eqschub.weyl import inversion_coords
 from conftest import (
     affine_a_cartan,
     certificate_dict,
+    held_rows,
     mat_vec,
     record_dict,
     right_descents,
@@ -70,7 +71,7 @@ def corrupted(table, w, v, value):
     """A copy of the whole ``table`` whose value at the ids (w, v) is ``value``."""
     columns = {b: dict(column) for b, column in table.columns.items()}
     columns[v][w] = value
-    return RestrictionTable(table.rs, table.range, columns)
+    return RestrictionTable(table.range, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +88,13 @@ def test_a1_diagonal_pair():
 
 def test_identity_pair_gives_unit_row():
     for t in (T_A1, T_A2, T_B2):
-        e = identity(t.rs)
+        e = identity(t.range.rs)
         for v in t.range:
             table = structure_constants(t, e, v)
             assert set(table.order) == {w for w in t.range if w.length <= v.length}
-            zero = RootPolynomial.zero(t.rs.rank)
+            zero = RootPolynomial.zero(t.range.rs.rank)
             for k, w in enumerate(table.order):
-                expected = RootPolynomial.one(t.rs.rank) if w == v else zero
+                expected = RootPolynomial.one(t.range.rs.rank) if w == v else zero
                 assert table.values.get(k, zero) == expected
 
 
@@ -341,19 +342,29 @@ def _assert_columns_match_solver(table, vs, us_of, pair_tables=True):
                 assert got.order == expected.order, (u, els[v])
                 assert got.values == expected.values, (u, els[v])
 
-C3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+# Under the convention a[i][j] = <alpha_j, alpha_i^vee>, the long simple
+# root of B3 is alpha_1 and that of C3 is alpha_3.
+B3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+C3_ROWS = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+B3 = build_root_system(CartanMatrix.from_rows(B3_ROWS))
+C3 = build_root_system(CartanMatrix.from_rows(C3_ROWS))
+
+
+@pytest.mark.parametrize("rs,highest", [(B3, (1, 2, 2)), (C3, (2, 2, 1))], ids=["B3", "C3"])
+def test_b3_and_c3_rows_have_their_highest_roots(rs, highest):
+    assert max(rs.positive_roots, key=sum) == highest
 
 
 @pytest.mark.parametrize(
     "rs",
-    [A3, B2, builtin_root_system("G2"), build_root_system(CartanMatrix.from_rows(C3_ROWS))],
-    ids=["A3", "B2", "G2", "C3-cartan"],
+    [A3, B2, builtin_root_system("G2"), B3, C3],
+    ids=["A3", "B2", "G2", "B3-cartan", "C3-cartan"],
 )
 def test_recurrence_matches_solver_on_whole_group(rs):
     table = restriction_table(rs, len(rs.positive_roots))
     n = len(table.range)
     # Columns at and after v in range order: the pairs a sweep computes.
-    # Tables per pair on C3 would add some 7 s; A3, B2 and G2 have them.
+    # Tables per pair would add some 7 s on B3; A3, B2 and G2 have them.
     _assert_columns_match_solver(table, range(n), lambda v: list(range(v, n)),
                                  pair_tables=rs.rank < 3 or rs is A3)
 
@@ -549,7 +560,7 @@ def test_context_builds_no_step_at_a_point_the_table_does_not_hold(monkeypatch):
             contexts.clear()
             s = structure_constants(table, u, v)
             context = contexts[0]
-            held = table.points
+            held = table.rows_at.keys()
             assert len(held) < len(rng)
             for x in range(len(rng)):
                 lists = [context.above[x], context.below[x]]
@@ -616,8 +627,8 @@ def test_structure_constants_raise_on_a_point_the_table_lacks():
     rng = enumerate_upto(A3, 6)
     u, v = element_from_word(A3, (1,)), element_from_word(A3, (2, 3))
     whole = pair_table(rng, u, v)
-    rows = whole.rows
-    points = set(whole.points) - rows
+    rows = held_rows(whole)
+    points = set(whole.rows_at) - rows
     top = max(points, key=lambda b: rng.elements[b].length)
     assert rng.elements[top].length == 3
     table = restriction_table(A3, 6, rng=rng, rows=rows, points=points - {top})
@@ -630,15 +641,14 @@ def test_structure_constants_raise_on_a_point_the_table_lacks():
 
 def test_verify_product_identity_raises_on_a_point_table():
     """The identity is checked at every point of the range, so a table
-    holding only some points cannot check it, even with every row."""
+    holding only some points, as ``mult``'s does, cannot check it."""
     from eqschub import InternalInconsistency, enumerate_upto
 
     rng = enumerate_upto(B2, 4)
     whole = restriction_table(B2, 4, rng=rng)
     u, v = element_from_word(B2, (1, 2)), element_from_word(B2, (1,))
-    points = {b for b, w in enumerate(rng) if w.length <= 3 and rng.index[u] in rng.leq[b]}
-    table = restriction_table(B2, 4, rng=rng, points=points)
-    assert table.rows is None and len(table.points) < len(rng)
+    table = pair_table(rng, u, v)
+    assert len(table.rows_at) < len(rng)
     s = structure_constants(table, u, v)
     assert s.values == structure_constants(whole, u, v).values
     assert verify_product_identity(whole, s)
@@ -682,8 +692,8 @@ def test_chevalley_integers_match_hand_values():
 
 @pytest.mark.parametrize(
     "rs",
-    [A3, B2, build_root_system(CartanMatrix.from_rows(C3_ROWS)), G2],
-    ids=["A3", "B2", "C3-cartan", "G2"],
+    [A3, B2, B3, C3, G2],
+    ids=["A3", "B2", "B3-cartan", "C3-cartan", "G2"],
 )
 def test_chevalley_integers_are_coroot_pairings(rs):
     """The context's integer c_{s_i,y}^w for every cover y < w of the whole
@@ -875,7 +885,7 @@ def _solve_on_transported_table(table, w0, u, v):
     the transported inversion roots, so agreement with opposite_constants
     exercises both the substitution and the solver.
     """
-    rank = table.rs.rank
+    rank = table.range.rs.rank
     zero = RootPolynomial.zero(rank)
     stored = {
         b: {a: p.apply_linear(w0.matrix) for a, p in column.items()}
@@ -897,7 +907,7 @@ def _solve_on_transported_table(table, w0, u, v):
             num = num - a * sub(wp, w)
         if u in rng.leq[w] and v in rng.leq[w]:
             q = num
-            for beta in inversion_coords(table.rs, element.word):
+            for beta in inversion_coords(table.range.rs, element.word):
                 q = q.exact_divide_linear(
                     RootPolynomial.from_linear(rank, beta).apply_linear(w0.matrix)
                 )
