@@ -89,7 +89,9 @@ def sweep_digest_steps() -> list[tuple[dict, list[list[str]], str]]:
 def test_sweep_digest_steps_replay_in_one_process(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     steps = sweep_digest_steps()
-    assert [digest[:8] for _, _, digest in steps] == ["2bd06c65", "0a95f5f4", "2850b8b7"]
+    assert [digest[:8] for _, _, digest in steps] == [
+        "2bd06c65", "0a95f5f4", "2850b8b7", "8fe9b3c7", "c2ec63d9", "295e14fe",
+    ]
     in_order = [(step, argv) for step in steps for argv in step[1]]
     interleaved = [
         (step, step[1][k]) for k in range(max(len(s[1]) for s in steps))
