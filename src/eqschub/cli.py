@@ -166,9 +166,9 @@ def parse_word(text: str, rank: int, flag: str) -> tuple[int, ...]:
 
 
 def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
-    """The positive rationals of a comma-separated point.  A decimal
-    exponent past ``MAX_EVAL_EXPONENT`` in magnitude is refused before
-    conversion, which would expand its power of ten."""
+    """The positive rationals of a comma-separated point, in ASCII.  A
+    decimal exponent past ``MAX_EVAL_EXPONENT`` in magnitude is refused
+    before conversion, which would expand its power of ten."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rank:
         raise CliError(f"--eval needs {rank} comma-separated values")
@@ -177,6 +177,8 @@ def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
         _, e, exponent = p.lower().rpartition("e")
         digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
         try:
+            if not p.isascii():
+                raise ValueError(p)
             if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EVAL_EXPONENT):
                 raise ValueError(p)
             point.append(Fraction(p))
@@ -185,6 +187,15 @@ def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
     if min(point) <= 0:
         raise CliError("every coordinate of nu must be positive")
     return tuple(point)
+
+
+def ascii_int(text: str) -> int:
+    """An argparse type: an optional sign and ASCII digits, as an int.  A
+    digit ``int`` reads in any other script is an invalid value, exit 2."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def vector_text(coords) -> str:
@@ -707,13 +718,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult.add_argument("--v", required=True)
     p_mult.add_argument("--basis", default="x", choices=["x", "y"])
     p_mult.add_argument("--eval", default=None)
-    p_mult.add_argument("--max-length", type=int, default=None)
+    p_mult.add_argument("--max-length", type=ascii_int, default=None)
 
     p_sweep = command("sweep")
     p_sweep.add_argument("--basis", default="x", choices=["x", "y"])
-    p_sweep.add_argument("--max-length", type=int, default=None)
+    p_sweep.add_argument("--max-length", type=ascii_int, default=None)
     p_sweep.add_argument("--cache", help="JSONL cache path")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=ascii_int, default=1)
 
     return parser
 

@@ -439,16 +439,8 @@ class RootPolynomial:
         return evaluate_many(self.rank, (self,), values)[0]
 
     def exact_divide_linear(self, lin: "RootPolynomial") -> "RootPolynomial":
-        """Exact quotient by a nonzero homogeneous linear form.
-
-        One pass of synthetic division in the divisor's leading variable
-        x (its lowest-index one): with the divisor c*x + L and the terms
-        of the dividend bucketed by their degree in x, bucket k, cleared
-        from the top down, fixes the quotient terms of x-degree k - 1 and
-        pushes their products with L into bucket k - 1.  A quotient
-        coefficient that is not an integer, or anything left in bucket 0,
-        means no exact quotient exists and NotDivisible is raised.  A
-        monomial divisor c*x divides each term on its own, without buckets.
+        """Exact quotient by a nonzero homogeneous linear form, by
+        ``exact_quotient``; NotDivisible if there is none.
 
         A divisor used more than once should be a ``LinearForm``, which
         checks it and finds its leading variable once; any other
@@ -457,45 +449,8 @@ class RootPolynomial:
         self._check_rank(lin)
         if not isinstance(lin, LinearForm):
             lin = LinearForm(lin.rank, lin.terms, _clean=True)
-        terms = self.terms
-        pivot_key, pivot_coeff, pivot_shift = lin.pivot_key, lin.pivot_coeff, lin.pivot_shift
-        rest = lin.rest
-        quotient: dict = {}
-        if not rest:
-            # A monomial divisor c*x: each term is divided on its own.
-            for exp, coeff in terms.items():
-                q, r = divmod(coeff, pivot_coeff)
-                if r or not exp >> pivot_shift & _FIELD_MASK:
-                    raise NotDivisible(
-                        f"{self.to_text()} is not divisible by {lin.to_text()}"
-                    )
-                quotient[exp - pivot_key] = q
-            return RootPolynomial(self.rank, quotient, _clean=True)
-        if not terms:
-            return RootPolynomial.zero(self.rank)
-        # No exponent exceeds the total degree, so that many buckets suffice.
-        buckets: list[dict] = [{} for _ in range((max(terms) >> FIELD_BITS * self.rank) + 1)]
-        for exp, coeff in terms.items():
-            buckets[exp >> pivot_shift & _FIELD_MASK][exp] = coeff
-        for k in range(len(buckets) - 1, 0, -1):
-            below = buckets[k - 1]
-            get = below.get
-            for exp, coeff in buckets[k].items():
-                if not coeff:
-                    continue
-                q, r = divmod(coeff, pivot_coeff)
-                if r:
-                    raise NotDivisible(
-                        f"{self.to_text()} is not divisible by {lin.to_text()}"
-                    )
-                # Subtracting the pivot's key lowers both the degree and
-                # the x-exponent by one.
-                qexp = exp - pivot_key
-                quotient[qexp] = q
-                for rexp, rcoeff in rest:
-                    texp = qexp + rexp
-                    below[texp] = get(texp, 0) - q * rcoeff
-        if any(buckets[0].values()):
+        quotient = exact_quotient(self.terms, lin)
+        if quotient is None:
             raise NotDivisible(f"{self.to_text()} is not divisible by {lin.to_text()}")
         return RootPolynomial(self.rank, quotient, _clean=True)
 
@@ -577,7 +532,7 @@ def _add_product(out: dict, a: RootPolynomial, b: RootPolynomial) -> dict:
 class LinearForm(RootPolynomial):
     """A nonzero homogeneous linear form, checked and prepared once as a divisor.
 
-    It is a polynomial like any other; ``exact_divide_linear`` reads the
+    It is a polynomial like any other; ``exact_quotient`` reads the
     leading variable found here (the lowest-index one, whose degree-1 key
     is the largest), its coefficient, the shift of its exponent field and
     the other terms, instead of finding them on every call.
@@ -593,6 +548,62 @@ class LinearForm(RootPolynomial):
         self.pivot_coeff = self.terms[self.pivot_key]
         self.pivot_shift = (self.pivot_key ^ 1 << FIELD_BITS * rank).bit_length() - 1
         self.rest = tuple((e, c) for e, c in self.terms.items() if e != self.pivot_key)
+
+
+def exact_quotient(terms: dict, lin: LinearForm) -> dict | None:
+    """The packed terms (nonzero coefficients) ``terms`` divided exactly by
+    ``lin``, or None if there is no exact quotient; ``terms`` is not
+    changed.  The one division routine.
+
+    A monomial divisor c*x divides each term on its own.  A dividend of
+    degree at most one has the integer quotient k if it is k * ``lin``.
+    Any other is divided by one pass of synthetic division in the
+    divisor's leading variable x (its lowest-index one): with the divisor
+    c*x + L and the terms bucketed by their degree in x, bucket k, cleared
+    from the top down, fixes the quotient terms of x-degree k - 1 and
+    pushes their products with L into bucket k - 1.  A quotient
+    coefficient that is not an integer, or anything left in bucket 0,
+    means there is no quotient.
+    """
+    pivot_key, pivot_coeff, pivot_shift = lin.pivot_key, lin.pivot_coeff, lin.pivot_shift
+    rest = lin.rest
+    quotient: dict = {}
+    if not rest:
+        for exp, coeff in terms.items():
+            q, r = divmod(coeff, pivot_coeff)
+            if r or not exp >> pivot_shift & _FIELD_MASK:
+                return None
+            quotient[exp - pivot_key] = q
+        return quotient
+    if not terms:
+        return quotient
+    top = max(terms) >> FIELD_BITS * lin.rank
+    if top < 2:
+        k, r = divmod(terms.get(pivot_key, 0), pivot_coeff)
+        return {0: k} if k and not r and terms == {e: k * c for e, c in lin.terms.items()} else None
+    # No exponent exceeds the total degree, so that many buckets suffice.
+    buckets: list[dict] = [{} for _ in range(top + 1)]
+    for exp, coeff in terms.items():
+        buckets[exp >> pivot_shift & _FIELD_MASK][exp] = coeff
+    for k in range(top, 0, -1):
+        below = buckets[k - 1]
+        get = below.get
+        for exp, coeff in buckets[k].items():
+            if not coeff:
+                continue
+            q, r = divmod(coeff, pivot_coeff)
+            if r:
+                return None
+            # Subtracting the pivot's key lowers both the degree and the
+            # x-exponent by one.
+            qexp = exp - pivot_key
+            quotient[qexp] = q
+            for rexp, rcoeff in rest:
+                texp = qexp + rexp
+                below[texp] = get(texp, 0) - q * rcoeff
+    if any(buckets[0].values()):
+        return None
+    return quotient
 
 
 def evaluate_many(rank: int, polys, values) -> list[Fraction]:

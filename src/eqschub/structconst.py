@@ -21,13 +21,15 @@ coefficients of xi^w gives (Knutson, arXiv math/0306304)
 with base case c_uv^u = xi^v(u).  So with u taken in decreasing length
 and, for each u, w in increasing length, every entry costs integer
 multiples of entries already known and one division by one linear form.
-The letter i is the smallest with a nonzero left factor; one exists for
-every u < w, since xi^{s_i}(w) = omega_i - w(omega_i) and only the
-identity fixes every fundamental weight.  The entries of u read only
-those of the x covering u at the same w, so the constants of (u, v) need
-only the x >= u and the w with l(w) <= l(u) + l(v), which a truncated
-(Kac-Moody) range must hold: ``column_constants`` computes many u over the
-union of their sets.  As c_uv = c_vu, ``structure_constants`` walks the
+Any letter i with a nonzero left factor gives the same constants, as they
+are unique; one exists for every u < w, since xi^{s_i}(w) = omega_i -
+w(omega_i) and only the identity fixes every fundamental weight.  The
+recurrence takes the one whose left factor has the fewest nonzero
+coordinates, the smallest on a tie, as a divisor of fewer terms costs
+less to divide by.  The entries of u read only those of the x covering u
+at the same w, so the constants of (u, v) need only the x >= u and the w
+with l(w) <= l(u) + l(v), which a truncated (Kac-Moody) range must hold:
+``column_constants`` computes many u over the union of their sets.  As c_uv = c_vu, ``structure_constants`` walks the
 x above the longer element of its pair and reads the row of the shorter
 one (the given v on a tie), so it walks the fewest x.
 
@@ -86,7 +88,9 @@ from .errors import (
     RankMismatch,
 )
 from .localize import RestrictionTable, restriction_table
-from .rootsys import FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many
+from .rootsys import (
+    FIELD_BITS, FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many, exact_quotient,
+)
 from .weyl import WeylElement, WeylRange, _check_same_system, longest_element
 
 
@@ -178,12 +182,13 @@ class ChevalleyContext:
     x >= some u and reads them at w >= x, so a table holding the points
     above u up to the column's length serves it.  ``above[x]`` lists the
     held w >= x in increasing id and ``below[w]`` the held y that w
-    covers, both from the range's Bruhat order over the held points.  ``xi[w][i]`` holds the coordinates of
-    xi^{s_{i+1}}(w), the range's ``xi``.  The first ``read(x)``, when a
-    column first reads x, builds:
+    covers, both from the range's Bruhat order over the held points.
+    ``xi[w][i]`` holds the coordinates of xi^{s_{i+1}}(w), the range's
+    ``xi``.  The first ``read(x)``, when a column first reads x, builds:
 
     * ``steps[x]`` lists (w, i, divisor) for each w > x in increasing
-      length, with i the recurrence's letter at (x, w) and the divisor
+      length, with i the recurrence's letter at (x, w), the separating one
+      of the fewest-term divisor (smallest on a tie), and the divisor
       xi^{s_i}(w) - xi^{s_i}(x) prepared as a ``LinearForm``;
     * ``covers_up[x][i]`` lists (w, c_{s_i,x}^w) for the w covering x, and
       ``covers_down[x][i]`` lists (y, c_{s_i,y}^x) for the y that x covers,
@@ -246,28 +251,28 @@ class ChevalleyContext:
         for each i with a nonzero integer if w covers x, kept in the
         range's memo."""
         at_x, at_w = self.xi[x], self.xi[w]
+        cover = self.length[w] == self.length[x] + 1
         covers = []
-        if self.length[w] == self.length[x] + 1:
-            for i, (p, q) in enumerate(zip(at_w, at_x)):
-                if p == q:
-                    continue
-                coeffs = tuple(map(sub, p, q))
-                if min(coeffs) < 0:
+        best = None
+        for i, (p, q) in enumerate(zip(at_w, at_x)):
+            if p == q:
+                continue
+            diff = tuple(map(sub, p, q))
+            if cover:
+                if min(diff) < 0:
                     raise InternalInconsistency(
                         f"xi^s{i + 1} at {self.elements[w]} minus at "
                         f"{self.elements[x]} has a negative coefficient"
                     )
-                k = gcd(*coeffs)
-                if k:
-                    covers.append((i, k))
-        i = 0
-        while at_w[i] == at_x[i]:
-            i += 1
-            if i == len(at_x):
-                raise InternalInconsistency(
-                    f"no letter separates {self.elements[x]} < {self.elements[w]}"
-                )
-        diff = tuple(map(sub, at_w[i], at_x[i]))
+                covers.append((i, gcd(*diff)))
+            size = len(diff) - diff.count(0)
+            if best is None or size < best[0]:
+                best = size, i, diff
+        if best is None:
+            raise InternalInconsistency(
+                f"no letter separates {self.elements[x]} < {self.elements[w]}"
+            )
+        _, i, diff = best
         divisor = self._divisors.get(diff)
         if divisor is None:
             divisor = self._divisors[diff] = LinearForm.from_linear(len(diff), diff)
@@ -323,8 +328,10 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         for x in xs:
             _check_point(table, x, v)
     rank = table.range.rs.rank
+    shift = FIELD_BITS * rank
     columns = table.columns
     covers_down = context.covers_down
+    # The packed terms of each value, by x and then w.
     column: dict = {}
     # Every w > x read below is some u's upper element, longer than x, so
     # its ``read`` ran before x's.
@@ -335,36 +342,56 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         values = {}
         base = columns[x].get(v)
         if base is not None:
-            values[x] = _checked_quotient(base, None, lv, elements[x], elements[v], elements[x])
+            values[x] = _checked_quotient(
+                base, None, lv, elements[x], elements[v], elements[x]
+            ).terms
         for w, i, divisor in steps:
             if length[w] > last:
                 break
             if v not in columns[w]:
                 continue
-            acc: dict = {}
-            get = acc.get
+            # The right side of the recurrence, summed into a copy of its first term.
+            acc = None
             for x1, k in covers_up[i]:
-                poly = column[x1].get(w)
-                if poly is not None:
-                    for e, c in poly.terms.items():
-                        acc[e] = get(e, 0) + k * c
+                terms = column[x1].get(w)
+                if terms is None:
+                    continue
+                if acc is None:
+                    acc = dict(terms) if k == 1 else {e: k * c for e, c in terms.items()}
+                    continue
+                get = acc.get
+                for e, c in terms.items():
+                    acc[e] = get(e, 0) + k * c
             for y, k in covers_down[w][i]:
-                poly = values.get(y)
-                if poly is not None:
-                    for e, c in poly.terms.items():
-                        acc[e] = get(e, 0) - k * c
+                terms = values.get(y)
+                if terms is None:
+                    continue
+                if acc is None:
+                    acc = {e: -k * c for e, c in terms.items()}
+                    continue
+                get = acc.get
+                for e, c in terms.items():
+                    acc[e] = get(e, 0) - k * c
+            if acc is None:
+                continue
             if 0 in acc.values():
                 acc = {e: c for e, c in acc.items() if c}
-            if not acc:
-                continue
-            values[w] = _checked_quotient(
-                RootPolynomial(rank, acc, _clean=True), divisor, degree - length[w],
-                elements[x], elements[v], elements[w],
-            )
+                if not acc:
+                    continue
+            d = degree - length[w]
+            quotient = exact_quotient(acc, divisor)
+            if quotient is None or min(quotient) >> shift != d or max(quotient) >> shift != d:
+                # Raises, with the message naming the entry.
+                quotient = _checked_quotient(
+                    RootPolynomial(rank, acc, _clean=True), divisor, d,
+                    elements[x], elements[v], elements[w],
+                ).terms
+            values[w] = quotient
         column[x] = values
     return [
         StructureTable(
-            table.range.rs, "x", elements[u], elements[v], column[u],
+            table.range.rs, "x", elements[u], elements[v],
+            {w: RootPolynomial(rank, terms, _clean=True) for w, terms in column[u].items()},
             elements[:bisect_right(length, length[u] + lv)],
         )
         for u in us

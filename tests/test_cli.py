@@ -146,6 +146,38 @@ def test_word_with_a_non_ascii_digit_is_malformed(capsys, letter):
     assert capsys.readouterr().err == f"error: --u: malformed word {letter!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["mult", "--type", "A2", "--u", "1", "--v", "1", "--max-length", "\u0663"],
+         "--max-length", "\u0663"),
+        (["sweep", "--type", "A2", "--max-length", "\uff13"], "--max-length", "\uff13"),
+        (["sweep", "--type", "A2", "--max-length", "-\u0661"], "--max-length", "-\u0661"),
+        (["sweep", "--type", "A2", "--max-length", "2", "--jobs", "\u0662"], "--jobs", "\u0662"),
+    ],
+    ids=["mult-bound-arabic-indic-3", "sweep-bound-fullwidth-3", "sweep-bound-minus-arabic-indic-1",
+         "sweep-jobs-arabic-indic-2"],
+)
+def test_count_with_a_non_ascii_digit_is_an_invalid_value(capsys, argv, flag, value):
+    """A bound or a job count is ASCII digits only, after an optional sign:
+    any other digit is an invalid value, exit 2, though ``int`` would read it."""
+    assert run(argv) == (2, "")
+    assert f"argument {flag}: invalid int value: {value!r}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "point,bad", [("\u0661,\u0662", "\u0661"), ("1,\uff11/\uff12", "\uff11/\uff12"),
+                  ("1,1e\u0663", "1e\u0663")],
+    ids=["arabic-indic", "fullwidth-fraction", "arabic-indic-exponent"],
+)
+def test_eval_value_with_a_non_ascii_digit_is_bad(capsys, point, bad):
+    """A coordinate is ASCII: a digit of another script is a bad rational
+    value, exit 2, though ``Fraction`` would read it."""
+    code, out = run(["mult", "--type", "A2", "--u", "1", "--v", "1", "--eval", point])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: --eval: bad rational value {bad!r}\n"
+
+
 def test_restrict_billey_convention_matches_inverse_lookup():
     _, kk = run(["restrict", "--type", "A2", "--w", "2,1", "--v", "2,1"])
     _, billey = run(
@@ -508,11 +540,11 @@ def _corrupt_chevalley_integer(context, u, w):
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_divisor, _corrupt_chevalley_integer])
-def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt):
+def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, capsys, corrupt):
     """In column s1 of A2, the entry at (u, w) = (s1, s2s1) is a2 divided by
     the divisor a2, and its numerator takes the Chevalley integer of s2s1
     over s1 once.  Doubling the divisor, or raising that integer from 1 to
-    2, leaves no exact quotient."""
+    2, leaves no exact quotient, and the error names that entry."""
     import eqschub.cli as cli
 
     read = cli.ChevalleyContext.read
@@ -528,6 +560,7 @@ def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, corrupt):
     monkeypatch.setattr(cli.ChevalleyContext, "read", corrupted)
     code, out = run(["sweep", "--type", "A2", "--max-length", "3"])
     assert (code, out) == (4, "")
+    assert capsys.readouterr().err == "internal error: inexact division at (u=1, v=1, w=2,1)\n"
 
 
 def test_csv_rejected_outside_mult():

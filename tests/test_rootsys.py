@@ -15,7 +15,7 @@ from eqschub import (
     build_root_system,
     builtin_root_system,
 )
-from eqschub.rootsys import GENERAL
+from eqschub.rootsys import GENERAL, LinearForm, exact_quotient
 
 from conftest import mat_vec, random_polynomial, substitute_linear
 
@@ -218,14 +218,52 @@ def test_divide_rejects_non_integral_quotient():
     with pytest.raises(NotDivisible):
         (a1 * a2).scale(3).exact_divide_linear(a1.scale(2))
     assert ((a1 + a2).scale(2) * a2).exact_divide_linear((a1 + a2).scale(2)) == a2
+    # Linear dividends: k = 3/2 and -1/2.
+    with pytest.raises(NotDivisible):
+        (a1.scale(3) + a2.scale(3)).exact_divide_linear((a1 + a2).scale(2))
+    with pytest.raises(NotDivisible):
+        (-a1).exact_divide_linear(a1.scale(2))
 
 
 def test_divide_non_homogeneous_dividends():
+    """Constant quotients make linear dividends k * lin, k = 1, -1, 3, -4."""
     a1, a2, a3 = var(3, 1), var(3, 2), var(3, 3)
     one = RootPolynomial.one(3)
     for lin in (a1, a2 - a3.scale(2), a1.scale(3) + a2 - a3, a3):
-        for q in (one, a2 + one.scale(5), a1 * a1 * a3 - a2 + one, a1 * a2 * a3 + a3.scale(4)):
+        for q in (one, -one, one.scale(3), one.scale(-4), a2 + one.scale(5),
+                  a1 * a1 * a3 - a2 + one, a1 * a2 * a3 + a3.scale(4)):
             assert (q * lin).exact_divide_linear(lin) == q
+
+
+@pytest.mark.parametrize(
+    "coords", [(0, 2, 0), (2, 0, -1), (-2, 1, 3)], ids=["1-term", "2-term", "3-term"]
+)
+def test_divide_linear_dividends(coords):
+    """A linear dividend has a quotient only if it is k * lin for an integer
+    k.  k * lin with one coefficient off the pivot changed, or with an
+    extra constant term, or lin with its pivot's coefficient one more, so
+    that k is not an integer, has none; ``exact_quotient`` says so with None and leaves the dividend as
+    it was."""
+    lin = RootPolynomial.from_linear(3, coords)
+    form = LinearForm(3, lin.terms, _clean=True)
+    for k in (1, -1, 3, -4):
+        assert lin.scale(k).exact_divide_linear(lin) == RootPolynomial.constant(3, k)
+        assert exact_quotient(lin.scale(k).terms, form) == {0: k}
+    pivot = next(i for i, c in enumerate(coords) if c)
+    off = [0, 0, 0]
+    off[2 if pivot < 2 else 0] = 1
+    at_pivot = [0, 0, 0]
+    at_pivot[pivot] = 1
+    for bad in (
+        lin.scale(3) + RootPolynomial.from_linear(3, off),
+        lin.scale(-2) + RootPolynomial.one(3),
+        lin + RootPolynomial.from_linear(3, at_pivot),
+    ):
+        terms = dict(bad.terms)
+        with pytest.raises(NotDivisible):
+            bad.exact_divide_linear(lin)
+        assert exact_quotient(bad.terms, form) is None
+        assert bad.terms == terms
 
 
 def test_negate_variables_is_involution():

@@ -732,6 +732,39 @@ def test_chevalley_integers_are_coroot_pairings(rs):
     assert covers
 
 
+@pytest.mark.parametrize(
+    "rs,bound",
+    [(A3, 6), (B3, 9), (G2, 6), (AFF_A2, 6), (HYP3, 7)],
+    ids=["A3", "B3-cartan", "G2", "AffineA2", "hyperbolic-rank3"],
+)
+def test_recurrence_letter_has_the_fewest_term_divisor(rs, bound):
+    """The letter the range memoises for every pair x < w is the one among
+    those separating x and w whose divisor xi^{s_i}(w) - xi^{s_i}(x), read
+    off the restriction table rather than the range's ``xi``, has the fewest
+    terms, the smallest such letter on a tie; its divisor is that
+    difference.  On each type some pair's letter is not the smallest
+    separating one."""
+    table = restriction_table(rs, bound)
+    context = ChevalleyContext(table)
+    rng, columns = table.range, table.columns
+    zero = RootPolynomial.zero(rs.rank)
+    simple = [rng.index[element_from_word(rs, (i + 1,))] for i in range(rs.rank)]
+    for x in range(len(rng)):
+        context.read(x)
+    memo = rng.memo("recurrence steps")
+    pairs = moved = 0
+    for w in range(len(rng)):
+        for x in rng.leq[w] - {w}:
+            (_, i, divisor), _ = memo[x][w]
+            diffs = [columns[w].get(s, zero) - columns[x].get(s, zero) for s in simple]
+            separating = [(len(d.terms), j) for j, d in enumerate(diffs) if d.terms]
+            assert (len(diffs[i].terms), i) == min(separating), (rng.elements[x], rng.elements[w])
+            assert divisor == diffs[i]
+            pairs += 1
+            moved += i != separating[0][1]
+    assert pairs and moved
+
+
 def _all_constants(table):
     """c[(u, v)]: the sparse id-keyed constants of every pair of ids the
     table holds, one column of the recurrence per v."""
