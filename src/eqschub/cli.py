@@ -190,12 +190,14 @@ def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
 
 
 def ascii_int(text: str) -> int:
-    """An argparse type: an optional sign and ASCII digits, as an int.  A
-    digit ``int`` reads in any other script is an invalid value, exit 2."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """An argparse type: ``int`` of an ASCII value.  A digit ``int`` reads
+    in any other script is an invalid value, exit 2."""
+    try:
+        if not text.isascii():
+            raise ValueError(text)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def vector_text(coords) -> str:

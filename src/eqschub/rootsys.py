@@ -378,10 +378,7 @@ class RootPolynomial:
 
     def is_homogeneous_of(self, degree: int) -> bool:
         """Zero counts as homogeneous of every degree."""
-        if not self.terms:
-            return True
-        shift = FIELD_BITS * self.rank
-        return min(self.terms) >> shift == degree == max(self.terms) >> shift
+        return homogeneous_of(self.terms, self.rank, degree)
 
     def sign_pattern(self) -> str:
         """'nonneg' | 'nonpos' | 'zero' | 'mixed' over the stored coefficients."""
@@ -550,20 +547,28 @@ class LinearForm(RootPolynomial):
         self.rest = tuple((e, c) for e, c in self.terms.items() if e != self.pivot_key)
 
 
+def homogeneous_of(terms: dict, rank: int, degree: int) -> bool:
+    """Whether every packed term of ``terms``, of rank ``rank``, has the
+    degree ``degree``; no terms count as homogeneous of every degree.  The
+    degree is a key's top field, so the least and greatest keys bound it."""
+    if not terms:
+        return True
+    shift = FIELD_BITS * rank
+    return min(terms) >> shift == degree == max(terms) >> shift
+
+
 def exact_quotient(terms: dict, lin: LinearForm) -> dict | None:
     """The packed terms (nonzero coefficients) ``terms`` divided exactly by
     ``lin``, or None if there is no exact quotient; ``terms`` is not
     changed.  The one division routine.
 
-    A monomial divisor c*x divides each term on its own.  A dividend of
-    degree at most one has the integer quotient k if it is k * ``lin``.
-    Any other is divided by one pass of synthetic division in the
-    divisor's leading variable x (its lowest-index one): with the divisor
-    c*x + L and the terms bucketed by their degree in x, bucket k, cleared
-    from the top down, fixes the quotient terms of x-degree k - 1 and
-    pushes their products with L into bucket k - 1.  A quotient
-    coefficient that is not an integer, or anything left in bucket 0,
-    means there is no quotient.
+    A monomial divisor c*x divides each term on its own.  Any other is
+    divided by one pass of synthetic division in the divisor's leading
+    variable x (its lowest-index one): with the divisor c*x + L and the
+    terms bucketed by their degree in x, bucket k, cleared from the top
+    down, fixes the quotient terms of x-degree k - 1 and pushes their
+    products with L into bucket k - 1.  A quotient coefficient that is not
+    an integer, or anything left in bucket 0, means there is no quotient.
     """
     pivot_key, pivot_coeff, pivot_shift = lin.pivot_key, lin.pivot_coeff, lin.pivot_shift
     rest = lin.rest
@@ -578,9 +583,6 @@ def exact_quotient(terms: dict, lin: LinearForm) -> dict | None:
     if not terms:
         return quotient
     top = max(terms) >> FIELD_BITS * lin.rank
-    if top < 2:
-        k, r = divmod(terms.get(pivot_key, 0), pivot_coeff)
-        return {0: k} if k and not r and terms == {e: k * c for e, c in lin.terms.items()} else None
     # No exponent exceeds the total degree, so that many buckets suffice.
     buckets: list[dict] = [{} for _ in range(top + 1)]
     for exp, coeff in terms.items():

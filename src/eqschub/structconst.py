@@ -29,9 +29,10 @@ coordinates, the smallest on a tie, as a divisor of fewer terms costs
 less to divide by.  The entries of u read only those of the x covering u
 at the same w, so the constants of (u, v) need only the x >= u and the w
 with l(w) <= l(u) + l(v), which a truncated (Kac-Moody) range must hold:
-``column_constants`` computes many u over the union of their sets.  As c_uv = c_vu, ``structure_constants`` walks the
-x above the longer element of its pair and reads the row of the shorter
-one (the given v on a tie), so it walks the fewest x.
+``column_constants`` computes many u over the union of their sets.  As
+c_uv = c_vu, ``structure_constants`` walks the x above the longer
+element of its pair and reads the row of the shorter one (the given v on
+a tie), so it walks the fewest x.
 
 One rule, ``recurrence_table``, gives the table the recurrence reads:
 the rows of the columns themselves at the fixed points above the other
@@ -83,13 +84,12 @@ from .errors import (
     DomainViolation,
     InsufficientBound,
     InternalInconsistency,
-    NotDivisible,
     NotFiniteType,
     RankMismatch,
 )
 from .localize import RestrictionTable, restriction_table
 from .rootsys import (
-    FIELD_BITS, FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many, exact_quotient,
+    FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many, exact_quotient, homogeneous_of,
 )
 from .weyl import WeylElement, WeylRange, _check_same_system, longest_element
 
@@ -289,24 +289,23 @@ def _check_point(table: RestrictionTable, b, a=None) -> None:
         raise InternalInconsistency(f"the restriction table does not hold row {a} at point {b}")
 
 
-def _checked_quotient(dividend: RootPolynomial, divisor, degree: int, u, v, w) -> RootPolynomial:
-    """``dividend`` divided exactly by the linear form ``divisor``, or
-    ``dividend`` itself if the divisor is None; an inexact division or a
-    value not homogeneous of ``degree`` is an InternalInconsistency at
-    (u, v, w)."""
+def _checked_quotient(terms: dict, divisor, degree: int, rank: int, u, v, w) -> dict:
+    """The packed terms ``terms`` of rank ``rank`` divided exactly by the
+    ``LinearForm`` ``divisor``, or ``terms`` themselves if the divisor is
+    None; an inexact division or a value not homogeneous of ``degree`` is
+    an InternalInconsistency at (u, v, w)."""
     if divisor is not None:
-        try:
-            dividend = dividend.exact_divide_linear(divisor)
-        except NotDivisible as exc:
+        terms = exact_quotient(terms, divisor)
+        if terms is None:
             raise InternalInconsistency(
                 f"inexact division at (u={u.word_text()}, v={v.word_text()}, w={w.word_text()})"
-            ) from exc
-    if not dividend.is_homogeneous_of(degree):
+            )
+    if not homogeneous_of(terms, rank, degree):
         raise InternalInconsistency(
             f"value at (u={u.word_text()}, v={v.word_text()}, w={w.word_text()}) "
             f"is not homogeneous of degree {degree}"
         )
-    return dividend
+    return terms
 
 
 def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTable]:
@@ -328,7 +327,6 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         for x in xs:
             _check_point(table, x, v)
     rank = table.range.rs.rank
-    shift = FIELD_BITS * rank
     columns = table.columns
     covers_down = context.covers_down
     # The packed terms of each value, by x and then w.
@@ -343,8 +341,8 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         base = columns[x].get(v)
         if base is not None:
             values[x] = _checked_quotient(
-                base, None, lv, elements[x], elements[v], elements[x]
-            ).terms
+                base.terms, None, lv, rank, elements[x], elements[v], elements[x]
+            )
         for w, i, divisor in steps:
             if length[w] > last:
                 break
@@ -378,15 +376,9 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
                 acc = {e: c for e, c in acc.items() if c}
                 if not acc:
                     continue
-            d = degree - length[w]
-            quotient = exact_quotient(acc, divisor)
-            if quotient is None or min(quotient) >> shift != d or max(quotient) >> shift != d:
-                # Raises, with the message naming the entry.
-                quotient = _checked_quotient(
-                    RootPolynomial(rank, acc, _clean=True), divisor, d,
-                    elements[x], elements[v], elements[w],
-                ).terms
-            values[w] = quotient
+            values[w] = _checked_quotient(
+                acc, divisor, degree - length[w], rank, elements[x], elements[v], elements[w]
+            )
         column[x] = values
     return [
         StructureTable(

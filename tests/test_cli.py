@@ -22,7 +22,7 @@ from eqschub import (
     restriction_table,
     structure_constants,
 )
-from eqschub.cli import main, parse_eval_point, run_sweep
+from eqschub.cli import ascii_int, main, parse_eval_point, run_sweep
 from eqschub.rootsys import GENERAL
 
 from conftest import (
@@ -159,10 +159,17 @@ def test_word_with_a_non_ascii_digit_is_malformed(capsys, letter):
          "sweep-jobs-arabic-indic-2"],
 )
 def test_count_with_a_non_ascii_digit_is_an_invalid_value(capsys, argv, flag, value):
-    """A bound or a job count is ASCII digits only, after an optional sign:
-    any other digit is an invalid value, exit 2, though ``int`` would read it."""
+    """A bound or a job count is ASCII: any other digit is an invalid
+    value, exit 2, though ``int`` would read it."""
     assert run(argv) == (2, "")
     assert f"argument {flag}: invalid int value: {value!r}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,value", [(" 2", 2), ("1_0", 10), ("+3", 3), ("-1", -1)])
+def test_count_reads_every_ascii_form_int_reads(text, value):
+    """Refusing other scripts takes no ASCII form from ``int``: spaces
+    around the value, underscores between digits and a sign still read."""
+    assert ascii_int(text) == value
 
 
 @pytest.mark.parametrize(

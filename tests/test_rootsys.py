@@ -242,8 +242,8 @@ def test_divide_linear_dividends(coords):
     """A linear dividend has a quotient only if it is k * lin for an integer
     k.  k * lin with one coefficient off the pivot changed, or with an
     extra constant term, or lin with its pivot's coefficient one more, so
-    that k is not an integer, has none; ``exact_quotient`` says so with None and leaves the dividend as
-    it was."""
+    that k is not an integer, has none; ``exact_quotient`` says so with
+    None and leaves the dividend as it was."""
     lin = RootPolynomial.from_linear(3, coords)
     form = LinearForm(3, lin.terms, _clean=True)
     for k in (1, -1, 3, -4):
