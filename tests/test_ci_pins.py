@@ -57,8 +57,8 @@ def test_pinned_steps_replay_in_one_process(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     steps = pinned_steps()
     assert [digest[:8] for _, _, digest in steps] == [
-        "b4072952", "a6f10368", "2e371e63", "7bbb9aed", "426a687f", "8cded4cb", "6c0338ca",
-        "0024674a", "059fc534", "8543aaf5",
+        "b4072952", "a6f10368", "4e6455ad", "2e371e63", "7bbb9aed", "426a687f", "8cded4cb",
+        "6c0338ca", "0024674a", "059fc534", "8543aaf5",
     ]
     for files, commands, digest in steps:
         for path, text in files.items():
