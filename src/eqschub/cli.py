@@ -562,9 +562,10 @@ def _read_cache(path: str) -> dict | None:
 
     A verdict is recomputed from the record's stored values by the sign
     rule of its basis (``terms_sign_ok``); the record's own certificate
-    verdict is not trusted, only compared with it.  A stored term whose
-    exponent is not a list of nonnegative ints makes the line no sweep
-    record, under either basis.
+    verdict is not trusted, only compared with it.  A stored word u or v,
+    or a stored term's exponent, that is not a list of nonnegative ints
+    makes the line no sweep record, under either basis: a word [true] or
+    [1.0] would otherwise be keyed as [1].
     Refuses, with exit 2, a cache whose first line is not this version's
     header, a later line that is not a sweep record, and a record whose
     stored verdict disagrees with its values.  A last line after the
@@ -610,8 +611,8 @@ def _read_cache(path: str) -> dict | None:
                     (term["exp"], int(term["coeff"]))
                     for value in record["values"] for term in value["poly"]["terms"]
                 ]
-                if not _natural_exponents([exp for exp, _ in terms]):
-                    raise ValueError("an exponent is not a list of nonnegative ints")
+                if not _natural_exponents([record["u"], record["v"], *(exp for exp, _ in terms)]):
+                    raise ValueError("a word or an exponent is not a list of nonnegative ints")
                 ok = terms_sign_ok(record["basis"], terms)
                 stored = record["certificate"]["verdict"]
                 verdicts[_cache_key(record)] = ok
@@ -642,9 +643,9 @@ def _read_cache(path: str) -> dict | None:
 def _natural_exponents(exps: list) -> bool:
     """Whether each of ``exps`` is a list of nonnegative ints, bools excluded.
 
-    The check makes three C-level passes over the record's exponents (their
-    types, their entries' types, the least entry), not a Python loop per
-    exponent: it runs on every term of every record a resumed sweep reads.
+    The check makes three C-level passes over the record's words and
+    exponents (their types, their entries' types, the least entry), not a
+    Python loop per exponent: it runs on every record a resumed sweep reads.
     """
     flat = [*chain.from_iterable(exps)]
     return (

@@ -46,13 +46,13 @@ the rows D(v) that the steps up to those points read:
   diagonal of that ideal.
 
 The points are those, closed under v -> v s_i, and ``table.rows_at``
-maps each to its D(v), the table's one extent (None for the whole
-table).  The union of the D(v) is the lower ideal, each w of which is
-held at its own point.  Given a lower ideal as the rows, D is that ideal
-at every point.  The one step keeps only D(v) at v, since a row of v'
-that v does not hold would carry a stale value.  Which rows and points
-the Chevalley recurrence reads is ``structconst.recurrence_table``'s
-rule.
+maps each to its D(v), the table's one extent; the whole table maps
+every point to one set of every row.  The union of the D(v) is the lower
+ideal, each w of which is held at its own point.  Given a lower ideal as
+the rows, D is that ideal at every point.  The one step keeps only D(v)
+at v, since a row of v' that v does not hold would carry a stale value.
+Which rows and points the Chevalley recurrence reads is
+``structconst.recurrence_table``'s rule.
 """
 
 from __future__ import annotations
@@ -114,18 +114,17 @@ class RestrictionTable:
     ``columns`` maps the id v of each held point (see ``WeylRange``) to
     its column: a dict from the id w of each row held at v with a nonzero
     value there to that value, and no other key.  ``rows_at`` is the one
-    extent: None when the table holds every row at every point of its
-    range, else a map from the id of each held point to the frozenset of
-    the rows held there.  A row is held somewhere iff it is held at its
-    own point, since every element of the rows' lower ideal is a point
-    that holds itself.  ``value`` reads any pair of elements of the
-    range's root system, zero where nothing is stored; it raises
-    RankMismatch on an element of another system, InternalInconsistency
-    on a point the table does not hold or a row it does not hold there,
-    and InsufficientBound on a point beyond the range.
+    extent: a map from the id of each held point to the frozenset of the
+    rows held there.  A row is held somewhere iff it is held at its own
+    point, since every element of the rows' lower ideal is a point that
+    holds itself.  ``value`` reads any pair of elements of the range's
+    root system, zero where nothing is stored; it raises RankMismatch on
+    an element of another system, InsufficientBound on a row or a point
+    beyond the range, and InternalInconsistency on a point the table does
+    not hold or a row it does not hold there.
     """
 
-    def __init__(self, rng: WeylRange, columns: dict, rows_at=None):
+    def __init__(self, rng: WeylRange, columns: dict, rows_at: dict):
         self.range = rng
         self.columns = columns
         self.rows_at = rows_at
@@ -141,18 +140,20 @@ class RestrictionTable:
     def holds(self, w, v=None) -> bool:
         """Whether the row of the id ``w`` is in the table, at the id ``v``
         if given, else at some point (the point ``w`` itself)."""
-        return self.rows_at is None or w in self.rows_at.get(w if v is None else v, ())
+        return w in self.rows_at.get(w if v is None else v, ())
 
     def holds_point(self, v) -> bool:
         """Whether the column of the id ``v`` is in the table."""
-        return self.rows_at is None or v in self.rows_at
+        return v in self.rows_at
 
     def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
         _check_same_system(self.range.rs, w, v)
         index = self.range.index
         a, b = index.get(w), index.get(v)
-        if b is None:
-            raise InsufficientBound(f"{v} lies beyond the range of bound {self.range.bound}")
+        if a is None or b is None:
+            raise InsufficientBound(
+                f"{v if b is None else w} lies beyond the range of bound {self.range.bound}"
+            )
         if not self.holds(a):
             raise InternalInconsistency(f"the table does not hold the row of {w}")
         if not self.holds_point(b):
@@ -182,7 +183,8 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     invariants (support exactly the Bruhat interval, homogeneity, diagonal
     = product of inversion roots, nonnegative coefficients) are verified
     by ``_verify_table`` on the entries held.  A violation raises
-    InternalInconsistency.
+    InternalInconsistency.  Without ``rows``, ``rows_at`` maps every point
+    to one set of every id.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
@@ -194,8 +196,11 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     given = range(n) if points is None else set(points)
     if points is not None and not all(0 <= v < n for v in given):
         raise ValueError("points must be ids of the range")
-    rows_at = None
-    if rows is not None:
+    if rows is None:
+        if points is not None:
+            raise ValueError("points must be given with rows")
+        rows_at = dict.fromkeys(given, frozenset(given))
+    else:
         rows = frozenset(rows)
         if not rows or not all(0 <= w < n for w in rows):
             raise ValueError("rows must be a nonempty set of ids of the range")
@@ -204,32 +209,27 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
         for w in frozenset().union(*(leq[w] for w in rows)):
             here = rows_at.get(w, rows)
             rows_at[w] = here if w in here else here | {w}
-        # Parents have smaller ids, so each point's rows are complete
-        # before they are passed down to its parent.
+        # Parents have smaller ids, so each point's rows are complete before
+        # they pass to its parent; a set that gains no row passes on as itself.
         for v in range(max(rows_at), 0, -1):
             here = rows_at.get(v)
             if here is None:
                 continue
             i = elements[v].word[-1] - 1
-            down = here.union([x for w in here if (x := rmul[w][i]) is not None and x < w])
+            new = [x for w in here if (x := rmul[w][i]) is not None and x < w and x not in here]
+            down = here.union(new) if new else here
             parent = rmul[v][i]
             there = rows_at.get(parent)
-            rows_at[parent] = down if there is None else there | down
-        held = sorted(rows_at)
-    elif points is not None:
-        raise ValueError("points must be given with rows")
-    else:
-        held = range(n)
+            rows_at[parent] = down if there is None or there is down else there | down
 
     def ascend(u, i):
         w = rmul[u][i]
         return w if w > u else None
 
     columns = {0: {0: RootPolynomial.one(rs.rank)}}
-    for v in held[1:]:
+    for v in sorted(rows_at)[1:]:
         i = elements[v].word[-1] - 1
-        keep = None if rows_at is None else rows_at[v]
-        columns[v] = _next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend, keep)
+        columns[v] = _next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend, rows_at[v])
     table = RestrictionTable(rng, columns, rows_at)
     _verify_table(table)
     return table
@@ -259,10 +259,10 @@ def _verify_table(table: RestrictionTable):
             f"value({elements[w]}, {elements[v]}) {what}"
         )
 
-    held = range(len(leq)) if rows_at is None else sorted(rows_at)
+    held = sorted(rows_at)
     checked: dict = {}
     for v in held:
-        below = leq[v] if rows_at is None else leq[v] & rows_at[v]
+        below = leq[v] & rows_at[v]
         column = columns.get(v, {})
         for w, poly in column.items():
             if checked.get(id(poly)) == w:

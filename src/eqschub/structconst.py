@@ -141,14 +141,9 @@ def recurrence_table(rng: WeylRange, vs, us, top: int) -> RestrictionTable:
     """The table the recurrence reads for the columns of the ids ``vs`` at
     the ids ``us`` up to length ``top``: the rows ``vs`` at the points
     x >= some u with l(x) <= ``top``, which ``restriction_table`` closes
-    (see the module docstring).  Rows that are the whole range are held at
-    every point, so they give the whole table."""
-    rows = frozenset(vs)
-    if len(rows) == len(rng):
-        rows = points = None
-    else:
-        points = _points_above(rng, us, top)
-    return restriction_table(rng.rs, rng.bound, rng=rng, rows=rows, points=points)
+    (see the module docstring)."""
+    points = _points_above(rng, us, top)
+    return restriction_table(rng.rs, rng.bound, rng=rng, rows=vs, points=points)
 
 
 def _points_above(rng: WeylRange, us, top: int) -> list[int]:
@@ -178,11 +173,11 @@ class ChevalleyContext:
 
     Elements are named by their ids in the range (see ``WeylRange``).
     Everything is kept at the fixed points the table holds (the keys of
-    its ``rows_at``, or every point) and nowhere else: a column walks the
-    x >= some u and reads them at w >= x, so a table holding the points
-    above u up to the column's length serves it.  ``above[x]`` lists the
-    held w >= x in increasing id and ``below[w]`` the held y that w
-    covers, both from the range's Bruhat order over the held points.
+    its ``rows_at``) and nowhere else: a column walks the x >= some u and
+    reads them at w >= x, so a table holding the points above u up to the
+    column's length serves it.  ``above[x]`` lists the held w >= x in
+    increasing id and ``below[w]`` the held y that w covers, both from
+    the range's Bruhat order over the held points.
     ``xi[w][i]`` holds the coordinates of xi^{s_{i+1}}(w), the range's
     ``xi``.  The first ``read(x)``, when a column first reads x, builds:
 
@@ -209,10 +204,9 @@ class ChevalleyContext:
         self.length = length = [w.length for w in self.elements]
         self.above = above = [[] for _ in range(n)]
         self.below = below = [[] for _ in range(n)]
-        leq, rows_at = table.range.leq, table.rows_at
-        points = None if rows_at is None else frozenset(rows_at)
-        for w in range(n) if points is None else sorted(points):
-            for y in leq[w] if points is None else leq[w] & points:
+        leq, points = table.range.leq, frozenset(table.rows_at)
+        for w in sorted(points):
+            for y in leq[w] & points:
                 above[y].append(w)
                 if length[y] + 1 == length[w]:
                     below[w].append(y)
@@ -323,9 +317,8 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
     _check_bound(table.range, top)
     # The column reads row v at every x >= some u up to length top.
     xs = _points_above(table.range, us, top)
-    if table.rows_at is not None:
-        for x in xs:
-            _check_point(table, x, v)
+    for x in xs:
+        _check_point(table, x, v)
     rank = table.range.rs.rank
     columns = table.columns
     covers_down = context.covers_down
@@ -408,21 +401,24 @@ def verify_product_identity(table: RestrictionTable, s: StructureTable) -> Ident
     satisfies the same identity with every restriction transported by the
     longest element, so the check is run against the transported values.
     The ids of ``s.values`` are read as ids of ``table``'s range, which
-    holds ``s.order`` as a prefix when its root system is ``s``'s.  A
-    table missing a row this reads at some point, or holding only some
-    points, is an InternalInconsistency.
+    holds ``s.order`` as a prefix when its root system is ``s``'s.  As in
+    ``structure_constants``, u and v of another system are a RankMismatch
+    and a range too short for the pair is InsufficientBound, so the
+    identity is never read as zero beyond the range.  A table missing a
+    row this reads at some point (an id of ``s`` beyond the range
+    included), or holding only some points, is an InternalInconsistency.
     """
     transform = longest_element(s.rs).matrix if s.basis == "y" else None
-    index, columns = table.range.index, table.columns
-    u, v = index.get(s.u), index.get(s.v)
-    if table.rows_at is not None and len(table.rows_at) < len(table.range):
+    rng, columns = table.range, table.columns
+    short, long = _pair_ids(rng, s.u, s.v)
+    if len(table.rows_at) < len(rng):
         raise InternalInconsistency("the identity reads every point, and the table holds some")
-    zero = RootPolynomial.zero(table.range.rs.rank)
-    for z, element in enumerate(table.range.elements):
-        for a in (u, v, *s.values):
+    zero = RootPolynomial.zero(rng.rs.rank)
+    for z, element in enumerate(rng.elements):
+        for a in (short, long, *s.values):
             _check_point(table, z, a)
         column = columns[z]
-        lhs = column.get(u, zero) * column.get(v, zero)
+        lhs = column.get(short, zero) * column.get(long, zero)
         if transform is not None:
             lhs = lhs.apply_linear(transform)
         rhs = zero

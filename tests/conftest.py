@@ -21,7 +21,7 @@ def mat_mul(a, b):
 
 def held_rows(table):
     """The rows a restriction table holds at some point: those it holds at
-    their own points, read off ``table.rows_at`` (not None)."""
+    their own points, read off ``table.rows_at``."""
     return frozenset(w for w, here in table.rows_at.items() if w in here)
 
 

@@ -199,6 +199,7 @@ def test_c4_product_identity(sweeps, affine_data):
                 v: {w: p.apply_linear(matrix) for w, p in column.items()}
                 for v, column in table.columns.items()
             },
+            table.rows_at,
         )
         for s in sweeps[name]["x"].values():
             assert verify_product_identity(table, s), (name, s.u, s.v)

@@ -468,12 +468,10 @@ def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, 
     for u in rng:
         for v in rng:
             code, out = run(["mult", "--type", rs_type, "--u", u.word_text(), "--v", v.word_text()])
-            # mult's range stops at l(u) + l(v), a prefix of the whole one;
-            # a map given as None holds the whole of it.
+            # mult's range stops at l(u) + l(v), a prefix of the whole one.
             table = built.pop()
-            held = frozenset(range(len(table.range)))
-            rows = held if table.rows_at is None else held_rows(table)
-            points = held if table.rows_at is None else table.rows_at.keys()
+            rows = held_rows(table)
+            points = table.rows_at.keys()
             short, long = (u, v) if u.length < v.length else (v, u)
             short, long = rng.index[short], rng.index[long]
             assert rows == rng.leq[short]
@@ -889,7 +887,7 @@ A3_ROWS = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
     (AFFINE_A2_ROWS, GENERAL, 1, 1),
     (A3_ROWS, "finite", 4, 9),
     # The whole of A2 is swept, so every row is held.
-    (((2, -1), (-1, 2)), "finite", 6, None),
+    (((2, -1), (-1, 2)), "finite", 6, 6),
 ])
 def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind, bound, held):
     """A sweep's table holds, at every point of its range, the rows of
@@ -907,11 +905,8 @@ def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind
     monkeypatch.setattr(structconst, "restriction_table", kept)
     assert run_sweep(cartan, kind, bound, "x", cache_path=str(tmp_path / "rows.jsonl")).verdict == "pass"
     (table,) = tables
-    if held is None:
-        assert table.rows_at is None
-    else:
-        assert table.rows_at == dict.fromkeys(range(len(table.range)), frozenset(range(held)))
-        assert {w.length for w in table.range.elements[:held]} == set(range(bound // 2 + 1))
+    assert table.rows_at == dict.fromkeys(range(len(table.range)), frozenset(range(held)))
+    assert {w.length for w in table.range.elements[:held]} == set(range(bound // 2 + 1))
 
     def whole(rs, k, *, rng, rows, points):
         return localize.restriction_table(rs, k, rng=rng)
@@ -1156,6 +1151,32 @@ def test_sweep_refuses_cache_with_a_bad_exponent(tmp_path, monkeypatch, capsys, 
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith(f"error: cache {cache}: line {len(lines)} is not a sweep record")
+
+
+@pytest.mark.parametrize("key", ["u", "v"])
+@pytest.mark.parametrize("letter", [True, 1.0], ids=["bool", "float"])
+def test_sweep_refuses_cache_with_a_word_that_is_not_ints(
+    tmp_path, monkeypatch, capsys, key, letter
+):
+    """A stored word that is not a list of ints makes the line no sweep
+    record.  Read as one, [true] or [1.0] would key the pair of [1], which
+    the resumed sweep would then skip, trusting the stored verdict and
+    leaving no record of [1] in the cache."""
+    cache = tmp_path / "cache.jsonl"
+    args = ["sweep", "--type", "A2", "--max-length", "2", "--cache", str(cache)]
+    assert run(args)[0] == 0
+    lines = cache.read_text().splitlines()
+    number = next(n for n, line in enumerate(lines) if n and json.loads(line)[key] == [1])
+    record = json.loads(lines[number])
+    record[key] = [letter]
+    lines[number] = json.dumps(record)
+    cache.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    _forbid_solving(monkeypatch)
+    code, out = run(args)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cache {cache}: line {number + 1} is not a sweep record")
 
 
 def test_sweep_cache_that_cannot_be_read_exits_2(tmp_path, capsys):

@@ -306,6 +306,20 @@ def test_table_closes_unclosed_rows_and_refuses_rows_outside_the_range():
             restriction_table(A2, 3, rng=rng, rows=rows)
 
 
+def test_whole_table_holds_one_set_of_rows_at_every_point():
+    """The whole table, built without rows or given every id as its rows
+    at every point, maps each point to one shared set of every id."""
+    from eqschub.structconst import recurrence_table
+
+    whole = restriction_table(A3, 6)
+    rng = whole.range
+    every = frozenset(range(len(rng)))
+    for table in (whole, recurrence_table(rng, every, every, 6)):
+        assert table.rows_at == dict.fromkeys(range(len(rng)), every)
+        assert len({id(here) for here in table.rows_at.values()}) == 1
+        assert table.columns == whole.columns
+
+
 def test_verify_table_rejects_entry_outside_the_rows():
     whole = restriction_table(A2, 3)
     rng = whole.range
@@ -562,11 +576,18 @@ def test_step_refuses_a_degree_at_the_packed_limit(monkeypatch):
 
 def test_value_beyond_a_truncated_range_raises():
     """xi^e is 1 at every fixed point, but a table cut at length 2 holds no
-    value at a point of length 5: reading one is InsufficientBound, not 0."""
+    value at a point of length 5: reading one is InsufficientBound, not 0.
+    So is reading a row of length 5, and the whole table holds no id past
+    its range, nor None, as a row or a point."""
     e, s1s2s1s2s1 = identity(AFF), element_from_word(AFF, (1, 2, 1, 2, 1))
     assert restriction_table(AFF, 5).value(e, s1s2s1s2s1) == RootPolynomial.one(2)
-    with pytest.raises(InsufficientBound, match="beyond the range"):
-        restriction_table(AFF, 2).value(e, s1s2s1s2s1)
+    table = restriction_table(AFF, 2)
+    beyond = re.escape(f"{s1s2s1s2s1} lies beyond the range")
+    for w, v in ((e, s1s2s1s2s1), (s1s2s1s2s1, e)):
+        with pytest.raises(InsufficientBound, match=beyond):
+            table.value(w, v)
+    n = len(table.range)
+    assert not table.holds(None) and not table.holds(n) and not table.holds_point(n)
 
 
 def test_value_refuses_an_element_of_another_system():

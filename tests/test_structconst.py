@@ -71,7 +71,7 @@ def corrupted(table, w, v, value):
     """A copy of the whole ``table`` whose value at the ids (w, v) is ``value``."""
     columns = {b: dict(column) for b, column in table.columns.items()}
     columns[v][w] = value
-    return RestrictionTable(table.range, columns)
+    return RestrictionTable(table.range, columns, table.rows_at)
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +861,36 @@ def test_verify_detects_single_coefficient_perturbation():
     check = verify_product_identity(T_A1, mutated)
     assert not check
     assert check.failing is not None
+
+
+def test_verify_refuses_a_range_too_short_for_the_pair():
+    """A3 cut at length 2 holds neither s1 s2 s3 nor s3 s2 s1, nor any w of
+    their product, so read there the identity would be 0 = 0 at every
+    point, even for corrupted constants; it is refused instead."""
+    u, v = element_from_word(A3, (1, 2, 3)), element_from_word(A3, (3, 2, 1))
+    whole = restriction_table(A3, 6)
+    s = structure_constants(whole, u, v)
+    k = min(s.values)
+    corrupt = StructureTable(A3, "x", u, v, {**s.values, k: s.values[k] + s.values[k]}, s.order)
+    assert verify_product_identity(whole, s)
+    assert not verify_product_identity(whole, corrupt)
+    short = restriction_table(A3, 2)
+    for constants in (s, corrupt):
+        with pytest.raises(InsufficientBound, match="table bound 2 < length"):
+            verify_product_identity(short, constants)
+
+
+def test_verify_refuses_a_constant_beyond_the_range():
+    """An id of the constants past the range is a row the table does not
+    hold, not a zero restriction."""
+    from eqschub import InternalInconsistency
+
+    s1 = element_from_word(A2, (1,))
+    s = structure_constants(T_A2, s1, s1)
+    n = len(T_A2.range)
+    extra = StructureTable(A2, "x", s1, s1, {**s.values, n: poly(2, {(1, 0): 1})}, s.order)
+    with pytest.raises(InternalInconsistency, match=f"does not hold row {n} at"):
+        verify_product_identity(T_A2, extra)
 
 
 def test_verify_random_b2_pairs():
