@@ -50,7 +50,9 @@ from .structconst import (
     structure_constants,
     terms_sign_ok,
 )
-from .weyl import WeylRange, element_from_word, enumerate_upto, inverse, longest_element, word_text
+from .weyl import (
+    WeylElement, WeylRange, element_from_word, enumerate_upto, inverse, longest_element, word_text,
+)
 
 CACHE_ENV = "EQSCHUB_CACHE"
 CACHE_HEADER = {"engine": f"eqschub {__version__}", "convention": "KK", "format": 1}
@@ -76,10 +78,11 @@ class CliError(EqschubError):
 # ---------------------------------------------------------------------------
 # Setup kept for later calls in the same process
 #
-# The root system, the range and its Bruhat order depend on the Cartan
-# matrix alone, not on the pair asked about, so a process that calls
-# ``main`` or ``run_sweep`` many times builds them once.  One range is held:
-# the one with the largest bound asked for, of the root system last used.
+# The root system, the elements of words, the range and its Bruhat order
+# depend on the Cartan matrix alone, not on the pair asked about, so a
+# process that calls ``main`` or ``run_sweep`` many times builds them once.
+# One range is held: the one with the largest bound asked for, of the root
+# system last used.
 
 
 @lru_cache(maxsize=16)
@@ -101,10 +104,18 @@ def weyl_range(rs: RootSystem, bound: int) -> WeylRange:
     return held.prefix(bound)
 
 
+@lru_cache(maxsize=1024)
+def _element(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
+    """``element_from_word(rs, word)`` for a word ``parse_word`` gave,
+    kept for later queries of the same word."""
+    return element_from_word(rs, word)
+
+
 def clear_setup() -> None:
-    """Forget the root systems and the range kept for later calls."""
+    """Forget the root systems, elements and range kept for later calls."""
     global _held_range
     _root_system.cache_clear()
+    _element.cache_clear()
     _held_range = None
 
 
@@ -319,14 +330,15 @@ def cmd_mult(args, out) -> int:
     rs = load_root_system(args)
     u_word = parse_word(args.u, rs.rank, "--u")
     v_word = parse_word(args.v, rs.rank, "--v")
-    u = element_from_word(rs, u_word)
-    v = element_from_word(rs, v_word)
+    u = _element(rs, u_word)
+    v = _element(rs, v_word)
     if args.basis == "y" and rs.kind != FINITE:
         raise CliError("--basis y requires a finite-type root system")
     # The recurrence reads no fixed point longer than length(u)+length(v), and
     # a finite group's range stops at the longest element.  The range comes
     # from the one held for the process (see ``weyl_range``), with its
-    # Bruhat order, so only the pair's table is built here.
+    # Bruhat order and the restriction entries and recurrence steps earlier
+    # queries stored on it, so only what those lack is built here.
     bound = u.length + v.length if args.max_length is None else args.max_length
     s = structure_constants(pair_table(weyl_range(rs, bound), u, v), u, v)
     if args.basis == "y":
@@ -446,12 +458,12 @@ def run_sweep(
     ``PAIRS_PER_WORKER`` pairs; the output does not depend on its size.
     """
     start = time.perf_counter()
-    cached = _read_cache(cache_path) if cache_path else None
     cartan = CartanMatrix.from_rows(entries)
     rs = _root_system(cartan, kind, descriptor_for(cartan, kind))
     if basis == "y" and rs.kind != FINITE:
         raise NotFiniteType("y-basis sweep requires a finite-type root system")
     rng = weyl_range(rs, bound)
+    cached = _read_cache(cache_path, rs, {w.word for w in rng.elements}) if cache_path else None
     words = [w.word for w in rng.elements if rng.complete or 2 * w.length <= bound]
     verdicts = cached or {}
 
@@ -556,9 +568,11 @@ def _cache_key(record: dict) -> tuple:
     )
 
 
-def _read_cache(path: str) -> dict | None:
+def _read_cache(path: str, rs: RootSystem, canonical: set) -> dict | None:
     """Verdict of each record in the cache at ``path``, by key; None if the
-    cache is absent or empty.
+    cache is absent or empty.  ``rs`` is the root system of the sweep, and
+    ``canonical`` a set of canonical words of its elements, which the
+    reader extends with the other canonical words it meets.
 
     A verdict is recomputed from the record's stored values by the sign
     rule of its basis (``terms_sign_ok``); the record's own certificate
@@ -567,8 +581,11 @@ def _read_cache(path: str) -> dict | None:
     makes the line no sweep record, under either basis: a word [true] or
     [1.0] would otherwise be keyed as [1].
     Refuses, with exit 2, a cache whose first line is not this version's
-    header, a later line that is not a sweep record, and a record whose
-    stored verdict disagrees with its values.  A last line after the
+    header, a later line that is not a sweep record, a record whose
+    stored verdict disagrees with its values, and a record of ``rs``'s
+    type whose u or v is not the canonical word of an element of ``rs``:
+    a sweep writes only canonical words, and it would never read or
+    replace a record of another word.  A last line after the
     header that has no final newline and does not parse is the torn end
     of an interrupted append: it is dropped, with a warning on stderr, by
     truncating the file to the end of the last complete line.  A last
@@ -615,7 +632,8 @@ def _read_cache(path: str) -> dict | None:
                     raise ValueError("a word or an exponent is not a list of nonnegative ints")
                 ok = terms_sign_ok(record["basis"], terms)
                 stored = record["certificate"]["verdict"]
-                verdicts[_cache_key(record)] = ok
+                key = _cache_key(record)
+                verdicts[key] = ok
             except (KeyError, TypeError, ValueError):
                 raise CliError(f"cache {path}: line {number} is not a sweep record")
             verdict = "pass" if ok else "fail"
@@ -624,6 +642,17 @@ def _read_cache(path: str) -> dict | None:
                     f"cache {path}: line {number} has certificate verdict {stored!r},"
                     f" but its values {verdict} the {record['basis']}-basis sign rule"
                 )
+            if key[0] == rs.descriptor:
+                for word in key[2:]:
+                    if word in canonical:
+                        continue
+                    letters = all(1 <= i <= rs.rank for i in word)
+                    if not (letters and element_from_word(rs, word).word == word):
+                        raise CliError(
+                            f"cache {path}: line {number} has the word {list(word)},"
+                            f" which is not the canonical word of an element of {rs.descriptor}"
+                        )
+                    canonical.add(word)
     try:
         if torn is not None:
             number, offset = torn

@@ -17,15 +17,18 @@ range; ``restriction_column`` runs it along one element's canonical word
 and holds only that element's column, which serves ``restrict``.  Both
 take the step from ``_next_column``.
 
-The table keeps its columns as built: ``table.columns[v]`` maps the id w
-of each held row with a nonzero value at the point v to that value, so it
-holds exactly the pairs w <= v and its size follows the Bruhat intervals
-rather than the square of the range.  ``_verify_table`` checks each table
-as it is built, in one pass over its columns, and its cost follows what
-the table built:
+``table.columns[v]`` maps the id w of each held row with a nonzero value
+at the point v to that value, so it holds exactly the pairs w <= v and its
+size follows the Bruhat intervals rather than the square of the range.
+A value depends on the range alone, so the range keeps a store of them
+(``WeylRange.memo("restrictions")``), a table computes only the rows its
+points lack there, and its columns are views of the store.  Each entry is
+checked once, when it enters the store: ``_verify_table`` checks a
+table's new entries together, in one pass, and they enter only if all
+pass.  Its cost follows what the table built:
 
-* support, by one set comparison per held column between its keys and
-  the column's Bruhat interval (within the rows held at that point);
+* support, by one set comparison per new column between its keys and
+  the column's Bruhat interval (within the rows new at that point);
 * zero, homogeneity and sign, once per distinct (row, polynomial object),
   since a column holds its parent's entries by reference;
 * the diagonal, at each row held at its own point, against the
@@ -113,15 +116,17 @@ class RestrictionTable:
 
     ``columns`` maps the id v of each held point (see ``WeylRange``) to
     its column: a dict from the id w of each row held at v with a nonzero
-    value there to that value, and no other key.  ``rows_at`` is the one
-    extent: a map from the id of each held point to the frozenset of the
-    rows held there.  A row is held somewhere iff it is held at its own
-    point, since every element of the rows' lower ideal is a point that
-    holds itself.  ``value`` reads any pair of elements of the range's
-    root system, zero where nothing is stored; it raises RankMismatch on
-    an element of another system, InsufficientBound on a row or a point
-    beyond the range, and InternalInconsistency on a point the table does
-    not hold or a row it does not hold there.
+    value there to that value, and no other key.  ``restriction_table``
+    shares them with the range's store, where each entry was checked once,
+    when it entered, so they are read, never changed.  ``rows_at`` is the
+    one extent: a map from the id of each held point to the frozenset of
+    the rows held there.  A row is held somewhere iff it is held at its
+    own point, since every element of the rows' lower ideal is a point
+    that holds itself.  ``value`` reads any pair of elements of the
+    range's root system, zero where nothing is stored; it raises
+    RankMismatch on an element of another system, InsufficientBound on a
+    row or a point beyond the range, and InternalInconsistency on a point
+    the table does not hold or a row it does not hold there.
     """
 
     def __init__(self, rng: WeylRange, columns: dict, rows_at: dict):
@@ -179,12 +184,14 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     v's canonical word, and holds at each point the rows the step to the
     points above it reads.  Columns are built by the one-letter recursion,
     each from the column of v with its last letter removed, and only their
-    nonzero entries in the rows held there are kept.  The four table
-    invariants (support exactly the Bruhat interval, homogeneity, diagonal
-    = product of inversion roots, nonnegative coefficients) are verified
-    by ``_verify_table`` on the entries held.  A violation raises
-    InternalInconsistency.  Without ``rows``, ``rows_at`` maps every point
-    to one set of every id.
+    nonzero entries in the rows held there are kept.  The range's store
+    serves each (point, row) entry it holds; the rows a point lacks there
+    are computed from its parent's column.  The four table invariants
+    (support exactly the Bruhat interval, homogeneity, diagonal = product
+    of inversion roots, nonnegative coefficients) are verified by
+    ``_verify_table`` on the new entries before any enters the store.  A
+    violation raises InternalInconsistency.  Without ``rows``,
+    ``rows_at`` maps every point to one set of every id.
     """
     if rng is None:
         rng = enumerate_upto(rs, k)
@@ -226,13 +233,42 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
         w = rmul[u][i]
         return w if w > u else None
 
-    columns = {0: {0: RootPolynomial.one(rs.rank)}}
-    for v in sorted(rows_at)[1:]:
-        i = elements[v].word[-1] - 1
-        columns[v] = _next_column(columns[rmul[v][i]], i, rng.last_root[v], ascend, rows_at[v])
-    table = RestrictionTable(rng, columns, rows_at)
-    _verify_table(table)
-    return table
+    # The store maps each point to the rows computed there, as a mask with
+    # bit w set for the row w, and their nonzero values.
+    store = rng.memo("restrictions")
+    masks: dict = {}  # id of a set of rows -> its mask
+    new_rows, new_columns, pending = {}, {}, {}
+    columns = {}
+    for v in sorted(rows_at):
+        rows = rows_at[v]
+        mask = masks.get(id(rows))
+        if mask is None:
+            mask = masks[id(rows)] = sum(1 << w for w in rows)
+        known, column = store.get(v, _NOTHING)
+        if mask & ~known:
+            missing = frozenset(w for w in rows if not known >> w & 1) if known else rows
+            if v:
+                i = elements[v].word[-1] - 1
+                parent = rmul[v][i]
+                source = pending[parent][1] if parent in pending else store[parent][1]
+                fresh = _next_column(source, i, rng.last_root[v], ascend, missing)
+            else:
+                fresh = {0: RootPolynomial.one(rs.rank)} if 0 in missing else {}
+            new_rows[v], new_columns[v] = missing, fresh
+            known |= mask
+            column = {**column, **fresh} if column else fresh
+            pending[v] = known, column
+        columns[v] = column if known == mask else {
+            w: p for w in rows if (p := column.get(w)) is not None
+        }
+    if pending:
+        _verify_table(RestrictionTable(rng, new_columns, new_rows))
+        store.update(pending)
+    return RestrictionTable(rng, columns, rows_at)
+
+
+# What the store holds at a point no table has computed yet.
+_NOTHING = (0, {})
 
 
 def _verify_table(table: RestrictionTable):
@@ -246,7 +282,8 @@ def _verify_table(table: RestrictionTable):
     held at its point) in one set comparison.  Then a column stored at a
     point the table does not hold is refused, and the diagonal of each row
     held at its own point is compared with the range's memoised inversion
-    product.
+    product.  ``restriction_table`` passes it the entries new to the
+    range's store: at each point, the rows new there and their values.
     """
     rng = table.range
     leq = rng.leq

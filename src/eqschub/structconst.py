@@ -175,70 +175,83 @@ class ChevalleyContext:
     Everything is kept at the fixed points the table holds (the keys of
     its ``rows_at``) and nowhere else: a column walks the x >= some u and
     reads them at w >= x, so a table holding the points above u up to the
-    column's length serves it.  ``above[x]`` lists the held w >= x in
-    increasing id and ``below[w]`` the held y that w covers, both from
-    the range's Bruhat order over the held points.
-    ``xi[w][i]`` holds the coordinates of xi^{s_{i+1}}(w), the range's
-    ``xi``.  The first ``read(x)``, when a column first reads x, builds:
+    column's length serves it.  The values it reads are the table's, each
+    checked once, when it entered the range's store (see ``localize``).
+    ``points`` lists the held points in increasing id.  ``xi[w][i]`` holds
+    the coordinates of xi^{s_{i+1}}(w), the range's ``xi``.  Nothing is
+    built per point until a column reads it: the first ``read(x)`` builds
 
-    * ``steps[x]`` lists (w, i, divisor) for each w > x in increasing
-      length, with i the recurrence's letter at (x, w), the separating one
-      of the fewest-term divisor (smallest on a tie), and the divisor
-      xi^{s_i}(w) - xi^{s_i}(x) prepared as a ``LinearForm``;
-    * ``covers_up[x][i]`` lists (w, c_{s_i,x}^w) for the w covering x, and
-      ``covers_down[x][i]`` lists (y, c_{s_i,y}^x) for the y that x covers,
-      each without the zero integers.
+    * ``steps[x]``, which lists (w, i, divisor) for each held w > x in
+      increasing id, so in increasing length, with i the recurrence's
+      letter at (x, w), the separating one of the fewest-term divisor
+      (smallest on a tie), and the divisor xi^{s_i}(w) - xi^{s_i}(x)
+      prepared as a ``LinearForm``;
+    * ``covers_up[x][i]``, which lists (w, c_{s_i,x}^w) for the held w
+      covering x, and ``covers_down[x][i]``, which lists (y, c_{s_i,y}^x)
+      for the held y that x covers, each without the zero integers.
 
     Those depend on the pair of ids alone, not on the table, so the range
     keeps them for every context over it and its prefixes, in its memo
     "recurrence steps": under x, for each w > x read so far, the step
     (w, i, divisor) and the nonzero (i, c_{s_i,x}^w) if w covers x (none
     otherwise).  They are computed, and checked, on the first read of the
-    pair in the process; the point check runs on every ``read``.
+    pair in the process; the point check runs on every ``read``.  The
+    elements x covers come from the range's Bruhat order, and the range
+    keeps them in its memo "covers".
     """
 
     def __init__(self, table: RestrictionTable):
         self.table = table
-        self.elements = table.range.elements
+        rng = table.range
+        self.elements = rng.elements
         n = len(self.elements)
-        self.length = length = [w.length for w in self.elements]
-        self.above = above = [[] for _ in range(n)]
-        self.below = below = [[] for _ in range(n)]
-        leq, points = table.range.leq, frozenset(table.rows_at)
-        for w in sorted(points):
-            for y in leq[w] & points:
-                above[y].append(w)
-                if length[y] + 1 == length[w]:
-                    below[w].append(y)
-        self.xi = table.range.xi
+        self.length = [w.length for w in self.elements]
+        self.points = sorted(table.rows_at)
+        self.xi = rng.xi
         self.steps = [None] * n
         self.covers_up = [None] * n
         self.covers_down = [None] * n
-        self.rank = table.range.rs.rank
-        self._known = table.range.memo("recurrence steps")
-        self._divisors = table.range.memo("recurrence divisors")
+        self.rank = rng.rs.rank
+        self._leq = rng.leq
+        self._covers = rng.memo("covers")
+        self._known = rng.memo("recurrence steps")
+        self._divisors = rng.memo("recurrence divisors")
 
     def read(self, x: int):
         """``steps[x]`` and ``covers_up[x]``, with ``covers_down[x]``, built
         on the first call for x."""
         if self.steps[x] is None:
             _check_point(self.table, x)
+            leq, points, rows_at = self._leq, self.points, self.table.rows_at
             known = self._known.setdefault(x, {})
             steps = []
             up = [[] for _ in range(self.rank)]
-            for w in self.above[x]:
-                if w == x:
+            # Ids run in length order, so every w > x has a larger id.
+            for w in points[bisect_right(points, x):]:
+                if x not in leq[w]:
                     continue
                 step, covers = known.get(w) or self._pair(x, w)
                 steps.append(step)
                 for i, k in covers:
                     up[i].append((w, k))
             down = [[] for _ in range(self.rank)]
-            for y in sorted(self.below[x]):
+            for y in self._covered(x):
+                if y not in rows_at:
+                    continue
                 for i, k in (self._known.setdefault(y, {}).get(x) or self._pair(y, x))[1]:
                     down[i].append((y, k))
             self.steps[x], self.covers_up[x], self.covers_down[x] = steps, up, down
         return self.steps[x], self.covers_up[x]
+
+    def _covered(self, x: int) -> list[int]:
+        """The ids y that x covers in Bruhat order, in increasing id, kept
+        in the range's memo."""
+        covered = self._covers.get(x)
+        if covered is None:
+            length = self.length
+            below = length[x] - 1
+            covered = self._covers[x] = sorted(y for y in self._leq[x] if length[y] == below)
+        return covered
 
     def _pair(self, x: int, w: int):
         """The step (w, i, divisor) of the ids x < w, and (i, c_{s_i,x}^w)

@@ -220,8 +220,10 @@ class WeylRange:
     ``xi[w][i]`` holds the coordinates on the simple roots of
     xi^{s_{i+1}}(w) = omega_{i+1} - w(omega_{i+1}): the sum of the last
     roots w's canonical word adds at its letters i + 1.  ``memo(name)``
-    holds data kept per id, such as the inversion products and the steps
-    of the Chevalley recurrence (``structconst.ChevalleyContext``).
+    holds data kept per id, which depends on the range alone: the inversion
+    products, the store of restriction values, each entry checked once,
+    when it enters the store (``localize.restriction_table``), and what the
+    Chevalley recurrence reads (``structconst.ChevalleyContext``).
     """
 
     def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],
@@ -234,9 +236,11 @@ class WeylRange:
         self.last_root = last_root
         self.xi = xi
         # The enumerated range this one is a prefix of; its Bruhat order is
-        # built there, once, and sliced here, and its memos are kept there.
+        # built there, once, and sliced here, and its memos and its prefix
+        # views, by bound, are kept there.
         self._whole = self
         self._memos: dict = {}
+        self._views: dict = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -247,6 +251,8 @@ class WeylRange:
     @cached_property
     def index(self) -> dict:
         """Element -> id."""
+        if self._whole is not self and len(self) == len(self._whole):
+            return self._whole.index
         return {w: k for k, w in enumerate(self.elements)}
 
     @cached_property
@@ -258,7 +264,8 @@ class WeylRange:
         elements below v are those below v' and their products with s_i.
         """
         if self._whole is not self:
-            return self._whole.leq[: len(self)]
+            leq = self._whole.leq
+            return leq if len(self) == len(leq) else leq[: len(self)]
         rmul = self.right_mul
         below = [frozenset((0,))]
         for v in range(1, len(self.elements)):
@@ -298,7 +305,9 @@ class WeylRange:
         range's with the ids past them set to None, and ``last_root``,
         ``xi`` and ``leq`` are prefixes, since everything below an element
         is shorter than it.  A larger bound can be served only by a
-        complete range, whose elements it keeps.
+        complete range, whose elements it keeps.  The view of each bound is
+        made once and kept on the enumerated range, which every view of it
+        serves, and a view that keeps every id shares that range's lists.
         """
         if bound < 0:
             raise ValueError("length bound must be nonnegative")
@@ -306,13 +315,22 @@ class WeylRange:
             return self
         if bound > self.bound and not self.complete:
             raise ValueError(f"a range of bound {self.bound} is incomplete at bound {bound}")
-        n = bisect_right(self.elements, bound, key=lambda w: w.length)
-        rmul = self.right_mul
-        if n < len(rmul):
-            rmul = [[x if x is not None and x < n else None for x in row] for row in rmul[:n]]
-        view = WeylRange(self.rs, bound, self.elements[:n], self.complete and n == len(self),
-                         rmul, self.last_root[:n], self.xi[:n])
-        view._whole = self._whole
+        whole = self._whole
+        if bound == whole.bound:
+            return whole
+        view = whole._views.get(bound)
+        if view is None:
+            n = bisect_right(whole.elements, bound, key=lambda w: w.length)
+            if n == len(whole):
+                view = WeylRange(self.rs, bound, whole.elements, whole.complete,
+                                 whole.right_mul, whole.last_root, whole.xi)
+            else:
+                rmul = [[x if x is not None and x < n else None for x in row]
+                        for row in whole.right_mul[:n]]
+                view = WeylRange(self.rs, bound, whole.elements[:n], False,
+                                 rmul, whole.last_root[:n], whole.xi[:n])
+            view._whole = whole
+            whole._views[bound] = view
         return view
 
 

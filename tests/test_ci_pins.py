@@ -52,6 +52,17 @@ def pinned_steps() -> list[tuple[dict, list[list[str]], str]]:
     return out
 
 
+def _replay(steps, tmp_path):
+    """Run each step's commands into one buffer and check its digest."""
+    for files, commands, digest in steps:
+        for path, text in files.items():
+            (tmp_path / path).write_text(text + "\n", encoding="utf-8")
+        out = io.StringIO()
+        for argv in commands:
+            assert cli.main(argv, out) == 0, argv
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest, commands
+
+
 def test_pinned_steps_replay_in_one_process(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
@@ -60,13 +71,22 @@ def test_pinned_steps_replay_in_one_process(tmp_path, monkeypatch):
         "b4072952", "a6f10368", "4e6455ad", "2e371e63", "7bbb9aed", "426a687f", "8cded4cb",
         "6c0338ca", "0024674a", "059fc534", "8543aaf5",
     ]
-    for files, commands, digest in steps:
-        for path, text in files.items():
-            (tmp_path / path).write_text(text + "\n", encoding="utf-8")
-        out = io.StringIO()
-        for argv in commands:
-            assert cli.main(argv, out) == 0, argv
-        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest, commands
+    _replay(steps, tmp_path)
+
+
+def test_pinned_steps_replay_in_reverse_order_in_one_process(tmp_path, monkeypatch):
+    """The same steps, last first, from cleared memos: the range each
+    query reads then keeps the restriction entries and recurrence steps of
+    other queries, filled in another order, and every digest still holds."""
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    steps = pinned_steps()
+    assert len(steps) == 11
+    cli.clear_setup()
+    try:
+        _replay(steps[::-1], tmp_path)
+    finally:
+        cli.clear_setup()
 
 
 def sweep_digest_steps() -> list[tuple[dict, list[list[str]], str]]:

@@ -1179,6 +1179,41 @@ def test_sweep_refuses_cache_with_a_word_that_is_not_ints(
     assert err.startswith(f"error: cache {cache}: line {number + 1} is not a sweep record")
 
 
+@pytest.mark.parametrize("key", ["u", "v"])
+@pytest.mark.parametrize("word", [[3], [1, 1], [2, 1, 2]], ids=["letter-3", "e", "w0"])
+def test_sweep_refuses_cache_with_a_word_that_is_not_canonical(
+    tmp_path, monkeypatch, capsys, key, word
+):
+    """A record of the sweep's type whose word has a letter outside
+    1..rank, or spells an element whose canonical word is another, is
+    refused with exit 2.  Kept, it would stay in the cache for good: the
+    resumed sweep keys its pairs by canonical words, so it would never read
+    or replace it."""
+    cache = tmp_path / "cache.jsonl"
+    args = ["sweep", "--type", "A2", "--max-length", "2", "--cache", str(cache)]
+    assert run(args)[0] == 0
+    lines = cache.read_text().splitlines()
+    number = next(n for n, line in enumerate(lines) if n and json.loads(line)[key] == [1])
+    record = json.loads(lines[number])
+    record[key] = word
+    lines[number] = json.dumps(record)
+    cache.write_text("".join(line + "\n" for line in lines))
+    before = cache.read_bytes()
+    capsys.readouterr()
+    _forbid_solving(monkeypatch)
+    code, out = run(args)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: cache {cache}: line {number + 1} has the word {word},"
+        " which is not the canonical word of an element of A2\n"
+    )
+    assert cache.read_bytes() == before
+    # A record of another type is not this sweep's to judge.
+    monkeypatch.undo()
+    other = ["sweep", "--type", "B2", "--max-length", "2", "--cache", str(cache)]
+    assert run(other)[0] == 0
+
+
 def test_sweep_cache_that_cannot_be_read_exits_2(tmp_path, capsys):
     code, _ = run(["sweep", "--type", "A1", "--max-length", "1", "--cache", str(tmp_path)])
     assert code == 2

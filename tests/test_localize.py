@@ -525,6 +525,41 @@ def test_verify_rejects_a_corrupted_diagonal_with_the_products_kept():
         _verify_table(table)
 
 
+def test_a_corrupted_step_leaves_the_store_without_its_entries(monkeypatch):
+    """A range keeps each restriction entry a table computes once the
+    table's check has passed it.  With the step at w0 of A3 corrupted (one
+    new entry there negated), a table needing rows w0 lacks raises, and the
+    range keeps nothing that table computed: the point w0 keeps the rows
+    an earlier table left there, and nothing else.  So a second build with
+    the step still corrupted raises again, and once the step is mended the
+    table equals one over a fresh range."""
+    import eqschub.localize as localize
+
+    rng = enumerate_upto(A3, 6)
+    w0 = len(rng) - 1
+    short, long = (rng.index[element_from_word(A3, x)] for x in ((2, 1), (1, 3)))
+    restriction_table(A3, 6, rng=rng, rows={short}, points=upper_points(rng, long, 6))
+    store = rng.memo("restrictions")
+    before = dict(store)
+    assert w0 in before
+    step = localize._next_column
+
+    def corrupted(column, i, beta, ascend, keep=None):
+        out = step(column, i, beta, ascend, keep)
+        if beta is rng.last_root[w0]:
+            w = max(out)
+            out[w] = -out[w]
+        return out
+
+    monkeypatch.setattr(localize, "_next_column", corrupted)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency, match="negative coefficients"):
+            restriction_table(A3, 6, rng=rng)
+        assert store == before and all(store[v] is before[v] for v in store)
+    monkeypatch.undo()
+    assert restriction_table(A3, 6, rng=rng).columns == restriction_table(A3, 6).columns
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [(lambda p: -p, "negative coefficients"),

@@ -562,16 +562,15 @@ def test_context_builds_no_step_at_a_point_the_table_does_not_hold(monkeypatch):
             context = contexts[0]
             held = table.rows_at.keys()
             assert len(held) < len(rng)
+            assert context.points == sorted(held)
             for x in range(len(rng)):
-                lists = [context.above[x], context.below[x]]
+                lists = []
                 if context.steps[x] is not None:
                     assert x in held
                     lists += [[w for w, _, _ in context.steps[x]]]
                     covers = context.covers_up[x] + context.covers_down[x]
                     lists += [[w for w, _ in c] for c in covers]
                 assert all(w in held for ws in lists for w in ws), (u, v, x)
-                if x not in held:
-                    assert not context.above[x] and not context.below[x]
             assert all(w in held for w in s.values)
             outside = next(x for x in range(len(rng)) if x not in held)
             with pytest.raises(InternalInconsistency, match="does not hold point"):
@@ -617,6 +616,32 @@ def test_held_range_serves_the_steps_a_fresh_range_builds(monkeypatch, rs, bound
     finally:
         cli.clear_setup()
     assert held.memo("recurrence steps")
+
+
+@pytest.mark.parametrize(
+    "rs,bound", [(A3, 6), (G2, 6), (AFF_A2, 6)], ids=["A3", "G2", "AffineA2"]
+)
+def test_restriction_store_serves_what_a_fresh_range_builds(rs, bound):
+    """A range keeps the restriction entries its tables computed and
+    serves them to later tables.  On every pair of A3 and G2, and every
+    pair of affine A2 with l(u) + l(v) <= 6, each table ``mult`` reads,
+    and its constants, built over one range in increasing and then in
+    decreasing pair order, through the prefix views ``mult`` reads, equal
+    those built over a fresh range: the store serves no stale entry."""
+    from eqschub import enumerate_upto
+
+    def built(rng, u, v):
+        table = pair_table(rng, u, v)
+        return table.rows_at, table.columns, structure_constants(table, u, v).values
+
+    els = enumerate_upto(rs, bound).elements
+    pairs = [(u, v) for u in els for v in els if u.length + v.length <= bound or rs.kind != GENERAL]
+    fresh = {(u, v): built(enumerate_upto(rs, u.length + v.length), u, v) for u, v in pairs}
+    for order in (pairs, pairs[::-1]):
+        rng = enumerate_upto(rs, bound)
+        for u, v in order:
+            assert built(rng.prefix(u.length + v.length), u, v) == fresh[u, v], (u, v)
+        assert rng.memo("restrictions")
 
 
 def test_structure_constants_raise_on_a_point_the_table_lacks():
