@@ -22,10 +22,10 @@ at the point v to that value, so it holds exactly the pairs w <= v and its
 size follows the Bruhat intervals rather than the square of the range.
 A value depends on the range alone, so the range keeps a store of them
 (``WeylRange.memo("restrictions")``), a table computes only the rows its
-points lack there, and its columns are views of the store.  Each entry is
-checked once, when it enters the store: ``_verify_table`` checks a
-table's new entries together, in one pass, and they enter only if all
-pass.  Its cost follows what the table built:
+points lack there, and its columns are read-only views of the store.
+Each entry is checked once, when it enters the store: ``_verify_table``
+checks a table's new entries together, in one pass, and they enter only
+if all pass.  Its cost follows what the table built:
 
 * support, by one set comparison per new column between its keys and
   the column's Bruhat interval (within the rows new at that point);
@@ -59,6 +59,8 @@ Which rows and points the Chevalley recurrence reads is
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .errors import InsufficientBound, InternalInconsistency
 from .rootsys import RootPolynomial, RootSystem
@@ -117,8 +119,9 @@ class RestrictionTable:
     ``columns`` maps the id v of each held point (see ``WeylRange``) to
     its column: a dict from the id w of each row held at v with a nonzero
     value there to that value, and no other key.  ``restriction_table``
-    shares them with the range's store, where each entry was checked once,
-    when it entered, so they are read, never changed.  ``rows_at`` is the
+    gives them as read-only views (``MappingProxyType``) of the range's
+    store, where each entry was checked once, when it entered, so no
+    table changes what a later one reads.  ``rows_at`` is the
     one extent: a map from the id of each held point to the frozenset of
     the rows held there.  A row is held somewhere iff it is held at its
     own point, since every element of the rows' lower ideal is a point
@@ -134,6 +137,16 @@ class RestrictionTable:
         self.columns = columns
         self.rows_at = rows_at
         self._zero = RootPolynomial.zero(rng.rs.rank)
+
+    def __getstate__(self):
+        """A read-only view does not pickle, so a pickled table, such as
+        one a sweep hands to a spawned worker, sends its columns as dicts
+        and gets them back as views of those."""
+        return self.range, {v: dict(column) for v, column in self.columns.items()}, self.rows_at
+
+    def __setstate__(self, state):
+        rng, columns, rows_at = state
+        self.__init__(rng, {v: MappingProxyType(column) for v, column in columns.items()}, rows_at)
 
     @property
     def values(self) -> dict:
@@ -186,7 +199,9 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     each from the column of v with its last letter removed, and only their
     nonzero entries in the rows held there are kept.  The range's store
     serves each (point, row) entry it holds; the rows a point lacks there
-    are computed from its parent's column.  The four table invariants
+    are computed from its parent's column.  The columns are read-only
+    views of the store, or of a dict of its entries in the rows held
+    where the store holds more.  The four table invariants
     (support exactly the Bruhat interval, homogeneity, diagonal = product
     of inversion roots, nonnegative coefficients) are verified by
     ``_verify_table`` on the new entries before any enters the store.  A
@@ -234,17 +249,17 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
         return w if w > u else None
 
     # The store maps each point to the rows computed there, as a mask with
-    # bit w set for the row w, and their nonzero values.
+    # bit w set for the row w, and a dict of their nonzero values.
     store = rng.memo("restrictions")
     masks: dict = {}  # id of a set of rows -> its mask
-    new_rows, new_columns, pending = {}, {}, {}
-    columns = {}
+    new_rows, new_columns, pending, columns = {}, {}, {}, {}
+    made = []  # the values the steps computed
     for v in sorted(rows_at):
         rows = rows_at[v]
         mask = masks.get(id(rows))
         if mask is None:
             mask = masks[id(rows)] = sum(1 << w for w in rows)
-        known, column = store.get(v, _NOTHING)
+        known, column = store.get(v, (0, {}))
         if mask & ~known:
             missing = frozenset(w for w in rows if not known >> w & 1) if known else rows
             if v:
@@ -252,23 +267,27 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
                 parent = rmul[v][i]
                 source = pending[parent][1] if parent in pending else store[parent][1]
                 fresh = _next_column(source, i, rng.last_root[v], ascend, missing)
+                made += [p for w, p in fresh.items() if p is not source.get(w)]
             else:
                 fresh = {0: RootPolynomial.one(rs.rank)} if 0 in missing else {}
             new_rows[v], new_columns[v] = missing, fresh
             known |= mask
             column = {**column, **fresh} if column else fresh
             pending[v] = known, column
-        columns[v] = column if known == mask else {
-            w: p for w in rows if (p := column.get(w)) is not None
-        }
+        if known != mask:
+            column = {w: p for w in rows if (p := column.get(w)) is not None}
+        columns[v] = MappingProxyType(column)
     if pending:
         _verify_table(RestrictionTable(rng, new_columns, new_rows))
+        # A stored value keeps its terms for the life of the range, and the
+        # values share few monomials among many terms, so each packed
+        # monomial is kept once per range and the terms are rekeyed with it,
+        # their values unchanged.
+        monomials = rng.memo("monomials")
+        for poly in made:
+            poly.terms = {monomials.setdefault(e, e): c for e, c in poly.terms.items()}
         store.update(pending)
     return RestrictionTable(rng, columns, rows_at)
-
-
-# What the store holds at a point no table has computed yet.
-_NOTHING = (0, {})
 
 
 def _verify_table(table: RestrictionTable):

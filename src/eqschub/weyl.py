@@ -220,10 +220,11 @@ class WeylRange:
     ``xi[w][i]`` holds the coordinates on the simple roots of
     xi^{s_{i+1}}(w) = omega_{i+1} - w(omega_{i+1}): the sum of the last
     roots w's canonical word adds at its letters i + 1.  ``memo(name)``
-    holds data kept per id, which depends on the range alone: the inversion
-    products, the store of restriction values, each entry checked once,
-    when it enters the store (``localize.restriction_table``), and what the
-    Chevalley recurrence reads (``structconst.ChevalleyContext``).
+    holds data that depends on the range alone: the inversion products,
+    the store of restriction values, each entry checked once, when it
+    enters the store, with the packed monomials of their terms, kept once
+    (``localize.restriction_table``), and what the Chevalley recurrence
+    reads (``structconst.ChevalleyContext``).
     """
 
     def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],
@@ -251,8 +252,6 @@ class WeylRange:
     @cached_property
     def index(self) -> dict:
         """Element -> id."""
-        if self._whole is not self and len(self) == len(self._whole):
-            return self._whole.index
         return {w: k for k, w in enumerate(self.elements)}
 
     @cached_property
@@ -264,8 +263,7 @@ class WeylRange:
         elements below v are those below v' and their products with s_i.
         """
         if self._whole is not self:
-            leq = self._whole.leq
-            return leq if len(self) == len(leq) else leq[: len(self)]
+            return self._whole.leq[: len(self)]
         rmul = self.right_mul
         below = [frozenset((0,))]
         for v in range(1, len(self.elements)):

@@ -1,6 +1,7 @@
 """Fixed-point restriction values: the table, single columns and the
 subword-formula oracle."""
 
+import pickle
 import re
 
 import pytest
@@ -21,7 +22,7 @@ from eqschub import (
     restriction_table,
 )
 
-from eqschub.localize import _verify_table
+from eqschub.localize import RestrictionTable, _verify_table
 from eqschub.rootsys import GENERAL
 
 from conftest import (
@@ -48,6 +49,14 @@ SYSTEMS = [(A2, 5), (B2, 5), (G2, 5), (AFF, 5)]
 def ideal_rows(rng, v):
     """The ids of the Bruhat lower ideal of the id v, with e and the s_i."""
     return rng.leq[v] | {a for a, w in enumerate(rng) if w.length <= 1}
+
+
+def writable(table):
+    """A copy of ``table`` whose columns are dicts of its own, for the tests
+    that corrupt an entry: a built table's columns are read-only views of
+    its range's store."""
+    columns = {v: dict(column) for v, column in table.columns.items()}
+    return RestrictionTable(table.range, columns, table.rows_at)
 
 
 def upper_points(rng, x, top):
@@ -189,15 +198,15 @@ def test_column_equals_every_table_column(rs, k):
 
 
 def _table_holding(rs, k, w, v, ideal):
-    """The whole table, or one over the lower ideal of the longer of the
-    words w and v, which holds the rows of both."""
+    """A writable copy of the whole table, or of one over the lower ideal
+    of the longer of the words w and v, which holds the rows of both."""
     if not ideal:
-        return restriction_table(rs, k)
+        return writable(restriction_table(rs, k))
     rng = enumerate_upto(rs, k)
     longer = rng.index[element_from_word(rs, max(w, v, key=len))]
     table = restriction_table(rs, k, rng=rng, rows=ideal_rows(rng, longer))
     assert held_rows(table) != frozenset(range(len(rng)))
-    return table
+    return writable(table)
 
 
 @pytest.mark.parametrize(
@@ -256,17 +265,22 @@ def test_verify_table_rejects_entry_outside_bruhat_interval(rs, k, w, v, ideal):
 )
 def test_ideal_table_is_the_whole_table_on_its_rows(rs, k):
     """Built over the lower ideal of any v, with e and the s_i, the table
-    holds exactly the whole table's entries on those rows."""
+    holds exactly the whole table's entries on those rows: built over a
+    fresh range, whose store holds nothing, and over one range that keeps
+    the entries of the tables before it."""
     whole = restriction_table(rs, k)
     rng = whole.range
+    shared = enumerate_upto(rs, k)
     for v in range(len(rng)):
         rows = ideal_rows(rng, v)
-        table = restriction_table(rs, k, rng=rng, rows=rows)
-        assert held_rows(table) == rows
-        assert table.columns == {
-            v: {w: p for w, p in column.items() if w in rows}
-            for v, column in whole.columns.items()
-        }
+        for over in (enumerate_upto(rs, k), shared):
+            table = restriction_table(rs, k, rng=over, rows=rows)
+            assert table.range is not rng
+            assert held_rows(table) == rows
+            assert table.columns == {
+                v: {w: p for w, p in column.items() if w in rows}
+                for v, column in whole.columns.items()
+            }
 
 
 @pytest.mark.parametrize(
@@ -296,7 +310,7 @@ def test_table_closes_unclosed_rows_and_refuses_rows_outside_the_range():
     rng = whole.range
     s1s2 = rng.index[element_from_word(A2, (1, 2))]
     for rows in ({s1s2}, {0, s1s2}):
-        table = restriction_table(A2, 3, rng=rng, rows=rows)
+        table = restriction_table(A2, 3, rng=enumerate_upto(A2, 3), rows=rows)
         assert held_rows(table) == rng.leq[s1s2]
         assert table.rows_at == wanted_rows(rng, rows, set(range(len(rng))), word_steps(rng))
         for v, column in table.columns.items():
@@ -326,7 +340,7 @@ def test_verify_table_rejects_entry_outside_the_rows():
     s1 = rng.index[element_from_word(A2, (1,))]
     s2s1 = rng.index[element_from_word(A2, (2, 1))]
     w0 = len(rng) - 1
-    table = restriction_table(A2, 3, rng=rng, rows=ideal_rows(rng, s1))
+    table = writable(restriction_table(A2, 3, rng=rng, rows=ideal_rows(rng, s1)))
     assert not table.holds(s2s1)
     table.columns[w0][s2s1] = whole.columns[w0][s2s1]
     with pytest.raises(InternalInconsistency, match="stored outside the rows"):
@@ -353,7 +367,8 @@ def test_value_raises_on_a_row_held_at_another_point_only():
     rng = whole.range
     els = rng.elements
     short, long = (rng.index[element_from_word(A3, x)] for x in ((2, 1), (1, 3)))
-    table = restriction_table(A3, 6, rng=rng, rows={short}, points=upper_points(rng, long, 4))
+    table = restriction_table(A3, 6, rng=enumerate_upto(A3, 6), rows={short},
+                              points=upper_points(rng, long, 4))
     pairs = [(w, v) for v in table.rows_at for w in held_rows(table) if not table.holds(w, v)]
     assert any(w in rng.leq[v] for w, v in pairs)
     for w, v in pairs:
@@ -374,7 +389,9 @@ def test_value_raises_on_a_row_held_at_another_point_only():
 def test_point_table_is_the_whole_table_at_its_points(rs, k):
     """Given rows at points, the table holds the points with the points
     their canonical words step from and the rows' own points, and there
-    it holds exactly the whole table's entries."""
+    it holds exactly the whole table's entries.  Each table is built over a
+    fresh range, whose store holds nothing, so its every entry comes from
+    the step that keeps only the rows held."""
     whole = restriction_table(rs, k)
     rng = whole.range
     steps = word_steps(rng)
@@ -383,7 +400,7 @@ def test_point_table_is_the_whole_table_at_its_points(rs, k):
         points = upper_points(rng, x, rng.elements[x].length + 1 if x % 2 else k)
         y = min(x, len(rng) - 1 - x)
         rows = ideal_rows(rng, y)
-        table = restriction_table(rs, k, rng=rng, rows=rows, points=points)
+        table = restriction_table(rs, k, rng=enumerate_upto(rs, k), rows=rows, points=points)
         assert table.rows_at.keys() == word_prefixes(rng, points | rows)
         assert table.columns == {
             v: {w: p for w, p in column.items() if w in rows}
@@ -392,7 +409,7 @@ def test_point_table_is_the_whole_table_at_its_points(rs, k):
         assert table.rows_at == dict.fromkeys(table.rows_at, rows)
         # A single row, closed by the table: at each given point it holds
         # the rows the steps above that point read.
-        table = restriction_table(rs, k, rng=rng, rows={y}, points=points)
+        table = restriction_table(rs, k, rng=enumerate_upto(rs, k), rows={y}, points=points)
         want = wanted_rows(rng, {y}, points, steps)
         assert held_rows(table) == rng.leq[y]
         assert table.rows_at.keys() == word_prefixes(rng, points | rng.leq[y])
@@ -439,16 +456,16 @@ def test_table_over_a_longer_range_takes_its_prefix_up_to_k():
 
 
 def _point_table():
-    """An A3 table over the lower ideal of s2 s1, with e and the s_i, at the
-    points above s1 s3 up to length 4, which ``mult`` reads for that pair.
-    Returns it with the whole table."""
+    """A writable copy of the A3 table over the lower ideal of s2 s1, with e
+    and the s_i, at the points above s1 s3 up to length 4, which ``mult``
+    reads for that pair.  Returns it with the whole table."""
     whole = restriction_table(A3, 6)
     rng = whole.range
     short, long = (rng.index[element_from_word(A3, x)] for x in ((2, 1), (1, 3)))
     table = restriction_table(A3, 6, rng=rng, rows=ideal_rows(rng, short),
                               points=upper_points(rng, long, 4))
     assert len(table.rows_at) < len(rng)
-    return table, whole
+    return writable(table), whole
 
 
 @pytest.mark.parametrize(
@@ -558,6 +575,44 @@ def test_a_corrupted_step_leaves_the_store_without_its_entries(monkeypatch):
         assert store == before and all(store[v] is before[v] for v in store)
     monkeypatch.undo()
     assert restriction_table(A3, 6, rng=rng).columns == restriction_table(A3, 6).columns
+
+
+def test_a_write_into_a_column_is_refused():
+    """A table's columns are read-only views of its range's store, which
+    every later table over the range reads: a column the table shares with
+    the store and one it filtered to its rows both refuse a write, and a
+    later table reads the values the check passed."""
+    rng = enumerate_upto(A3, 6)
+    w0 = len(rng) - 1
+    whole = restriction_table(A3, 6, rng=rng)
+    part = restriction_table(A3, 6, rng=rng, rows=ideal_rows(rng, 1))
+    assert dict(part.columns[w0]) != dict(whole.columns[w0])
+    for column in (whole.columns[w0], part.columns[w0]):
+        with pytest.raises(TypeError):
+            column[1] = RootPolynomial.zero(3)
+        with pytest.raises(TypeError):
+            del column[1]
+        with pytest.raises(AttributeError):
+            column.clear()
+    assert restriction_table(A3, 6, rng=rng).columns == restriction_table(A3, 6).columns
+    # A pickled table, as a spawned sweep worker gets it, reads the same
+    # values through read-only columns of its own.
+    copy = pickle.loads(pickle.dumps(part))
+    assert copy.columns == part.columns and copy.rows_at == part.rows_at
+    with pytest.raises(TypeError):
+        copy.columns[w0][1] = RootPolynomial.zero(3)
+
+
+def test_stored_values_share_their_packed_monomials():
+    """The range keeps each packed monomial of its stored values once: the
+    values of the whole A3 table hold many more terms than distinct
+    monomials, and every term's key is the one int kept for it."""
+    rng = enumerate_upto(A3, 6)
+    table = restriction_table(A3, 6, rng=rng)
+    keys = [e for column in table.columns.values() for p in column.values() for e in p.terms]
+    assert len(keys) > 2 * len(set(keys))
+    assert len({id(e) for e in keys}) == len(set(keys))
+    assert table.columns == restriction_table(A3, 6).columns
 
 
 @pytest.mark.parametrize(
