@@ -248,20 +248,16 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
         w = rmul[u][i]
         return w if w > u else None
 
-    # The store maps each point to the rows computed there, as a mask with
-    # bit w set for the row w, and a dict of their nonzero values.
+    # The store maps each point to the set of rows computed there and a
+    # dict of their nonzero values.  A point's first set is the table's own.
     store = rng.memo("restrictions")
-    masks: dict = {}  # id of a set of rows -> its mask
     new_rows, new_columns, pending, columns = {}, {}, {}, {}
     made = []  # the values the steps computed
     for v in sorted(rows_at):
         rows = rows_at[v]
-        mask = masks.get(id(rows))
-        if mask is None:
-            mask = masks[id(rows)] = sum(1 << w for w in rows)
-        known, column = store.get(v, (0, {}))
-        if mask & ~known:
-            missing = frozenset(w for w in rows if not known >> w & 1) if known else rows
+        known, column = store.get(v, (frozenset(), {}))
+        if known is not rows and not rows <= known:
+            missing = rows - known
             if v:
                 i = elements[v].word[-1] - 1
                 parent = rmul[v][i]
@@ -271,10 +267,10 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
             else:
                 fresh = {0: RootPolynomial.one(rs.rank)} if 0 in missing else {}
             new_rows[v], new_columns[v] = missing, fresh
-            known |= mask
+            known = known | rows if known else rows
             column = {**column, **fresh} if column else fresh
             pending[v] = known, column
-        if known != mask:
+        if known is not rows and known != rows:
             column = {w: p for w in rows if (p := column.get(w)) is not None}
         columns[v] = MappingProxyType(column)
     if pending:
