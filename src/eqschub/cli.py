@@ -39,7 +39,6 @@ from .rootsys import (
     monomial_text,
 )
 from .structconst import (
-    ChevalleyContext,
     billey_evaluate,
     column_constants,
     opposite_constants,
@@ -336,9 +335,10 @@ def cmd_mult(args, out) -> int:
         raise CliError("--basis y requires a finite-type root system")
     # The recurrence reads no fixed point longer than length(u)+length(v), and
     # a finite group's range stops at the longest element.  The range comes
-    # from the one held for the process (see ``weyl_range``), with its
-    # Bruhat order and the restriction entries and recurrence steps earlier
-    # queries stored on it, so only what those lack is built here.
+    # from the one held for the process (see ``weyl_range``).  Its Bruhat
+    # order, its restriction entries (each checked once, when it entered
+    # the range's store) and its recurrence steps outlive this query, so
+    # only what earlier queries left unbuilt is built here.
     bound = u.length + v.length if args.max_length is None else args.max_length
     s = structure_constants(pair_table(weyl_range(rs, bound), u, v), u, v)
     if args.basis == "y":
@@ -384,7 +384,7 @@ def _sweep_row_lines(state, u: int, vs) -> list[tuple[str, str, bool]]:
     ``record_text`` encodes both from one body.
     """
     out = []
-    for s in column_constants(state["context"], u, vs):
+    for s in column_constants(state["table"], u, vs):
         if state["w0"] is not None:
             s = opposite_constants(s, state["w0"])
         cert = positivity_certificate(s)
@@ -451,10 +451,10 @@ def run_sweep(
     computed, so an interrupted sweep keeps every finished row.  The root
     system and the range come from those kept for the process (see
     ``weyl_range``), built on the first sweep that needs them; the one
-    restriction table and recurrence context are built per sweep, and only
-    if some pair is left.  A ``jobs`` > 1 pool
-    worker is handed both rather than building its own, and computes whole
-    rows.  The pool has at most one worker per CPU, per row and per
+    restriction table is built per sweep, and only if some pair is left,
+    from the entries the range's store lacks, and the recurrence reads its
+    steps from the range.  A ``jobs`` > 1 pool worker is handed the table
+    rather than building its own, and computes whole rows.  The pool has at most one worker per CPU, per row and per
     ``PAIRS_PER_WORKER`` pairs; the output does not depend on its size.
     """
     start = time.perf_counter()
@@ -525,13 +525,13 @@ def _solve_rows(rows, swept, rng, basis, jobs):
     """Yield ``_sweep_row_lines`` of each (u id, v ids) row, in order.
 
     Nothing is set up before the first row is asked for.  The state (the
-    recurrence context over the table the columns of the ``swept`` ids
-    read, w0 for the y basis) is used here at ``jobs`` 1 and handed to
+    table the columns of the ``swept`` ids read, with its range, and w0
+    for the y basis) is used here at ``jobs`` 1 and handed to
     each pool worker otherwise: inherited under fork, pickled once per
     worker under spawn.
     """
     state = {
-        "context": ChevalleyContext(recurrence_table(rng, swept, swept, rng.bound)),
+        "table": recurrence_table(rng, swept, swept, rng.bound),
         "w0": longest_element(rng.rs) if basis == "y" else None,
     }
     if jobs > 1:

@@ -41,7 +41,8 @@ class NotGroupElement(EqschubError):
 
 
 class ResourceCap(EqschubError):
-    """Enumeration exceeded its configured element cap."""
+    """A loop exceeded its configured cap: enumeration its element cap, or
+    ``weyl.canonicalize`` its descent steps."""
 
     exit_code = 3
 

@@ -50,8 +50,10 @@ InternalInconsistency instead of reading zero.
 The Bruhat order and the linear forms xi^{s_i} come from the range
 (``WeylRange.xi``, summed from the inversion roots along canonical
 words), and the values xi^v from the restriction table, so no
-fundamental weight is needed.  For y covered by w = y s_beta, the
-Chevalley integer is c_{s_i,y}^w = <omega_i, beta^vee> >= 0, and
+fundamental weight is needed; the steps at each x, which depend on the
+range alone, are kept on the range (``_recurrence``).  For y covered by
+w = y s_beta, the Chevalley integer is
+c_{s_i,y}^w = <omega_i, beta^vee> >= 0, and
 
     xi^{s_i}(w) - xi^{s_i}(y) = y(omega_i) - y s_beta(omega_i)
                               = <omega_i, beta^vee> y(beta)
@@ -73,12 +75,12 @@ for the certificates and for the sweep cache's reader.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import sub
+from operator import attrgetter, sub
 
 from .errors import (
     DomainViolation,
@@ -92,6 +94,9 @@ from .rootsys import (
     FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many, exact_quotient, homogeneous_of,
 )
 from .weyl import WeylElement, WeylRange, _check_same_system, longest_element
+
+
+_length = attrgetter("length")
 
 
 class StructureTable:
@@ -124,7 +129,7 @@ def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement)
     exist.
     """
     short, long = _pair_ids(table.range, u, v)
-    s = column_constants(ChevalleyContext(table), short, [long])[0]
+    s = column_constants(table, short, [long])[0]
     s.u, s.v = u, v
     return s
 
@@ -151,7 +156,7 @@ def _points_above(rng: WeylRange, us, top: int) -> list[int]:
     order.  Ids run in length order, so they lie from the least u up to the
     last id of length ``top``."""
     leq = rng.leq
-    stop = bisect_right(rng.elements, top, key=lambda w: w.length)
+    stop = bisect_right(rng.elements, top, key=_length)
     return [x for x in range(min(us), stop) if any(u in leq[x] for u in us)]
 
 
@@ -168,123 +173,85 @@ def _check_bound(rng, top: int):
         raise InsufficientBound(f"table bound {rng.bound} < length(u)+length(v) = {top}")
 
 
-class ChevalleyContext:
-    """What the Chevalley recurrence reads of one range.
+def _recurrence(rng: WeylRange, x: int):
+    """What the Chevalley recurrence reads at the id ``x`` of ``rng``:
+    (steps, covers_up, covers_down).
 
-    Elements are named by their ids in the range (see ``WeylRange``).
-    Everything is kept at the fixed points the table holds (the keys of
-    its ``rows_at``) and nowhere else: a column walks the x >= some u and
-    reads them at w >= x, so a table holding the points above u up to the
-    column's length serves it.  The values it reads are the table's, each
-    checked once, when it entered the range's store (see ``localize``).
-    ``points`` lists the held points in increasing id.  ``xi[w][i]`` holds
-    the coordinates of xi^{s_{i+1}}(w), the range's ``xi``.  Nothing is
-    built per point until a column reads it: the first ``read(x)`` builds
-
-    * ``steps[x]``, which lists (w, i, divisor) for each held w > x in
+    * ``steps`` lists (w, i, divisor) for each w > x of the range in
       increasing id, so in increasing length, with i the recurrence's
       letter at (x, w), the separating one of the fewest-term divisor
       (smallest on a tie), and the divisor xi^{s_i}(w) - xi^{s_i}(x)
       prepared as a ``LinearForm``;
-    * ``covers_up[x][i]``, which lists (w, c_{s_i,x}^w) for the held w
-      covering x, and ``covers_down[x][i]``, which lists (y, c_{s_i,y}^x)
-      for the held y that x covers, each without the zero integers.
+    * ``covers_up[i]`` lists (w, c_{s_i,x}^w) for the w covering x, and
+      ``covers_down[i]`` lists (y, c_{s_i,y}^x) for the y that x covers,
+      each in increasing id and without the zero integers.
 
-    Those depend on the pair of ids alone, not on the table, so the range
-    keeps them for every context over it and its prefixes, in its memo
-    "recurrence steps": under x, for each w > x read so far, the step
-    (w, i, divisor) and the nonzero (i, c_{s_i,x}^w) if w covers x (none
-    otherwise).  They are computed, and checked, on the first read of the
-    pair in the process; the point check runs on every ``read``.  The
-    elements x covers come from the range's Bruhat order, and the range
-    keeps them in its memo "covers".
+    They depend on the pair of ids alone, so the range keeps them, for
+    itself and its prefixes, in its memo "recurrence": under x, the number
+    of ids they were built over and the three lists.  They are built, and
+    checked, on the first read of x in the process, and again only when a
+    longer range reads x; an entry built over a longer range may list ids
+    past a shorter one.  Divisors are shared through the memo "recurrence
+    divisors".
     """
-
-    def __init__(self, table: RestrictionTable):
-        self.table = table
-        rng = table.range
-        self.elements = rng.elements
-        n = len(self.elements)
-        self.length = [w.length for w in self.elements]
-        self.points = sorted(table.rows_at)
-        self.xi = rng.xi
-        self.steps = [None] * n
-        self.covers_up = [None] * n
-        self.covers_down = [None] * n
-        self.rank = rng.rs.rank
-        self._leq = rng.leq
-        self._covers = rng.memo("covers")
-        self._known = rng.memo("recurrence steps")
-        self._divisors = rng.memo("recurrence divisors")
-
-    def read(self, x: int):
-        """``steps[x]`` and ``covers_up[x]``, with ``covers_down[x]``, built
-        on the first call for x."""
-        if self.steps[x] is None:
-            _check_point(self.table, x)
-            leq, points, rows_at = self._leq, self.points, self.table.rows_at
-            known = self._known.setdefault(x, {})
-            steps = []
-            up = [[] for _ in range(self.rank)]
-            # Ids run in length order, so every w > x has a larger id.
-            for w in points[bisect_right(points, x):]:
-                if x not in leq[w]:
-                    continue
-                step, covers = known.get(w) or self._pair(x, w)
-                steps.append(step)
-                for i, k in covers:
-                    up[i].append((w, k))
-            down = [[] for _ in range(self.rank)]
-            for y in self._covered(x):
-                if y not in rows_at:
-                    continue
-                for i, k in (self._known.setdefault(y, {}).get(x) or self._pair(y, x))[1]:
-                    down[i].append((y, k))
-            self.steps[x], self.covers_up[x], self.covers_down[x] = steps, up, down
-        return self.steps[x], self.covers_up[x]
-
-    def _covered(self, x: int) -> list[int]:
-        """The ids y that x covers in Bruhat order, in increasing id, kept
-        in the range's memo."""
-        covered = self._covers.get(x)
-        if covered is None:
-            length = self.length
-            below = length[x] - 1
-            covered = self._covers[x] = sorted(y for y in self._leq[x] if length[y] == below)
-        return covered
-
-    def _pair(self, x: int, w: int):
-        """The step (w, i, divisor) of the ids x < w, and (i, c_{s_i,x}^w)
-        for each i with a nonzero integer if w covers x, kept in the
-        range's memo."""
-        at_x, at_w = self.xi[x], self.xi[w]
-        cover = self.length[w] == self.length[x] + 1
-        covers = []
+    memo = rng.memo("recurrence")
+    n = len(rng)
+    entry = memo.get(x)
+    if entry is not None and entry[0] >= n:
+        return entry[1]
+    elements, xi, leq = rng.elements, rng.xi, rng.leq
+    divisors = rng.memo("recurrence divisors")
+    rank = rng.rs.rank
+    # Ids run in length order, so every w > x has a larger id, the y that x
+    # covers lie in [below, here) and the w covering x below ``after``.
+    length = elements[x].length
+    below, here, after = (
+        bisect_left(elements, k, key=_length) for k in (length - 1, length, length + 2)
+    )
+    steps = []
+    up = [[] for _ in range(rank)]
+    for w in [w for w in range(x + 1, n) if x in leq[w]]:
+        at_x, at_w = xi[x], xi[w]
+        cover = w < after
         best = None
         for i, (p, q) in enumerate(zip(at_w, at_x)):
             if p == q:
                 continue
             diff = tuple(map(sub, p, q))
             if cover:
-                if min(diff) < 0:
-                    raise InternalInconsistency(
-                        f"xi^s{i + 1} at {self.elements[w]} minus at "
-                        f"{self.elements[x]} has a negative coefficient"
-                    )
-                covers.append((i, gcd(*diff)))
+                up[i].append((w, _chevalley_integer(rng, x, w, i, diff)))
             size = len(diff) - diff.count(0)
             if best is None or size < best[0]:
                 best = size, i, diff
         if best is None:
-            raise InternalInconsistency(
-                f"no letter separates {self.elements[x]} < {self.elements[w]}"
-            )
+            raise InternalInconsistency(f"no letter separates {elements[x]} < {elements[w]}")
         _, i, diff = best
-        divisor = self._divisors.get(diff)
+        divisor = divisors.get(diff)
         if divisor is None:
-            divisor = self._divisors[diff] = LinearForm.from_linear(len(diff), diff)
-        entry = self._known.setdefault(x, {})[w] = (w, i, divisor), tuple(covers)
-        return entry
+            divisor = divisors[diff] = LinearForm.from_linear(len(diff), diff)
+        steps.append((w, i, divisor))
+    down = [[] for _ in range(rank)]
+    lower = leq[x]
+    for y in range(below, here):
+        if y not in lower:
+            continue
+        for i, (p, q) in enumerate(zip(xi[x], xi[y])):
+            if p != q:
+                down[i].append((y, _chevalley_integer(rng, y, x, i, tuple(map(sub, p, q)))))
+    memo[x] = n, (steps, up, down)
+    return steps, up, down
+
+
+def _chevalley_integer(rng: WeylRange, y: int, w: int, i: int, diff: tuple) -> int:
+    """c_{s_i,y}^w for the ids y < w that w covers, from the nonzero
+    difference ``diff`` of xi^{s_i} at w and at y: the gcd of its
+    coefficients, which must all be nonnegative."""
+    if min(diff) < 0:
+        elements = rng.elements
+        raise InternalInconsistency(
+            f"xi^s{i + 1} at {elements[w]} minus at {elements[y]} has a negative coefficient"
+        )
+    return gcd(*diff)
 
 
 def _check_point(table: RestrictionTable, b, a=None) -> None:
@@ -315,34 +282,36 @@ def _checked_quotient(terms: dict, divisor, degree: int, rank: int, u, v, w) -> 
     return terms
 
 
-def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTable]:
+def column_constants(table: RestrictionTable, v: int, us) -> list[StructureTable]:
     """The x-basis constants of the pairs (u, v), for the id v and each id
-    u of ``us``, by the Chevalley recurrence (see the module docstring).
+    u of ``us``, by the Chevalley recurrence (see the module docstring)
+    over ``table``, with the steps of its range (``_recurrence``).
 
     Computes the column of v at every x above some u, longest first, up
     to length max(l(u)) + l(v); each table holds the nonzero constants of
     one pair at the w up to length l(u) + l(v).
     """
-    length, elements = context.length, context.elements
+    rng = table.range
+    elements = rng.elements
+    length = [w.length for w in elements]
     lv = length[v]
     top = max(length[u] for u in us) + lv
-    table = context.table
-    _check_bound(table.range, top)
+    _check_bound(rng, top)
     # The column reads row v at every x >= some u up to length top.
-    xs = _points_above(table.range, us, top)
+    xs = _points_above(rng, us, top)
     for x in xs:
         _check_point(table, x, v)
-    rank = table.range.rs.rank
+    rank = rng.rs.rank
     columns = table.columns
-    covers_down = context.covers_down
-    # The packed terms of each value, by x and then w.
+    # The packed terms of each value, by x and then w, and covers_down by x.
     column: dict = {}
+    down: dict = {}
     # Every w > x read below is some u's upper element, longer than x, so
-    # its ``read`` ran before x's.
+    # it was read before x.
     for x in reversed(xs):
-        steps, covers_up = context.read(x)
+        steps, covers_up, down[x] = _recurrence(rng, x)
         degree = length[x] + lv
-        last = min(degree, top)
+        end = bisect_right(length, min(degree, top))
         values = {}
         base = columns[x].get(v)
         if base is not None:
@@ -350,7 +319,7 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
                 base.terms, None, lv, rank, elements[x], elements[v], elements[x]
             )
         for w, i, divisor in steps:
-            if length[w] > last:
+            if w >= end:
                 break
             if v not in columns[w]:
                 continue
@@ -366,7 +335,7 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
                 get = acc.get
                 for e, c in terms.items():
                     acc[e] = get(e, 0) + k * c
-            for y, k in covers_down[w][i]:
+            for y, k in down[w][i]:
                 terms = values.get(y)
                 if terms is None:
                     continue
@@ -388,7 +357,7 @@ def column_constants(context: ChevalleyContext, v: int, us) -> list[StructureTab
         column[x] = values
     return [
         StructureTable(
-            table.range.rs, "x", elements[u], elements[v],
+            rng.rs, "x", elements[u], elements[v],
             {w: RootPolynomial(rank, terms, _clean=True) for w, terms in column[u].items()},
             elements[:bisect_right(length, length[u] + lv)],
         )

@@ -129,8 +129,8 @@ def canonicalize(rs: RootSystem, matrix, *, cap: int = DEFAULT_WORD_CAP) -> Weyl
     Strips the smallest right descent until the identity is reached; the
     letters stripped last come first in the canonical word.  Works
     uniformly for finite and Kac-Moody matrices.  Raises NotGroupElement
-    if no descent exists for a non-identity matrix or the loop exceeds
-    ``cap`` steps.
+    if no descent exists for a non-identity matrix, and ResourceCap if the
+    loop exceeds ``cap`` steps, which an element longer than ``cap`` does.
     """
     m = tuple(tuple(int(x) for x in row) for row in matrix)
     n = rs.rank
@@ -143,7 +143,7 @@ def canonicalize(rs: RootSystem, matrix, *, cap: int = DEFAULT_WORD_CAP) -> Weyl
     while cur != ident:
         steps += 1
         if steps > cap:
-            raise NotGroupElement(f"descent loop exceeded {cap} steps")
+            raise ResourceCap(f"descent loop exceeded {cap} steps")
         descent = next((i for i in range(n) if _column_is_negative(cur, i)), None)
         if descent is None:
             raise NotGroupElement("matrix has no descent and is not the identity")
@@ -223,8 +223,9 @@ class WeylRange:
     holds data that depends on the range alone: the inversion products,
     the store of restriction values, each entry checked once, when it
     enters the store, with the packed monomials of their terms, kept once
-    (``localize.restriction_table``), and what the Chevalley recurrence
-    reads (``structconst.ChevalleyContext``).
+    (``localize.restriction_table``), and the steps of the Chevalley
+    recurrence at each id, with their shared divisors
+    (``structconst._recurrence``).
     """
 
     def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],

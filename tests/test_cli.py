@@ -128,6 +128,16 @@ def test_restrict_vanishing():
     assert out.strip() == "0"
 
 
+def test_restrict_word_past_the_descent_cap_exits_3(capsys):
+    """A reduced word of 10,002 letters names a valid element of affine A1,
+    longer than the 10,000 steps ``canonicalize`` takes: a resource cap,
+    exit 3, not bad input."""
+    word = ",".join("12"[k % 2] for k in range(10_002))
+    code, out = run(["restrict", "--type", "AffineA1", "--w", "e", "--v", word])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: descent loop exceeded 10000 steps\n"
+
+
 def test_restrict_malformed_word_exits_2():
     code, _ = run(["restrict", "--type", "A2", "--w", "1;2", "--v", "1"])
     assert code == 2
@@ -528,20 +538,23 @@ def test_mult_exits_4_on_a_longest_element_of_the_wrong_length(monkeypatch, caps
     assert "internal error: longest element has length 2, but there are 3" in capsys.readouterr().err
 
 
-def _corrupt_divisor(context, u, w):
+def _corrupt_divisor(steps, covers_up, w):
     from eqschub.rootsys import LinearForm
 
-    steps = context.steps[u]
     k, (_, i, divisor) = next((k, step) for k, step in enumerate(steps) if step[0] == w)
     doubled = divisor.scale(2)
+    steps = list(steps)
     steps[k] = (w, i, LinearForm(doubled.rank, doubled.terms, _clean=True))
+    return steps, covers_up
 
 
-def _corrupt_chevalley_integer(context, u, w):
-    i = next(i for x, i, _ in context.steps[u] if x == w)
-    covers = context.covers_up[u][i]
+def _corrupt_chevalley_integer(steps, covers_up, w):
+    i = next(i for x, i, _ in steps if x == w)
+    covers_up = [list(covers) for covers in covers_up]
+    covers = covers_up[i]
     k = next(k for k, (x, _) in enumerate(covers) if x == w)
     covers[k] = (w, covers[k][1] + 1)
+    return steps, covers_up
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_divisor, _corrupt_chevalley_integer])
@@ -549,20 +562,21 @@ def test_sweep_exits_4_on_corrupted_recurrence_context(monkeypatch, capsys, corr
     """In column s1 of A2, the entry at (u, w) = (s1, s2s1) is a2 divided by
     the divisor a2, and its numerator takes the Chevalley integer of s2s1
     over s1 once.  Doubling the divisor, or raising that integer from 1 to
-    2, leaves no exact quotient, and the error names that entry."""
-    import eqschub.cli as cli
+    2, in what the recurrence reads at s1 leaves no exact quotient, and the
+    error names that entry."""
+    import eqschub.structconst as structconst
 
-    read = cli.ChevalleyContext.read
+    recurrence = structconst._recurrence
 
-    def corrupted(context, x):
-        fresh = context.steps[x] is None
-        steps = read(context, x)
-        rs = context.table.range.rs
-        if fresh and context.elements[x] == element_from_word(rs, (1,)):
-            corrupt(context, x, context.table.range.index[element_from_word(rs, (2, 1))])
-        return steps
+    def corrupted(rng, x):
+        steps, covers_up, covers_down = recurrence(rng, x)
+        rs = rng.rs
+        if rng.elements[x] == element_from_word(rs, (1,)):
+            w = rng.index[element_from_word(rs, (2, 1))]
+            steps, covers_up = corrupt(steps, covers_up, w)
+        return steps, covers_up, covers_down
 
-    monkeypatch.setattr(cli.ChevalleyContext, "read", corrupted)
+    monkeypatch.setattr(structconst, "_recurrence", corrupted)
     code, out = run(["sweep", "--type", "A2", "--max-length", "3"])
     assert (code, out) == (4, "")
     assert capsys.readouterr().err == "internal error: inexact division at (u=1, v=1, w=2,1)\n"
@@ -1307,9 +1321,9 @@ def _count_solves(monkeypatch, jobs):
     if jobs == 1:
         solve = cli.column_constants
 
-        def counted(context, v, us):
+        def counted(table, v, us):
             seen.extend((v, u) for u in us)
-            return solve(context, v, us)
+            return solve(table, v, us)
 
         monkeypatch.setattr(cli, "column_constants", counted)
     else:
@@ -1446,11 +1460,11 @@ def test_sweep_keeps_finished_rows_when_interrupted(tmp_path, monkeypatch):
     solve = cli.column_constants
     pairs = []
 
-    def crash_in_row_of_twentieth_pair(context, v, us):
+    def crash_in_row_of_twentieth_pair(table, v, us):
         pairs.extend(us)
         if len(pairs) >= 20:
             raise InternalInconsistency("forced")
-        return solve(context, v, us)
+        return solve(table, v, us)
 
     monkeypatch.setattr(cli, "column_constants", crash_in_row_of_twentieth_pair)
     cache = tmp_path / "cache.jsonl"

@@ -29,8 +29,9 @@ from eqschub import (
 )
 from eqschub.localize import RestrictionTable
 from eqschub.rootsys import GENERAL
+from eqschub import structconst
 from eqschub.structconst import (
-    ChevalleyContext,
+    _recurrence,
     column_constants,
     pair_table,
     record_text,
@@ -142,7 +143,7 @@ def test_insufficient_bound_for_truncated_range():
         structure_constants(table, u, u)
     uid = table.range.index[u]
     with pytest.raises(InsufficientBound):
-        column_constants(ChevalleyContext(table), uid, [uid])
+        column_constants(table, uid, [uid])
     # u or v longer than the bound, so without an id: refused before
     # either is looked up.
     longer = element_from_word(AFF, (1, 2, 1, 2))
@@ -283,7 +284,6 @@ def test_parabolic_vanishing(rs, k):
     descent in J, then neither has any w with c_uv^w nonzero: the product
     of two classes pulled back from G/P_J is pulled back from G/P_J."""
     table = restriction_table(rs, k)
-    context = ChevalleyContext(table)
     rng = table.range
     letters = frozenset(range(1, rs.rank + 1))
     subsets = [
@@ -300,7 +300,7 @@ def test_parabolic_vanishing(rs, k):
         ]
         if not us:
             continue
-        for u, s in zip(us, column_constants(context, v, us)):
+        for u, s in zip(us, column_constants(table, v, us)):
             free = [J for J in subsets if not J & (descents[u] | descents[v])]
             for w in s.values:
                 for J in free:
@@ -318,12 +318,11 @@ def _assert_columns_match_solver(table, vs, us_of, pair_tables=True):
     every one-pair ``structure_constants`` of (u, v), equals the triangular
     oracle's constants of (u, v), entry by entry; with ``pair_tables``, so
     do those of (u, v) and of (v, u) on the table ``mult`` builds for each."""
-    context = ChevalleyContext(table)
     rng = table.range
     els = rng.elements
     for v in vs:
         us = us_of(v)
-        tables = column_constants(context, v, us)
+        tables = column_constants(table, v, us)
         assert [s.u for s in tables] == [els[u] for u in us]
         for s in tables:
             u = s.u
@@ -395,23 +394,22 @@ def test_recurrence_matches_solver_on_seeded_a4_columns():
 
 
 def test_one_pair_builds_steps_only_above_u(monkeypatch):
-    """A one-pair ``structure_constants`` builds the steps of exactly the
+    """A one-pair ``structure_constants`` reads the steps of exactly the
     x >= the longer of u and v (u on a tie) up to length l(u) + l(v),
-    each once."""
+    each once, and the range's memo holds the steps of no other x."""
     a4 = build_root_system(CartanMatrix(
         ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
     ))
     table = restriction_table(a4, len(a4.positive_roots))
     els = table.range.elements
-    read = ChevalleyContext.read
     built = []
+    read = set()
 
-    def counted(context, x):
-        if context.steps[x] is None:
-            built.append(x)
-        return read(context, x)
+    def counted(rng, x):
+        built.append(x)
+        return _recurrence(rng, x)
 
-    monkeypatch.setattr(ChevalleyContext, "read", counted)
+    monkeypatch.setattr(structconst, "_recurrence", counted)
     pairs = [(els[1], els[-1]), (els[-1], els[0]), (els[1], els[2]), (els[7], els[7])]
     pairs += [tuple(random.Random(seed).sample(els, 2)) for seed in range(6)]
     for u, v in pairs:
@@ -424,6 +422,8 @@ def test_one_pair_builds_steps_only_above_u(monkeypatch):
             and els[x].length <= u.length + v.length
         ]
         assert built == expected, (u, v)
+        read.update(built)
+        assert set(table.range.memo("recurrence")) == read, (u, v)
 
 
 def _swap_cases():
@@ -534,77 +534,36 @@ def test_verify_product_identity_raises_on_a_row_the_table_lacks():
         verify_product_identity(table, s)
 
 
-def test_context_builds_no_step_at_a_point_the_table_does_not_hold(monkeypatch):
-    """Over the table ``mult`` builds, the context lists, reads and steps
-    to held points only, and refuses to read any other; on A3 and on affine
-    A2 at bound 6, whose range runs past l(u) + l(v) for short pairs."""
-    from eqschub import InternalInconsistency, enumerate_upto
-
-    read = ChevalleyContext.read
-    contexts = []
-
-    def recorded(context, x):
-        contexts.append(context)
-        return read(context, x)
-
-    monkeypatch.setattr(ChevalleyContext, "read", recorded)
-    for rs, k in ((A3, 6), (AFF_A2, 6)):
-        rng = enumerate_upto(rs, k)
-        els = rng.elements
-        pairs = [(u, v) for u in els for v in els if u.length + v.length <= 3]
-        pairs += [tuple(random.Random(seed).sample(els, 2)) for seed in range(10)]
-        for u, v in pairs:
-            if u.length + v.length > k:
-                continue
-            table = pair_table(rng, u, v)
-            contexts.clear()
-            s = structure_constants(table, u, v)
-            context = contexts[0]
-            held = table.rows_at.keys()
-            assert len(held) < len(rng)
-            assert context.points == sorted(held)
-            for x in range(len(rng)):
-                lists = []
-                if context.steps[x] is not None:
-                    assert x in held
-                    lists += [[w for w, _, _ in context.steps[x]]]
-                    covers = context.covers_up[x] + context.covers_down[x]
-                    lists += [[w for w, _ in c] for c in covers]
-                assert all(w in held for ws in lists for w in ws), (u, v, x)
-            assert all(w in held for w in s.values)
-            outside = next(x for x in range(len(rng)) if x not in held)
-            with pytest.raises(InternalInconsistency, match="does not hold point"):
-                context.read(outside)
-
-
 @pytest.mark.parametrize(
     "rs,bound", [(A3, 12), (B2, 8), (G2, 12), (AFF_A2, 6)], ids=["A3", "B2", "G2", "AffineA2"]
 )
 def test_held_range_serves_the_steps_a_fresh_range_builds(monkeypatch, rs, bound):
-    """The steps, covers_up and covers_down a context reads for a pair over
+    """The steps, covers_up and covers_down a column reads for a pair over
     the held range, whose memo the queries of the pairs before it filled,
-    equal those it reads over a fresh range: on every pair of A3, B2 and
-    G2, and every pair of affine A2 with l(u) + l(v) <= 6.  A pair whose u
-    is the longer reads what (v, u) reads, so u runs over the others."""
+    cut to the ids of the range read, equal those it reads over a fresh
+    range: on every pair of A3, B2 and G2, and every pair of affine A2
+    with l(u) + l(v) <= 6.  A pair whose u is the longer reads what (v, u)
+    reads, so u runs over the others."""
     import eqschub.cli as cli
 
-    read = ChevalleyContext.read
-    contexts = []
+    recorded = {}
 
-    def recorded(context, x):
-        contexts.append(context)
-        return read(context, x)
+    def record(rng, x):
+        steps, covers_up, covers_down = read = _recurrence(rng, x)
+        n = len(rng)
+        recorded[x] = (
+            [step for step in steps if step[0] < n],
+            [[(w, k) for w, k in covers if w < n] for covers in covers_up],
+            covers_down,
+        )
+        return read
 
     def reads(rng, u, v):
-        contexts.clear()
+        recorded.clear()
         structure_constants(pair_table(rng, u, v), u, v)
-        context = contexts[0]
-        return {
-            x: (context.steps[x], context.covers_up[x], context.covers_down[x])
-            for x in range(len(rng)) if context.steps[x] is not None
-        }
+        return dict(recorded)
 
-    monkeypatch.setattr(ChevalleyContext, "read", recorded)
+    monkeypatch.setattr(structconst, "_recurrence", record)
     cli.clear_setup()
     held = cli.weyl_range(rs, bound)
     pairs = [(u, v) for u in held for v in held if u.length <= v.length <= bound - u.length]
@@ -615,7 +574,43 @@ def test_held_range_serves_the_steps_a_fresh_range_builds(monkeypatch, rs, bound
             assert reads(held.prefix(u.length + v.length), u, v) == fresh, (u, v)
     finally:
         cli.clear_setup()
-    assert held.memo("recurrence steps")
+    assert held.memo("recurrence")
+
+
+@pytest.mark.parametrize(
+    "rs,count", [(AFF_A2, 442), (HYP3, 315)], ids=["AffineA2", "Hyperbolic3"]
+)
+def test_recurrence_memo_rebuilds_an_entry_only_for_a_longer_range(rs, count):
+    """The range keeps each id's steps with the number of ids they were
+    built over, and builds them again only when a longer range reads the
+    id.  Every pair (u, v) with l(u) <= l(v) and l(u) + l(v) <= 6, run
+    through one held range (``cli.weyl_range``) first in rising and then
+    in falling l(u) + l(v), has the constants it has over a fresh range:
+    a longer range reads no entry built over fewer ids, and a shorter one
+    reads no step past its own."""
+    import eqschub.cli as cli
+    from eqschub import enumerate_upto
+
+    def constants(rng, u, v):
+        return structure_constants(pair_table(rng, u, v), u, v).values
+
+    bound = 6
+    els = enumerate_upto(rs, bound).elements
+    pairs = [(u, v) for u in els for v in els if u.length <= v.length <= bound - u.length]
+    assert len(pairs) == count
+    fresh = {(u, v): constants(enumerate_upto(rs, u.length + v.length), u, v) for u, v in pairs}
+    rising = sorted(pairs, key=lambda pair: pair[0].length + pair[1].length)
+    cli.clear_setup()
+    try:
+        held = cli.weyl_range(rs, bound)
+        for order in (rising, rising[::-1]):
+            for u, v in order:
+                rng = cli.weyl_range(rs, u.length + v.length)
+                assert rng is held.prefix(u.length + v.length)
+                assert constants(rng, u, v) == fresh[u, v], (u, v)
+        assert held.memo("recurrence")
+    finally:
+        cli.clear_setup()
 
 
 @pytest.mark.parametrize(
@@ -682,19 +677,17 @@ def test_verify_product_identity_raises_on_a_point_table():
 
 
 def test_chevalley_integers_match_hand_values():
-    """The gcd integers c_{s_i,u}^x of the context, against the hand values of
+    """The gcd integers c_{s_i,u}^x the range keeps, against the hand values of
     ``test_degree_one_products_match_chevalley_values`` and against the
     oracle's degree-one products x_{s_i} x_u on every element u."""
     for name in ("B2", "G2"):
         system = builtin_root_system(name)
         t = restriction_table(system, len(system.positive_roots))
-        context = ChevalleyContext(t)
-        els = context.elements
-        for x in range(len(els)):
-            context.read(x)
+        els = t.range.elements
+        reads = [_recurrence(t.range, x) for x in range(len(els))]
 
         def integers(u, i):
-            return {els[x].word: k for x, k in context.covers_up[u][i]}
+            return {els[x].word: k for x, k in reads[u][1][i]}
 
         s2 = t.range.index[element_from_word(system, (2,))]
         assert integers(s2, 0) == {(1, 2): 1, (2, 1): 1}
@@ -711,8 +704,8 @@ def test_chevalley_integers_match_hand_values():
                 assert {
                     word: RootPolynomial.constant(2, k) for word, k in integers(u, i).items()
                 } == expected, (name, els[u], i)
-                for x, k in context.covers_up[u][i]:
-                    assert (u, k) in context.covers_down[x][i]
+                for x, k in reads[u][1][i]:
+                    assert (u, k) in reads[x][2][i]
 
 
 @pytest.mark.parametrize(
@@ -721,17 +714,15 @@ def test_chevalley_integers_match_hand_values():
     ids=["A3", "B2", "B3-cartan", "C3-cartan", "G2"],
 )
 def test_chevalley_integers_are_coroot_pairings(rs):
-    """The context's integer c_{s_i,y}^w for every cover y < w of the whole
+    """The range's integer c_{s_i,y}^w for every cover y < w of the whole
     group equals <omega_i, beta^vee>, read off the fundamental weights: with
     s_beta = y^{-1} w, omega_i - s_beta(omega_i) = <omega_i, beta^vee> beta.
-    The gcd route of ``ChevalleyContext`` is not used; a zero integer is
-    in neither ``covers_up`` nor ``covers_down``."""
+    The gcd route of ``_recurrence`` is not used; a zero integer is in
+    neither ``covers_up`` nor ``covers_down``."""
     table = restriction_table(rs, len(rs.positive_roots))
-    context = ChevalleyContext(table)
     rng = table.range
     els = rng.elements
-    for x in range(len(els)):
-        context.read(x)
+    reads = [_recurrence(rng, x) for x in range(len(els))]
     covers = 0
     for w, above in enumerate(els):
         for y in rng.leq[w]:
@@ -747,8 +738,8 @@ def test_chevalley_integers_are_coroot_pairings(rs):
                 k = Fraction(diff[j], beta[j])
                 assert k.denominator == 1 and k >= 0, (els[y], above, i)
                 assert diff == tuple(k * c for c in beta)
-                up = dict(context.covers_up[y][i])
-                down = dict(context.covers_down[w][i])
+                up = dict(reads[y][1][i])
+                down = dict(reads[w][2][i])
                 if k:
                     assert up[w] == k and down[y] == k, (els[y], above, i)
                 else:
@@ -770,17 +761,14 @@ def test_recurrence_letter_has_the_fewest_term_divisor(rs, bound):
     difference.  On each type some pair's letter is not the smallest
     separating one."""
     table = restriction_table(rs, bound)
-    context = ChevalleyContext(table)
     rng, columns = table.range, table.columns
     zero = RootPolynomial.zero(rs.rank)
     simple = [rng.index[element_from_word(rs, (i + 1,))] for i in range(rs.rank)]
-    for x in range(len(rng)):
-        context.read(x)
-    memo = rng.memo("recurrence steps")
+    steps = [{w: (i, divisor) for w, i, divisor in _recurrence(rng, x)[0]} for x in range(len(rng))]
     pairs = moved = 0
     for w in range(len(rng)):
         for x in rng.leq[w] - {w}:
-            (_, i, divisor), _ = memo[x][w]
+            i, divisor = steps[x][w]
             diffs = [columns[w].get(s, zero) - columns[x].get(s, zero) for s in simple]
             separating = [(len(d.terms), j) for j, d in enumerate(diffs) if d.terms]
             assert (len(diffs[i].terms), i) == min(separating), (rng.elements[x], rng.elements[w])
@@ -793,14 +781,13 @@ def test_recurrence_letter_has_the_fewest_term_divisor(rs, bound):
 def _all_constants(table):
     """c[(u, v)]: the sparse id-keyed constants of every pair of ids the
     table holds, one column of the recurrence per v."""
-    context = ChevalleyContext(table)
     rng = table.range
     length = [w.length for w in rng]
     ids = range(len(rng))
     c = {}
     for v in ids:
         us = [u for u in ids if rng.complete or length[u] + length[v] <= rng.bound]
-        for u, s in zip(us, column_constants(context, v, us)):
+        for u, s in zip(us, column_constants(table, v, us)):
             c[u, v] = s.values
     return c
 
@@ -844,9 +831,9 @@ def test_associativity(rs, bound, sample):
 
 
 def test_engine_hashes_no_element_after_the_index(monkeypatch):
-    """Once ``rng.index`` is built, the table, the context, every sweep row
-    of the recurrence, the certificates and the records name elements by id
-    only: none of them hashes a ``WeylElement``."""
+    """Once ``rng.index`` is built, the table, the recurrence's steps,
+    every sweep row of the recurrence, the certificates and the records
+    name elements by id only: none of them hashes a ``WeylElement``."""
     from eqschub import WeylElement, enumerate_upto
 
     rng = enumerate_upto(AFF_A2, 6)
@@ -857,11 +844,10 @@ def test_engine_hashes_no_element_after_the_index(monkeypatch):
 
     monkeypatch.setattr(WeylElement, "__hash__", refuse)
     table = restriction_table(AFF_A2, 6, rng=rng)
-    context = ChevalleyContext(table)
     swept = [a for a, w in enumerate(rng) if w.length <= 3]
     records = 0
     for u in swept:
-        for s in column_constants(context, u, swept[u:]):
+        for s in column_constants(table, u, swept[u:]):
             record_text(s, positivity_certificate(s))
             records += 1
     assert records == len(swept) * (len(swept) + 1) // 2

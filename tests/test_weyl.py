@@ -123,6 +123,16 @@ def test_canonicalize_rejects_non_group_matrix():
         canonicalize(A2, ((0, 1), (1, 1)))
 
 
+def test_canonicalize_cap_is_a_resource_cap():
+    """An element longer than the cap is a valid element that the cap cuts
+    off: ResourceCap (exit 3), not NotGroupElement (exit 2)."""
+    aff = builtin_root_system("AffineA1")
+    w = element_from_word(aff, (1, 2, 1, 2, 1, 2))
+    assert w.length == 6 and canonicalize(aff, w.matrix, cap=6) == w
+    with pytest.raises(ResourceCap, match="descent loop exceeded 5 steps"):
+        canonicalize(aff, w.matrix, cap=5)
+
+
 def test_non_reduced_word_collapses():
     assert element_from_word(A2, (1, 1)) == identity(A2)
     assert element_from_word(A2, (1, 2, 2, 1)) == identity(A2)
