@@ -454,8 +454,9 @@ def run_sweep(
     restriction table is built per sweep, and only if some pair is left,
     from the entries the range's store lacks, and the recurrence reads its
     steps from the range.  A ``jobs`` > 1 pool worker is handed the table
-    rather than building its own, and computes whole rows.  The pool has at most one worker per CPU, per row and per
-    ``PAIRS_PER_WORKER`` pairs; the output does not depend on its size.
+    rather than building its own, and computes whole rows.  The pool has
+    at most one worker per CPU, per row and per ``PAIRS_PER_WORKER``
+    pairs; the output does not depend on its size.
     """
     start = time.perf_counter()
     cartan = CartanMatrix.from_rows(entries)
