@@ -48,6 +48,7 @@ from .structconst import (
     recurrence_table,
     structure_constants,
     terms_sign_ok,
+    text_lines,
 )
 from .weyl import (
     WeylElement, WeylRange, element_from_word, enumerate_upto, inverse, longest_element, word_text,
@@ -114,6 +115,7 @@ def clear_setup() -> None:
     """Forget the root systems, elements and range kept for later calls."""
     global _held_range
     _root_system.cache_clear()
+    _cartan_file_system.cache_clear()
     _element.cache_clear()
     _held_range = None
 
@@ -123,8 +125,9 @@ def clear_setup() -> None:
 
 
 def load_root_system(args) -> RootSystem:
-    """The root system of ``--type`` or ``--cartan``; a file is read and
-    checked on every call, and the system built once per process."""
+    """The root system of ``--type`` or ``--cartan``.  A file is read on
+    every call, and parsed, checked and built once per text
+    (``_cartan_file_system``)."""
     if args.type and args.cartan:
         raise CliError("use either --type or --cartan, not both")
     if args.type:
@@ -137,26 +140,35 @@ def load_root_system(args) -> RootSystem:
     if args.cartan:
         try:
             with open(args.cartan, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read cartan file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError(f"cartan file is not valid JSON: {exc}")
-        if not isinstance(data, dict) or "entries" not in data:
-            raise CliError('cartan file must be {"rank": n, "entries": [[..]]}')
-        try:
-            cartan = CartanMatrix.from_rows(data["entries"])
-        except InvalidCartan as exc:
-            raise CliError(f"invalid Cartan matrix: {exc}")
-        if "rank" in data and type(data["rank"]) is not int:
-            raise CliError("rank field must be an integer")
-        if "rank" in data and data["rank"] != cartan.rank:
-            raise CliError("rank field does not match entries")
-        kind = data.get("kind", FINITE)
-        if kind not in (FINITE, GENERAL):
-            raise CliError(f'kind must be "{FINITE}" or "{GENERAL}"')
-        return _root_system(cartan, kind, descriptor_for(cartan, kind))
+        return _cartan_file_system(text)
     raise CliError("one of --type or --cartan is required")
+
+
+@lru_cache(maxsize=16)
+def _cartan_file_system(text: str) -> RootSystem:
+    """The root system of a ``--cartan`` file's text, kept per text.  A
+    refusal is raised, not kept, so a bad file is refused on every call."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"cartan file is not valid JSON: {exc}")
+    if not isinstance(data, dict) or "entries" not in data:
+        raise CliError('cartan file must be {"rank": n, "entries": [[..]]}')
+    try:
+        cartan = CartanMatrix.from_rows(data["entries"])
+    except InvalidCartan as exc:
+        raise CliError(f"invalid Cartan matrix: {exc}")
+    if "rank" in data and type(data["rank"]) is not int:
+        raise CliError("rank field must be an integer")
+    if "rank" in data and data["rank"] != cartan.rank:
+        raise CliError("rank field does not match entries")
+    kind = data.get("kind", FINITE)
+    if kind not in (FINITE, GENERAL):
+        raise CliError(f'kind must be "{FINITE}" or "{GENERAL}"')
+    return _root_system(cartan, kind, descriptor_for(cartan, kind))
 
 
 def parse_word(text: str, rank: int, flag: str) -> tuple[int, ...]:
@@ -312,11 +324,10 @@ def _mult_payload(args, words, s, cert, point, evaluation) -> str:
             for exp, coeff in poly.sorted_terms():
                 writer.writerow([word_text(s.order[w].word), sum(exp), monomial_text(exp), coeff])
         return buffer.getvalue()
-    zero = RootPolynomial.zero(s.rs.rank)
     u_word, v_word = words
     lines = [
         f"type={s.rs.descriptor} basis={args.basis} u={word_text(u_word)} v={word_text(v_word)}",
-        *(f"w={w.word_text()}: {s.values.get(k, zero).to_text()}" for k, w in enumerate(s.order)),
+        *text_lines(s),
         f"certificate: {cert.verdict}",
     ]
     if evaluation is not None:
@@ -631,7 +642,7 @@ def _read_cache(path: str, rs: RootSystem, canonical: set) -> dict | None:
                 ]
                 if not _natural_exponents([record["u"], record["v"], *(exp for exp, _ in terms)]):
                     raise ValueError("a word or an exponent is not a list of nonnegative ints")
-                ok = terms_sign_ok(record["basis"], terms)
+                ok = terms_sign_ok(record["basis"], [(sum(exp), c) for exp, c in terms])
                 stored = record["certificate"]["verdict"]
                 key = _cache_key(record)
                 verdicts[key] = ok

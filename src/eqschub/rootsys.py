@@ -18,7 +18,8 @@ Conventions fixed here and relied on everywhere else:
   two monomials is the sum of their keys.  A degree of ``DEGREE_LIMIT``
   or more raises ValueError rather than carry into the next field.
   Exponent tuples appear only at the edges: the constructor, the
-  ``sorted_terms`` listing and the text and JSON forms.
+  ``sorted_terms`` and ``unpack_terms`` listings and the text and JSON
+  forms.
 """
 
 from __future__ import annotations
@@ -244,6 +245,14 @@ def _unpacker(rank: int) -> struct.Struct:
     return struct.Struct(f">2x{rank}H")
 
 
+def unpack_terms(rank: int, items) -> list[tuple[tuple[int, ...], int]]:
+    """(exponent tuple, coefficient) of each (packed key, coefficient) of
+    ``items``, in their order, for keys of rank ``rank``."""
+    fields = _unpacker(rank)
+    unpack, size = fields.unpack, fields.size
+    return [(unpack(key.to_bytes(size, "big")), coeff) for key, coeff in items]
+
+
 class RootPolynomial:
     """Sparse polynomial in a1..a_rank with integer coefficients.
 
@@ -389,14 +398,9 @@ class RootPolynomial:
             return "mixed"
         return "nonneg" if low > 0 else "nonpos"
 
-    def _exponent_items(self, items) -> list[tuple[tuple[int, ...], int]]:
-        fields = _unpacker(self.rank)
-        unpack, size = fields.unpack, fields.size
-        return [(unpack(key.to_bytes(size, "big")), coeff) for key, coeff in items]
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponent tuple, coefficient) in descending graded-lex order (canonical)."""
-        return self._exponent_items(sorted(self.terms.items(), reverse=True))
+        return unpack_terms(self.rank, sorted(self.terms.items(), reverse=True))
 
     # -- substitutions ---------------------------------------------------
 
@@ -628,7 +632,7 @@ def evaluate_many(rank: int, polys, values) -> list[Fraction]:
     for p in polys:
         acc = 0
         if p.terms:
-            for exp, coeff in p._exponent_items(p.terms.items()):
+            for exp, coeff in unpack_terms(rank, p.terms.items()):
                 for row, e in zip(scaled, exp):
                     coeff *= row[e]
                 acc += coeff

@@ -70,7 +70,14 @@ by substituting each simple root with its image under the longest
 element; its entries expand with nonnegative coefficients in the negated
 simple roots (coefficient sign (-1)^degree in the plain monomials).
 ``SIGN_RULES`` names each basis's rule, and ``terms_sign_ok`` tests it
-for the certificates and for the sweep cache's reader.
+on (degree, coefficient) pairs, for the certificates and for the sweep
+cache's reader.  A certificate keeps each value's packed terms, sorted,
+and reads their degrees off the keys' top field; the reader sums each
+stored exponent.  ``record_text`` renders records from those terms: the
+text that starts a term is kept per packed key of each rank, and the
+items of the ids without a value, with each word's JSON, per id on the
+table's range, so a record copies the zero items and rewrites only its
+nonzero ids.  ``text_lines`` renders ``mult``'s text lines the same way.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import attrgetter, sub
+from operator import sub
 
 from .errors import (
     DomainViolation,
@@ -91,12 +98,10 @@ from .errors import (
 )
 from .localize import RestrictionTable, restriction_table
 from .rootsys import (
-    FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many, exact_quotient, homogeneous_of,
+    FIELD_BITS, FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many, exact_quotient,
+    homogeneous_of, unpack_terms,
 )
-from .weyl import WeylElement, WeylRange, _check_same_system, longest_element
-
-
-_length = attrgetter("length")
+from .weyl import WeylElement, WeylRange, _check_same_system, longest_element, word_text
 
 
 class StructureTable:
@@ -104,17 +109,21 @@ class StructureTable:
 
     ``order`` is the range prefix up to length l(u) + l(v), so ``order[k]``
     is the element of id k; ``values`` maps the id of each w with a
-    nonzero constant to it, in increasing id, and holds no zero.
+    nonzero constant to it, in increasing id, and holds no zero.  ``range``
+    is the range of which ``order`` is a prefix, from which ``record_text``
+    and ``text_lines`` read the text of the ids without a value; a table
+    built with any other ``order`` has none.
     """
 
     def __init__(self, rs: RootSystem, basis: str, u: WeylElement, v: WeylElement,
-                 values: dict, order):
+                 values: dict, order, rng: WeylRange | None = None):
         self.rs = rs
         self.basis = basis
         self.u = u
         self.v = v
         self.values = values
         self.order = order
+        self.range = rng
 
 
 def structure_constants(table: RestrictionTable, u: WeylElement, v: WeylElement) -> StructureTable:
@@ -156,7 +165,7 @@ def _points_above(rng: WeylRange, us, top: int) -> list[int]:
     order.  Ids run in length order, so they lie from the least u up to the
     last id of length ``top``."""
     leq = rng.leq
-    stop = bisect_right(rng.elements, top, key=_length)
+    stop = bisect_right(rng.lengths, top)
     return [x for x in range(min(us), stop) if any(u in leq[x] for u in us)]
 
 
@@ -184,7 +193,8 @@ def _recurrence(rng: WeylRange, x: int):
       prepared as a ``LinearForm``;
     * ``covers_up[i]`` lists (w, c_{s_i,x}^w) for the w covering x, and
       ``covers_down[i]`` lists (y, c_{s_i,y}^x) for the y that x covers,
-      each in increasing id and without the zero integers.
+      each in increasing id and without the zero integers, which
+      ``_chevalley_integers`` gives once per cover.
 
     They depend on the pair of ids alone, so the range keeps them, for
     itself and its prefixes, in its memo "recurrence": under x, the number
@@ -199,32 +209,30 @@ def _recurrence(rng: WeylRange, x: int):
     entry = memo.get(x)
     if entry is not None and entry[0] >= n:
         return entry[1]
-    elements, xi, leq = rng.elements, rng.xi, rng.leq
+    elements, xi, leq, lengths = rng.elements, rng.xi, rng.leq, rng.lengths
     divisors = rng.memo("recurrence divisors")
     rank = rng.rs.rank
     # Ids run in length order, so every w > x has a larger id, the y that x
     # covers lie in [below, here) and the w covering x below ``after``.
-    length = elements[x].length
-    below, here, after = (
-        bisect_left(elements, k, key=_length) for k in (length - 1, length, length + 2)
-    )
+    length = lengths[x]
+    below, here, after = (bisect_left(lengths, k) for k in (length - 1, length, length + 2))
     steps = []
     up = [[] for _ in range(rank)]
     for w in [w for w in range(x + 1, n) if x in leq[w]]:
         at_x, at_w = xi[x], xi[w]
-        cover = w < after
         best = None
         for i, (p, q) in enumerate(zip(at_w, at_x)):
             if p == q:
                 continue
             diff = tuple(map(sub, p, q))
-            if cover:
-                up[i].append((w, _chevalley_integer(rng, x, w, i, diff)))
             size = len(diff) - diff.count(0)
             if best is None or size < best[0]:
                 best = size, i, diff
         if best is None:
             raise InternalInconsistency(f"no letter separates {elements[x]} < {elements[w]}")
+        if w < after:
+            for i, k in _chevalley_integers(rng, x, w):
+                up[i].append((w, k))
         _, i, diff = best
         divisor = divisors.get(diff)
         if divisor is None:
@@ -233,25 +241,37 @@ def _recurrence(rng: WeylRange, x: int):
     down = [[] for _ in range(rank)]
     lower = leq[x]
     for y in range(below, here):
-        if y not in lower:
-            continue
-        for i, (p, q) in enumerate(zip(xi[x], xi[y])):
-            if p != q:
-                down[i].append((y, _chevalley_integer(rng, y, x, i, tuple(map(sub, p, q)))))
+        if y in lower:
+            for i, k in _chevalley_integers(rng, y, x):
+                down[i].append((y, k))
     memo[x] = n, (steps, up, down)
     return steps, up, down
 
 
-def _chevalley_integer(rng: WeylRange, y: int, w: int, i: int, diff: tuple) -> int:
-    """c_{s_i,y}^w for the ids y < w that w covers, from the nonzero
-    difference ``diff`` of xi^{s_i} at w and at y: the gcd of its
-    coefficients, which must all be nonnegative."""
-    if min(diff) < 0:
-        elements = rng.elements
-        raise InternalInconsistency(
-            f"xi^s{i + 1} at {elements[w]} minus at {elements[y]} has a negative coefficient"
-        )
-    return gcd(*diff)
+def _chevalley_integers(rng: WeylRange, y: int, w: int) -> list[tuple[int, int]]:
+    """(i, c_{s_i,y}^w) for each letter i whose integer is nonzero, for the
+    ids y < w that w covers: the gcd of the coefficients of the nonzero
+    difference of xi^{s_i} at w and at y, which must all be nonnegative.
+    They depend on the pair of ids alone, so the range keeps them, by
+    (y, w), in its memo "chevalley integers": the covers up from y and
+    down from w read one computation and one check."""
+    memo = rng.memo("chevalley integers")
+    out = memo.get((y, w))
+    if out is None:
+        out = []
+        for i, (p, q) in enumerate(zip(rng.xi[w], rng.xi[y])):
+            if p == q:
+                continue
+            diff = tuple(map(sub, p, q))
+            if min(diff) < 0:
+                elements = rng.elements
+                raise InternalInconsistency(
+                    f"xi^s{i + 1} at {elements[w]} minus at {elements[y]}"
+                    " has a negative coefficient"
+                )
+            out.append((i, gcd(*diff)))
+        memo[y, w] = out
+    return out
 
 
 def _check_point(table: RestrictionTable, b, a=None) -> None:
@@ -292,8 +312,7 @@ def column_constants(table: RestrictionTable, v: int, us) -> list[StructureTable
     one pair at the w up to length l(u) + l(v).
     """
     rng = table.range
-    elements = rng.elements
-    length = [w.length for w in elements]
+    elements, length = rng.elements, rng.lengths
     lv = length[v]
     top = max(length[u] for u in us) + lv
     _check_bound(rng, top)
@@ -360,6 +379,7 @@ def column_constants(table: RestrictionTable, v: int, us) -> list[StructureTable
             rng.rs, "x", elements[u], elements[v],
             {w: RootPolynomial(rank, terms, _clean=True) for w, terms in column[u].items()},
             elements[:bisect_right(length, length[u] + lv)],
+            rng,
         )
         for u in us
     ]
@@ -432,14 +452,23 @@ def opposite_constants(s: StructureTable, w0: WeylElement) -> StructureTable:
         raise ValueError("opposite_constants expects an x-basis table")
     matrix = w0.matrix
     values = {w: poly.apply_linear(matrix) for w, poly in s.values.items()}
-    return StructureTable(s.rs, "y", s.u, s.v, values, s.order)
+    return StructureTable(s.rs, "y", s.u, s.v, values, s.order, s.range)
 
 
 @dataclass
 class CertificateEntry:
+    """The value at the id ``w``: its terms as packed (key, coefficient)
+    pairs of rank ``rank``, in descending graded-lex order, and its verdict."""
+
     w: int
-    monomials: list[tuple[tuple[int, ...], int]]
+    terms: list[tuple[int, int]]
     ok: bool
+    rank: int
+
+    @property
+    def monomials(self) -> list[tuple[tuple[int, ...], int]]:
+        """The terms as (exponent tuple, coefficient), as ``sorted_terms`` lists them."""
+        return unpack_terms(self.rank, self.terms)
 
 
 @dataclass
@@ -460,8 +489,8 @@ SIGN_RULES = {"x": "nonneg", "y": "alternating"}
 
 
 def terms_sign_ok(basis: str, terms) -> bool:
-    """Whether the (exponent, coefficient) pairs ``terms`` of a value meet
-    the sign rule of ``basis`` (any other basis is a KeyError).
+    """Whether the (degree, coefficient) pairs ``terms`` of a value's terms
+    meet the sign rule of ``basis`` (any other basis is a KeyError).
 
     "nonneg" (x basis): every coefficient >= 0.  "alternating" (y basis):
     every coefficient times (-1)^degree >= 0, i.e. the value is a
@@ -469,18 +498,21 @@ def terms_sign_ok(basis: str, terms) -> bool:
     """
     if SIGN_RULES[basis] == "nonneg":
         return all(c >= 0 for _, c in terms)
-    return all((-c if sum(e) % 2 else c) >= 0 for e, c in terms)
+    return all((-c if d % 2 else c) >= 0 for d, c in terms)
 
 
 def positivity_certificate(s: StructureTable) -> PositivityCertificate:
-    """Full monomial expansion of every stored value plus a per-value
-    verdict, with entries and failures named by id."""
+    """Every stored value's packed terms, sorted, plus its verdict by the
+    sign rule of ``s.basis``, read from the degree field of each key; the
+    entries and failures are named by id."""
+    rank = s.rs.rank
+    shift = FIELD_BITS * rank
     entries = []
     failures = []
     for w, poly in s.values.items():
-        terms = poly.sorted_terms()
-        ok = terms_sign_ok(s.basis, terms)
-        entries.append(CertificateEntry(w, terms, ok))
+        terms = sorted(poly.terms.items(), reverse=True)
+        ok = terms_sign_ok(s.basis, [(key >> shift, c) for key, c in terms])
+        entries.append(CertificateEntry(w, terms, ok, rank))
         if not ok:
             failures.append(w)
     return PositivityCertificate(s.basis, entries, failures)
@@ -494,16 +526,51 @@ def _json(value: tuple[int, ...] | str) -> str:
     return json.dumps(list(value) if isinstance(value, tuple) else value)
 
 
+class _TermStarts(dict):
+    """The text ``{"exp": [..], "coeff": "`` that starts a term in a
+    record, by packed key of one rank, made on the first read of a key;
+    like ``_json``, it grows with the distinct monomials rendered."""
+
+    def __init__(self, rank: int):
+        super().__init__()
+        self.rank = rank
+
+    def __missing__(self, key: int) -> str:
+        ((exp, _),) = unpack_terms(self.rank, ((key, 0),))
+        text = self[key] = f'{{"exp": {_json(exp)}, "coeff": "'
+        return text
+
+
 @lru_cache(maxsize=None)
-def _word_items(word: tuple[int, ...]) -> tuple[str, str, str]:
-    """JSON text of a word, and the "values" and "monomials" items of
-    ``record_text`` for it where the record has no stored value."""
-    w = _json(word)
-    return (
-        w,
-        f'{{"w": {w}, "poly": {{"terms": []}}}}',
-        f'{{"w": {w}, "terms": [], "verdict": "pass"}}',
-    )
+def _term_starts(rank: int) -> _TermStarts:
+    return _TermStarts(rank)
+
+
+#: The text of an element w of a table's order at an id without a value,
+#: by kind: the JSON of its word, its items in the "values" and "monomials"
+#: lists of a record, and its line in ``text_lines``.
+_ZERO_ITEMS = {
+    "word": lambda w: _json(w.word),
+    "values": lambda w: f'{{"w": {_json(w.word)}, "poly": {{"terms": []}}}}',
+    "monomials": lambda w: f'{{"w": {_json(w.word)}, "terms": [], "verdict": "pass"}}',
+    "text": lambda w: f"w={word_text(w.word)}: 0",
+}
+
+
+def _zero_items(s: StructureTable, kind: str) -> list[str]:
+    """A new list of the ``_ZERO_ITEMS`` text of ``kind`` for each w of
+    ``s.order``, in id order.  The text is kept per id on ``s.range``
+    (memo "zero items"), of which ``s.order`` is a prefix, and made from
+    ``s.order`` for a table without a range: no item is read from the
+    range of another table."""
+    order = s.order
+    make = _ZERO_ITEMS[kind]
+    if s.range is None:
+        return [make(w) for w in order]
+    items = s.range.memo("zero items").setdefault(kind, [])
+    if len(items) < len(order):
+        items.extend(map(make, order[len(items):]))
+    return items[:len(order)]
 
 
 def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, str]:
@@ -512,26 +579,22 @@ def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, st
     "values": [{"w", "poly": {"terms"}}], "certificate": {"verdict",
     "basis", "sign_rule", "monomials": [{"w", "terms", "verdict"}]}}, one
     item per w of ``s.order``, with empty terms and a passing verdict
-    where the certificate has no entry.  Each value's terms are rendered
-    once for both of its lists, and the two records share all but "u" and
-    "v"."""
-    rendered = {}
+    where the certificate has no entry.  The items start as a copy of the
+    zero items (``_zero_items``) and only the ids with an entry are
+    rewritten; each entry's terms are rendered from their packed keys
+    (``_TermStarts``), once for both of its lists, and the two records
+    share all but "u" and "v"."""
+    starts = _term_starts(s.rs.rank)
+    words = _zero_items(s, "word")
+    values = _zero_items(s, "values")
+    monomials = _zero_items(s, "monomials")
     for e in cert.entries:
-        terms = "[" + ", ".join([
-            f'{{"exp": {_json(exp)}, "coeff": "{coeff}"}}' for exp, coeff in e.monomials
-        ]) + "]" if e.monomials else "[]"
-        rendered[e.w] = terms, "pass" if e.ok else "fail"
-    values = []
-    monomials = []
-    for k, element in enumerate(s.order):
-        w, no_value, no_monomials = _word_items(element.word)
-        if k in rendered:
-            terms, verdict = rendered[k]
-            values.append(f'{{"w": {w}, "poly": {{"terms": {terms}}}}}')
-            monomials.append(f'{{"w": {w}, "terms": {terms}, "verdict": "{verdict}"}}')
-        else:
-            values.append(no_value)
-            monomials.append(no_monomials)
+        terms = "[" + ", ".join([f'{starts[key]}{coeff}"}}' for key, coeff in e.terms]) + "]"
+        w = words[e.w]
+        values[e.w] = f'{{"w": {w}, "poly": {{"terms": {terms}}}}}'
+        monomials[e.w] = (
+            f'{{"w": {w}, "terms": {terms}, "verdict": "{"pass" if e.ok else "fail"}"}}'
+        )
     body = (
         f'"values": [{", ".join(values)}], "certificate": {{"verdict": "{cert.verdict}", '
         f'"basis": "{cert.basis}", "sign_rule": "{SIGN_RULES[cert.basis]}", '
@@ -540,6 +603,16 @@ def record_text(s: StructureTable, cert: PositivityCertificate) -> tuple[str, st
     head = f'{{"type": {_json(s.rs.descriptor)}, "basis": "{s.basis}", '
     u, v = _json(s.u.word), _json(s.v.word)
     return f'{head}"u": {u}, "v": {v}, {body}', f'{head}"u": {v}, "v": {u}, {body}'
+
+
+def text_lines(s: StructureTable) -> list[str]:
+    """The line ``w=<word>: <value>`` of each w of ``s.order``, in id
+    order, as ``mult --format text`` prints them: the zero lines are
+    copied from ``_zero_items`` and only the ids with a value rendered."""
+    lines = _zero_items(s, "text")
+    for w, poly in s.values.items():
+        lines[w] = f"w={word_text(s.order[w].word)}: {poly.to_text()}"
+    return lines
 
 
 def billey_evaluate(s: StructureTable, nu) -> list[Fraction]:

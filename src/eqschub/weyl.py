@@ -210,7 +210,8 @@ class WeylRange:
     """All elements of length <= bound, sorted by (length, word lex).
 
     An element's id is its position in ``elements``, so ids run in length
-    order, and ``index`` maps an element to its id.  ``complete`` is True
+    order, ``index`` maps an element to its id and ``lengths`` lists the
+    ids' lengths.  ``complete`` is True
     when the range provably exhausts the whole group (no element of
     maximal stored length has a length-increasing extension).
     ``right_mul[w]`` lists the ids of w s_1, .., w s_rank, None where
@@ -223,9 +224,11 @@ class WeylRange:
     holds data that depends on the range alone: the inversion products,
     the store of restriction values, each entry checked once, when it
     enters the store, with the packed monomials of their terms, kept once
-    (``localize.restriction_table``), and the steps of the Chevalley
-    recurrence at each id, with their shared divisors
-    (``structconst._recurrence``).
+    (``localize.restriction_table``), the steps of the Chevalley
+    recurrence at each id, with their shared divisors and the Chevalley
+    integers of each cover (``structconst._recurrence``), and the text
+    each id has in a record or a ``mult`` line where its value is zero
+    (``structconst.record_text``).
     """
 
     def __init__(self, rs: RootSystem, bound: int, elements: tuple[WeylElement, ...],
@@ -254,6 +257,14 @@ class WeylRange:
     def index(self) -> dict:
         """Element -> id."""
         return {w: k for k, w in enumerate(self.elements)}
+
+    @cached_property
+    def lengths(self) -> list:
+        """The length of each id, in id order, so nondecreasing: bisecting
+        it finds where a length starts.  A prefix slices its range's list."""
+        if self._whole is not self:
+            return self._whole.lengths[: len(self)]
+        return [w.length for w in self.elements]
 
     @cached_property
     def leq(self) -> list:
@@ -319,7 +330,7 @@ class WeylRange:
             return whole
         view = whole._views.get(bound)
         if view is None:
-            n = bisect_right(whole.elements, bound, key=lambda w: w.length)
+            n = bisect_right(whole.lengths, bound)
             if n == len(whole):
                 view = WeylRange(self.rs, bound, whole.elements, whole.complete,
                                  whole.right_mul, whole.last_root, whole.xi)

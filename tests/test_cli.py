@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, cache, determinism."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from eqschub import (
     inverse,
     longest_element,
     opposite_constants,
+    positivity_certificate,
     restriction_table,
     structure_constants,
 )
@@ -86,6 +88,40 @@ def test_rootsys_bad_cartan_exits_2(tmp_path, capsys):
         code, out = run(["rootsys", "--cartan", str(path)])
         assert (code, out) == (2, ""), payload
         assert capsys.readouterr().err.startswith("error: "), payload
+
+
+def test_cartan_file_is_built_once_per_text_and_refused_on_every_call(tmp_path, capsys):
+    """A --cartan file is read on every call, and parsed, checked and
+    built once per text: the same text gives the same root system without
+    a second parse, an edited file is parsed again, and a refused file
+    (bad JSON, a rank mismatch, a bad kind) is refused on every call."""
+    import eqschub.cli as cli
+
+    built = cli._cartan_file_system
+    path = tmp_path / "c.json"
+    args = cli._parser().parse_args(["rootsys", "--cartan", str(path)])
+    cli.clear_setup()
+    try:
+        path.write_text(json.dumps({"rank": 2, "entries": [[2, -1], [-1, 2]]}))
+        a2 = cli.load_root_system(args)
+        assert cli.load_root_system(args) is a2 and a2.descriptor == "A2"
+        assert (built.cache_info().hits, built.cache_info().misses) == (1, 1)
+        path.write_text(json.dumps({"rank": 2, "entries": [[2, -1], [-2, 2]]}))
+        assert cli.load_root_system(args).descriptor == "B2"
+        assert built.cache_info().misses == 2
+        for text, message in [
+            ("{", "error: cartan file is not valid JSON"),
+            ('{"rank": 3, "entries": [[2, -1], [-1, 2]]}', "error: rank field does not match"),
+            ('{"entries": [[2, -1], [-1, 2]], "kind": "affine"}', "error: kind must be"),
+        ]:
+            path.write_text(text)
+            for _ in range(2):
+                assert run(["rootsys", "--cartan", str(path)]) == (2, "")
+                assert capsys.readouterr().err.startswith(message), text
+        path.write_text(json.dumps({"rank": 2, "entries": [[2, -1], [-1, 2]]}))
+        assert cli.load_root_system(args) is a2
+    finally:
+        cli.clear_setup()
 
 
 def test_rootsys_affine_as_finite_exits_3(tmp_path):
@@ -297,6 +333,47 @@ def test_mult_json_eval_is_json_dumps_of_the_record_dict():
     })
     assert code == 0
     assert out == json.dumps(data) + "\n"
+
+
+def _mult_text_oracle(rs, u_word, v_word, basis, nu=None):
+    """The stdout of ``mult --format text``, built the plain way: the
+    header, ``to_text()`` of the value at every w of the pair's order,
+    zeros included, the verdict and, with a point, each value there."""
+    u, v = (
+        element_from_word(rs, () if w == "e" else map(int, w.split(","))) for w in (u_word, v_word)
+    )
+    s = structure_constants(restriction_table(rs, u.length + v.length), u, v)
+    if basis == "y":
+        s = opposite_constants(s, longest_element(rs))
+    zero = RootPolynomial.zero(rs.rank)
+    values = [s.values.get(k, zero) for k in range(len(s.order))]
+    lines = [f"type={rs.descriptor} basis={basis} u={u_word} v={v_word}"]
+    lines += [f"w={w.word_text()}: {p.to_text()}" for w, p in zip(s.order, values)]
+    lines.append(f"certificate: {positivity_certificate(s).verdict}")
+    if nu is not None:
+        point = [Fraction(x) for x in nu.split(",")]
+        lines += [f"eval nu={nu} w={w.word_text()}: {p.evaluate(point)}"
+                  for w, p in zip(s.order, values)]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("basis", ["x", "y"])
+def test_mult_text_is_the_to_text_oracle(basis):
+    """``mult --format text`` prints, byte for byte, the oracle built from
+    ``to_text()`` on every pair of A2, B2 and G2, systems of one rank
+    queried in turn in one process, with a point on every third query."""
+    streams = []
+    for name in ("A2", "B2", "G2"):
+        rs = builtin_root_system(name)
+        words = [w.word_text() for w in enumerate_upto(rs, len(rs.positive_roots))]
+        streams.append([(rs, name, u, v) for u in words for v in words])
+    queries = [q for step in itertools.zip_longest(*streams) for q in step if q]
+    assert len(queries) == 6 * 6 + 8 * 8 + 12 * 12
+    for n, (rs, name, u, v) in enumerate(queries):
+        nu = "2,5/3" if n % 3 == 0 else None
+        args = ["mult", "--type", name, "--u", u, "--v", v, "--basis", basis]
+        code, out = run(args + (["--eval", nu] if nu else []))
+        assert code == 0 and out == _mult_text_oracle(rs, u, v, basis, nu), args
 
 
 def test_mult_into_a_closed_pipe_prints_no_traceback():

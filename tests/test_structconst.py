@@ -3,6 +3,7 @@ certificates, numeric evaluation."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from eqschub.structconst import (
     pair_table,
     record_text,
     terms_sign_ok,
+    text_lines,
 )
 from eqschub.weyl import inversion_coords
 
@@ -748,6 +750,47 @@ def test_chevalley_integers_are_coroot_pairings(rs):
     assert covers
 
 
+def test_chevalley_integers_are_computed_once_per_cover(monkeypatch):
+    """The range keeps the integers of each cover y < w, so over every id
+    of whole B3 ``_recurrence`` takes one gcd per nonzero integer of each
+    cover, and the covers up from y and down from w read the same one."""
+    from eqschub import enumerate_upto
+
+    rng = enumerate_upto(B3, 9)
+    calls = []
+    monkeypatch.setattr(structconst, "gcd", lambda *diff: calls.append(diff) or math.gcd(*diff))
+    reads = [_recurrence(rng, x) for x in range(len(rng))]
+    memo = rng.memo("chevalley integers")
+    lengths = rng.lengths
+    assert set(memo) == {
+        (y, w) for w in range(len(rng)) for y in rng.leq[w] if lengths[y] + 1 == lengths[w]
+    }
+    assert len(calls) == sum(len(integers) for integers in memo.values())
+    for (y, w), integers in memo.items():
+        assert integers
+        for i, k in integers:
+            assert (w, k) in reads[y][1][i] and (y, k) in reads[w][2][i]
+
+
+def test_a_negative_chevalley_difference_is_refused_on_every_read():
+    """A cover whose difference of xi^{s_i} has a negative coefficient is
+    an InternalInconsistency, raised again on a later read: the range
+    keeps nothing for it."""
+    from eqschub import InternalInconsistency, enumerate_upto
+
+    rng = enumerate_upto(A2, 3)
+    # xi^{s_1} at e made 2 alpha_1, so at s_1 minus at e is -alpha_1.
+    rng.xi[0] = ((2, 0), (0, 0))
+    for _ in range(2):
+        with pytest.raises(
+            InternalInconsistency,
+            match=r"^xi\^s1 at WeylElement\(1\) minus at WeylElement\(e\)"
+            " has a negative coefficient$",
+        ):
+            _recurrence(rng, 0)
+    assert not rng.memo("chevalley integers") and not rng.memo("recurrence")
+
+
 @pytest.mark.parametrize(
     "rs,bound",
     [(A3, 6), (B3, 9), (G2, 6), (AFF_A2, 6), (HYP3, 7)],
@@ -992,6 +1035,11 @@ def _solve_on_transported_table(table, w0, u, v):
     return values
 
 
+def _degree_terms(p):
+    """The (degree, coefficient) pairs of a polynomial's terms, as ``terms_sign_ok`` reads them."""
+    return [(sum(e), c) for e, c in p.sorted_terms()]
+
+
 def test_a2_opposite_cross_check_full_sweep():
     """Every y-value obeys the sign dichotomy and matches an independent solve."""
     w0 = longest_element(A2)
@@ -1001,7 +1049,7 @@ def test_a2_opposite_cross_check_full_sweep():
             independent = _solve_on_transported_table(T_A2, w0, u, v)
             assert y.values == independent
             for p in y.values.values():
-                assert terms_sign_ok("y", p.sorted_terms())
+                assert terms_sign_ok("y", _degree_terms(p))
                 assert p.negate_variables().sign_pattern() in ("nonneg", "zero")
 
 
@@ -1013,7 +1061,7 @@ def test_a2_even_degree_opposite_value_is_positive_in_negated_roots():
     val = y.values[T_A2.range.index[s12]]
     assert val == poly(2, {(1, 1): 1, (0, 2): 1})
     assert val.sign_pattern() == "nonneg"
-    assert terms_sign_ok("y", val.sorted_terms())
+    assert terms_sign_ok("y", _degree_terms(val))
 
 
 def test_opposite_verify_product_identity():
@@ -1058,6 +1106,56 @@ def test_certificate_detects_sign_violation():
     cert = positivity_certificate(bad)
     assert cert.verdict == "fail"
     assert cert.failures == [k]
+
+
+@pytest.mark.parametrize("basis", ["x", "y"])
+def test_certificate_monomials_are_the_sorted_terms(basis):
+    """A certificate entry keeps its value's packed terms in descending
+    order, and reads its monomials off them: they are the value's
+    ``sorted_terms()``, on every column of whole A3 in either basis."""
+    table = restriction_table(A3, 6)
+    w0 = longest_element(A3)
+    entries = 0
+    for v in range(len(table.range)):
+        for s in column_constants(table, v, range(len(table.range))):
+            if basis == "y":
+                s = opposite_constants(s, w0)
+            cert = positivity_certificate(s)
+            assert [e.w for e in cert.entries] == list(s.values)
+            for e in cert.entries:
+                value = s.values[e.w]
+                assert e.terms == sorted(value.terms.items(), reverse=True)
+                assert e.monomials == value.sorted_terms()
+                assert e.ok == terms_sign_ok(basis, _degree_terms(value))
+                entries += 1
+    assert entries
+
+
+def test_records_of_systems_of_one_rank_read_no_stale_items():
+    """A2, B2 and G2 have rank 2, and the ranges of B2 and G2 name other
+    words at id 7.  The records and ``mult`` text lines of every pair of
+    the three, in either basis, rendered in turn in one process so that
+    each range keeps its zero items while the others are read, equal the
+    oracles built from each table alone."""
+    tables = [T_A2, T_B2, restriction_table(G2, 6)]
+    assert tables[1].range.elements[7].word != tables[2].range.elements[7].word
+    streams = [
+        [(t, u, v) for u in t.range.elements for v in t.range.elements] for t in tables
+    ]
+    records = 0
+    for step in itertools.zip_longest(*streams):
+        for t, u, v in filter(None, step):
+            x = structure_constants(t, u, v)
+            for s in (x, opposite_constants(x, longest_element(t.range.rs))):
+                cert = positivity_certificate(s)
+                assert record_text(s, cert)[0] == json.dumps(record_dict(s, cert))
+                zero = RootPolynomial.zero(2)
+                assert text_lines(s) == [
+                    f"w={w.word_text()}: {s.values.get(k, zero).to_text()}"
+                    for k, w in enumerate(s.order)
+                ]
+                records += 1
+    assert records == 2 * (6 * 6 + 8 * 8 + 12 * 12)
 
 
 def test_certificate_json_shape():
@@ -1139,30 +1237,54 @@ def _encoder_cases():
     s = element_from_word(A1, (1,))
     s1 = element_from_word(A2, (1,))
     s12 = element_from_word(A2, (1, 2))
+    x = structure_constants(T_A2, s1, s12)
+    last = max(x.values)
+    n = len(T_A2.range)
     return {
         "failing": StructureTable(
             A1, "x", s, s, {T_A1.range.index[s]: poly(1, {(1,): -2})}, T_A1.range.elements
+        ),
+        "failing-on-range": StructureTable(
+            A2, "x", s1, s12, {**x.values, last: -x.values[last]}, x.order, x.range
         ),
         "y-negative": opposite_constants(
             structure_constants(T_A2, s12, s1), longest_element(A2)
         ),
         "all-zero": StructureTable(A2, "x", s1, s12, {}, T_A2.range.elements),
+        # The ids of the range's elements, reversed: an order of the same
+        # system and length that is no prefix of any range.
+        "not-a-prefix": StructureTable(
+            A2, "x", s1, s12, {n - 1 - k: x.values[k] for k in sorted(x.values, reverse=True)},
+            T_A2.range.elements[::-1],
+        ),
     }
 
 
-@pytest.mark.parametrize("case", ["failing", "y-negative", "all-zero"])
+@pytest.mark.parametrize(
+    "case", ["failing", "failing-on-range", "y-negative", "all-zero", "not-a-prefix"]
+)
 def test_record_text_is_json_dumps_of_the_record_dict(case):
     """Both lines of ``record_text`` are, byte for byte, ``json.dumps`` of
-    the record's dict form, with "u" and "v" swapped in the second."""
+    the record's dict form, with "u" and "v" swapped in the second.  The
+    range's zero items are filled first by a record of another pair, and
+    a table whose order is no prefix of a range reads none of them."""
     table = _encoder_cases()[case]
     cert = positivity_certificate(table)
     coeffs = [c for p in table.values.values() for c in p.terms.values()]
-    if case == "failing":
+    if case.startswith("failing"):
         assert cert.verdict == "fail"
+        assert (table.range is T_A2.range) == (case == "failing-on-range")
     elif case == "y-negative":
         assert min(coeffs) < 0 and table.u != table.v
-    else:
+    elif case == "all-zero":
         assert not coeffs and len(table.order) == len(T_A2.range)
+    else:
+        assert table.range is None and table.order[0] == T_A2.range.elements[-1]
+        assert coeffs and len(table.order) == len(T_A2.range)
+    e = identity(A2)
+    filler = structure_constants(T_A2, e, e)
+    record_text(filler, positivity_certificate(filler))
+    assert T_A2.range.memo("zero items")
     line, swapped = record_text(table, cert)
     data = record_dict(table, cert)
     assert line == json.dumps(data)

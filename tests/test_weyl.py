@@ -1,5 +1,6 @@
 """Weyl group elements, words, Bruhat order, enumeration."""
 
+import bisect
 import os
 import pickle
 import subprocess
@@ -314,6 +315,7 @@ def _range_fields(rng) -> dict:
         "xi": rng.xi,
         "complete": rng.complete,
         "leq": rng.leq,
+        "lengths": rng.lengths,
         "index": {w.word: k for w, k in rng.index.items()},
     }
 
@@ -337,6 +339,18 @@ def test_prefix_shares_the_bruhat_order_of_its_range():
     for view in views:
         assert all(a is b for a, b in zip(view.leq, whole.leq))
     assert all(a is b for a, b in zip(views[2].prefix(1).leq, whole.leq))
+
+
+def test_range_lengths_are_built_once_and_sliced_by_prefixes():
+    """The range keeps the length of each id in one list, which every
+    prefix view slices, and bisecting it finds where a length starts."""
+    whole = enumerate_upto(AFF_A2, 6)
+    assert whole.lengths == [w.length for w in whole]
+    assert whole.lengths is whole.lengths
+    for bound in range(6):
+        view = whole.prefix(bound)
+        assert view.lengths == whole.lengths[: len(view)] == [w.length for w in view]
+        assert len(view) == bisect.bisect_right(whole.lengths, bound)
 
 
 def test_prefix_refuses_bounds_it_cannot_serve():
