@@ -39,6 +39,8 @@ from .rootsys import (
     monomial_text,
 )
 from .structconst import (
+    _check_bound,
+    _within_bound,
     billey_evaluate,
     column_constants,
     opposite_constants,
@@ -82,7 +84,7 @@ class CliError(EqschubError):
 # depend on the Cartan matrix alone, not on the pair asked about, so a
 # process that calls ``main`` or ``run_sweep`` many times builds them once.
 # One range is held: the one with the largest bound asked for, of the root
-# system last used.
+# system last used, which serves every smaller bound as it is.
 
 
 @lru_cache(maxsize=16)
@@ -94,14 +96,16 @@ _held_range: WeylRange | None = None
 
 
 def weyl_range(rs: RootSystem, bound: int) -> WeylRange:
-    """``enumerate_upto(rs, bound)``, as a prefix of the range held for ``rs``
-    when that range reaches ``bound`` or is the whole group; otherwise the
-    range is enumerated and held in place of the last one."""
+    """The range held for ``rs`` if it reaches ``bound`` or is the whole
+    group, else ``enumerate_upto(rs, bound)`` (which refuses a negative
+    bound), held in place of the last one.  It may reach past ``bound``,
+    so a caller reads its ids up to ``bound`` and checks ``bound`` itself."""
     global _held_range
     held = _held_range
-    if held is None or held.rs is not rs or (bound > held.bound and not held.complete):
+    if held is None or held.rs is not rs or bound < 0 or (
+            bound > held.bound and not held.complete):
         held = _held_range = enumerate_upto(rs, bound)
-    return held.prefix(bound)
+    return held
 
 
 @lru_cache(maxsize=1024)
@@ -345,13 +349,14 @@ def cmd_mult(args, out) -> int:
     if args.basis == "y" and rs.kind != FINITE:
         raise CliError("--basis y requires a finite-type root system")
     # The recurrence reads no fixed point longer than length(u)+length(v), and
-    # a finite group's range stops at the longest element.  The range comes
-    # from the one held for the process (see ``weyl_range``).  Its Bruhat
-    # order, its restriction entries (each checked once, when it entered
-    # the range's store) and its recurrence steps outlive this query, so
-    # only what earlier queries left unbuilt is built here.
+    # a finite group's range stops at the longest element.  The range held
+    # for the process (``weyl_range``) may reach past the bound asked for;
+    # its Bruhat order, restriction entries and recurrence steps outlive
+    # this query, so only what earlier queries left unbuilt is built here.
     bound = u.length + v.length if args.max_length is None else args.max_length
-    s = structure_constants(pair_table(weyl_range(rs, bound), u, v), u, v)
+    rng = weyl_range(rs, bound)
+    _check_bound(rng, u.length + v.length, bound)
+    s = structure_constants(pair_table(rng, u, v), u, v)
     if args.basis == "y":
         s = opposite_constants(s, longest_element(rs))
     cert = positivity_certificate(s)
@@ -476,14 +481,14 @@ def run_sweep(
         raise NotFiniteType("y-basis sweep requires a finite-type root system")
     rng = weyl_range(rs, bound)
     cached = _read_cache(cache_path, rs, {w.word for w in rng.elements}) if cache_path else None
-    words = [w.word for w in rng.elements if rng.complete or 2 * w.length <= bound]
+    words = [w.word for w in rng.elements if _within_bound(rng, 2 * w.length, bound)]
     verdicts = cached or {}
 
     def missing(pair) -> bool:
         return (rs.descriptor, basis, *pair) not in verdicts
 
     # Row u lists the ids v >= u of the pairs {u, v} left; the swept
-    # elements are a prefix of the range, so their ids are their positions.
+    # elements are the range's first ids, so their ids are their positions.
     rows = [
         [b for b in range(a, len(words)) if missing((uw, words[b])) or missing((words[b], uw))]
         for a, uw in enumerate(words)
@@ -495,7 +500,7 @@ def run_sweep(
     # from row u, which computes {u, v}, until row v is written.
     pending: dict = {}
     with closing(
-        _solve_rows(todo, range(len(words)), rng, basis, jobs)
+        _solve_rows(todo, range(len(words)), rng, bound, basis, jobs)
     ) as solved, _open_cache(cache_path, cached is None or todo) as fh:
         if fh is not None and cached is None:
             fh.write(json.dumps(CACHE_HEADER) + "\n")
@@ -533,17 +538,17 @@ def ProcessPoolExecutor(**kwargs):
     return ProcessPoolExecutor(**kwargs)
 
 
-def _solve_rows(rows, swept, rng, basis, jobs):
+def _solve_rows(rows, swept, rng, bound, basis, jobs):
     """Yield ``_sweep_row_lines`` of each (u id, v ids) row, in order.
 
     Nothing is set up before the first row is asked for.  The state (the
-    table the columns of the ``swept`` ids read, with its range, and w0
-    for the y basis) is used here at ``jobs`` 1 and handed to
-    each pool worker otherwise: inherited under fork, pickled once per
-    worker under spawn.
+    table the columns of the ``swept`` ids read up to length ``bound``,
+    with its range, and w0 for the y basis) is used here at ``jobs`` 1 and
+    handed to each pool worker otherwise: inherited under fork, pickled
+    once per worker under spawn.
     """
     state = {
-        "table": recurrence_table(rng, swept, swept, rng.bound),
+        "table": recurrence_table(rng, swept, swept, bound),
         "w0": longest_element(rng.rs) if basis == "y" else None,
     }
     if jobs > 1:
@@ -642,7 +647,7 @@ def _read_cache(path: str, rs: RootSystem, canonical: set) -> dict | None:
                 ]
                 if not _natural_exponents([record["u"], record["v"], *(exp for exp, _ in terms)]):
                     raise ValueError("a word or an exponent is not a list of nonnegative ints")
-                ok = terms_sign_ok(record["basis"], [(sum(exp), c) for exp, c in terms])
+                ok = terms_sign_ok(record["basis"], terms, sum)
                 stored = record["certificate"]["verdict"]
                 key = _cache_key(record)
                 verdicts[key] = ok

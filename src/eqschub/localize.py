@@ -186,7 +186,7 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
     """Restriction values for every pair of ids in the length-<=-k range,
     or, given ``rows``, for the rows of ``rows`` at the points of
     ``points`` (every point if ``points`` is None).  A given ``rng`` must
-    be a range of ``rs`` (else ValueError), and its prefix up to k is used.
+    be the range of ``rs`` of bound k (else ValueError), and is used as it is.
 
     ``rows`` is a nonempty set of ids of the range, the rows wanted at
     the given points; ``points`` is a set of ids of the range, given with
@@ -212,8 +212,8 @@ def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,
         rng = enumerate_upto(rs, k)
     elif rng.rs.cartan.entries != rs.cartan.entries or rng.rs.kind != rs.kind:
         raise ValueError("the range belongs to another root system")
-    else:
-        rng = rng.prefix(k)
+    elif rng.bound != k:
+        raise ValueError(f"the range has bound {rng.bound}, not {k}")
     rmul, elements, n = rng.right_mul, rng.elements, len(rng)
     given = range(n) if points is None else set(points)
     if points is not None and not all(0 <= v < n for v in given):

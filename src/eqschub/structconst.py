@@ -70,14 +70,14 @@ by substituting each simple root with its image under the longest
 element; its entries expand with nonnegative coefficients in the negated
 simple roots (coefficient sign (-1)^degree in the plain monomials).
 ``SIGN_RULES`` names each basis's rule, and ``terms_sign_ok`` tests it
-on (degree, coefficient) pairs, for the certificates and for the sweep
-cache's reader.  A certificate keeps each value's packed terms, sorted,
-and reads their degrees off the keys' top field; the reader sums each
-stored exponent.  ``record_text`` renders records from those terms: the
-text that starts a term is kept per packed key of each rank, and the
-items of the ids without a value, with each word's JSON, per id on the
-table's range, so a record copies the zero items and rewrites only its
-nonzero ids.  ``text_lines`` renders ``mult``'s text lines the same way.
+on (monomial, coefficient) pairs, for the certificates and for the sweep
+cache's reader.  A certificate keeps each value's packed terms, sorted.
+A rule that reads degrees reads them off the keys' top field there, and
+sums each stored exponent in the reader.  ``record_text`` renders records
+from those terms: the text that starts a term is kept per packed key of
+each rank, and the items of the ids without a value, with each word's
+JSON, per id on the table's range, so a record copies the zero items and
+rewrites only its nonzero ids.  ``text_lines`` renders ``mult``'s text lines the same way.
 """
 
 from __future__ import annotations
@@ -107,12 +107,13 @@ from .weyl import WeylElement, WeylRange, _check_same_system, longest_element, w
 class StructureTable:
     """The constants of one index pair (u, v), with a basis tag.
 
-    ``order`` is the range prefix up to length l(u) + l(v), so ``order[k]``
-    is the element of id k; ``values`` maps the id of each w with a
-    nonzero constant to it, in increasing id, and holds no zero.  ``range``
-    is the range of which ``order`` is a prefix, from which ``record_text``
-    and ``text_lines`` read the text of the ids without a value; a table
-    built with any other ``order`` has none.
+    ``order`` lists the range's first elements, those up to length
+    l(u) + l(v), so ``order[k]`` is the element of id k; ``values`` maps
+    the id of each w with a nonzero constant to it, in increasing id, and
+    holds no zero.  ``range`` is the range whose first elements ``order``
+    lists, from which ``record_text`` and ``text_lines`` read the text of
+    the ids without a value; a table built with any other ``order`` has
+    none.
     """
 
     def __init__(self, rs: RootSystem, basis: str, u: WeylElement, v: WeylElement,
@@ -172,14 +173,21 @@ def _points_above(rng: WeylRange, us, top: int) -> list[int]:
 def _pair_ids(rng: WeylRange, u: WeylElement, v: WeylElement) -> tuple[int, int]:
     """Ids of the shorter and longer of u and v (v on a tie), after the system and bound checks."""
     _check_same_system(rng.rs, u, v)
-    _check_bound(rng, u.length + v.length)
+    _check_bound(rng, u.length + v.length, rng.bound)
     short, long = (u, v) if u.length < v.length else (v, u)
     return rng.index[short], rng.index[long]
 
 
-def _check_bound(rng, top: int):
-    if not rng.complete and rng.bound < top:
-        raise InsufficientBound(f"table bound {rng.bound} < length(u)+length(v) = {top}")
+def _within_bound(rng: WeylRange, top: int, bound: int) -> bool:
+    """Whether the ids of ``rng`` up to length ``bound`` hold every fixed
+    point a pair with l(u) + l(v) = ``top`` reads: they do if ``top`` <=
+    ``bound``, or if they are the whole group."""
+    return top <= bound or (rng.complete and rng.lengths[-1] <= bound)
+
+
+def _check_bound(rng: WeylRange, top: int, bound: int):
+    if not _within_bound(rng, top, bound):
+        raise InsufficientBound(f"table bound {bound} < length(u)+length(v) = {top}")
 
 
 def _recurrence(rng: WeylRange, x: int):
@@ -196,19 +204,15 @@ def _recurrence(rng: WeylRange, x: int):
       each in increasing id and without the zero integers, which
       ``_chevalley_integers`` gives once per cover.
 
-    They depend on the pair of ids alone, so the range keeps them, for
-    itself and its prefixes, in its memo "recurrence": under x, the number
-    of ids they were built over and the three lists.  They are built, and
-    checked, on the first read of x in the process, and again only when a
-    longer range reads x; an entry built over a longer range may list ids
-    past a shorter one.  Divisors are shared through the memo "recurrence
-    divisors".
+    They depend on the pair of ids alone, so the range keeps them in its
+    memo "recurrence", built and checked on the first read of x; they list
+    every w of the range, so a reader of a smaller bound stops at its own
+    last id.  Divisors are shared through the memo "recurrence divisors".
     """
     memo = rng.memo("recurrence")
+    if x in memo:
+        return memo[x]
     n = len(rng)
-    entry = memo.get(x)
-    if entry is not None and entry[0] >= n:
-        return entry[1]
     elements, xi, leq, lengths = rng.elements, rng.xi, rng.leq, rng.lengths
     divisors = rng.memo("recurrence divisors")
     rank = rng.rs.rank
@@ -244,8 +248,8 @@ def _recurrence(rng: WeylRange, x: int):
         if y in lower:
             for i, k in _chevalley_integers(rng, y, x):
                 down[i].append((y, k))
-    memo[x] = n, (steps, up, down)
-    return steps, up, down
+    memo[x] = steps, up, down
+    return memo[x]
 
 
 def _chevalley_integers(rng: WeylRange, y: int, w: int) -> list[tuple[int, int]]:
@@ -315,7 +319,7 @@ def column_constants(table: RestrictionTable, v: int, us) -> list[StructureTable
     elements, length = rng.elements, rng.lengths
     lv = length[v]
     top = max(length[u] for u in us) + lv
-    _check_bound(rng, top)
+    _check_bound(rng, top, rng.bound)
     # The column reads row v at every x >= some u up to length top.
     xs = _points_above(rng, us, top)
     for x in xs:
@@ -488,9 +492,10 @@ class PositivityCertificate:
 SIGN_RULES = {"x": "nonneg", "y": "alternating"}
 
 
-def terms_sign_ok(basis: str, terms) -> bool:
-    """Whether the (degree, coefficient) pairs ``terms`` of a value's terms
-    meet the sign rule of ``basis`` (any other basis is a KeyError).
+def terms_sign_ok(basis: str, terms, degree) -> bool:
+    """Whether the (monomial, coefficient) pairs ``terms`` meet the sign
+    rule of ``basis`` (any other basis is a KeyError), which reads a
+    monomial's degree with ``degree`` only if it needs one.
 
     "nonneg" (x basis): every coefficient >= 0.  "alternating" (y basis):
     every coefficient times (-1)^degree >= 0, i.e. the value is a
@@ -498,20 +503,20 @@ def terms_sign_ok(basis: str, terms) -> bool:
     """
     if SIGN_RULES[basis] == "nonneg":
         return all(c >= 0 for _, c in terms)
-    return all((-c if d % 2 else c) >= 0 for d, c in terms)
+    return all((-c if degree(m) % 2 else c) >= 0 for m, c in terms)
 
 
 def positivity_certificate(s: StructureTable) -> PositivityCertificate:
     """Every stored value's packed terms, sorted, plus its verdict by the
-    sign rule of ``s.basis``, read from the degree field of each key; the
-    entries and failures are named by id."""
+    sign rule of ``s.basis``, which reads a degree off a key's top field;
+    the entries and failures are named by id."""
     rank = s.rs.rank
     shift = FIELD_BITS * rank
     entries = []
     failures = []
     for w, poly in s.values.items():
         terms = sorted(poly.terms.items(), reverse=True)
-        ok = terms_sign_ok(s.basis, [(key >> shift, c) for key, c in terms])
+        ok = terms_sign_ok(s.basis, terms, lambda key: key >> shift)
         entries.append(CertificateEntry(w, terms, ok, rank))
         if not ok:
             failures.append(w)

@@ -11,7 +11,6 @@ stripping descents, ``enumerate_upto`` by extending parents.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property, lru_cache
 from operator import add
 
@@ -211,12 +210,13 @@ class WeylRange:
 
     An element's id is its position in ``elements``, so ids run in length
     order, ``index`` maps an element to its id and ``lengths`` lists the
-    ids' lengths.  ``complete`` is True
-    when the range provably exhausts the whole group (no element of
-    maximal stored length has a length-increasing extension).
-    ``right_mul[w]`` lists the ids of w s_1, .., w s_rank, None where
-    w s_i leaves the range.  ``last_root[w]`` is the last root of
-    ``inversion_coords(rs, w.word)``, the root parent(alpha_d) its
+    ids' lengths: a reader of a smaller bound takes the first
+    ``bisect_right(lengths, bound)`` ids of the range as it is.
+    ``complete`` is True when the range provably exhausts the whole group
+    (no element of maximal stored length has a length-increasing
+    extension).  ``right_mul[w]`` lists the ids of w s_1, .., w s_rank,
+    None where w s_i leaves the range.  ``last_root[w]`` is the last root
+    of ``inversion_coords(rs, w.word)``, the root parent(alpha_d) its
     canonical word's last letter d adds, as a ``LinearForm`` (None at id 0).
     ``xi[w][i]`` holds the coordinates on the simple roots of
     xi^{s_{i+1}}(w) = omega_{i+1} - w(omega_{i+1}): the sum of the last
@@ -240,12 +240,7 @@ class WeylRange:
         self.right_mul = right_mul
         self.last_root = last_root
         self.xi = xi
-        # The enumerated range this one is a prefix of; its Bruhat order is
-        # built there, once, and sliced here, and its memos and its prefix
-        # views, by bound, are kept there.
-        self._whole = self
         self._memos: dict = {}
-        self._views: dict = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -261,9 +256,7 @@ class WeylRange:
     @cached_property
     def lengths(self) -> list:
         """The length of each id, in id order, so nondecreasing: bisecting
-        it finds where a length starts.  A prefix slices its range's list."""
-        if self._whole is not self:
-            return self._whole.lengths[: len(self)]
+        it finds where a length starts, and so the ids up to a smaller bound."""
         return [w.length for w in self.elements]
 
     @cached_property
@@ -274,8 +267,6 @@ class WeylRange:
         GTM 231, 2.2): with i the last letter of v and v' = v s_i, the
         elements below v are those below v' and their products with s_i.
         """
-        if self._whole is not self:
-            return self._whole.leq[: len(self)]
         rmul = self.right_mul
         below = [frozenset((0,))]
         for v in range(1, len(self.elements)):
@@ -285,10 +276,8 @@ class WeylRange:
         return below
 
     def memo(self, name: str) -> dict:
-        """The dict kept under ``name`` for data computed per id, shared by
-        the range this one is a prefix of and all its prefixes: a prefix's
-        ids are that range's ids."""
-        return self._whole._memos.setdefault(name, {})
+        """The dict kept under ``name`` for data computed per id."""
+        return self._memos.setdefault(name, {})
 
     def inversion_product(self, w: int) -> RootPolynomial:
         """The product of the roots ``inversion_coords`` gives along the
@@ -306,42 +295,6 @@ class WeylRange:
                 poly = poly * RootPolynomial.from_linear(rank, coords)
             products[w] = poly
         return poly
-
-    def prefix(self, bound: int) -> WeylRange:
-        """The range of the same root system up to ``bound``, taken from this one.
-
-        Ids run in (length, word) order, so the elements up to a smaller
-        bound are this range's first ids.  Their ``right_mul`` is this
-        range's with the ids past them set to None, and ``last_root``,
-        ``xi`` and ``leq`` are prefixes, since everything below an element
-        is shorter than it.  A larger bound can be served only by a
-        complete range, whose elements it keeps.  The view of each bound is
-        made once and kept on the enumerated range, which every view of it
-        serves, and a view that keeps every id shares that range's lists.
-        """
-        if bound < 0:
-            raise ValueError("length bound must be nonnegative")
-        if bound == self.bound:
-            return self
-        if bound > self.bound and not self.complete:
-            raise ValueError(f"a range of bound {self.bound} is incomplete at bound {bound}")
-        whole = self._whole
-        if bound == whole.bound:
-            return whole
-        view = whole._views.get(bound)
-        if view is None:
-            n = bisect_right(whole.lengths, bound)
-            if n == len(whole):
-                view = WeylRange(self.rs, bound, whole.elements, whole.complete,
-                                 whole.right_mul, whole.last_root, whole.xi)
-            else:
-                rmul = [[x if x is not None and x < n else None for x in row]
-                        for row in whole.right_mul[:n]]
-                view = WeylRange(self.rs, bound, whole.elements[:n], False,
-                                 rmul, whole.last_root[:n], whole.xi[:n])
-            view._whole = whole
-            whole._views[bound] = view
-        return view
 
 
 def enumerate_upto(rs: RootSystem, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> WeylRange:

@@ -6,13 +6,14 @@ Each output step runs a group of ``eqschub`` commands into one file and
 checks the file's sha256.  Here every command of those steps runs in the
 order the workflow lists them, in this one process, so each reuses the
 root systems and the range its predecessors left; the output of each
-step must still match that step's digest.  A step that writes a Cartan
-file for its commands has it written first.  Each sweep-digest step writes
-one or more caches, each of which must match its digest; its sweeps run
-here in workflow order and then interleaved across the steps, so a
-sweep follows one of the same root system at another bound or one of
-another root system.  The commands and digests are read from the
-workflow, so the two cannot drift apart.
+step must still match that step's digest, also when every range is
+read from one enumerated past the bound its command asks for.  A step
+that writes a Cartan file for its commands has it written first.  Each
+sweep-digest step writes one or more caches, each of which must match
+its digest; its sweeps run here in workflow order and then interleaved
+across the steps, so a sweep follows one of the same root system at
+another bound or one of another root system.  The commands and digests
+are read from the workflow, so the two cannot drift apart.
 
     PYTHONPATH=src python -m pytest -q tests/test_ci_pins.py
 """
@@ -87,6 +88,28 @@ def test_pinned_steps_replay_in_reverse_order_in_one_process(tmp_path, monkeypat
         _replay(steps[::-1], tmp_path)
     finally:
         cli.clear_setup()
+
+
+def test_pinned_steps_replay_from_longer_ranges(tmp_path, monkeypatch):
+    """The same steps, with each command's range enumerated 2 past the
+    bound it asks for: ``mult`` and the zero-filled records read the held
+    range up to their own bound, and every digest still holds."""
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    weyl_range = cli.weyl_range
+    asked = []
+
+    def longer(rs, bound):
+        asked.append(bound)
+        return weyl_range(rs, bound + 2)
+
+    monkeypatch.setattr(cli, "weyl_range", longer)
+    cli.clear_setup()
+    try:
+        _replay(pinned_steps(), tmp_path)
+    finally:
+        cli.clear_setup()
+    assert asked
 
 
 def sweep_digest_steps() -> list[tuple[dict, list[list[str]], str]]:

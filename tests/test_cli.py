@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -555,14 +556,15 @@ def test_mult_builds_the_shorter_ideal_and_matches_the_whole_table(monkeypatch, 
     for u in rng:
         for v in rng:
             code, out = run(["mult", "--type", rs_type, "--u", u.word_text(), "--v", v.word_text()])
-            # mult's range stops at l(u) + l(v), a prefix of the whole one.
+            # mult's table reads the ids of its range up to l(u) + l(v).
             table = built.pop()
             rows = held_rows(table)
             points = table.rows_at.keys()
             short, long = (u, v) if u.length < v.length else (v, u)
             short, long = rng.index[short], rng.index[long]
             assert rows == rng.leq[short]
-            upper = {b for b in range(len(table.range)) if long in rng.leq[b]}
+            stop = bisect_right(table.range.lengths, u.length + v.length)
+            upper = {b for b in range(stop) if long in rng.leq[b]}
             assert points == {
                 rng.index[element_from_word(rs, rng.elements[b].word[:j])]
                 for b in upper | rows for j in range(rng.elements[b].length + 1)
@@ -981,9 +983,9 @@ A3_ROWS = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
     (((2, -1), (-1, 2)), "finite", 6, 6),
 ])
 def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind, bound, held):
-    """A sweep's table holds, at every point of its range, the rows of
-    the swept elements, and no other; its cache is the one a table with
-    every row gives."""
+    """A sweep's table holds, at every point of its range up to its bound,
+    the rows of the swept elements, and no other; its cache is the one a
+    table with every row gives."""
     import eqschub.localize as localize
     import eqschub.structconst as structconst
 
@@ -996,7 +998,8 @@ def test_sweep_table_holds_the_rows_it_reads(monkeypatch, tmp_path, cartan, kind
     monkeypatch.setattr(structconst, "restriction_table", kept)
     assert run_sweep(cartan, kind, bound, "x", cache_path=str(tmp_path / "rows.jsonl")).verdict == "pass"
     (table,) = tables
-    assert table.rows_at == dict.fromkeys(range(len(table.range)), frozenset(range(held)))
+    extent = range(bisect_right(table.range.lengths, bound))
+    assert table.rows_at == dict.fromkeys(extent, frozenset(range(held)))
     assert {w.length for w in table.range.elements[:held]} == set(range(bound // 2 + 1))
 
     def whole(rs, k, *, rng, rows, points):
@@ -1063,6 +1066,50 @@ def test_warm_sweeps_match_cold_sweeps(tmp_path, case):
     cli.clear_setup()
     for k, step in enumerate(steps):
         assert _sweep_step(tmp_path, f"warm{k}.jsonl", step) == cold[k], (case, k)
+
+
+@pytest.mark.parametrize("cartan, kind", [
+    (AFFINE_A2_ROWS, GENERAL),
+    (((2, -1), (-3, 2)), "finite"),
+], ids=["AffineA2", "G2"])
+def test_sweep_after_a_longer_sweep_writes_what_a_fresh_process_writes(
+        monkeypatch, tmp_path, cartan, kind):
+    """A sweep at bound 4 right after one at bound 6 in the same process
+    reads the range held for bound 6 (the whole group for G2) up to length
+    4, with a table of the points up to length 4 alone, and writes the
+    cache bytes a sweep at bound 4 in a process of its own writes."""
+    import eqschub.cli as cli
+    import eqschub.localize as localize
+    import eqschub.structconst as structconst
+
+    tables = []
+
+    def kept(*args, **kwargs):
+        tables.append(localize.restriction_table(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(structconst, "restriction_table", kept)
+
+    path = write_cartan(tmp_path, "c.json", [list(row) for row in cartan], kind)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    fresh = tmp_path / "fresh.jsonl"
+    subprocess.run(
+        [sys.executable, "-m", "eqschub.cli", "sweep", "--cartan", path, "--max-length", "4",
+         "--cache", str(fresh)],
+        check=True, capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    cli.clear_setup()
+    try:
+        run_sweep(cartan, kind, 6, "x", cache_path=str(tmp_path / "six.jsonl"))
+        held = cli._held_range
+        assert held.bound == 6 and held.complete == (kind != GENERAL)
+        report = run_sweep(cartan, kind, 4, "x", cache_path=str(tmp_path / "four.jsonl"))
+        assert cli._held_range is held
+        assert tables[-1].rows_at.keys() == set(range(bisect_right(held.lengths, 4)))
+    finally:
+        cli.clear_setup()
+    assert report.verdict == "pass"
+    assert (tmp_path / "four.jsonl").read_bytes() == fresh.read_bytes()
 
 
 def test_warm_calls_match_cold_calls(tmp_path, monkeypatch, capsys):

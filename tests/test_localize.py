@@ -3,6 +3,7 @@ subword-formula oracle."""
 
 import pickle
 import re
+from bisect import bisect_right
 
 import pytest
 
@@ -444,15 +445,18 @@ def test_table_refuses_a_range_of_another_root_system():
             restriction_table(A2, 2, rng=rng)
 
 
-def test_table_over_a_longer_range_takes_its_prefix_up_to_k():
-    rng = enumerate_upto(B2, 4)
+def test_table_refuses_a_range_of_another_bound():
+    """A table uses the range it is given as it is, so a range whose bound
+    is not k is refused, whether longer or shorter, whole group or not;
+    a range of bound k gives the table of a fresh range."""
+    for rs, k, bound in ((B2, 2, 4), (B2, 6, 4), (AFF, 3, 4), (AFF, 5, 4)):
+        with pytest.raises(ValueError, match=f"bound {bound}, not {k}"):
+            restriction_table(rs, k, rng=enumerate_upto(rs, bound))
+    rng = enumerate_upto(B2, 2)
     table = restriction_table(B2, 2, rng=rng)
     fresh = restriction_table(B2, 2)
-    assert table.range.bound == 2 and table.range.elements == fresh.range.elements
+    assert table.range is rng and table.range.elements == fresh.range.elements
     assert table.columns == fresh.columns
-    # An incomplete range cannot serve a larger bound.
-    with pytest.raises(ValueError, match="incomplete"):
-        restriction_table(AFF, 5, rng=enumerate_upto(AFF, 4))
 
 
 def _point_table():
@@ -521,13 +525,14 @@ def test_verify_table_rejects_entry_outside_the_points():
 )
 def test_range_inversion_product_is_the_inversion_coords_product(rs, k):
     """The diagonal the check compares against, kept on the range and
-    shared by its prefixes, is the product of the inversion roots."""
+    served to a reader of any smaller bound, is the product of the
+    inversion roots."""
     rng = enumerate_upto(rs, k)
-    view = rng.prefix(k - 2)
+    shorter = [rng.inversion_product(w) for w in range(bisect_right(rng.lengths, k - 2))]
     for w, x in enumerate(rng):
         assert rng.inversion_product(w) == inversion_product(x)
-        if w < len(view):
-            assert view.inversion_product(w) is rng.inversion_product(w)
+        if w < len(shorter):
+            assert shorter[w] is rng.inversion_product(w)
 
 
 def test_verify_rejects_a_corrupted_diagonal_with_the_products_kept():

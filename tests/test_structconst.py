@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -542,17 +543,18 @@ def test_verify_product_identity_raises_on_a_row_the_table_lacks():
 def test_held_range_serves_the_steps_a_fresh_range_builds(monkeypatch, rs, bound):
     """The steps, covers_up and covers_down a column reads for a pair over
     the held range, whose memo the queries of the pairs before it filled,
-    cut to the ids of the range read, equal those it reads over a fresh
-    range: on every pair of A3, B2 and G2, and every pair of affine A2
-    with l(u) + l(v) <= 6.  A pair whose u is the longer reads what (v, u)
-    reads, so u runs over the others."""
+    cut to the ids up to length l(u) + l(v), equal those it reads over a
+    fresh range: on every pair of A3, B2 and G2, and every pair of affine
+    A2 with l(u) + l(v) <= 6.  A pair whose u is the longer reads what
+    (v, u) reads, so u runs over the others."""
     import eqschub.cli as cli
 
     recorded = {}
+    top = 0
 
     def record(rng, x):
         steps, covers_up, covers_down = read = _recurrence(rng, x)
-        n = len(rng)
+        n = bisect_right(rng.lengths, top)
         recorded[x] = (
             [step for step in steps if step[0] < n],
             [[(w, k) for w, k in covers if w < n] for covers in covers_up],
@@ -561,6 +563,8 @@ def test_held_range_serves_the_steps_a_fresh_range_builds(monkeypatch, rs, bound
         return read
 
     def reads(rng, u, v):
+        nonlocal top
+        top = u.length + v.length
         recorded.clear()
         structure_constants(pair_table(rng, u, v), u, v)
         return dict(recorded)
@@ -573,7 +577,7 @@ def test_held_range_serves_the_steps_a_fresh_range_builds(monkeypatch, rs, bound
         for u, v in pairs:
             cli.clear_setup()
             fresh = reads(cli.weyl_range(rs, u.length + v.length), u, v)
-            assert reads(held.prefix(u.length + v.length), u, v) == fresh, (u, v)
+            assert reads(held, u, v) == fresh, (u, v)
     finally:
         cli.clear_setup()
     assert held.memo("recurrence")
@@ -582,14 +586,14 @@ def test_held_range_serves_the_steps_a_fresh_range_builds(monkeypatch, rs, bound
 @pytest.mark.parametrize(
     "rs,count", [(AFF_A2, 442), (HYP3, 315)], ids=["AffineA2", "Hyperbolic3"]
 )
-def test_recurrence_memo_rebuilds_an_entry_only_for_a_longer_range(rs, count):
-    """The range keeps each id's steps with the number of ids they were
-    built over, and builds them again only when a longer range reads the
-    id.  Every pair (u, v) with l(u) <= l(v) and l(u) + l(v) <= 6, run
-    through one held range (``cli.weyl_range``) first in rising and then
-    in falling l(u) + l(v), has the constants it has over a fresh range:
-    a longer range reads no entry built over fewer ids, and a shorter one
-    reads no step past its own."""
+def test_recurrence_memo_rebuilds_an_entry_only_for_a_longer_range(monkeypatch, rs, count):
+    """The range keeps one entry of steps per id, built on the first read
+    and served as it is to every later query, whatever its bound; only a
+    longer range, enumerated anew, builds the id's entry again.  Every pair
+    (u, v) with l(u) <= l(v) and l(u) + l(v) <= 6, run through one held
+    range (``cli.weyl_range``) first in rising and then in falling
+    l(u) + l(v), has the constants it has over a fresh range, and each id's
+    entry that a shorter query built is the one a longer query reads."""
     import eqschub.cli as cli
     from eqschub import enumerate_upto
 
@@ -602,15 +606,31 @@ def test_recurrence_memo_rebuilds_an_entry_only_for_a_longer_range(rs, count):
     assert len(pairs) == count
     fresh = {(u, v): constants(enumerate_upto(rs, u.length + v.length), u, v) for u, v in pairs}
     rising = sorted(pairs, key=lambda pair: pair[0].length + pair[1].length)
+    # The entry each id's first read returned, and the l(u) + l(v) of that read.
+    first = {}
+    top = 0
+    longer_reads = 0
+
+    def read(rng, x):
+        nonlocal longer_reads
+        entry = _recurrence(rng, x)
+        kept, built_at = first.setdefault(x, (entry, top))
+        assert entry is kept, x
+        longer_reads += top > built_at
+        return entry
+
+    monkeypatch.setattr(structconst, "_recurrence", read)
     cli.clear_setup()
     try:
         held = cli.weyl_range(rs, bound)
         for order in (rising, rising[::-1]):
             for u, v in order:
-                rng = cli.weyl_range(rs, u.length + v.length)
-                assert rng is held.prefix(u.length + v.length)
-                assert constants(rng, u, v) == fresh[u, v], (u, v)
-        assert held.memo("recurrence")
+                top = u.length + v.length
+                assert cli.weyl_range(rs, top) is held
+                assert constants(held, u, v) == fresh[u, v], (u, v)
+        assert longer_reads and held.memo("recurrence").keys() == first.keys()
+        longer = cli.weyl_range(rs, bound + 1)
+        assert longer is not held and not longer.memo("recurrence")
     finally:
         cli.clear_setup()
 
@@ -623,7 +643,7 @@ def test_restriction_store_serves_what_a_fresh_range_builds(rs, bound):
     serves them to later tables.  On every pair of A3 and G2, and every
     pair of affine A2 with l(u) + l(v) <= 6, each table ``mult`` reads,
     and its constants, built over one range in increasing and then in
-    decreasing pair order, through the prefix views ``mult`` reads, equal
+    decreasing pair order, as ``mult`` reads it up to l(u) + l(v), equal
     those built over a fresh range: the store serves no stale entry."""
     from eqschub import enumerate_upto
 
@@ -637,7 +657,7 @@ def test_restriction_store_serves_what_a_fresh_range_builds(rs, bound):
     for order in (pairs, pairs[::-1]):
         rng = enumerate_upto(rs, bound)
         for u, v in order:
-            assert built(rng.prefix(u.length + v.length), u, v) == fresh[u, v], (u, v)
+            assert built(rng, u, v) == fresh[u, v], (u, v)
         assert rng.memo("restrictions")
 
 
@@ -1036,8 +1056,28 @@ def _solve_on_transported_table(table, w0, u, v):
 
 
 def _degree_terms(p):
-    """The (degree, coefficient) pairs of a polynomial's terms, as ``terms_sign_ok`` reads them."""
+    """The (degree, coefficient) pairs of a polynomial's terms, which
+    ``terms_sign_ok`` reads with ``_identity`` as its degree reader."""
     return [(sum(e), c) for e, c in p.sorted_terms()]
+
+
+def _identity(d):
+    return d
+
+
+def test_sign_rule_reads_degrees_only_where_it_needs_them():
+    """The x-basis rule calls no degree reader; the y-basis rule reads the
+    degree of each monomial through it; another basis is a KeyError."""
+
+    def unread(m):
+        raise AssertionError(f"the x-basis rule read the degree of {m}")
+
+    assert terms_sign_ok("x", [((1, 1), 2), ((2, 0), 0)], unread)
+    assert not terms_sign_ok("x", [((1, 1), 2), ((2, 0), -1)], unread)
+    assert terms_sign_ok("y", [((1, 1), 2), ((1, 0), -3)], sum)
+    assert not terms_sign_ok("y", [((1, 1), -2)], sum)
+    with pytest.raises(KeyError):
+        terms_sign_ok("z", [], unread)
 
 
 def test_a2_opposite_cross_check_full_sweep():
@@ -1049,7 +1089,7 @@ def test_a2_opposite_cross_check_full_sweep():
             independent = _solve_on_transported_table(T_A2, w0, u, v)
             assert y.values == independent
             for p in y.values.values():
-                assert terms_sign_ok("y", _degree_terms(p))
+                assert terms_sign_ok("y", _degree_terms(p), _identity)
                 assert p.negate_variables().sign_pattern() in ("nonneg", "zero")
 
 
@@ -1061,7 +1101,7 @@ def test_a2_even_degree_opposite_value_is_positive_in_negated_roots():
     val = y.values[T_A2.range.index[s12]]
     assert val == poly(2, {(1, 1): 1, (0, 2): 1})
     assert val.sign_pattern() == "nonneg"
-    assert terms_sign_ok("y", _degree_terms(val))
+    assert terms_sign_ok("y", _degree_terms(val), _identity)
 
 
 def test_opposite_verify_product_identity():
@@ -1126,7 +1166,7 @@ def test_certificate_monomials_are_the_sorted_terms(basis):
                 value = s.values[e.w]
                 assert e.terms == sorted(value.terms.items(), reverse=True)
                 assert e.monomials == value.sorted_terms()
-                assert e.ok == terms_sign_ok(basis, _degree_terms(value))
+                assert e.ok == terms_sign_ok(basis, _degree_terms(value), _identity)
                 entries += 1
     assert entries
 

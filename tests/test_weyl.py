@@ -303,62 +303,18 @@ def test_enumerate_sorted_and_unique():
     assert len(set(w.matrix for w in rng)) == len(rng)
 
 
-PREFIX_CASES = [(A3, 6), (G2, 6), (AFF_A2, 6), (AFF, 8)]
-
-
-def _range_fields(rng) -> dict:
-    return {
-        "bound": rng.bound,
-        "elements": [(w.word, w.matrix) for w in rng.elements],
-        "right_mul": rng.right_mul,
-        "last_root": rng.last_root,
-        "xi": rng.xi,
-        "complete": rng.complete,
-        "leq": rng.leq,
-        "lengths": rng.lengths,
-        "index": {w.word: k for w, k in rng.index.items()},
-    }
-
-
-@pytest.mark.parametrize("rs,k", PREFIX_CASES, ids=["A3", "G2", "AffineA2", "AffineA1"])
-def test_prefix_equals_fresh_enumeration(rs, k):
-    """Every bound up to k, and past k on a whole group, served from the
-    range of bound k equals a fresh enumeration at that bound, field by field."""
-    whole = enumerate_upto(rs, k)
-    bounds = range(k + 3) if whole.complete else range(k + 1)
-    for bound in bounds:
-        view = whole.prefix(bound)
-        assert _range_fields(view) == _range_fields(enumerate_upto(rs, bound)), bound
-    assert whole.prefix(k) is whole
-
-
-def test_prefix_shares_the_bruhat_order_of_its_range():
-    whole = enumerate_upto(AFF_A2, 6)
-    views = [whole.prefix(bound) for bound in range(6)]
-    assert "leq" not in vars(whole)
-    for view in views:
-        assert all(a is b for a, b in zip(view.leq, whole.leq))
-    assert all(a is b for a, b in zip(views[2].prefix(1).leq, whole.leq))
-
-
 def test_range_lengths_are_built_once_and_sliced_by_prefixes():
-    """The range keeps the length of each id in one list, which every
-    prefix view slices, and bisecting it finds where a length starts."""
+    """The range keeps the length of each id in one list, and bisecting it
+    finds where a length starts: a reader of a smaller bound slices it at
+    the ids of a fresh range of that bound."""
     whole = enumerate_upto(AFF_A2, 6)
     assert whole.lengths == [w.length for w in whole]
     assert whole.lengths is whole.lengths
     for bound in range(6):
-        view = whole.prefix(bound)
-        assert view.lengths == whole.lengths[: len(view)] == [w.length for w in view]
-        assert len(view) == bisect.bisect_right(whole.lengths, bound)
-
-
-def test_prefix_refuses_bounds_it_cannot_serve():
-    rng = enumerate_upto(AFF, 4)
-    with pytest.raises(ValueError, match="incomplete"):
-        rng.prefix(5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        rng.prefix(-1)
+        fresh = enumerate_upto(AFF_A2, bound)
+        n = bisect.bisect_right(whole.lengths, bound)
+        assert fresh.lengths == whole.lengths[:n] == [w.length for w in fresh]
+        assert len(fresh) == n and fresh.elements == whole.elements[:n]
 
 
 def test_enumerate_resource_cap():
