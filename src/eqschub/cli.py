@@ -11,15 +11,12 @@ solver inconsistency, 5 a positivity certificate failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 import time
 from contextlib import closing, nullcontext
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import countOf
@@ -195,6 +192,8 @@ def parse_eval_point(text: str, rank: int) -> tuple[Fraction, ...]:
     """The positive rationals of a comma-separated point, in ASCII.  A
     decimal exponent past ``MAX_EVAL_EXPONENT`` in magnitude is refused
     before conversion, which would expand its power of ten."""
+    from fractions import Fraction
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rank:
         raise CliError(f"--eval needs {rank} comma-separated values")
@@ -321,6 +320,8 @@ def _mult_payload(args, words, s, cert, point, evaluation) -> str:
             }) + "}"
         return record + "\n"
     if args.format == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["w_word", "degree", "monomial", "coefficient"])
@@ -413,15 +414,19 @@ def _sweep_task(row):
     return _sweep_row_lines(_WORKER["state"], *row)
 
 
-@dataclass
 class SweepReport:
-    descriptor: str
-    bound: int
-    basis: str
-    pair_count: int
-    fails: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    wall_time: float
-    cache_path: str | None
+    __slots__ = ("descriptor", "bound", "basis", "pair_count", "fails", "wall_time", "cache_path")
+
+    def __init__(self, descriptor: str, bound: int, basis: str, pair_count: int,
+                 fails: list[tuple[tuple[int, ...], tuple[int, ...]]], wall_time: float,
+                 cache_path: str | None):
+        self.descriptor = descriptor
+        self.bound = bound
+        self.basis = basis
+        self.pair_count = pair_count
+        self.fails = fails
+        self.wall_time = wall_time
+        self.cache_path = cache_path
 
     @property
     def verdict(self) -> str:

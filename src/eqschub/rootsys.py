@@ -25,8 +25,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
@@ -55,34 +53,42 @@ BUILTIN_TYPES = {
 }
 
 
-@dataclass(frozen=True)
+def _refuse_assignment(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+
 class CartanMatrix:
-    """Integer matrix with 2 on the diagonal and non-positive entries off it."""
+    """Integer matrix with 2 on the diagonal and non-positive entries off it.
 
-    entries: tuple[tuple[int, ...], ...]
+    A value: compared and hashed by ``entries``, and assigning a field is
+    an AttributeError.
+    """
 
-    def __post_init__(self):
-        n = len(self.entries)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        n = len(entries)
         if n == 0:
             raise InvalidCartan("empty matrix")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise InvalidCartan("matrix is not square")
             # Floats, strings and bools are refused, never converted.
             if any(type(x) is not int for x in row):
                 raise InvalidCartan(f"non-integer entry in row {list(row)}")
         for i in range(n):
-            if self.entries[i][i] != 2:
+            if entries[i][i] != 2:
                 raise InvalidCartan(f"diagonal entry a[{i + 1}][{i + 1}] != 2")
             for j in range(n):
                 if i == j:
                     continue
-                if self.entries[i][j] > 0:
+                if entries[i][j] > 0:
                     raise InvalidCartan(f"off-diagonal entry a[{i + 1}][{j + 1}] > 0")
-                if (self.entries[i][j] == 0) != (self.entries[j][i] == 0):
+                if (entries[i][j] == 0) != (entries[j][i] == 0):
                     raise InvalidCartan(
                         f"zero pattern not symmetric at ({i + 1},{j + 1})"
                     )
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "CartanMatrix":
@@ -96,32 +102,81 @@ class CartanMatrix:
     def rank(self) -> int:
         return len(self.entries)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CartanMatrix:
+            return NotImplemented
+        return self.entries == other.entries
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"CartanMatrix({self.entries!r})"
+
+    def __reduce__(self):
+        return CartanMatrix, (self.entries,)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+
 class RootSystem:
     """Cartan matrix plus derived data.
 
     For finite kind the positive roots (integer tuples) and fundamental
-    weights (``Fraction`` tuples) are populated, both in simple-root
-    coordinates; for general (Kac-Moody) kind they are absent.
+    weights (``Fraction`` tuples) are given, both in simple-root
+    coordinates; for general (Kac-Moody) kind both are None.  The weights
+    are computed on first read, so ``fractions`` is imported only by a
+    reader of them.  A value like ``CartanMatrix``: compared by its
+    matrix, kind, roots and descriptor (the weights follow from the
+    matrix), and assigning a field is an AttributeError.
     """
 
-    cartan: CartanMatrix
-    kind: str
-    positive_roots: tuple[tuple[int, ...], ...] | None
-    fundamental_weights: tuple[tuple[Fraction, ...], ...] | None
-    descriptor: str
+    __slots__ = ("cartan", "kind", "positive_roots", "descriptor", "_weights")
 
-    def __hash__(self) -> int:
-        # Equal systems have equal matrices, kinds and descriptors, so this
-        # hash is valid without the roots and weights, whose Fractions make
-        # hashing them some 25 times slower on A4; a memo keyed by the
-        # system (``weyl.longest_element``) hashes it on every look-up.
-        return hash((self.cartan, self.kind, self.descriptor))
+    def __init__(self, cartan: CartanMatrix, kind: str,
+                 positive_roots: tuple[tuple[int, ...], ...] | None, descriptor: str):
+        set_field = object.__setattr__
+        set_field(self, "cartan", cartan)
+        set_field(self, "kind", kind)
+        set_field(self, "positive_roots", positive_roots)
+        set_field(self, "descriptor", descriptor)
+        set_field(self, "_weights", None)
 
     @property
     def rank(self) -> int:
         return self.cartan.rank
+
+    @property
+    def fundamental_weights(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        if self._weights is None and self.kind == FINITE:
+            n = self.rank
+            inverse = _invert_matrix(self.cartan.entries)
+            # Column j of the inverse Cartan matrix is omega_j in simple-root coords.
+            weights = tuple(tuple(inverse[k][j] for k in range(n)) for j in range(n))
+            object.__setattr__(self, "_weights", weights)
+        return self._weights
+
+    def _key(self) -> tuple:
+        return self.cartan, self.kind, self.positive_roots, self.descriptor
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RootSystem:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        # Equal systems have equal matrices, kinds and descriptors, so this
+        # hash is valid without the roots, which a memo keyed by the system
+        # (``weyl.longest_element``) would hash on every look-up.
+        return hash((self.cartan, self.kind, self.descriptor))
+
+    def __repr__(self) -> str:
+        return f"RootSystem({self.cartan!r}, {self.kind!r}, descriptor={self.descriptor!r})"
+
+    def __reduce__(self):
+        return RootSystem, self._key()
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
 
 def _reflect_coords(cartan: CartanMatrix, i: int, coords: tuple) -> tuple:
@@ -132,6 +187,8 @@ def _reflect_coords(cartan: CartanMatrix, i: int, coords: tuple) -> tuple:
 
 def _invert_matrix(entries: tuple[tuple[int, ...], ...]) -> list[list[Fraction]]:
     """Exact inverse by Gaussian elimination; raises SingularCartan."""
+    from fractions import Fraction
+
     n = len(entries)
     aug = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
            for i, row in enumerate(entries)]
@@ -159,8 +216,8 @@ def build_root_system(
     """Construct a root system of the given kind.
 
     Finite kind computes the positive roots by reflection closure of the
-    simple roots and the fundamental weights from the inverse Cartan
-    matrix.  The closure aborts with ClosureOverflow once more than
+    simple roots; the fundamental weights come from the inverse Cartan
+    matrix when first read.  The closure aborts with ClosureOverflow once more than
     ``root_cap`` roots appear, which signals a matrix that is not finite
     type.  General kind keeps the Cartan matrix alone.
     """
@@ -170,7 +227,7 @@ def build_root_system(
     if descriptor is None:
         descriptor = descriptor_for(cartan, kind)
     if kind == GENERAL:
-        return RootSystem(cartan, kind, None, None, descriptor)
+        return RootSystem(cartan, kind, None, descriptor)
 
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simple)
@@ -197,10 +254,7 @@ def build_root_system(
         raise InternalInconsistency(
             f"closure produced {len(roots)} roots with uneven sign split"
         )
-    inverse = _invert_matrix(cartan.entries)
-    # Column j of the inverse Cartan matrix gives omega_j in simple-root coords.
-    weights = tuple(tuple(inverse[k][j] for k in range(n)) for j in range(n))
-    return RootSystem(cartan, kind, tuple(positive), weights, descriptor)
+    return RootSystem(cartan, kind, tuple(positive), descriptor)
 
 
 def descriptor_for(cartan: CartanMatrix, kind: str) -> str:
@@ -619,6 +673,8 @@ def evaluate_many(rank: int, polys, values) -> list[Fraction]:
     degree.  The point is converted only if some polynomial is nonzero."""
     if len(values) != rank:
         raise RankMismatch("evaluation point has wrong rank")
+    from fractions import Fraction
+
     zero = Fraction(0)
     top = max((max(p.terms) for p in polys if p.terms), default=-1) >> FIELD_BITS * rank
     if top < 0:

@@ -83,8 +83,6 @@ rewrites only its nonzero ids.  ``text_lines`` renders ``mult``'s text lines the
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import sub
@@ -389,10 +387,15 @@ def column_constants(table: RestrictionTable, v: int, us) -> list[StructureTable
     ]
 
 
-@dataclass
 class IdentityCheck:
-    ok: bool
-    failing: WeylElement | None = None
+    """Whether the product identity holds, and else the first fixed point
+    where it fails."""
+
+    __slots__ = ("ok", "failing")
+
+    def __init__(self, ok: bool, failing: WeylElement | None = None):
+        self.ok = ok
+        self.failing = failing
 
     def __bool__(self) -> bool:
         return self.ok
@@ -459,15 +462,17 @@ def opposite_constants(s: StructureTable, w0: WeylElement) -> StructureTable:
     return StructureTable(s.rs, "y", s.u, s.v, values, s.order, s.range)
 
 
-@dataclass
 class CertificateEntry:
     """The value at the id ``w``: its terms as packed (key, coefficient)
     pairs of rank ``rank``, in descending graded-lex order, and its verdict."""
 
-    w: int
-    terms: list[tuple[int, int]]
-    ok: bool
-    rank: int
+    __slots__ = ("w", "terms", "ok", "rank")
+
+    def __init__(self, w: int, terms: list[tuple[int, int]], ok: bool, rank: int):
+        self.w = w
+        self.terms = terms
+        self.ok = ok
+        self.rank = rank
 
     @property
     def monomials(self) -> list[tuple[tuple[int, ...], int]]:
@@ -475,11 +480,16 @@ class CertificateEntry:
         return unpack_terms(self.rank, self.terms)
 
 
-@dataclass
 class PositivityCertificate:
-    basis: str
-    entries: list[CertificateEntry]
-    failures: list[int]
+    """The entry of each nonzero value of a table in ``basis`` and the ids
+    whose values fail its sign rule."""
+
+    __slots__ = ("basis", "entries", "failures")
+
+    def __init__(self, basis: str, entries: list[CertificateEntry], failures: list[int]):
+        self.basis = basis
+        self.entries = entries
+        self.failures = failures
 
     @property
     def verdict(self) -> str:
@@ -626,6 +636,8 @@ def billey_evaluate(s: StructureTable, nu) -> list[Fraction]:
 
     On the positive cone the x-basis values are guaranteed nonnegative.
     """
+    from fractions import Fraction
+
     point = tuple(Fraction(x) for x in nu)
     if len(point) != s.rs.rank:
         raise RankMismatch("evaluation point has wrong rank")

@@ -840,14 +840,14 @@ def test_sweep_cache_env_default(tmp_path, monkeypatch):
 
 
 def test_sweep_certificate_failure_exits_5(monkeypatch):
-    import dataclasses
-
     import eqschub.cli as cli
+    from eqschub import PositivityCertificate
 
     certify = cli.positivity_certificate
 
     def failing(s):
-        return dataclasses.replace(certify(s), failures=list(s.order))
+        c = certify(s)
+        return PositivityCertificate(c.basis, c.entries, list(s.order))
 
     monkeypatch.setattr(cli, "positivity_certificate", failing)
     code, out = run(["sweep", "--type", "A1", "--max-length", "1", "--jobs", "1"])

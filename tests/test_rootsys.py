@@ -1,5 +1,6 @@
 """Root-system construction and exact polynomial arithmetic."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from eqschub import (
     build_root_system,
     builtin_root_system,
 )
+from eqschub import rootsys
 from eqschub.rootsys import GENERAL, LinearForm, exact_quotient
 
 from conftest import mat_vec, random_polynomial, substitute_linear
@@ -88,6 +90,31 @@ def test_fundamental_weights_dual_to_coroots():
                 expected = Fraction(1 if i == j else 0)
                 row = rs.cartan.entries[i - 1]
                 assert sum(a * c for a, c in zip(row, omega)) == expected
+
+
+@pytest.mark.parametrize("name", ["A3", "AffineA1"])
+def test_cartan_and_root_system_are_values(name, monkeypatch):
+    """A rebuilt copy and a pickled copy equal the original and hash alike,
+    without computing weights; no field can be assigned."""
+    rs = builtin_root_system(name)
+    weights = rs.fundamental_weights
+
+    def no_weights(entries):
+        raise AssertionError("equality, hashing or pickling computed weights")
+
+    monkeypatch.setattr(rootsys, "_invert_matrix", no_weights)
+    rebuilt = build_root_system(CartanMatrix.from_rows(list(rs.cartan.entries)), rs.kind)
+    for copy in (rebuilt, pickle.loads(pickle.dumps(rs))):
+        assert copy is not rs
+        assert copy == rs and hash(copy) == hash(rs)
+        assert copy.cartan == rs.cartan and hash(copy.cartan) == hash(rs.cartan)
+    assert rs != build_root_system(rs.cartan, rs.kind, descriptor="other")
+    for obj, field in ((rs.cartan, "entries"), (rs, "cartan"), (rs, "kind"),
+                       (rs, "positive_roots"), (rs, "descriptor"), (rs, "fundamental_weights")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    monkeypatch.undo()
+    assert pickle.loads(pickle.dumps(rs)).fundamental_weights == weights
 
 
 def test_invalid_cartan_rejected():
