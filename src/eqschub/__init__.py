@@ -53,7 +53,6 @@ from .weyl import (
     identity,
     inverse,
     longest_element,
-    simple_reflection,
 )
 
 __all__ = [
@@ -94,7 +93,6 @@ __all__ = [
     "positivity_certificate",
     "restriction_column",
     "restriction_table",
-    "simple_reflection",
     "structure_constants",
     "verify_product_identity",
 ]

@@ -19,7 +19,7 @@ import time
 from contextlib import closing, nullcontext
 from functools import lru_cache
 from itertools import chain
-from operator import countOf
+from operator import countOf, itemgetter
 
 from . import __version__
 from .errors import EqschubError, InvalidCartan, NotFiniteType
@@ -601,7 +601,8 @@ def _read_cache(path: str, rs: RootSystem, canonical: set) -> dict | None:
     verdict is not trusted, only compared with it.  A stored word u or v,
     or a stored term's exponent, that is not a list of nonnegative ints
     makes the line no sweep record, under either basis: a word [true] or
-    [1.0] would otherwise be keyed as [1].
+    [1.0] would otherwise be keyed as [1].  So does a stored coefficient
+    that is not a string: -0.5 would otherwise be read as 0, and true as 1.
     Refuses, with exit 2, a cache whose first line is not this version's
     header, a later line that is not a sweep record, a record whose
     stored verdict disagrees with its values, and a record of ``rs``'s
@@ -646,12 +647,14 @@ def _read_cache(path: str, rs: RootSystem, canonical: set) -> dict | None:
                     )
                 continue
             try:
-                terms = [
-                    (term["exp"], int(term["coeff"]))
-                    for value in record["values"] for term in value["poly"]["terms"]
-                ]
-                if not _natural_exponents([record["u"], record["v"], *(exp for exp, _ in terms)]):
+                raw = [term for value in record["values"] for term in value["poly"]["terms"]]
+                exps = list(map(itemgetter("exp"), raw))
+                coeffs = list(map(itemgetter("coeff"), raw))
+                if countOf(map(type, coeffs), str) != len(coeffs):
+                    raise ValueError("a coefficient is not a string")
+                if not _natural_exponents([record["u"], record["v"], *exps]):
                     raise ValueError("a word or an exponent is not a list of nonnegative ints")
+                terms = list(zip(exps, map(int, coeffs)))
                 ok = terms_sign_ok(record["basis"], terms, sum)
                 stored = record["certificate"]["verdict"]
                 key = _cache_key(record)

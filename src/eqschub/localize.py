@@ -62,14 +62,13 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import InsufficientBound, InternalInconsistency
+from .errors import InternalInconsistency
 from .rootsys import RootPolynomial, RootSystem
 from .weyl import (
     WeylElement,
     WeylRange,
     _column_is_positive,
     _identity_matrix,
-    _check_same_system,
     _reflect_right,
     enumerate_upto,
     inversion_coords,
@@ -125,18 +124,13 @@ class RestrictionTable:
     one extent: a map from the id of each held point to the frozenset of
     the rows held there.  A row is held somewhere iff it is held at its
     own point, since every element of the rows' lower ideal is a point
-    that holds itself.  ``value`` reads any pair of elements of the
-    range's root system, zero where nothing is stored; it raises
-    RankMismatch on an element of another system, InsufficientBound on a
-    row or a point beyond the range, and InternalInconsistency on a point
-    the table does not hold or a row it does not hold there.
+    that holds itself.
     """
 
     def __init__(self, rng: WeylRange, columns: dict, rows_at: dict):
         self.range = rng
         self.columns = columns
         self.rows_at = rows_at
-        self._zero = RootPolynomial.zero(rng.rs.rank)
 
     def __getstate__(self):
         """A read-only view does not pickle, so a pickled table, such as
@@ -163,22 +157,6 @@ class RestrictionTable:
     def holds_point(self, v) -> bool:
         """Whether the column of the id ``v`` is in the table."""
         return v in self.rows_at
-
-    def value(self, w: WeylElement, v: WeylElement) -> RootPolynomial:
-        _check_same_system(self.range.rs, w, v)
-        index = self.range.index
-        a, b = index.get(w), index.get(v)
-        if a is None or b is None:
-            raise InsufficientBound(
-                f"{v if b is None else w} lies beyond the range of bound {self.range.bound}"
-            )
-        if not self.holds(a):
-            raise InternalInconsistency(f"the table does not hold the row of {w}")
-        if not self.holds_point(b):
-            raise InternalInconsistency(f"the table does not hold the point {v}")
-        if not self.holds(a, b):
-            raise InternalInconsistency(f"the table does not hold the row of {w} at {v}")
-        return self.columns[b].get(a, self._zero)
 
 
 def restriction_table(rs: RootSystem, k: int, *, rng: WeylRange | None = None,

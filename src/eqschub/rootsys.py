@@ -265,11 +265,11 @@ def descriptor_for(cartan: CartanMatrix, kind: str) -> str:
     return f"cartan[{rows}]:{kind}"
 
 
-def builtin_root_system(name: str, *, root_cap: int = DEFAULT_ROOT_CAP) -> RootSystem:
+def builtin_root_system(name: str) -> RootSystem:
     if name not in BUILTIN_TYPES:
         raise ValueError(f"unknown built-in type {name!r}")
     entries, kind = BUILTIN_TYPES[name]
-    return build_root_system(CartanMatrix(entries), kind, root_cap=root_cap, descriptor=name)
+    return build_root_system(CartanMatrix(entries), kind, descriptor=name)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +353,6 @@ class RootPolynomial:
         return cls.constant(rank, 1)
 
     @classmethod
-    def variable(cls, rank: int, i: int) -> "RootPolynomial":
-        """The simple root a_i, 1-based."""
-        return cls.from_linear(rank, [1 if j == i - 1 else 0 for j in range(rank)])
-
-    @classmethod
     def from_linear(cls, rank: int, coords) -> "RootPolynomial":
         degree_one = 1 << FIELD_BITS * rank
         terms = {}
@@ -390,15 +385,7 @@ class RootPolynomial:
         )
 
     def __sub__(self, other: "RootPolynomial") -> "RootPolynomial":
-        self._check_rank(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            s = out.get(exp, 0) - coeff
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
-        return RootPolynomial(self.rank, out, _clean=True)
+        return self + -other
 
     def __mul__(self, other: "RootPolynomial") -> "RootPolynomial":
         self._check_rank(other)
@@ -413,14 +400,6 @@ class RootPolynomial:
         self._check_rank(a)
         self._check_rank(b)
         return RootPolynomial(self.rank, _add_product(dict(self.terms), a, b), _clean=True)
-
-    def scale(self, k: int) -> "RootPolynomial":
-        k = int(k)
-        if k == 0:
-            return RootPolynomial.zero(self.rank)
-        return RootPolynomial(
-            self.rank, {e: k * c for e, c in self.terms.items()}, _clean=True
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -457,15 +436,6 @@ class RootPolynomial:
         return unpack_terms(self.rank, sorted(self.terms.items(), reverse=True))
 
     # -- substitutions ---------------------------------------------------
-
-    def negate_variables(self) -> "RootPolynomial":
-        """Substitute a_i -> -a_i, i.e. flip coefficients of odd-degree terms."""
-        shift = FIELD_BITS * self.rank
-        return RootPolynomial(
-            self.rank,
-            {e: (-c if e >> shift & 1 else c) for e, c in self.terms.items()},
-            _clean=True,
-        )
 
     def apply_linear(self, matrix) -> "RootPolynomial":
         """Substitute a_i by the i-th column of ``matrix``, a signed

@@ -96,32 +96,32 @@ from .errors import (
 )
 from .localize import RestrictionTable, restriction_table
 from .rootsys import (
-    FIELD_BITS, FINITE, LinearForm, RootPolynomial, RootSystem, evaluate_many, exact_quotient,
+    FIELD_BITS, FINITE, LinearForm, RootPolynomial, evaluate_many, exact_quotient,
     homogeneous_of, unpack_terms,
 )
 from .weyl import WeylElement, WeylRange, _check_same_system, longest_element, word_text
 
 
 class StructureTable:
-    """The constants of one index pair (u, v), with a basis tag.
+    """The constants of one index pair (u, v) over the range ``rng``, with
+    a basis tag.
 
-    ``order`` lists the range's first elements, those up to length
-    l(u) + l(v), so ``order[k]`` is the element of id k; ``values`` maps
-    the id of each w with a nonzero constant to it, in increasing id, and
-    holds no zero.  ``range`` is the range whose first elements ``order``
-    lists, from which ``record_text`` and ``text_lines`` read the text of
-    the ids without a value; a table built with any other ``order`` has
-    none.
+    ``rs`` is the range's root system, and ``order`` lists the range's
+    first elements, those up to length l(u) + l(v), so ``order[k]`` is
+    the element of id k; ``values`` maps the id of each w with a nonzero
+    constant to it, in increasing id, and holds no zero.  ``range`` is
+    ``rng``, from which ``record_text`` and ``text_lines`` read the text
+    of the ids without a value.
     """
 
-    def __init__(self, rs: RootSystem, basis: str, u: WeylElement, v: WeylElement,
-                 values: dict, order, rng: WeylRange | None = None):
-        self.rs = rs
+    def __init__(self, basis: str, u: WeylElement, v: WeylElement, values: dict,
+                 rng: WeylRange):
+        self.rs = rng.rs
         self.basis = basis
         self.u = u
         self.v = v
         self.values = values
-        self.order = order
+        self.order = rng.elements[:bisect_right(rng.lengths, u.length + v.length)]
         self.range = rng
 
 
@@ -378,9 +378,8 @@ def column_constants(table: RestrictionTable, v: int, us) -> list[StructureTable
         column[x] = values
     return [
         StructureTable(
-            rng.rs, "x", elements[u], elements[v],
+            "x", elements[u], elements[v],
             {w: RootPolynomial(rank, terms, _clean=True) for w, terms in column[u].items()},
-            elements[:bisect_right(length, length[u] + lv)],
             rng,
         )
         for u in us
@@ -459,7 +458,7 @@ def opposite_constants(s: StructureTable, w0: WeylElement) -> StructureTable:
         raise ValueError("opposite_constants expects an x-basis table")
     matrix = w0.matrix
     values = {w: poly.apply_linear(matrix) for w, poly in s.values.items()}
-    return StructureTable(s.rs, "y", s.u, s.v, values, s.order, s.range)
+    return StructureTable("y", s.u, s.v, values, s.range)
 
 
 class CertificateEntry:
@@ -575,16 +574,11 @@ _ZERO_ITEMS = {
 def _zero_items(s: StructureTable, kind: str) -> list[str]:
     """A new list of the ``_ZERO_ITEMS`` text of ``kind`` for each w of
     ``s.order``, in id order.  The text is kept per id on ``s.range``
-    (memo "zero items"), of which ``s.order`` is a prefix, and made from
-    ``s.order`` for a table without a range: no item is read from the
-    range of another table."""
+    (memo "zero items"), of which ``s.order`` is a prefix."""
     order = s.order
-    make = _ZERO_ITEMS[kind]
-    if s.range is None:
-        return [make(w) for w in order]
     items = s.range.memo("zero items").setdefault(kind, [])
     if len(items) < len(order):
-        items.extend(map(make, order[len(items):]))
+        items.extend(map(_ZERO_ITEMS[kind], order[len(items):]))
     return items[:len(order)]
 
 

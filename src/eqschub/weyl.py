@@ -116,12 +116,6 @@ def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, _identity_matrix(rs.rank), ())
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple reflection index {i} out of range")
-    return WeylElement(rs, _reflect_right(rs, _identity_matrix(rs.rank), i - 1), (i,))
-
-
 def canonicalize(rs: RootSystem, matrix, *, cap: int = DEFAULT_WORD_CAP) -> WeylElement:
     """Build the element with the given action matrix.
 

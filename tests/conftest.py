@@ -1,5 +1,6 @@
 """Shared test helpers: oracles that stay independent of the code they check."""
 
+import itertools
 import os
 import sys
 
@@ -50,6 +51,36 @@ def substitute_linear(poly, matrix):
                 term = term * image
         out = out + term
     return out
+
+
+def negate_variables(poly):
+    """poly with each a_i replaced by -a_i: the coefficient of each term of
+    odd degree flips.  The oracle of ``RootPolynomial.apply_linear`` by
+    minus the identity, and of the y-basis sign rule."""
+    return RootPolynomial(
+        poly.rank, {exp: -c if sum(exp) % 2 else c for exp, c in poly.sorted_terms()}
+    )
+
+
+def diagram_automorphisms(cartan):
+    """Every permutation sigma of the 0-based nodes with a[sigma i][sigma j]
+    = a[i][j] for all i, j, the identity included, as tuples: i -> sigma[i]."""
+    n = len(cartan)
+    return [
+        sigma for sigma in itertools.permutations(range(n))
+        if all(cartan[sigma[i]][sigma[j]] == cartan[i][j] for i in range(n) for j in range(n))
+    ]
+
+
+def permute_variables(poly, sigma):
+    """poly with each simple root a_{i+1} relabelled a_{sigma[i]+1}."""
+    terms = {}
+    for exp, coeff in poly.sorted_terms():
+        image = [0] * poly.rank
+        for i, e in enumerate(exp):
+            image[sigma[i]] = e
+        terms[tuple(image)] = coeff
+    return RootPolynomial(poly.rank, terms)
 
 
 def right_descents(w):
@@ -186,11 +217,13 @@ def triangular_constants(table, u, v):
     total = u.length + v.length
     order = tuple(w for w in rng.elements if w.length <= total)
     iu, iv = rng.index[u], rng.index[v]
+    zero = RootPolynomial.zero(rng.rs.rank)
     values = {}
     for k, w in enumerate(order):
-        numerator = table.value(u, w) * table.value(v, w)
+        column = table.columns[k]
+        numerator = column.get(iu, zero) * column.get(iv, zero)
         for wp, poly in values.items():
-            numerator = numerator - poly * table.value(order[wp], w)
+            numerator = numerator - poly * column.get(wp, zero)
         if iu in rng.leq[k] and iv in rng.leq[k]:
             try:
                 for c in inversion_coords(table.range.rs, w.word):
@@ -205,7 +238,7 @@ def triangular_constants(table, u, v):
                 values[k] = numerator
         elif not numerator.is_zero():
             raise InternalInconsistency(f"nonzero numerator at skipped fixed point {w}")
-    return StructureTable(table.range.rs, "x", u, v, values, order)
+    return StructureTable("x", u, v, values, rng)
 
 
 def certificate_dict(s, cert):

@@ -621,7 +621,7 @@ def _corrupt_divisor(steps, covers_up, w):
     from eqschub.rootsys import LinearForm
 
     k, (_, i, divisor) = next((k, step) for k, step in enumerate(steps) if step[0] == w)
-    doubled = divisor.scale(2)
+    doubled = divisor * RootPolynomial.constant(divisor.rank, 2)
     steps = list(steps)
     steps[k] = (w, i, LinearForm(doubled.rank, doubled.terms, _clean=True))
     return steps, covers_up
@@ -1289,6 +1289,32 @@ def test_sweep_refuses_cache_with_a_bad_exponent(tmp_path, monkeypatch, capsys, 
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith(f"error: cache {cache}: line {len(lines)} is not a sweep record")
+
+
+@pytest.mark.parametrize("coeff", [-0.5, True, 2], ids=["float", "bool", "int"])
+def test_sweep_refuses_cache_with_a_coefficient_that_is_not_a_string(
+    tmp_path, monkeypatch, capsys, coeff
+):
+    """A sweep writes each coefficient as the string of an int, and a stored
+    one of any other JSON type makes the line no sweep record.  Read by
+    int(), -0.5 would be 0 and true would be 1, which both pass the x-basis
+    sign rule, so the tampered record would be trusted."""
+    cache = tmp_path / "cache.jsonl"
+    args = ["sweep", "--type", "A2", "--max-length", "2", "--cache", str(cache)]
+    assert run(args)[0] == 0
+    lines = cache.read_text().splitlines()
+    number = next(n for n, line in enumerate(lines) if n and '"coeff"' in line)
+    record = json.loads(lines[number])
+    term = next(term for value in record["values"] for term in value["poly"]["terms"])
+    term["coeff"] = coeff
+    lines[number] = json.dumps(record)
+    cache.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    _forbid_solving(monkeypatch)
+    code, out = run(args)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cache {cache}: line {number + 1} is not a sweep record")
 
 
 @pytest.mark.parametrize("key", ["u", "v"])

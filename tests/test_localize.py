@@ -11,7 +11,6 @@ from eqschub import (
     CartanMatrix,
     InsufficientBound,
     InternalInconsistency,
-    RankMismatch,
     RootPolynomial,
     build_root_system,
     builtin_root_system,
@@ -21,9 +20,12 @@ from eqschub import (
     longest_element,
     restriction_column,
     restriction_table,
+    structure_constants,
+    verify_product_identity,
 )
 
 from eqschub.localize import RestrictionTable, _verify_table
+from eqschub.structconst import column_constants
 from eqschub.rootsys import GENERAL
 
 from conftest import (
@@ -118,13 +120,13 @@ def word_prefixes(rng, ids):
 
 def test_a1_diagonal_is_the_root():
     s = element_from_word(A1, (1,))
-    assert billey_restrict(A1, s, s) == RootPolynomial.variable(1, 1)
+    assert billey_restrict(A1, s, s) == RootPolynomial.from_linear(1, (1,))
 
 
 def test_a2_off_diagonal_example():
     s1 = element_from_word(A2, (1,))
     v = element_from_word(A2, (1, 2))
-    assert billey_restrict(A2, s1, v) == RootPolynomial.variable(2, 1)
+    assert billey_restrict(A2, s1, v) == RootPolynomial.from_linear(2, (1, 0))
 
 
 def test_vanishes_when_not_below():
@@ -153,14 +155,16 @@ def test_explicit_word_override_must_be_reduced():
 
 def test_a1_table_entries():
     table = restriction_table(A1, 1)
-    e = element_from_word(A1, ())
-    s = element_from_word(A1, (1,))
+    e = table.range.index[element_from_word(A1, ())]
+    s = table.range.index[element_from_word(A1, (1,))]
     one = RootPolynomial.one(1)
-    assert table.columns == {0: {0: one}, 1: {0: one, 1: RootPolynomial.variable(1, 1)}}
-    assert table.value(e, e) == RootPolynomial.one(1)
-    assert table.value(e, s) == RootPolynomial.one(1)
-    assert table.value(s, e).is_zero()
-    assert table.value(s, s) == RootPolynomial.variable(1, 1)
+    a1 = RootPolynomial.from_linear(1, (1,))
+    assert table.columns == {0: {0: one}, 1: {0: one, 1: a1}}
+    zero = RootPolynomial.zero(1)
+    assert table.columns[e].get(e, zero) == RootPolynomial.one(1)
+    assert table.columns[s].get(e, zero) == RootPolynomial.one(1)
+    assert table.columns[e].get(s, zero).is_zero()
+    assert table.columns[s].get(s, zero) == a1
 
 
 def test_g2_full_diagonal_is_product_of_all_positive_roots():
@@ -177,11 +181,11 @@ def test_batched_table_matches_single_restrictions():
     for rs, k in [(A2, 3), (B2, 3), (AFF, 4), (A3, 6), (AFF_A2, 5)]:
         table = restriction_table(rs, k)
         zero = RootPolynomial.zero(rs.rank)
-        for v in table.range:
+        for b, v in enumerate(table.range):
             column = restriction_column(v)
-            for w in table.range:
+            for a, w in enumerate(table.range):
                 oracle = billey_restrict(rs, w, v)
-                assert table.value(w, v) == oracle
+                assert table.columns[b].get(a, zero) == oracle
                 assert column.get(w.matrix, zero) == oracle
 
 
@@ -349,16 +353,20 @@ def test_verify_table_rejects_entry_outside_the_rows():
 
 
 def test_value_raises_on_a_row_the_table_does_not_hold():
-    """Outside its rows an ideal table raises, where a whole one reads zero."""
+    """Outside its rows an ideal table raises, where a whole one reads zero:
+    the recurrence reading such a row refuses it."""
     rng = enumerate_upto(A2, 3)
-    s1, s2, s1s2, w0 = (element_from_word(A2, x) for x in ((1,), (2,), (1, 2), (1, 2, 1)))
-    table = restriction_table(A2, 3, rng=rng, rows=ideal_rows(rng, rng.index[s1]))
-    assert table.value(s2, w0) == restriction_table(A2, 3).value(s2, w0)
-    assert table.value(s1, s2).is_zero()
+    whole = restriction_table(A2, 3)
+    words = ((1,), (2,), (1, 2), (1, 2, 1))
+    s1, s2, s1s2, w0 = (rng.index[element_from_word(A2, x)] for x in words)
+    table = restriction_table(A2, 3, rng=rng, rows=ideal_rows(rng, s1))
+    assert table.holds(s2, w0) and table.columns[w0][s2] == whole.columns[w0][s2]
+    assert table.holds(s1, s2) and s1 not in table.columns[s2]
     for w in (s1s2, w0):
-        with pytest.raises(InternalInconsistency, match="does not hold"):
-            table.value(w, w0)
-    assert restriction_table(A2, 3).value(s1s2, s1).is_zero()
+        assert not table.holds(w, w0)
+        with pytest.raises(InternalInconsistency, match=f"does not hold row {w} at point {w0}$"):
+            column_constants(table, w, [w0])
+    assert whole.holds(s1s2, s1) and s1s2 not in whole.columns[s1]
 
 
 def test_value_raises_on_a_row_held_at_another_point_only():
@@ -374,12 +382,13 @@ def test_value_raises_on_a_row_held_at_another_point_only():
     assert any(w in rng.leq[v] for w, v in pairs)
     for w, v in pairs:
         assert table.holds(w) and table.holds_point(v)
-        message = re.escape(f"does not hold the row of {els[w]} at {els[v]}")
-        with pytest.raises(InternalInconsistency, match=message):
-            table.value(els[w], els[v])
+        # The column of w read from v checks the point v first.
+        with pytest.raises(InternalInconsistency, match=f"does not hold row {w} at point {v}$"):
+            column_constants(table, w, [v])
+    zero = RootPolynomial.zero(3)
     for v in table.rows_at:
         for w in table.rows_at[v]:
-            assert table.value(els[w], els[v]) == whole.columns[v].get(w, RootPolynomial.zero(3))
+            assert table.columns[v].get(w, zero) == whole.columns[v].get(w, zero), (els[w], els[v])
 
 
 @pytest.mark.parametrize(
@@ -497,7 +506,7 @@ def test_verify_point_table_rejects_a_corrupted_held_entry(invariant):
         columns[off][x] = columns[x][x]
         message = "nonzero but w !<= v"
     elif invariant == "homogeneity":
-        columns[v][w] = poly * RootPolynomial.variable(3, 1)
+        columns[v][w] = poly * RootPolynomial.from_linear(3, (1, 0, 0))
         message = "not homogeneous"
     elif invariant == "diagonal":
         columns[w][w] = columns[w][w] + columns[w][w]
@@ -623,7 +632,7 @@ def test_stored_values_share_their_packed_monomials():
 @pytest.mark.parametrize(
     "corrupt,message",
     [(lambda p: -p, "negative coefficients"),
-     (lambda p: p * RootPolynomial.variable(3, 1), "not homogeneous")],
+     (lambda p: p * RootPolynomial.from_linear(3, (1, 0, 0)), "not homogeneous")],
     ids=["negated", "times-a1"],
 )
 def test_verify_checks_a_replaced_copy_of_a_shared_polynomial(corrupt, message):
@@ -671,58 +680,50 @@ def test_step_refuses_a_degree_at_the_packed_limit(monkeypatch):
 
 def test_value_beyond_a_truncated_range_raises():
     """xi^e is 1 at every fixed point, but a table cut at length 2 holds no
-    value at a point of length 5: reading one is InsufficientBound, not 0.
-    So is reading a row of length 5, and the whole table holds no id past
-    its range, nor None, as a row or a point."""
+    value at a point of length 5: the constants of e and that element, or
+    their product identity, read there are InsufficientBound, not 0.  The
+    whole table holds no id past its range, nor None, as a row or a point."""
     e, s1s2s1s2s1 = identity(AFF), element_from_word(AFF, (1, 2, 1, 2, 1))
-    assert restriction_table(AFF, 5).value(e, s1s2s1s2s1) == RootPolynomial.one(2)
+    long = restriction_table(AFF, 5)
+    assert long.columns[long.range.index[s1s2s1s2s1]][0] == RootPolynomial.one(2)
+    s = structure_constants(long, e, s1s2s1s2s1)
+    assert verify_product_identity(long, s)
     table = restriction_table(AFF, 2)
-    beyond = re.escape(f"{s1s2s1s2s1} lies beyond the range")
+    beyond = re.escape("table bound 2 < length(u)+length(v) = 5")
     for w, v in ((e, s1s2s1s2s1), (s1s2s1s2s1, e)):
         with pytest.raises(InsufficientBound, match=beyond):
-            table.value(w, v)
+            structure_constants(table, w, v)
+    with pytest.raises(InsufficientBound, match=beyond):
+        verify_product_identity(table, s)
     n = len(table.range)
     assert not table.holds(None) and not table.holds(n) and not table.holds_point(n)
-
-
-def test_value_refuses_an_element_of_another_system():
-    """An element of another root system, or of A2's matrix built as
-    "general", is a RankMismatch, as in ``structure_constants``: not a zero
-    and not a point beyond the range."""
-    table = restriction_table(A2, 3)
-    s1 = element_from_word(A2, (1,))
-    b2 = element_from_word(B2, (1,))
-    general = element_from_word(build_root_system(A2.cartan, GENERAL), (1,))
-    for w, v in ((b2, s1), (s1, b2), (general, s1), (s1, general)):
-        with pytest.raises(RankMismatch):
-            table.value(w, v)
 
 
 def test_value_off_the_points_raises():
     """A point the table leaves out is not read as zero."""
     table, whole = _point_table()
-    e = identity(A3)
     for b, v in enumerate(table.range):
         if table.holds_point(b):
-            assert table.value(e, v) == whole.value(e, v)
+            assert table.holds(0, b) and table.columns[b][0] == whole.columns[b][0]
         else:
-            with pytest.raises(InternalInconsistency, match="does not hold the point"):
-                table.value(e, v)
+            with pytest.raises(InternalInconsistency, match=f"does not hold point {b}$"):
+                column_constants(table, 0, [b])
 
 
 @pytest.mark.parametrize("rs,k", SYSTEMS)
 def test_support_homogeneity_diagonal_nonneg(rs, k):
     table = restriction_table(rs, k)
     rng = table.range
+    zero = RootPolynomial.zero(rs.rank)
     for a, w in enumerate(rng):
         for b, v in enumerate(rng):
-            poly = table.value(w, v)
+            poly = table.columns[b].get(a, zero)
             if a not in rng.leq[b]:
                 assert poly.is_zero()
             assert poly.is_homogeneous_of(w.length)
             assert poly.sign_pattern() in ("nonneg", "zero")
-    for w in rng:
-        assert table.value(w, w) == inversion_product(w)
+    for a, w in enumerate(rng):
+        assert table.columns[a][a] == inversion_product(w)
 
 
 @pytest.mark.parametrize("rs,k", SYSTEMS)
@@ -741,10 +742,8 @@ def test_degree_one_closed_form(rs):
     """Restriction of a simple reflection is omega_i minus its image."""
     k = len(rs.positive_roots)
     rng = enumerate_upto(rs, k)
-    from eqschub import simple_reflection
-
     for i in range(1, rs.rank + 1):
-        si = simple_reflection(rs, i)
+        si = element_from_word(rs, (i,))
         omega = rs.fundamental_weights[i - 1]
         for v in rng:
             expected = [a - b for a, b in zip(omega, mat_vec(v.matrix, omega))]
@@ -755,8 +754,9 @@ def test_degree_one_closed_form(rs):
 @pytest.mark.parametrize("rs,k", SYSTEMS)
 def test_triangular_with_nonzero_diagonal(rs, k):
     table = restriction_table(rs, k)
+    zero = RootPolynomial.zero(rs.rank)
     for a, w in enumerate(table.range):
-        assert not table.value(w, w).is_zero()
+        assert not table.columns[a].get(a, zero).is_zero()
         for b, v in enumerate(table.range):
             if a in table.range.leq[b]:
-                assert not table.value(w, v).is_zero()
+                assert not table.columns[b].get(a, zero).is_zero()

@@ -24,7 +24,6 @@ from eqschub import (
     identity,
     inverse,
     longest_element,
-    simple_reflection,
 )
 
 from eqschub.rootsys import GENERAL, RootPolynomial
@@ -60,12 +59,12 @@ RANGE_IDS = ["A3", "G2", "A4", "AffineA1", "AffineA2"]
 
 
 def test_simple_reflection_negates_own_root():
-    s1 = simple_reflection(A2, 1)
+    s1 = element_from_word(A2, (1,))
     assert mat_vec(s1.matrix, (1, 0)) == (-1, 0)
 
 
 def test_cartan_reflection_formula():
-    s1 = simple_reflection(A2, 1)
+    s1 = element_from_word(A2, (1,))
     assert mat_vec(s1.matrix, (0, 1)) == (1, 1)
 
 
@@ -76,7 +75,7 @@ def test_identity_acts_trivially():
 @pytest.mark.parametrize("rs", [A1, A3, G2, AFF_A2], ids=["A1", "A3", "G2", "AffineA2"])
 def test_simple_reflection_matrix_is_read_off_the_cartan_matrix(rs):
     for i in range(rs.rank):
-        s = simple_reflection(rs, i + 1)
+        s = element_from_word(rs, (i + 1,))
         assert s.matrix == reflection_matrix(rs, i) and s.word == (i + 1,)
 
 
@@ -85,7 +84,7 @@ def test_simple_reflection_matrix_is_read_off_the_cartan_matrix(rs):
 
 
 def test_reflection_is_involution():
-    s1 = simple_reflection(A2, 1)
+    s1 = element_from_word(A2, (1,))
     assert element_from_word(A2, s1.word + s1.word) == identity(A2)
 
 
@@ -98,7 +97,7 @@ def test_identity_is_neutral():
 def test_a2_closure_has_six_elements_and_s1s2_s1_has_length_3():
     rng = enumerate_upto(A2, 10)
     assert len(rng) == 6
-    w = element_from_word(A2, (1, 2) + simple_reflection(A2, 1).word)
+    w = element_from_word(A2, (1, 2) + element_from_word(A2, (1,)).word)
     assert w.length == 3
 
 
@@ -108,7 +107,7 @@ def test_canonicalize_identity():
 
 
 def test_canonicalize_reproduces_s2():
-    s2 = simple_reflection(A2, 2)
+    s2 = element_from_word(A2, (2,))
     again = canonicalize(A2, s2.matrix)
     assert again.word == (2,) and again.length == 1
 
@@ -243,7 +242,7 @@ def test_inversions_of_identity_empty():
 
 
 def test_inversions_a1():
-    s = simple_reflection(A1, 1)
+    s = element_from_word(A1, (1,))
     assert inversion_coords(A1, s.word) == [(1,)]
 
 
